@@ -4,7 +4,9 @@ The full grid (speeds 1/2/4/8/10 m/s x hard/soft x video-0.5M/video-2M/VoIP)
 is simulated once per session and shared across the criteria.
 """
 
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,8 @@ APPS = [("video", 0.5e6), ("video", 2e6), ("voip", 64000.0)]
 # the CBR video source is deterministic; the on/off VoIP source is sampled,
 # so its curves are means over repeated runs with different seeds
 SEEDS = {"video": [1], "voip": [1, 2, 3, 4, 5]}
+# byte-exact outputs every refactor must preserve; see README.md to refresh
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def _announce(num, text):
@@ -252,5 +256,15 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
     csv_b, log_b = run("b")
     assert csv_a == csv_b
     assert log_a == log_b and len(log_b) > 0
+    want = (GOLDEN / "criterion10_log.sha256").read_text().strip()
+    got = hashlib.sha256(log_a).hexdigest()
+    assert got == want, f"event log digest {got} != golden {want}"
     _announce(10, f"identical config+seed reruns: CSV and {len(log_b)}-byte "
                   f"event log byte-identical")
+
+
+def test_golden_grid_csv(grid, tmp_path):
+    out = tmp_path / "grid.csv"
+    emit_csv([result.metrics for _key, result in _runs(grid)], out)
+    assert out.read_bytes() == (GOLDEN / "grid.csv").read_bytes(), \
+        f"grid CSV differs from tests/golden/grid.csv; this run's CSV: {out}"
