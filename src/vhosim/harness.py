@@ -11,10 +11,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_origin, get_type_hints
 
 from .scenario import Scenario
-from .traffic import FlowStats, compute_mos, packet_loss_rate
+from .traffic import compute_mos, packet_loss_rate
 
 STANDARD_PATH_METERS = 2000.0
 
@@ -78,7 +78,6 @@ class ScenarioConfig:
     traffic_start: float = 5.0
 
     expected_handovers: Optional[int] = 10  # None disables the assertion
-    mn_interfaces: Optional[int] = None  # derived from scheme when unset
 
     @property
     def sim_time_resolved(self) -> float:
@@ -92,28 +91,38 @@ class ScenarioConfig:
         if self.application not in ("video", "voip"):
             raise ConfigError(f"application: must be 'video' or 'voip', "
                               f"got {self.application!r}")
-        if self.speed <= 0:
-            raise ConfigError("speed: must be > 0")
-        n = self.mn_interfaces
-        if n is not None:
-            if self.scheme == "hard" and n != 1:
-                raise ConfigError("mn_interfaces: hard scheme requires exactly 1 "
-                                  f"interface, got {n}")
-            if self.scheme == "soft" and n < 2:
-                raise ConfigError("mn_interfaces: soft scheme requires >= 2 "
-                                  f"interfaces, got {n}")
+        for name in _POSITIVE:
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise ConfigError(f"{name}: must be > 0, got {getattr(self, name)!r}")
+        for name in _NON_NEGATIVE:
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name}: must be >= 0, got {getattr(self, name)!r}")
+        if self.sim_time is not None and not self.sim_time > 0:
+            raise ConfigError(f"sim_time: must be > 0 or auto, got {self.sim_time!r}")
         if self.ap_home_channel == self.ap_foreign_channel:
             raise ConfigError("ap_foreign_channel: the two APs must use "
                               "distinct channels")
-        if self.beacon_interval <= 0:
-            raise ConfigError("beacon_interval: must be > 0")
         return self
 
 
-_INT_KEYS = {"seed", "video_packet_bits", "row_count", "ap_home_channel",
-             "ap_foreign_channel", "miss_threshold", "expected_handovers",
-             "mn_interfaces", "home_prefix", "foreign_prefix", "core_prefix"}
-_STR_KEYS = {"scheme", "application"}
+# a zero rate, size, period or count divides by zero or never advances the
+# clock; a negative delay would schedule into the past
+_POSITIVE = ("speed", "video_rate_bps", "video_packet_bits", "voip_packetization",
+             "voip_playout", "voip_spurt_mean", "voip_silence_mean",
+             "voip_codec_rate", "row_count", "beacon_interval", "frequency_hz",
+             "bitrate", "ra_interval")
+_NON_NEGATIVE = ("dad_duration", "cn_link_delay", "foreign_link_delay",
+                 "traffic_start")
+
+
+def _field_types(cls) -> dict[str, tuple[type, bool]]:
+    """Field name -> (declared type without Optional, whether None is allowed)."""
+    out = {}
+    for name, tp in get_type_hints(cls).items():  # in field order
+        optional = type(None) in get_args(tp)
+        out[name] = (get_args(tp)[0] if optional else tp, optional)
+    return out
+
 
 # dotted config-file keys -> dataclass fields
 _KEY_ALIASES = {
@@ -147,14 +156,12 @@ _KEY_ALIASES = {
     "llc.miss_threshold": "miss_threshold",
     "wired.cn_link_delay": "cn_link_delay",
     "wired.foreign_link_delay": "foreign_link_delay",
-    "mn.interfaces": "mn_interfaces",
 }
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse a flat key = value config file with dotted section keys."""
     cfg = ScenarioConfig()
-    names = {f.name for f in fields(ScenarioConfig)}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -163,25 +170,23 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
         name = _KEY_ALIASES.get(key, key)
-        if name not in names:
+        if name not in _CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if name in ("sim_time", "expected_handovers", "mn_interfaces"):
-            parsed = None if value in ("auto", "none") else _parse(name, value)
-        else:
-            parsed = _parse(name, value)
-        setattr(cfg, name, parsed)
+        setattr(cfg, name, _parse(name, value))
     return cfg.validate()
 
 
 def _parse(name: str, value: str):
+    tp, optional = _CONFIG_TYPES[name]
+    if optional and value in ("auto", "none"):
+        return None
     try:
-        if name in _STR_KEYS:
-            return value
-        if name in _INT_KEYS:
-            return int(value, 0)
-        return float(value)
+        return int(value, 0) if tp is int else tp(value)  # int() takes 0x prefixes
     except ValueError as exc:
         raise ConfigError(f"{name}: cannot parse {value!r}") from exc
+
+
+_CONFIG_TYPES = _field_types(ScenarioConfig)
 
 
 @dataclass
@@ -204,32 +209,37 @@ class MetricsRecord:
     dl_loss_rate: Optional[float]
     gaps: list[float] = field(default_factory=list)
 
-    COLUMNS = ("scheme", "application", "rate_bps", "speed", "seed", "sim_time",
-               "handover_count", "sent", "received", "late", "lost", "loss_rate",
-               "mean_delay", "r_factor", "mos", "dl_loss_rate", "gaps")
-
     def to_row(self) -> list[str]:
-        def num(v):
-            return "" if v is None else repr(v)
-        return [self.scheme, self.application, num(self.rate_bps), num(self.speed),
-                str(self.seed), num(self.sim_time), str(self.handover_count),
-                str(self.sent), str(self.received), str(self.late), str(self.lost),
-                num(self.loss_rate), num(self.mean_delay), num(self.r_factor),
-                num(self.mos), num(self.dl_loss_rate),
-                ";".join(repr(g) for g in self.gaps)]
+        """One CSV cell per field: None is empty, a list is ';'-joined, numbers
+        are repr() so that floats round-trip exactly."""
+        row = []
+        for name in MetricsRecord.COLUMNS:
+            v = getattr(self, name)
+            if v is None:
+                row.append("")
+            elif isinstance(v, str):
+                row.append(v)
+            elif isinstance(v, list):
+                row.append(";".join(repr(g) for g in v))
+            else:
+                row.append(repr(v))
+        return row
 
     @classmethod
     def from_row(cls, row: list[str]) -> "MetricsRecord":
-        def opt(v):
-            return None if v == "" else float(v)
-        return cls(scheme=row[0], application=row[1], rate_bps=float(row[2]),
-                   speed=float(row[3]), seed=int(row[4]), sim_time=float(row[5]),
-                   handover_count=int(row[6]), sent=int(row[7]),
-                   received=int(row[8]), late=int(row[9]), lost=int(row[10]),
-                   loss_rate=float(row[11]), mean_delay=float(row[12]),
-                   r_factor=opt(row[13]), mos=opt(row[14]),
-                   dl_loss_rate=opt(row[15]),
-                   gaps=[float(g) for g in row[16].split(";") if g])
+        values = {}
+        for (name, (tp, optional)), cell in zip(_METRIC_TYPES.items(), row):
+            if optional and cell == "":
+                values[name] = None
+            elif get_origin(tp) is list:
+                values[name] = [float(g) for g in cell.split(";") if g]
+            else:
+                values[name] = tp(cell)
+        return cls(**values)
+
+
+_METRIC_TYPES = _field_types(MetricsRecord)
+MetricsRecord.COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
 @dataclass
@@ -288,7 +298,7 @@ def sweep(base_cfg: ScenarioConfig, speeds: list[float], schemes: list[str],
         for scheme in schemes:
             for speed in speeds:
                 cfg = replace(base_cfg, scheme=scheme, application=app,
-                              speed=speed, mn_interfaces=None)
+                              speed=speed)
                 if app == "video":
                     cfg = replace(cfg, video_rate_bps=rate)
                 try:

@@ -16,10 +16,6 @@ from .engine import EventHandle, Simulator
 IPV6_HEADER_BITS = 320
 
 
-class UnroutableError(Exception):
-    pass
-
-
 def derive_iid(node_id: str, iface_index: int) -> int:
     """Stable per-interface identifier, collision-free at scenario scale."""
     digest = hashlib.blake2b(f"{node_id}/{iface_index}".encode(), digest_size=8)
@@ -60,7 +56,6 @@ class RouterAdvertisement:
     prefix: int
     router: Address
     is_home_agent: bool = False
-    interval: float = 1.0
 
 
 @dataclass
@@ -108,7 +103,6 @@ class InterfaceRecord:
     iface_id: str
     addresses: list[Address] = field(default_factory=list)
     on_link_prefix: Optional[int] = None
-    default_router: Optional[Address] = None
     home_prefix: Optional[int] = None
     home_address: Optional[Address] = None
 
@@ -143,9 +137,7 @@ class Ipv6Host:
         self.ha_address: Optional[Address] = None
         self._iface_index: dict[str, int] = {}
         self._dad_handles: dict[str, EventHandle] = {}
-        self.addr_epoch = 0  # bumped whenever any address or prefix state moves
         self.dad_log: list[tuple[float, str, Address]] = []
-        self.addr_global_log: dict[Address, float] = {}
 
     def add_interface(self, iface_id: str, index: int) -> InterfaceRecord:
         rec = InterfaceRecord(iface_id)
@@ -163,9 +155,7 @@ class Ipv6Host:
         if not link_up:
             return
         rec = self.records[iface_id]
-        self.addr_epoch += 1
         rec.on_link_prefix = ra.prefix
-        rec.default_router = ra.router
         self.routes.add(ra.prefix, ra.router, iface_id)
         self.routes.add(None, ra.router, iface_id)
         self.sim.trace(self.node_id, "ipv6", "ra", f"iface={iface_id} prefix={ra.prefix:#x}")
@@ -211,7 +201,6 @@ class Ipv6Host:
             return existing  # global: no DAD; tentative: DAD already running
         addr = Address(prefix, self.iid(iface_id), "tentative")
         rec.addresses.append(addr)
-        self.addr_epoch += 1
         self.sim.trace(self.node_id, "ipv6", "slaac", f"iface={iface_id} addr={addr}")
         self.start_dad(iface_id, addr)
         return addr
@@ -226,10 +215,8 @@ class Ipv6Host:
 
     def _dad_done(self, iface_id: str, addr: Address) -> None:
         addr.scope = "global"
-        self.addr_epoch += 1
         self._dad_handles.pop(iface_id, None)
         self.dad_log.append((self.sim.now, iface_id, addr))
-        self.addr_global_log[addr] = self.sim.now
         self.sim.trace(self.node_id, "ipv6", "dad_done", f"iface={iface_id} addr={addr}")
         self.notify_global(iface_id)
 
@@ -239,13 +226,11 @@ class Ipv6Host:
         if handle is not None:
             self.sim.cancel(handle)
         rec = self.records[iface_id]
-        self.addr_epoch += 1
         rec.addresses = [a for a in rec.addresses if a.scope == "global"]
 
     # -- handover cleanup --------------------------------------------------------
 
     def update_routes_after_handover(self, prev_iface: str) -> int:
-        self.addr_epoch += 1
         removed = self.routes.remove_for_iface(prev_iface)
         rec = self.records.get(prev_iface)
         if rec is not None:
@@ -265,12 +250,6 @@ class Ipv6Host:
         return removed
 
     # -- forwarding helpers --------------------------------------------------------
-
-    def route_lookup(self, dst: Address, iface: Optional[str] = None) -> tuple[Address, str]:
-        hit = self.routes.lookup(dst, iface)
-        if hit is None:
-            raise UnroutableError(str(dst))
-        return hit
 
     def global_address(self, iface_id: str) -> Optional[Address]:
         """The interface's usable address on its current link (the CoA, or HoA at home)."""

@@ -1,7 +1,7 @@
 """Link-layer handover controller.
 
 A control-plane-only entity that grants or denies interface association,
-tracks serving/previous/candidate interface records, executes
+tracks serving/candidate interface records, executes
 make-before-break switching and exposes the serving interface to the upper
 layers. It exchanges only beacons, association signaling and notifications;
 it never touches data packets.
@@ -9,7 +9,7 @@ it never touches data packets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .engine import Simulator
@@ -21,23 +21,11 @@ class NetworkAttributes:
     iface_id: str
     ap_id: str
     rss: float
-    snr: float
-    assigned_address: object = None
-    cost_of_service: float = 0.0
-    speed_limit: float = 0.0
-    credit: float = 0.0
-    expected_bitrate: float = 0.0
     last_update: float = 0.0
 
 
-def always_switch(serving: Optional[NetworkAttributes],
-                  candidate: NetworkAttributes) -> bool:
-    """Default decision hook: switch whenever a fresh non-serving network appears."""
-    return True
-
-
 class VhoController:
-    """Serving / previous / candidate role machine for multi-interface handover.
+    """Serving / candidate role machine for multi-interface handover.
 
     mode="soft": make-before-break — the old interface is released only once
     the new one is associated, configured and holds a global address.
@@ -46,8 +34,7 @@ class VhoController:
     """
 
     def __init__(self, sim: Simulator, mode: str, node_id: str = "mn",
-                 beacon_interval: float = 0.1, miss_threshold: int = 3,
-                 decide: Callable[[Optional[NetworkAttributes], NetworkAttributes], bool] = always_switch):
+                 beacon_interval: float = 0.1, miss_threshold: int = 3):
         if mode not in ("hard", "soft"):
             raise ValueError(f"unknown handover mode {mode!r}")
         self.sim = sim
@@ -55,10 +42,8 @@ class VhoController:
         self.node_id = node_id
         self.beacon_interval = beacon_interval
         self.miss_threshold = miss_threshold
-        self.decide = decide
 
         self.serving: Optional[NetworkAttributes] = None
-        self.previous: Optional[NetworkAttributes] = None
         self.candidate: Optional[NetworkAttributes] = None
         self.records: dict[str, NetworkAttributes] = {}
 
@@ -66,7 +51,6 @@ class VhoController:
         self.command_associate: Callable[[str, object], None] = lambda i, ap: None
         self.command_disassociate: Callable[[str], None] = lambda i: None
         self.on_promoted: Callable[[str, Optional[str]], None] = lambda i, p: None
-        self.is_associated: Callable[[str], bool] = lambda i: False
 
         self._last_beacon: dict[tuple[str, str], float] = {}  # (iface, ap) -> time
         self._assoc_set: set[str] = set()
@@ -133,11 +117,9 @@ class VhoController:
         if self.sim.now - cand.last_update >= self.miss_threshold * self.beacon_interval:
             self.sim.trace(self.node_id, "llc", "deny", f"iface={iface_id} stale")
             return "deny"
-        if self.serving is None or self.decide(self.serving, cand):
-            self.sim.trace(self.node_id, "llc", "permit", f"iface={iface_id}")
-            return "permit"
-        self.sim.trace(self.node_id, "llc", "deny", f"iface={iface_id}")
-        return "deny"
+        # a fresh candidate always wins over the serving network
+        self.sim.trace(self.node_id, "llc", "permit", f"iface={iface_id}")
+        return "permit"
 
     # -- association lifecycle -----------------------------------------------
 
@@ -179,7 +161,6 @@ class VhoController:
         prev = self.serving
         self.serving = cand
         self.candidate = None
-        self.previous = prev
         prev_id = prev.iface_id if prev is not None else None
         self.promotions.append((self.sim.now, iface_id, prev_id))
         self.sim.trace(self.node_id, "llc", "promote",
@@ -213,7 +194,6 @@ class VhoController:
         self.sim.trace(self.node_id, "llc", "beacon_loss", f"iface={iface_id}")
         if self.serving is not None and self.serving.iface_id == iface_id:
             self.serving = None
-            self.previous = None
             self.command_disassociate(iface_id)
             # soft mode: a candidate mid-handover keeps going; the gap lasts
             # until its promotion
@@ -221,7 +201,7 @@ class VhoController:
             self.candidate = None
             self._pending_ap.pop(iface_id, None)
             self.command_disassociate(iface_id)
-        # previous / idle interfaces: nothing to do
+        # released / idle interfaces: nothing to do
 
     # -- run-end bookkeeping ------------------------------------------------------
 

@@ -130,20 +130,12 @@ class MnBindingManager:
         self._refresh: Optional[EventHandle] = None
         self.bu_log: list[tuple[float, int, Address, float]] = []
         self.ba_log: list[tuple[float, int, str]] = []
-        self._coa_cache_key: Optional[tuple[Optional[str], int]] = None
-        self._coa_cache_val: Optional[Address] = None
 
     # -- state queries -------------------------------------------------------
 
     def current_coa(self) -> Optional[Address]:
         iface = self.llc.serving_interface()
-        key = (iface, self.host.addr_epoch)
-        if key == self._coa_cache_key:
-            return self._coa_cache_val
-        coa = None if iface is None else self.host.global_address(iface)
-        self._coa_cache_key = key
-        self._coa_cache_val = coa
-        return coa
+        return None if iface is None else self.host.global_address(iface)
 
     def at_home(self) -> bool:
         coa = self.current_coa()

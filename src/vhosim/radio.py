@@ -20,7 +20,6 @@ BEACON_BITS = 640
 ASSOC_BITS = 512
 DISASSOC_BITS = 256
 MAC_OVERHEAD_BITS = 272
-NOISE_FLOOR_DBM = -94.0
 
 
 def fspl_db(distance_m: float, frequency_hz: float) -> float:
@@ -47,11 +46,6 @@ class ApConfig:
     prefix: int
     tx_power_dbm: float = 0.0
     beacon_interval: float = 0.1
-    # attributes advertised for the controller's records; carried, not spent
-    cost_of_service: float = 1.0
-    speed_limit: float = 30.0
-    credit: float = 1e9
-    expected_bitrate: float = 2e6
 
 
 @dataclass
@@ -78,7 +72,6 @@ class Medium:
         self.d_ref = d_ref
         self.drop_hook = drop_hook
         self.ifaces: list = []  # mobile-node interfaces listening on the medium
-        self._range2: dict[int, float] = {}  # id(ap) -> coverage radius squared
         # (ap, iface) -> (valid_until, verdict): a range verdict cannot flip
         # before the node has covered the distance margin to the coverage edge
         self._range_verdicts: dict[tuple[int, int], tuple[float, bool]] = {}
@@ -90,24 +83,20 @@ class Medium:
         d = math.hypot(pos[0] - ap.cfg.x, pos[1] - ap.cfg.y)
         return rx_power_dbm(ap.cfg.tx_power_dbm, d, self.frequency_hz, self.d_ref)
 
-    def _radius2(self, ap: "AccessPoint") -> float:
-        # closed-form coverage radius, cached per AP: cheaper than a full
-        # path-loss evaluation on every packet
-        r2 = self._range2.get(id(ap))
-        if r2 is None:
-            budget = ap.cfg.tx_power_dbm - self.sensitivity_dbm
-            d_max = 10.0 ** ((budget - 20.0 * math.log10(self.frequency_hz)
-                              - _FSPL_CONST_DB) / 20.0)
-            # inside d_ref the received power clamps; below-sensitivity there
-            # means below-sensitivity everywhere
-            r2 = d_max * d_max if d_max >= self.d_ref else -1.0
-            self._range2[id(ap)] = r2
-        return r2
+    def coverage_radius2(self, tx_power_dbm: float) -> float:
+        """Squared closed-form coverage radius: cheaper to compare against on
+        every packet than a full path-loss evaluation."""
+        budget = tx_power_dbm - self.sensitivity_dbm
+        d_max = 10.0 ** ((budget - 20.0 * math.log10(self.frequency_hz)
+                          - _FSPL_CONST_DB) / 20.0)
+        # inside d_ref the received power clamps; below-sensitivity there
+        # means below-sensitivity everywhere
+        return d_max * d_max if d_max >= self.d_ref else -1.0
 
     def in_range(self, ap: "AccessPoint", pos: tuple[float, float]) -> bool:
         dx = pos[0] - ap.cfg.x
         dy = pos[1] - ap.cfg.y
-        return dx * dx + dy * dy <= self._radius2(ap)
+        return dx * dx + dy * dy <= ap.radius2
 
     def in_range_moving(self, ap: "AccessPoint", iface) -> bool:
         """Range check for a node of bounded speed, memoized while it cannot
@@ -121,7 +110,7 @@ class Medium:
         dx = pos[0] - ap.cfg.x
         dy = pos[1] - ap.cfg.y
         d2 = dx * dx + dy * dy
-        r2 = self._radius2(ap)
+        r2 = ap.radius2
         verdict = d2 <= r2
         speed = getattr(iface, "max_speed", 0.0)
         if speed > 0.0 and r2 > 0.0:
@@ -152,9 +141,8 @@ class Medium:
         if not self.in_range_moving(ap, iface):
             self._drop(frame)
             return
-        # the receive strength only matters for beacons
-        rss = self.rx_dbm(ap, iface.position()) if frame.kind == "beacon" else 0.0
-        self.sim.schedule_in(frame.size_bits / self.bitrate, iface.on_frame, frame, rss)
+        # beacons go out by broadcast(); the receive strength matters only for them
+        self.sim.schedule_in(frame.size_bits / self.bitrate, iface.on_frame, frame, 0.0)
 
     def iface_to_ap(self, iface, ap: "AccessPoint", frame: Frame) -> None:
         # symmetric link budget: the AP hears the node iff the node hears the AP
@@ -188,6 +176,7 @@ class AccessPoint:
         self.router = router
         self.ra_interval = ra_interval
         self.lan_delay = lan_delay
+        self.radius2 = medium.coverage_radius2(cfg.tx_power_dbm)
         self.stations: dict[str, Any] = {}  # iface_id -> interface
         # static uplink data path (handler, extra wired delay beyond the LAN
         # hop); defaults to the attached router, may be pointed past it when
@@ -227,8 +216,6 @@ class AccessPoint:
         elif frame.kind == "disassoc":
             self.stations.pop(frame.src, None)
             self.sim.trace(self.cfg.ap_id, "radio", "disassoc", f"station={frame.src}")
-        elif frame.kind == "data":
-            self.sim.schedule_in(self.lan_delay, self.router.handle, frame.payload)
 
     def deliver_packet(self, pkt) -> None:
         """Downlink: radio delivery to the (single) associated station, if any."""

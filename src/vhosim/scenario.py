@@ -7,18 +7,16 @@ its own channel. The correspondent node hangs off the home agent's core link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .engine import Simulator
 from .ipv6 import (IPV6_HEADER_BITS, Address, Ipv6Host, Packet,
-                   RouterAdvertisement, UnroutableError, derive_iid)
+                   RouterAdvertisement, derive_iid)
 from .llc import NetworkAttributes, VhoController
-from .mipv6 import (BA_BITS, BindingAck, HomeAgentCore, MnBindingManager,
-                    decapsulate)
+from .mipv6 import BA_BITS, HomeAgentCore, MnBindingManager, decapsulate
 from .mobility import TractorPath
-from .radio import (MAC_OVERHEAD_BITS, NOISE_FLOOR_DBM, AccessPoint, ApConfig,
-                    ASSOC_BITS, DISASSOC_BITS, Frame, Medium)
+from .radio import (MAC_OVERHEAD_BITS, AccessPoint, ApConfig, ASSOC_BITS,
+                    DISASSOC_BITS, Frame, Medium)
 from .traffic import (AppPacket, FlowStats, Sink, VideoSource, VoipConfig,
                       VoipSource)
 
@@ -26,12 +24,10 @@ from .traffic import (AppPacket, FlowStats, Sink, VideoSource, VoipConfig,
 class WirelessInterface:
     """One MN radio: association state machine driven by the handover controller."""
 
-    def __init__(self, sim: Simulator, mn: "MobileNode", iface_id: str, index: int,
-                 medium: Medium, allowed_ap: Optional[str] = None):
-        self.sim = sim
+    def __init__(self, mn: "MobileNode", iface_id: str, medium: Medium,
+                 allowed_ap: Optional[str] = None):
         self.mn = mn
         self.iface_id = iface_id
-        self.index = index
         self.medium = medium
         self.allowed_ap = allowed_ap  # ap_id this interface may associate with
         self.max_speed = mn.path.speed  # bound used by the medium's range memo
@@ -77,12 +73,7 @@ class WirelessInterface:
             ap: AccessPoint = frame.payload
             if self.allowed_ap is not None and ap.cfg.ap_id != self.allowed_ap:
                 return
-            attrs = NetworkAttributes(
-                iface_id=self.iface_id, ap_id=ap.cfg.ap_id, rss=rss,
-                snr=rss - NOISE_FLOOR_DBM,
-                cost_of_service=ap.cfg.cost_of_service,
-                speed_limit=ap.cfg.speed_limit, credit=ap.cfg.credit,
-                expected_bitrate=ap.cfg.expected_bitrate)
+            attrs = NetworkAttributes(self.iface_id, ap.cfg.ap_id, rss)
             self.mn.llc.on_beacon(self.iface_id, attrs, ap)
         elif frame.kind == "assoc_response":
             if self.associated:
@@ -118,19 +109,16 @@ class MobileNode:
                  dad_duration: float, beacon_interval: float, miss_threshold: int,
                  drop_hook, node_id: str = "mn"):
         self.sim = sim
-        self.node_id = node_id
         self.path = path
         self.drop = drop_hook
         self.sinks: dict[str, Sink] = {}
-        self._pos_time = -1.0
-        self._pos = (path.x1, path.y1)
         self._route_ver = -1
         self._route_ok: dict[tuple[str, int], bool] = {}
 
         self.llc = VhoController(sim, scheme, node_id,
                                  beacon_interval=beacon_interval,
                                  miss_threshold=miss_threshold)
-        self.host = Ipv6Host(sim, node_id, self._on_address_global,
+        self.host = Ipv6Host(sim, node_id, self.llc.on_address_global,
                              dad_duration=dad_duration,
                              serving_iface=self.llc.serving_interface)
         self.mip = MnBindingManager(sim, self.host, self.llc, self.send_routed,
@@ -138,21 +126,15 @@ class MobileNode:
         self.ifaces: dict[str, WirelessInterface] = {}
         for idx, allowed in enumerate(iface_specs):
             iface_id = f"{node_id}.wlan{idx}"
-            self.ifaces[iface_id] = WirelessInterface(sim, self, iface_id, idx,
-                                                      medium, allowed)
+            self.ifaces[iface_id] = WirelessInterface(self, iface_id, medium, allowed)
             self.host.add_interface(iface_id, idx)
 
         self.llc.command_associate = lambda i, ap: self.ifaces[i].begin_association(ap)
         self.llc.command_disassociate = self._teardown_iface
         self.llc.on_promoted = self._on_promoted
-        self.llc.is_associated = lambda i: self.ifaces[i].associated
 
     def position(self) -> tuple[float, float]:
-        t = self.sim.now
-        if t != self._pos_time:
-            self._pos_time = t
-            self._pos = self.path.position(t)
-        return self._pos
+        return self.path.position(self.sim.now)
 
     # -- controller wiring ------------------------------------------------------
 
@@ -165,9 +147,6 @@ class MobileNode:
         if prev_iface is not None:
             self.host.update_routes_after_handover(prev_iface)
         self.mip.on_serving_changed()
-
-    def _on_address_global(self, iface_id: str) -> None:
-        self.llc.on_address_global(iface_id)
 
     def on_iface_up(self, iface_id: str) -> None:
         self.llc.on_link_up(iface_id)
@@ -236,14 +215,13 @@ class HomeAgentNode:
     """Home-network router and MIPv6 home agent with static core forwarding."""
 
     def __init__(self, sim: Simulator, core: HomeAgentCore, home_prefix: int,
-                 foreign_prefix: int, core_prefix: int, ra_interval: float,
-                 cn_delay: float, foreign_delay: float, drop_hook):
+                 foreign_prefix: int, core_prefix: int, cn_delay: float,
+                 foreign_delay: float, drop_hook):
         self.sim = sim
         self.core = core
         self.home_prefix = home_prefix
         self.foreign_prefix = foreign_prefix
         self.core_prefix = core_prefix
-        self.ra_interval = ra_interval
         self.cn_delay = cn_delay
         self.foreign_delay = foreign_delay
         self.drop = drop_hook
@@ -253,7 +231,7 @@ class HomeAgentNode:
 
     def advertisement(self) -> RouterAdvertisement:
         return RouterAdvertisement(self.home_prefix, self.core.address,
-                                   is_home_agent=True, interval=self.ra_interval)
+                                   is_home_agent=True)
 
     def handle(self, pkt: Packet) -> None:
         if pkt.dst == self.core.address:
@@ -291,18 +269,16 @@ class HomeAgentNode:
 
 class ForeignRouterNode:
     def __init__(self, sim: Simulator, address: Address, prefix: int,
-                 ha: HomeAgentNode, ra_interval: float, uplink_delay: float):
+                 ha: HomeAgentNode, uplink_delay: float):
         self.sim = sim
         self.address = address
         self.prefix = prefix
         self.ha = ha
-        self.ra_interval = ra_interval
         self.uplink_delay = uplink_delay
         self.ap: Optional[AccessPoint] = None
 
     def advertisement(self) -> RouterAdvertisement:
-        return RouterAdvertisement(self.prefix, self.address,
-                                   is_home_agent=False, interval=self.ra_interval)
+        return RouterAdvertisement(self.prefix, self.address)
 
     def handle(self, pkt: Packet) -> None:
         if pkt.dst.prefix == self.prefix:
@@ -352,7 +328,6 @@ class Scenario:
 
     def __init__(self, cfg, trace_sink: Optional[list[str]] = None):
         self.cfg = cfg
-        self.trace = trace_sink
         sim = Simulator(seed=cfg.seed, trace_sink=trace_sink)
         self.sim = sim
         self.flows: dict[str, FlowStats] = {}
@@ -367,10 +342,10 @@ class Scenario:
         cn_addr = Address(cfg.core_prefix, derive_iid("cn", 0))
         self.ha = HomeAgentNode(sim, HomeAgentCore(ha_addr, cfg.home_prefix),
                                 cfg.home_prefix, cfg.foreign_prefix, cfg.core_prefix,
-                                cfg.ra_interval, cfg.cn_link_delay,
-                                cfg.foreign_link_delay, self._on_drop)
+                                cfg.cn_link_delay, cfg.foreign_link_delay,
+                                self._on_drop)
         self.fr = ForeignRouterNode(sim, fr_addr, cfg.foreign_prefix, self.ha,
-                                    cfg.ra_interval, cfg.foreign_link_delay)
+                                    cfg.foreign_link_delay)
         self.cn = CorrespondentNode(sim, cn_addr, self.ha, cfg.cn_link_delay)
         self.ha.foreign_router = self.fr
         self.ha.cn = self.cn
@@ -378,13 +353,11 @@ class Scenario:
         home_ap_cfg = ApConfig("ap-home", cfg.ap_home_x, cfg.ap_home_y,
                                cfg.ap_home_channel, cfg.home_prefix,
                                tx_power_dbm=cfg.tx_power_dbm,
-                               beacon_interval=cfg.beacon_interval,
-                               expected_bitrate=cfg.bitrate)
+                               beacon_interval=cfg.beacon_interval)
         foreign_ap_cfg = ApConfig("ap-foreign", cfg.ap_foreign_x, cfg.ap_foreign_y,
                                   cfg.ap_foreign_channel, cfg.foreign_prefix,
                                   tx_power_dbm=cfg.tx_power_dbm,
-                                  beacon_interval=cfg.beacon_interval,
-                                  expected_bitrate=cfg.bitrate)
+                                  beacon_interval=cfg.beacon_interval)
         self.ap_home = AccessPoint(sim, home_ap_cfg, self.medium, self.ha,
                                    ra_interval=cfg.ra_interval)
         self.ap_foreign = AccessPoint(sim, foreign_ap_cfg, self.medium, self.fr,
@@ -398,7 +371,6 @@ class Scenario:
 
         path = TractorPath(cfg.field_x1, cfg.field_y1, cfg.field_x2, cfg.field_y2,
                            cfg.row_count, cfg.speed)
-        self.path = path
         if cfg.scheme == "soft":
             iface_specs = ["ap-home", "ap-foreign"]
         else:

@@ -1,7 +1,7 @@
 import pytest
 
 from vhosim.engine import Simulator
-from vhosim.llc import NetworkAttributes, VhoController, always_switch
+from vhosim.llc import NetworkAttributes, VhoController
 
 
 class Rig:
@@ -16,7 +16,7 @@ class Rig:
         self.llc.on_promoted = lambda i, p: self.commands.append(("promoted", i, p))
 
     def beacon(self, iface, ap_id, rss=-60.0, ap="AP"):
-        attrs = NetworkAttributes(iface_id=iface, ap_id=ap_id, rss=rss, snr=rss + 94)
+        attrs = NetworkAttributes(iface_id=iface, ap_id=ap_id, rss=rss)
         self.llc.on_beacon(iface, attrs, ap)
         return attrs
 
@@ -176,12 +176,6 @@ def test_make_before_break_has_no_gap():
     rig.llc.on_link_down("i1")
     rig.llc.close_gaps(10.0)
     assert rig.llc.gap_intervals == []
-
-
-def test_default_decision_hook_always_switches():
-    serving = NetworkAttributes("i1", "ap-a", -60.0, 34.0)
-    cand = NetworkAttributes("i2", "ap-b", -80.0, 14.0)
-    assert always_switch(serving, cand) is True
 
 
 def test_controller_never_sees_data_plane_kinds():

@@ -104,7 +104,6 @@ class MnRig:
     def move_to(self, iface, addr):
         self.iface = iface
         self.host.addrs[iface] = addr
-        self.host.addr_epoch += 1
 
 
 class _StubHost:
@@ -113,7 +112,6 @@ class _StubHost:
         self.home_address = HOA
         self.ha_address = HA
         self.addrs = {}
-        self.addr_epoch = 0
 
     def global_address(self, iface_id):
         return self.addrs.get(iface_id)
