@@ -105,12 +105,13 @@ class ScenarioConfig:
         return self
 
 
-# a zero rate, size, period or count divides by zero or never advances the
-# clock; a negative delay would schedule into the past
+# a zero rate, size or period divides by zero or never advances the clock, a
+# zero miss threshold denies every candidate as stale, and a negative delay
+# would schedule into the past
 _POSITIVE = ("speed", "video_rate_bps", "video_packet_bits", "voip_packetization",
              "voip_playout", "voip_spurt_mean", "voip_silence_mean",
              "voip_codec_rate", "row_count", "beacon_interval", "frequency_hz",
-             "bitrate", "ra_interval")
+             "bitrate", "ra_interval", "miss_threshold")
 _NON_NEGATIVE = ("dad_duration", "cn_link_delay", "foreign_link_delay",
                  "traffic_start")
 

@@ -194,24 +194,21 @@ class Ipv6Host:
 
     # -- address configuration -------------------------------------------------
 
-    def slaac_configure(self, iface_id: str, prefix: int) -> Address:
+    def slaac_configure(self, iface_id: str, prefix: int) -> None:
         rec = self.records[iface_id]
-        existing = rec.address_for_prefix(prefix)
-        if existing is not None:
-            return existing  # global: no DAD; tentative: DAD already running
+        if rec.address_for_prefix(prefix) is not None:
+            return  # global: no DAD; tentative: DAD already running
         addr = Address(prefix, self.iid(iface_id), "tentative")
         rec.addresses.append(addr)
         self.sim.trace(self.node_id, "ipv6", "slaac", f"iface={iface_id} addr={addr}")
         self.start_dad(iface_id, addr)
-        return addr
 
-    def start_dad(self, iface_id: str, addr: Address) -> EventHandle:
+    def start_dad(self, iface_id: str, addr: Address) -> None:
         if addr.scope != "tentative":
             raise ValueError("DAD requires a tentative address")
         self.sim.trace(self.node_id, "ipv6", "dad_start", f"iface={iface_id} addr={addr}")
-        handle = self.sim.schedule_in(self.dad_duration, self._dad_done, iface_id, addr)
-        self._dad_handles[iface_id] = handle
-        return handle
+        self._dad_handles[iface_id] = self.sim.schedule_in(
+            self.dad_duration, self._dad_done, iface_id, addr)
 
     def _dad_done(self, iface_id: str, addr: Address) -> None:
         addr.scope = "global"

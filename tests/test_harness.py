@@ -174,6 +174,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("radio.bitrate = 0", "bitrate"),
     ("radio.frequency_hz = 0", "frequency_hz"),
     ("ipv6.dad_duration = -1", "dad_duration"),
+    ("llc.miss_threshold = 0", "miss_threshold"),  # used to deny every candidate
     ("wired.cn_link_delay = -1", "cn_link_delay"),
     ("traffic_start = -1", "traffic_start"),
     ("sim_time = -5", "sim_time"),
