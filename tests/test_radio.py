@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vhosim.engine import Simulator
+from vhosim.mobility import TractorPath
 from vhosim.radio import (
     AccessPoint,
     ApConfig,
@@ -148,3 +151,33 @@ def test_beacons_fire_on_strict_schedule():
     got = [pytest.approx(t) for t in times]
     assert [round(f[1], 6) for f in iface.frames]  # rss present on every beacon
     assert all(f[0].kind == "beacon" for f in iface.frames)
+
+
+class PathIface(StubIface):
+    """A listening interface carried along a field sweep at bounded speed."""
+
+    def __init__(self, sim, path):
+        super().__init__("i", None, 1)
+        self.sim = sim
+        self.path = path
+        self.max_speed = path.speed
+
+    def position(self):
+        return self.path.position(self.sim.now)
+
+
+@settings(max_examples=300, deadline=None)
+@given(speed=st.floats(0.1, 20.0),
+       ap_xy=st.tuples(st.floats(-100.0, 300.0), st.floats(-100.0, 150.0)),
+       steps=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=80))
+def test_range_memo_agrees_with_uncached_check(speed, ap_xy, steps):
+    sim = Simulator()
+    med = Medium(sim)
+    ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1], 1, 0x1), med, router=None)
+    iface = PathIface(sim, TractorPath(4.0, 0.0, 196.0, 50.0, 5, speed))
+    t = 0.0
+    for dt in steps:
+        t += dt
+        sim.run_until(t)
+        assert med.in_range_moving(ap, iface) == med.in_range(ap, iface.position()), \
+            f"t={t} pos={iface.position()}"
