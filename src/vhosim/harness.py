@@ -118,10 +118,12 @@ _NON_NEGATIVE = ("dad_duration", "cn_link_delay", "foreign_link_delay",
 
 def _field_types(cls) -> dict[str, tuple[type, bool]]:
     """Field name -> (declared type without Optional, whether None is allowed)."""
+    hints = get_type_hints(cls)
     out = {}
-    for name, tp in get_type_hints(cls).items():  # in field order
+    for f in fields(cls):
+        tp = hints[f.name]
         optional = type(None) in get_args(tp)
-        out[name] = (get_args(tp)[0] if optional else tp, optional)
+        out[f.name] = (get_args(tp)[0] if optional else tp, optional)
     return out
 
 
@@ -240,7 +242,7 @@ class MetricsRecord:
 
 
 _METRIC_TYPES = _field_types(MetricsRecord)
-MetricsRecord.COLUMNS = tuple(f.name for f in fields(MetricsRecord))
+MetricsRecord.COLUMNS = tuple(_METRIC_TYPES)
 
 
 @dataclass
