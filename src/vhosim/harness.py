@@ -17,6 +17,7 @@ from .scenario import Scenario
 from .traffic import compute_mos, packet_loss_rate
 
 STANDARD_PATH_METERS = 2000.0
+MAX_SIM_TIME = 86_400.0  # one simulated day; bounds the run of any valid config
 
 
 class ConfigError(Exception):
@@ -99,6 +100,15 @@ class ScenarioConfig:
                 raise ConfigError(f"{name}: must be >= 0, got {getattr(self, name)!r}")
         if self.sim_time is not None and not self.sim_time > 0:
             raise ConfigError(f"sim_time: must be > 0 or auto, got {self.sim_time!r}")
+        # the run ends at sim_time, or after 2000 m of travel when it is auto
+        end = self.sim_time_resolved
+        key = "sim_time" if self.sim_time is not None else "speed"
+        if not end <= MAX_SIM_TIME:
+            raise ConfigError(f"{key}: the run would last {end!r} s of simulated "
+                              f"time, more than {MAX_SIM_TIME:g} s")
+        if not end > self.traffic_start:
+            raise ConfigError(f"{key}: the run would end at {end!r} s, not after "
+                              f"traffic_start = {self.traffic_start!r} s")
         if self.ap_home_channel == self.ap_foreign_channel:
             raise ConfigError("ap_foreign_channel: the two APs must use "
                               "distinct channels")

@@ -20,25 +20,26 @@ class NetworkAttributes:
     """Per-interface record of the related network, refreshed on each beacon."""
     iface_id: str
     ap_id: str
-    rss: float
     last_update: float = 0.0
 
 
 class VhoController:
     """Serving / candidate role machine for multi-interface handover.
 
-    mode="soft": make-before-break — the old interface is released only once
-    the new one is associated, configured and holds a global address.
-    mode="hard": single interface — the old link is torn down on beacon loss
-    and the node stays unattached until a new network is heard.
+    A new network is promoted only once its interface is associated,
+    configured and holds a global address; the old interface is released
+    then. The controller has one behaviour for both schemes: they differ only
+    in the interface list Scenario builds. Soft (make-before-break) gives the
+    node one radio per AP, so the candidate comes up while the serving link
+    still carries traffic. Hard gives it a single radio, which hears the new
+    network only after beacon loss has torn the old link down, so the node
+    has no link until it associates again and no service until the new
+    network is configured.
     """
 
-    def __init__(self, sim: Simulator, mode: str, node_id: str = "mn",
+    def __init__(self, sim: Simulator, node_id: str = "mn",
                  beacon_interval: float = 0.1, miss_threshold: int = 3):
-        if mode not in ("hard", "soft"):
-            raise ValueError(f"unknown handover mode {mode!r}")
         self.sim = sim
-        self.mode = mode
         self.node_id = node_id
         self.beacon_interval = beacon_interval
         self.miss_threshold = miss_threshold

@@ -90,9 +90,8 @@ class BindingCache:
 class HomeAgentCore:
     """Binding management and interception, independent of topology wiring."""
 
-    def __init__(self, address: Address, home_prefix: int):
+    def __init__(self, address: Address):
         self.address = address
-        self.home_prefix = home_prefix
         self.cache = BindingCache()
 
     def process_bu(self, bu: BindingUpdate, now: float) -> BindingAck:

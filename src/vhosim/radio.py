@@ -79,10 +79,6 @@ class Medium:
     def register_iface(self, iface) -> None:
         self.ifaces.append(iface)
 
-    def rx_dbm(self, ap: "AccessPoint", pos: tuple[float, float]) -> float:
-        d = math.hypot(pos[0] - ap.cfg.x, pos[1] - ap.cfg.y)
-        return rx_power_dbm(ap.cfg.tx_power_dbm, d, self.frequency_hz, self.d_ref)
-
     def coverage_radius2(self, tx_power_dbm: float) -> float:
         """Squared closed-form coverage radius: cheaper to compare against on
         every packet than a full path-loss evaluation."""
@@ -128,11 +124,9 @@ class Medium:
         for iface in self.ifaces:
             if not iface.listens(frame.channel):
                 continue
-            pos = iface.position()
-            if not self.in_range(ap, pos):
+            if not self.in_range(ap, iface.position()):
                 continue
-            rss = self.rx_dbm(ap, pos)
-            self.sim.schedule_in(delay, iface.on_frame, frame, rss)
+            self.sim.schedule_in(delay, iface.on_frame, frame)
 
     def ap_to_iface(self, ap: "AccessPoint", iface, frame: Frame) -> None:
         if not iface.listens(frame.channel):
@@ -141,8 +135,7 @@ class Medium:
         if not self.in_range_moving(ap, iface):
             self._drop(frame)
             return
-        # beacons go out by broadcast(); the receive strength matters only for them
-        self.sim.schedule_in(frame.size_bits / self.bitrate, iface.on_frame, frame, 0.0)
+        self.sim.schedule_in(frame.size_bits / self.bitrate, iface.on_frame, frame)
 
     def iface_to_ap(self, iface, ap: "AccessPoint", frame: Frame) -> None:
         # symmetric link budget: the AP hears the node iff the node hears the AP

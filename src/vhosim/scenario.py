@@ -68,12 +68,12 @@ class WirelessInterface:
 
     # -- radio receive path -------------------------------------------------------
 
-    def on_frame(self, frame: Frame, rss: float = 0.0) -> None:
+    def on_frame(self, frame: Frame) -> None:
         if frame.kind == "beacon":
             ap: AccessPoint = frame.payload
             if self.allowed_ap is not None and ap.cfg.ap_id != self.allowed_ap:
                 return
-            attrs = NetworkAttributes(self.iface_id, ap.cfg.ap_id, rss)
+            attrs = NetworkAttributes(self.iface_id, ap.cfg.ap_id)
             self.mn.llc.on_beacon(self.iface_id, attrs, ap)
         elif frame.kind == "assoc_response":
             if self.associated:
@@ -105,7 +105,7 @@ class WirelessInterface:
 
 class MobileNode:
     def __init__(self, sim: Simulator, path: TractorPath, medium: Medium,
-                 scheme: str, iface_specs: list[Optional[str]],
+                 iface_specs: list[Optional[str]],
                  dad_duration: float, beacon_interval: float, miss_threshold: int,
                  drop_hook, node_id: str = "mn"):
         self.sim = sim
@@ -115,7 +115,7 @@ class MobileNode:
         self._route_ver = -1
         self._route_ok: dict[tuple[str, int], bool] = {}
 
-        self.llc = VhoController(sim, scheme, node_id,
+        self.llc = VhoController(sim, node_id,
                                  beacon_interval=beacon_interval,
                                  miss_threshold=miss_threshold)
         self.host = Ipv6Host(sim, node_id, self.llc.on_address_global,
@@ -340,7 +340,7 @@ class Scenario:
         ha_addr = Address(cfg.home_prefix, derive_iid("ha", 0))
         fr_addr = Address(cfg.foreign_prefix, derive_iid("fr", 0))
         cn_addr = Address(cfg.core_prefix, derive_iid("cn", 0))
-        self.ha = HomeAgentNode(sim, HomeAgentCore(ha_addr, cfg.home_prefix),
+        self.ha = HomeAgentNode(sim, HomeAgentCore(ha_addr),
                                 cfg.home_prefix, cfg.foreign_prefix, cfg.core_prefix,
                                 cfg.cn_link_delay, cfg.foreign_link_delay,
                                 self._on_drop)
@@ -375,7 +375,7 @@ class Scenario:
             iface_specs = ["ap-home", "ap-foreign"]
         else:
             iface_specs = [None]
-        self.mn = MobileNode(sim, path, self.medium, cfg.scheme, iface_specs,
+        self.mn = MobileNode(sim, path, self.medium, iface_specs,
                              cfg.dad_duration, cfg.beacon_interval,
                              cfg.miss_threshold, self._on_drop)
         # the CN's view of the MN identity (used for the reverse-tunnel check)

@@ -33,6 +33,50 @@ class VoipConfig:
                 raise ValueError(f"{name} must be positive")
 
 
+class SeqSet:
+    """Set of a flow's sequence numbers, one flag byte per seq.
+
+    A flow numbers its packets 0, 1, 2, ... so a bytearray indexed by seq
+    holds the set in at most one byte per packet sent, whatever the order in
+    which seqs are added.
+    """
+
+    __slots__ = ("_flags", "_len")
+
+    def __init__(self):
+        self._flags = bytearray()
+        self._len = 0
+
+    def add(self, seq: int) -> bool:
+        """Add seq; True iff it was not in the set yet."""
+        flags = self._flags
+        end = len(flags)
+        if seq == end:  # in-order arrival
+            flags.append(1)
+        elif seq > end:
+            flags.extend(bytes(seq - end))
+            flags.append(1)
+        elif seq < 0:
+            raise ValueError(f"seq must be >= 0, got {seq}")
+        elif flags[seq]:
+            return False
+        else:
+            flags[seq] = 1
+        self._len += 1
+        return True
+
+    def __contains__(self, seq: int) -> bool:
+        return 0 <= seq < len(self._flags) and self._flags[seq] == 1
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __and__(self, other: "SeqSet") -> set[int]:
+        """The seqs in both sets."""
+        return {seq for seq, (a, b) in enumerate(zip(self._flags, other._flags))
+                if a and b}
+
+
 @dataclass
 class FlowStats:
     flow_id: str
@@ -40,9 +84,9 @@ class FlowStats:
     received: int = 0
     late: int = 0
     lost: int = 0
-    delays: list[float] = field(default_factory=list)
-    received_seqs: set[int] = field(default_factory=set)
-    dropped_seqs: set[int] = field(default_factory=set)
+    delay_sum: float = 0.0  # one-way delays of the received packets, added in order
+    received_seqs: SeqSet = field(default_factory=SeqSet)  # received or late
+    dropped_seqs: SeqSet = field(default_factory=SeqSet)
 
     @property
     def in_flight(self) -> int:
@@ -50,7 +94,7 @@ class FlowStats:
 
     @property
     def mean_delay(self) -> float:
-        return sum(self.delays) / len(self.delays) if self.delays else 0.0
+        return self.delay_sum / self.received if self.received else 0.0
 
 
 @dataclass
@@ -171,27 +215,27 @@ class Sink:
         self.duplicates = 0
 
     def on_receive(self, pkt: AppPacket, now: float) -> str:
-        if pkt.seq in self.stats.received_seqs:
+        stats = self.stats
+        if not stats.received_seqs.add(pkt.seq):
             self.duplicates += 1
             return "duplicate"
-        self.stats.received_seqs.add(pkt.seq)
         delay = now - pkt.sent_at
         if self.kind != "voip":
-            self.stats.received += 1
-            self.stats.delays.append(delay)
+            stats.received += 1
+            stats.delay_sum += delay
             return "received"
         if pkt.spurt == 0:
             if self._first_spurt_min is None or delay < self._first_spurt_min:
                 self._first_spurt_min = delay
-            self.stats.received += 1
-            self.stats.delays.append(delay)
+            stats.received += 1
+            stats.delay_sum += delay
             return "received"
         if self._budget is None:
             self._budget = (self._first_spurt_min if self._first_spurt_min is not None
                             else delay) + self.playout_delay
         if delay <= self._budget:
-            self.stats.received += 1
-            self.stats.delays.append(delay)
+            stats.received += 1
+            stats.delay_sum += delay
             return "received"
-        self.stats.late += 1
+        stats.late += 1
         return "late"

@@ -210,7 +210,7 @@ def test_criterion_9_unit_oracles():
         stats.sent = 1000
         stats.received = round((1.0 - loss) * 1000)
         stats.lost = stats.sent - stats.received
-        stats.delays = [delay] * stats.received
+        stats.delay_sum = delay * stats.received
         assert abs(compute_mos(stats).mos - want) < 0.01
     _announce(9, "power model within 0.1 dB (5 pts), path within 1 mm (20 ts), "
                  "MOS within 0.01 (9 pts)")

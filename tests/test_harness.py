@@ -178,6 +178,8 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("wired.cn_link_delay = -1", "cn_link_delay"),
     ("traffic_start = -1", "traffic_start"),
     ("sim_time = -5", "sim_time"),
+    ("mobility.speed = 1e-9", "speed"),  # used to run for 2e12 simulated s
+    ("sim_time = 3", "sim_time"),  # below traffic_start; used to exit 3
     ("mn.interfaces = 2", "mn.interfaces"),  # no such option
 ])
 def test_cli_rejects_bad_value_naming_the_key(tmp_path, line, key):

@@ -7,16 +7,16 @@ from vhosim.llc import NetworkAttributes, VhoController
 class Rig:
     """Wires a controller to scripted callbacks and records every command."""
 
-    def __init__(self, mode="soft"):
+    def __init__(self):
         self.sim = Simulator()
-        self.llc = VhoController(self.sim, mode)
+        self.llc = VhoController(self.sim)
         self.commands = []
         self.llc.command_associate = lambda i, ap: self.commands.append(("assoc", i, ap))
         self.llc.command_disassociate = lambda i: self.commands.append(("disassoc", i))
         self.llc.on_promoted = lambda i, p: self.commands.append(("promoted", i, p))
 
-    def beacon(self, iface, ap_id, rss=-60.0, ap="AP"):
-        attrs = NetworkAttributes(iface_id=iface, ap_id=ap_id, rss=rss)
+    def beacon(self, iface, ap_id, ap="AP"):
+        attrs = NetworkAttributes(iface_id=iface, ap_id=ap_id)
         self.llc.on_beacon(iface, attrs, ap)
         return attrs
 
@@ -26,11 +26,6 @@ class Rig:
         self.llc.on_link_up(iface)
         self.llc.on_association_confirmed(iface)
         self.llc.on_address_global(iface)
-
-
-def test_mode_validation():
-    with pytest.raises(ValueError):
-        VhoController(Simulator(), "warm")
 
 
 def test_first_beacon_makes_candidate_and_permits():
@@ -133,7 +128,7 @@ def test_single_candidate_at_a_time():
 
 
 def test_beacon_loss_on_serving_interface_detaches():
-    rig = Rig(mode="hard")
+    rig = Rig()
     rig.attach("i1", "ap-a")
     # watchdog armed at confirm; no further beacons ever arrive
     rig.sim.run_until(5.0)
@@ -142,7 +137,7 @@ def test_beacon_loss_on_serving_interface_detaches():
 
 
 def test_watchdog_tolerates_on_time_beacons():
-    rig = Rig(mode="hard")
+    rig = Rig()
     rig.attach("i1", "ap-a")
     for k in range(1, 51):
         rig.sim.run_until(0.1 * k)
@@ -153,7 +148,7 @@ def test_watchdog_tolerates_on_time_beacons():
 
 
 def test_gap_intervals_recorded_between_attachments():
-    rig = Rig(mode="hard")
+    rig = Rig()
     rig.attach("i1", "ap-a")
     rig.sim.run_until(3.0)
     rig.llc.on_link_down("i1")
@@ -166,7 +161,7 @@ def test_gap_intervals_recorded_between_attachments():
 
 
 def test_make_before_break_has_no_gap():
-    rig = Rig(mode="soft")
+    rig = Rig()
     rig.attach("i1", "ap-a")
     rig.sim.run_until(2.0)
     rig.beacon("i2", "ap-b")

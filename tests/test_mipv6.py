@@ -78,7 +78,7 @@ def test_encapsulate_decapsulate_round_trip():
 
 
 def test_home_agent_intercept_tunnels_when_bound():
-    ha = HomeAgentCore(HA, HOME)
+    ha = HomeAgentCore(HA)
     action, pkt = ha.intercept(Packet(CN, HOA, "app", 10000), now=0.0)
     assert action == "native"
     ha.process_bu(BindingUpdate(HOA, COA_A, 1, 420.0), now=0.0)
@@ -94,7 +94,7 @@ class MnRig:
     def __init__(self):
         self.sim = Simulator()
         self.sent = []
-        self.llc = VhoController(self.sim, "soft")
+        self.llc = VhoController(self.sim)
         host = _StubHost()
         self.host = host
         self.mip = MnBindingManager(self.sim, host, self.llc, self.sent.append)

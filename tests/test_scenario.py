@@ -1,6 +1,8 @@
 """End-to-end runs of the built scenario at the fastest (cheapest) speed."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vhosim.harness import ScenarioConfig, run_experiment
 
@@ -77,3 +79,28 @@ def test_controller_stays_out_of_the_data_plane(soft_voip, hard_video):
         kinds = result.scenario.mn.llc.handled_kinds
         assert kinds <= {"beacon", "assoc_request", "assoc_confirmed",
                          "addr_global", "beacon_loss"}
+
+
+@settings(max_examples=20, deadline=None)
+@given(scheme=st.sampled_from(["hard", "soft"]),
+       app=st.sampled_from(["video", "voip"]),
+       rate=st.sampled_from([0.5e6, 2e6]),
+       speed=st.floats(1.0, 10.0),
+       seed=st.integers(1, 10_000),
+       sim_time=st.floats(5.5, 60.0))
+def test_packet_conservation_on_random_short_runs(scheme, app, rate, speed, seed,
+                                                  sim_time):
+    cfg = ScenarioConfig(scheme=scheme, application=app, video_rate_bps=rate,
+                         speed=speed, seed=seed, sim_time=sim_time,
+                         expected_handovers=None)
+    for flow in run_experiment(cfg).scenario.flows.values():
+        assert flow.sent == flow.received + flow.late + flow.lost + flow.in_flight
+        assert 0 <= flow.in_flight <= 5, flow.in_flight
+        assert not (flow.received_seqs & flow.dropped_seqs)
+        assert len(flow.received_seqs) == flow.received + flow.late
+        assert len(flow.dropped_seqs) == flow.lost
+        # with the lengths above, this holds only if every seq the sets keep
+        # was sent, and the seqs neither set keeps are the in-flight ones
+        settled = sum(1 for seq in range(flow.sent)
+                      if seq in flow.received_seqs or seq in flow.dropped_seqs)
+        assert settled == flow.sent - flow.in_flight

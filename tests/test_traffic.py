@@ -1,9 +1,14 @@
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vhosim.engine import Simulator
 from vhosim.traffic import (
     AppPacket,
     FlowStats,
+    SeqSet,
     Sink,
     VideoSource,
     VoipConfig,
@@ -34,7 +39,7 @@ def stats_for(loss, delay, sent=1000):
     s.sent = sent
     s.received = received
     s.lost = sent - received
-    s.delays = [delay] * received
+    s.delay_sum = delay * received
     return s
 
 
@@ -163,3 +168,65 @@ def test_sink_counts_duplicates_once():
     assert sink.on_receive(pkt, 0.01) == "received"
     assert sink.on_receive(pkt, 0.02) == "duplicate"
     assert stats.received == 1 and sink.duplicates == 1
+
+
+def _walk(steps):
+    """Seqs of a mostly in-order stream: each one is the previous plus a step
+    that may be 0 (duplicate), negative (reordered) or above 1 (gap)."""
+    seq, out = -1, []
+    for step in steps:
+        seq = max(0, seq + step)
+        out.append(seq)
+    return out
+
+
+seq_streams = st.lists(st.one_of(st.just(1), st.just(1), st.integers(-6, 9)),
+                       max_size=300).map(_walk)
+
+
+def _fill(stream):
+    ours, ref = SeqSet(), set()
+    for seq in stream:
+        assert ours.add(seq) == (seq not in ref), seq
+        ref.add(seq)
+    return ours, ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq_streams, seq_streams)
+def test_seq_set_agrees_with_builtin_set(stream_a, stream_b):
+    ours_a, ref_a = _fill(stream_a)
+    ours_b, ref_b = _fill(stream_b)
+    assert len(ours_a) == len(ref_a) and len(ours_b) == len(ref_b)
+    probe = range(-2, max(stream_a + stream_b, default=0) + 3)
+    assert [s in ours_a for s in probe] == [s in ref_a for s in probe]
+    assert (ours_a & ours_b) == (ref_a & ref_b)
+    assert (ours_b & ours_a) == (ref_a & ref_b)
+
+
+def test_seq_set_rejects_negative_seq():
+    seqs = SeqSet()
+    with pytest.raises(ValueError):
+        seqs.add(-1)
+    assert len(seqs) == 0 and -1 not in seqs
+
+
+@pytest.mark.parametrize("kind", ["video", "voip"])
+def test_sink_memory_does_not_grow_per_packet(kind):
+    """A delivered packet costs the sink one flag byte, not a set entry, an
+    int and a float."""
+    n = 100_000
+    stats = FlowStats("f")
+    sink = Sink(stats, kind)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for seq in range(n):
+            sent_at = seq * 0.02
+            sink.on_receive(AppPacket("f", seq, 1280, sent_at, spurt=seq // 50),
+                            sent_at + 0.003)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert stats.received == n and len(stats.received_seqs) == n
+    assert grown <= 2 * n, f"{grown / n:.1f} bytes per packet"
