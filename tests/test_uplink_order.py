@@ -1,0 +1,101 @@
+"""Golden of the order in which every sink takes its packets.
+
+CSV rows cannot show a wrong delivery order: the counts stay the same, and so
+may the delay sum. This file pins, for each flow of a few runs, the SHA-256
+of that flow's Sink.on_receive calls, one line per call:
+"flow seq repr(now) verdict". The video runs and the first VoIP run use a
+foreign link slower than the packet spacing, so reverse-tunnelled packets
+reach the correspondent after native packets sent later.
+
+Refresh tests/golden/uplink_order.json after an intended change of order
+(say in CHANGES.md why the order changed):
+
+    PYTHONPATH=src python tests/test_uplink_order.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from vhosim.harness import ScenarioConfig, run_experiment
+from vhosim.traffic import Sink
+
+GOLDEN = Path(__file__).parent / "golden" / "uplink_order.json"
+
+CONFIGS = {
+    "video-2M-soft-4-fld0.02": ScenarioConfig(
+        scheme="soft", application="video", video_rate_bps=2e6, speed=4.0,
+        foreign_link_delay=0.02),
+    "video-2M-hard-4-fld0.02": ScenarioConfig(
+        scheme="hard", application="video", video_rate_bps=2e6, speed=4.0,
+        foreign_link_delay=0.02),
+    "voip-soft-4-fld0.05": ScenarioConfig(
+        scheme="soft", application="voip", speed=4.0, foreign_link_delay=0.05),
+    "voip-soft-2-seed1001": ScenarioConfig(
+        scheme="soft", application="voip", speed=2.0, seed=1001),
+}
+# runs whose uplink must be committed out of sending order, or the golden
+# would not tell arrival order from sending order
+# (the hard scheme has one interface, so one uplink path and no reordering)
+REORDERING = ("video-2M-soft-4-fld0.02", "voip-soft-4-fld0.05")
+
+
+def record(cfg: ScenarioConfig) -> dict[str, list[tuple[int, str]]]:
+    """flow -> [(seq, line)] in the order its sink took the packets."""
+    calls: dict[str, list[tuple[int, str]]] = {}
+    original = Sink.on_receive
+
+    def on_receive(sink, pkt, now):
+        verdict = original(sink, pkt, now)
+        calls.setdefault(pkt.flow_id, []).append(
+            (pkt.seq, f"{pkt.flow_id} {pkt.seq} {now!r} {verdict}"))
+        return verdict
+
+    Sink.on_receive = on_receive
+    try:
+        run_experiment(cfg)
+    finally:
+        Sink.on_receive = original
+    return calls
+
+
+def digests(calls: dict[str, list[tuple[int, str]]]) -> dict[str, str]:
+    return {flow: hashlib.sha256("\n".join(line for _, line in lines).encode())
+            .hexdigest() for flow, lines in sorted(calls.items())}
+
+
+def reorders(lines: list[tuple[int, str]]) -> int:
+    """Packets taken after a packet of the same flow with a higher seq."""
+    count, top = 0, -1
+    for seq, _ in lines:
+        if seq < top:
+            count += 1
+        top = max(top, seq)
+    return count
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_sinks_take_packets_in_golden_order(name):
+    calls = record(CONFIGS[name])
+    if name in REORDERING:
+        ul = next(flow for flow in calls if flow.endswith("-ul"))
+        assert reorders(calls[ul]) > 0, f"{name}: uplink arrived in sending order"
+    want = json.loads(GOLDEN.read_text())[name]
+    assert digests(calls) == want, \
+        f"{name}: sink order differs from {GOLDEN.name}: {digests(calls)}"
+
+
+if __name__ == "__main__":
+    out = {}
+    for name, cfg in sorted(CONFIGS.items()):
+        calls = record(cfg)
+        out[name] = digests(calls)
+        counts = {flow: reorders(lines) for flow, lines in calls.items()}
+        print(f"{name}: reordered {counts}", file=sys.stderr)
+    GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}", file=sys.stderr)
