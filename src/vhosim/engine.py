@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from typing import Any, Callable
 
@@ -32,6 +33,7 @@ class Simulator:
         self.executed = 0
         self._heap: list[list] = []
         self._seq = 0
+        self._end = -math.inf  # bound of the run_until call in progress
         self._rngs: dict[str, random.Random] = {}
         self._trace = trace_sink
 
@@ -70,10 +72,26 @@ class Simulator:
         handle[3] = ()
         return True
 
+    def run_ahead(self, t: float) -> bool:
+        """Move the clock to t iff an event scheduled now for t would run next.
+
+        That holds when t is within the bound of the run_until call in
+        progress and strictly before every heap entry, cancelled ones
+        included: a new entry loses every tie. On True the caller does the
+        work of that event inline; it is not counted in executed.
+        """
+        if t < self.now:
+            raise SchedulingError(f"run ahead to t={t} in the past (now={self.now})")
+        if t > self._end or (self._heap and self._heap[0][0] <= t):
+            return False
+        self.now = t
+        return True
+
     def run_until(self, end: float) -> int:
         """Execute all events with fire_at <= end; afterwards now == end."""
         if end < self.now:
             raise SchedulingError(f"run_until({end}) behind clock {self.now}")
+        self._end = end
         count = 0
         heap = self._heap
         pop = heapq.heappop
@@ -87,6 +105,7 @@ class Simulator:
             callback(*entry[3])
             count += 1
         self.now = end
+        self._end = -math.inf
         self.executed += count
         return count
 

@@ -146,9 +146,10 @@ class Medium:
         if frame.kind == "data":
             # bridging is the AP's only action on uplink data; hand the packet
             # down its wired path directly after serialization plus the hops
-            handler = ap.uplink_handler or ap.router.handle
-            self.sim.schedule_in(delay + ap.lan_delay + ap.uplink_extra_delay,
-                                 handler, frame.payload)
+            at = self.sim.now + (delay + ap.lan_delay + ap.uplink_extra_delay)
+            pkt = frame.payload
+            if ap.uplink_ahead is None or not ap.uplink_ahead(pkt, at):
+                self.sim.schedule_at(at, ap.uplink_handler or ap.router.handle, pkt)
         else:
             self.sim.schedule_in(delay, ap.on_frame, frame)
 
@@ -176,6 +177,9 @@ class AccessPoint:
         # the topology makes the next hop unconditional
         self.uplink_handler: Optional[Callable[[Any], None]] = None
         self.uplink_extra_delay: float = 0.0
+        # optional (pkt, arrival time) -> bool taken before the handler: True
+        # when it delivered the packet itself, so no handler event is needed
+        self.uplink_ahead: Optional[Callable[[Any, float], bool]] = None
 
     def start(self) -> None:
         self._beacon_tick(0)

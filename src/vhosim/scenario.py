@@ -7,6 +7,7 @@ its own channel. The correspondent node hangs off the home agent's core link.
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Optional
 
 from .engine import Simulator
@@ -234,10 +235,10 @@ class HomeAgentNode:
                                    is_home_agent=True)
 
     def handle(self, pkt: Packet) -> None:
+        """Packets that need an event here: binding updates and downlink.
+        Uplink app packets for the CN take forward_ahead instead."""
         if pkt.dst == self.core.address:
-            if pkt.inner is not None:
-                self.forward(decapsulate(pkt))  # reverse-tunnel uplink
-            elif pkt.kind == "bu":
+            if pkt.kind == "bu":
                 ba = self.core.process_bu(pkt.payload, self.sim.now)
                 self.sim.trace("ha", "mipv6", "bu_processed",
                                f"seq={ba.seq} {ba.status}")
@@ -248,13 +249,26 @@ class HomeAgentNode:
         else:
             self.forward(pkt)
 
+    def forward_ahead(self, pkt: Packet, at: float) -> bool:
+        """Take an uplink packet that reaches the HA at time at, without an event.
+
+        An app packet for the CN, native or reverse-tunnelled, reads no
+        mutable state here or at the CN, so it goes straight to the CN's
+        arrival queue; this is the CN's only way in. Anything else returns
+        False and needs a handle event.
+        """
+        if pkt.dst == self.core.address:
+            if pkt.inner is None:
+                return False
+            pkt = decapsulate(pkt)
+        if pkt.kind != "app" or pkt.dst.prefix != self.core_prefix:
+            return False
+        self.cn.arrive(pkt, at, at + self.cn_delay)
+        return True
+
     def forward(self, pkt: Packet) -> None:
         prefix = pkt.dst.prefix
-        if prefix == self.core_prefix:
-            # the CN is a pure endpoint (nothing downstream of it schedules),
-            # so deliver synchronously with the arrival timestamp spelled out
-            self.cn.receive(pkt, at=self.sim.now + self.cn_delay)
-        elif prefix == self.foreign_prefix:
+        if prefix == self.foreign_prefix:
             self.sim.schedule_in(self.foreign_delay, self.foreign_router.handle, pkt)
         elif prefix == self.home_prefix:
             action, out = self.core.intercept(pkt, self.sim.now)
@@ -268,23 +282,20 @@ class HomeAgentNode:
 
 
 class ForeignRouterNode:
-    def __init__(self, sim: Simulator, address: Address, prefix: int,
-                 ha: HomeAgentNode, uplink_delay: float):
+    """Foreign-network router: downlink only, since the foreign AP sends its
+    uplink straight on to the HA (AccessPoint.uplink_handler)."""
+
+    def __init__(self, sim: Simulator, address: Address, prefix: int):
         self.sim = sim
         self.address = address
         self.prefix = prefix
-        self.ha = ha
-        self.uplink_delay = uplink_delay
         self.ap: Optional[AccessPoint] = None
 
     def advertisement(self) -> RouterAdvertisement:
         return RouterAdvertisement(self.prefix, self.address)
 
     def handle(self, pkt: Packet) -> None:
-        if pkt.dst.prefix == self.prefix:
-            self.ap.deliver_packet(pkt)
-        else:
-            self.sim.schedule_in(self.uplink_delay, self.ha.handle, pkt)
+        self.ap.deliver_packet(pkt)
 
 
 class CorrespondentNode:
@@ -298,16 +309,33 @@ class CorrespondentNode:
         self.sinks: dict[str, Sink] = {}
         self.app_received = 0
         self.app_src_matches = 0
+        # uplink packets on their way: (HA arrival time, arrival order,
+        # packet, CN arrival time); heap order is the order handle events
+        # at the HA would have delivered them in
+        self._arrivals: list[tuple[float, int, Packet, float]] = []
+        self._arrival_order = 0
 
-    def receive(self, pkt: Packet, at: Optional[float] = None) -> None:
-        if pkt.kind != "app":
-            return
+    def arrive(self, pkt: Packet, ha_at: float, at: float) -> None:
+        """Queue a packet that reaches the HA at ha_at and here at at."""
+        self.commit(self.sim.now)
+        heapq.heappush(self._arrivals, (ha_at, self._arrival_order, pkt, at))
+        self._arrival_order += 1
+
+    def commit(self, until: float) -> None:
+        """Receive, in order, the queued packets that reach the HA by until."""
+        arrivals = self._arrivals
+        while arrivals and arrivals[0][0] <= until:
+            _, _, pkt, at = heapq.heappop(arrivals)
+            self.receive(pkt, at)
+
+    def receive(self, pkt: Packet, at: float) -> None:
+        """An app packet reaches the CN at time at."""
         self.app_received += 1
         if self.expected_src is not None and pkt.src == self.expected_src:
             self.app_src_matches += 1
         sink = self.sinks.get(pkt.payload.flow_id)
         if sink is not None:
-            sink.on_receive(pkt.payload, self.sim.now if at is None else at)
+            sink.on_receive(pkt.payload, at)
 
     def send_app(self, app_pkt: AppPacket, dst: Address) -> None:
         pkt = Packet(self.address, dst, "app",
@@ -344,8 +372,7 @@ class Scenario:
                                 cfg.home_prefix, cfg.foreign_prefix, cfg.core_prefix,
                                 cfg.cn_link_delay, cfg.foreign_link_delay,
                                 self._on_drop)
-        self.fr = ForeignRouterNode(sim, fr_addr, cfg.foreign_prefix, self.ha,
-                                    cfg.foreign_link_delay)
+        self.fr = ForeignRouterNode(sim, fr_addr, cfg.foreign_prefix)
         self.cn = CorrespondentNode(sim, cn_addr, self.ha, cfg.cn_link_delay)
         self.ha.foreign_router = self.fr
         self.ha.cn = self.cn
@@ -368,6 +395,10 @@ class Scenario:
         # skipping the intermediate router event keeps the timing identical
         self.ap_foreign.uplink_handler = self.ha.handle
         self.ap_foreign.uplink_extra_delay = cfg.foreign_link_delay
+        # both uplink paths end at the HA, which passes app packets for the
+        # CN on without an event
+        self.ap_home.uplink_ahead = self.ha.forward_ahead
+        self.ap_foreign.uplink_ahead = self.ha.forward_ahead
 
         path = TractorPath(cfg.field_x1, cfg.field_y1, cfg.field_x2, cfg.field_y2,
                            cfg.row_count, cfg.speed)
@@ -444,6 +475,7 @@ class Scenario:
         for src in self.sources:
             src.start()
         self.sim.run_until(self.cfg.sim_time_resolved)
+        self.cn.commit(self.cfg.sim_time_resolved)
         self.mn.llc.close_gaps(self.cfg.sim_time_resolved)
 
     @property

@@ -150,12 +150,17 @@ class VideoSource:
         self.sim.schedule_at(self.start_at, self._tick, 0)
 
     def _tick(self, k: int) -> None:
+        # later ticks run inline while nothing else is due before them
+        sim = self.sim
         t = self.start_at + k * self.interval
-        if self.stop is not None and t >= self.stop:
-            return
-        self.emit(AppPacket(self.flow_id, self.seq, self.packet_bits, t))
-        self.seq += 1
-        self.sim.schedule_at(self.start_at + (k + 1) * self.interval, self._tick, k + 1)
+        while self.stop is None or t < self.stop:
+            self.emit(AppPacket(self.flow_id, self.seq, self.packet_bits, t))
+            self.seq += 1
+            k += 1
+            t = self.start_at + k * self.interval
+            if not sim.run_ahead(t):
+                sim.schedule_at(t, self._tick, k)
+                return
 
 
 class VoipSource:
@@ -186,16 +191,21 @@ class VoipSource:
         self._tick(self.sim.now, 0, self.sim.now + duration)
 
     def _tick(self, spurt_start: float, k: int, spurt_end: float) -> None:
-        t = spurt_start + k * self.cfg.packetization_interval
-        if t >= spurt_end or (self.stop is not None and t >= self.stop):
-            silence = self.rng.expovariate(1.0 / self.cfg.silence_mean)
-            self.sim.schedule_at(t + silence, self._begin_spurt)
-            return
-        self.emit(AppPacket(self.flow_id, self.seq, self.packet_bits, t,
-                            spurt=self.spurt_idx))
-        self.seq += 1
-        self.sim.schedule_at(spurt_start + (k + 1) * self.cfg.packetization_interval,
-                             self._tick, spurt_start, k + 1, spurt_end)
+        # later ticks of the spurt run inline while nothing else is due before them
+        sim = self.sim
+        interval = self.cfg.packetization_interval
+        t = spurt_start + k * interval
+        while t < spurt_end and (self.stop is None or t < self.stop):
+            self.emit(AppPacket(self.flow_id, self.seq, self.packet_bits, t,
+                                spurt=self.spurt_idx))
+            self.seq += 1
+            k += 1
+            t = spurt_start + k * interval
+            if not sim.run_ahead(t):
+                sim.schedule_at(t, self._tick, spurt_start, k, spurt_end)
+                return
+        silence = self.rng.expovariate(1.0 / self.cfg.silence_mean)
+        sim.schedule_at(t + silence, self._begin_spurt)
 
 
 class Sink:

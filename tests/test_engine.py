@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vhosim.engine import SchedulingError, Simulator
+from vhosim.traffic import VideoSource, VoipConfig, VoipSource
 
 
 def test_schedule_at_clock_boundary_fires_first():
@@ -99,3 +102,124 @@ def test_rng_streams_are_independent_and_reproducible():
     c = Simulator(seed=7)
     c.rng("y").random()
     assert c.rng("x").random() == Simulator(seed=7).rng("x").random()
+
+
+# -- run_ahead ----------------------------------------------------------------
+
+
+def _probe_at(sim, t0, *targets):
+    """run_ahead(t) for each target, asked from inside an event at t0."""
+    got = []
+    sim.schedule_at(t0, lambda: got.extend(sim.run_ahead(t) for t in targets))
+    return got
+
+
+def test_run_ahead_moves_the_clock_when_nothing_is_due_first():
+    sim = Simulator()
+    got = _probe_at(sim, 0.5, 0.75)
+    sim.schedule_at(1.0, lambda: None)
+    sim.run_until(2.0)
+    assert got == [True]
+    assert sim.executed == 2  # the inline step is not an event
+
+
+def test_run_ahead_refuses_a_tie_with_a_pending_entry():
+    sim = Simulator()
+    got = _probe_at(sim, 0.5, 1.0)
+    sim.schedule_at(1.0, lambda: None)
+    sim.run_until(2.0)
+    assert got == [False]
+
+
+def test_run_ahead_refuses_past_a_cancelled_entry_at_the_heap_top():
+    sim = Simulator()
+    got = _probe_at(sim, 0.5, 1.0, 1.5)
+    sim.cancel(sim.schedule_at(1.0, lambda: None))
+    sim.run_until(2.0)
+    assert got == [False, False]
+
+
+def test_run_ahead_refuses_a_time_past_the_run_until_end():
+    sim = Simulator()
+    got = _probe_at(sim, 0.5, 2.5, 2.0)
+    sim.run_until(2.0)
+    assert got == [False, True]  # the end itself is still inside the run
+
+
+def test_run_ahead_refuses_outside_run_until():
+    sim = Simulator()
+    assert sim.run_ahead(0.0) is False
+    sim.run_until(1.0)
+    assert sim.run_ahead(1.0) is False
+    with pytest.raises(SchedulingError):
+        sim.run_ahead(0.5)
+
+
+# Times on a grid of quarter seconds are exact in binary floating point, so
+# ticks land exactly on pending entries, tombstones and run_until ends.
+_quarter = st.integers(0, 24).map(lambda q: q / 4)
+_action = st.one_of(st.just(("none",)),
+                    st.tuples(st.just("spawn"), _quarter),
+                    st.tuples(st.just("cancel"), st.integers(0, 30)))
+
+
+def _run_schedule(shots, tombstones, sources, ends, inline):
+    """(time, callback id) log of one program; inline=False pushes every
+    source tick through the heap."""
+    sim = Simulator(seed=3)
+    if not inline:
+        sim.run_ahead = lambda t: False
+    log = []
+    handles = []
+
+    def act(action):
+        if action[0] == "spawn":
+            schedule(sim.now + action[1], ("none",))
+        elif action[0] == "cancel" and handles:
+            sim.cancel(handles[action[1] % len(handles)])
+
+    def fire(eid, action):
+        log.append((sim.now, f"shot{eid}"))
+        act(action)
+
+    def schedule(t, action):
+        handles.append(sim.schedule_at(t, fire, len(handles), action))
+
+    for t, action in shots:
+        schedule(t, action)
+    for j in tombstones:
+        if handles:
+            sim.cancel(handles[j % len(handles)])
+    for i, (kind, start, step, every, action) in enumerate(sources):
+        def emit(pkt, every=every, action=action):
+            assert pkt.sent_at == sim.now
+            log.append((sim.now, f"{pkt.flow_id}:{pkt.seq}"))
+            if pkt.seq % every == 0:
+                act(action)
+        if kind == "video":  # step quarters per packet
+            src = VideoSource(sim, f"v{i}", 4.0, step, emit, start=start, stop=5.5)
+        else:
+            src = VoipSource(sim, f"a{i}", VoipConfig(packetization_interval=step / 4),
+                             sim.rng(f"a{i}"), emit, start=start, stop=5.5)
+        src.start()
+    for end in sorted(ends):
+        sim.run_until(end)
+        log.append((sim.now, "end"))
+    return log
+
+
+@settings(max_examples=150, deadline=None)
+@given(shots=st.lists(st.tuples(_quarter, _action), max_size=12),
+       tombstones=st.lists(st.integers(0, 30), max_size=4),
+       sources=st.lists(st.tuples(st.sampled_from(["video", "voip"]), _quarter,
+                                  st.integers(1, 4), st.integers(1, 5), _action),
+                        min_size=1, max_size=3),
+       ends=st.lists(_quarter, min_size=1, max_size=4))
+@example(shots=[(1.0, ("none",)), (1.5, ("none",))], tombstones=[1],
+         sources=[("video", 0.0, 1, 1, ("none",))], ends=[2.0, 6.0])
+@example(shots=[(0.5, ("spawn", 0.0))], tombstones=[],
+         sources=[("video", 0.25, 1, 2, ("spawn", 0.25)),
+                  ("voip", 0.0, 1, 3, ("cancel", 0))], ends=[0.75, 6.0])
+def test_run_ahead_keeps_the_order_of_the_heap(shots, tombstones, sources, ends):
+    assert (_run_schedule(shots, tombstones, sources, ends, inline=True)
+            == _run_schedule(shots, tombstones, sources, ends, inline=False))

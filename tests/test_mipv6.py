@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vhosim.engine import Simulator
 from vhosim.ipv6 import IPV6_HEADER_BITS, Address, Packet
@@ -24,6 +26,35 @@ COA_B = Address(FOREIGN, 0xBB)
 COA_C = Address(FOREIGN, 0xCC)
 HA = Address(HOME, 0x1)
 CN = Address(CORE, 0x2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2),  # HoA
+                          st.integers(0, 2),  # CoA
+                          st.integers(0, 12),  # seq
+                          st.sampled_from([0.0, 10.0, 420.0])),  # 0 = deregister
+                min_size=1, max_size=40))
+def test_binding_cache_sequence_numbers_under_random_bu_streams(stream):
+    cache = BindingCache()
+    accepted: dict[Address, list[int]] = {}
+    binding: dict[Address, Address] = {}  # what the cache must hold
+    for h, c, seq, lifetime in stream:
+        hoa, coa = Address(HOME, 0xA0 + h), Address(FOREIGN, 0xC0 + c)
+        seen = accepted.setdefault(hoa, [])
+        ack = cache.process(BindingUpdate(hoa, coa, seq, lifetime), now=0.0)
+        assert (ack.hoa, ack.seq) == (hoa, seq)
+        # a seq at or below the last accepted one is stale, any higher one
+        # is accepted: so the accepted seqs of each HoA strictly increase
+        stale = bool(seen) and seq <= seen[-1]
+        assert ack.status == ("rejected-stale" if stale else "accepted")
+        if not stale:
+            seen.append(seq)
+            if lifetime > 0:
+                binding[hoa] = coa
+            else:
+                binding.pop(hoa, None)
+        for other in accepted:
+            assert cache.lookup(other, now=0.0) == binding.get(other)
 
 
 def test_binding_cache_scripted_trace():
