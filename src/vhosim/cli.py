@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
+from typing import Optional
 
 from .harness import (ConfigError, InvariantError, ScenarioConfig, emit_csv,
                       load_scenario, run_experiment, run_metadata, sweep)
@@ -48,12 +50,39 @@ def _resolve_config(args) -> ScenarioConfig:
     return cfg.validate()
 
 
+def _flag_error(args, cfg: ScenarioConfig) -> Optional[str]:
+    """Why a flag would be ignored in this mode, or could not be honoured
+    once the run is over, naming the flag; None when every flag holds."""
+    if args.rate is not None and cfg.application != "video":
+        return f"--rate: sets the video rate, but the application is {cfg.application}"
+    if args.sweep:
+        for flag, value, why in (
+                ("--speed", args.speed, "runs every speed of the sweep"),
+                ("--scheme", args.scheme, "runs both schemes"),
+                ("--event-log", args.event_log, "writes no event log")):
+            if value is not None:
+                return f"{flag}: --sweep {why}"
+    for flag, path in (("--out", args.out), ("--event-log", args.event_log)):
+        if path is None:
+            continue
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            return f"{flag}: {path} is a directory"
+        if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+            return f"{flag}: cannot write {path}: no writable directory {parent}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    error = _flag_error(args, cfg)
+    if error is not None:
+        print(f"usage error: {error}", file=sys.stderr)
         return 2
 
     try:

@@ -72,17 +72,27 @@ class Simulator:
         handle[3] = ()
         return True
 
+    def ahead_limit(self) -> float:
+        """The latest time t for which run_ahead(t) would hold now.
+
+        That is the bound of the run_until call in progress, or the last float
+        before the first heap entry, cancelled ones included, if that comes
+        first: a new entry loses every tie. -inf outside run_until.
+        """
+        heap = self._heap
+        if heap and heap[0][0] <= self._end:
+            return math.nextafter(heap[0][0], -math.inf)
+        return self._end
+
     def run_ahead(self, t: float) -> bool:
         """Move the clock to t iff an event scheduled now for t would run next.
 
-        That holds when t is within the bound of the run_until call in
-        progress and strictly before every heap entry, cancelled ones
-        included: a new entry loses every tie. On True the caller does the
-        work of that event inline; it is not counted in executed.
+        On True the caller does the work of that event inline; it is not
+        counted in executed.
         """
         if t < self.now:
             raise SchedulingError(f"run ahead to t={t} in the past (now={self.now})")
-        if t > self._end or (self._heap and self._heap[0][0] <= t):
+        if t > self.ahead_limit():
             return False
         self.now = t
         return True
@@ -111,9 +121,12 @@ class Simulator:
 
     # -- event log ---------------------------------------------------------
 
-    def trace(self, node: str, module: str, kind: str, detail: str = "") -> None:
+    def trace(self, node: str, module: str, kind: str, detail: str = "",
+              at: float | None = None) -> None:
+        """Log a line stamped with the clock, or with at: a packet of a run
+        is handled at its own tick, which the clock does not step through."""
         if self._trace is not None:
-            line = f"{self.now:.9f} {node} {module} {kind}"
+            line = f"{self.now if at is None else at:.9f} {node} {module} {kind}"
             if detail:
                 line = f"{line} {detail}"
             self._trace.append(line)

@@ -68,10 +68,8 @@ class RouteEntry:
 class RoutingTable:
     def __init__(self):
         self.entries: list[RouteEntry] = []
-        self.version = 0  # bumped on any change; lets callers cache lookups
 
     def add(self, prefix: Optional[int], next_hop: Address, out_iface: str) -> None:
-        self.version += 1
         for e in self.entries:
             if e.prefix == prefix and e.out_iface == out_iface:
                 e.next_hop = next_hop
@@ -79,7 +77,6 @@ class RoutingTable:
         self.entries.append(RouteEntry(prefix, next_hop, out_iface))
 
     def remove_for_iface(self, iface_id: str) -> int:
-        self.version += 1
         before = len(self.entries)
         self.entries = [e for e in self.entries if e.out_iface != iface_id]
         return before - len(self.entries)

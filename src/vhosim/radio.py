@@ -8,6 +8,7 @@ at a fixed bitrate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -72,9 +73,9 @@ class Medium:
         self.d_ref = d_ref
         self.drop_hook = drop_hook
         self.ifaces: list = []  # mobile-node interfaces listening on the medium
-        # (ap, iface) -> (valid_until, verdict): a range verdict cannot flip
+        # (ap, iface) -> (verdict, valid_until): a range verdict cannot flip
         # before the node has covered the distance margin to the coverage edge
-        self._range_verdicts: dict[tuple[int, int], tuple[float, bool]] = {}
+        self._range_verdicts: dict[tuple[int, int], tuple[bool, float]] = {}
 
     def register_iface(self, iface) -> None:
         self.ifaces.append(iface)
@@ -94,25 +95,26 @@ class Medium:
         dy = pos[1] - ap.cfg.y
         return dx * dx + dy * dy <= ap.radius2
 
-    def in_range_moving(self, ap: "AccessPoint", iface) -> bool:
-        """Range check for a node of bounded speed, memoized while it cannot
-        possibly cross the coverage edge."""
+    def in_range_moving(self, ap: "AccessPoint", iface, t: float) -> tuple[bool, float]:
+        """Range verdict at time t for a node of bounded speed, and the time
+        until which it holds: the node cannot cross the coverage edge before
+        it has covered its distance to it. Memoized per (ap, iface) for
+        queries at non-decreasing times."""
         key = (id(ap), id(iface))
-        now = self.sim.now
         cached = self._range_verdicts.get(key)
-        if cached is not None and now < cached[0]:
-            return cached[1]
-        pos = iface.position()
+        if cached is not None and t < cached[1]:
+            return cached
+        pos = iface.position(t)
         dx = pos[0] - ap.cfg.x
         dy = pos[1] - ap.cfg.y
         d2 = dx * dx + dy * dy
         r2 = ap.radius2
-        verdict = d2 <= r2
         speed = getattr(iface, "max_speed", 0.0)
         if speed > 0.0 and r2 > 0.0:
             margin = abs(math.sqrt(d2) - math.sqrt(r2))
-            self._range_verdicts[key] = (now + margin / speed, verdict)
-        return verdict
+            cached = self._range_verdicts[key] = (d2 <= r2, t + margin / speed)
+            return cached
+        return (d2 <= r2, t)
 
     def _drop(self, frame: Frame) -> None:
         if self.drop_hook is not None:
@@ -124,7 +126,7 @@ class Medium:
         for iface in self.ifaces:
             if not iface.listens(frame.channel):
                 continue
-            if not self.in_range(ap, iface.position()):
+            if not self.in_range(ap, iface.position(self.sim.now)):
                 continue
             self.sim.schedule_in(delay, iface.on_frame, frame)
 
@@ -132,14 +134,15 @@ class Medium:
         if not iface.listens(frame.channel):
             self._drop(frame)
             return
-        if not self.in_range_moving(ap, iface):
+        if not self.in_range_moving(ap, iface, self.sim.now)[0]:
             self._drop(frame)
             return
         self.sim.schedule_in(frame.size_bits / self.bitrate, iface.on_frame, frame)
 
     def iface_to_ap(self, iface, ap: "AccessPoint", frame: Frame) -> None:
         # symmetric link budget: the AP hears the node iff the node hears the AP
-        if frame.channel != ap.cfg.channel or not self.in_range_moving(ap, iface):
+        if (frame.channel != ap.cfg.channel
+                or not self.in_range_moving(ap, iface, self.sim.now)[0]):
             self._drop(frame)
             return
         delay = frame.size_bits / self.bitrate
@@ -147,11 +150,40 @@ class Medium:
             # bridging is the AP's only action on uplink data; hand the packet
             # down its wired path directly after serialization plus the hops
             at = self.sim.now + (delay + ap.lan_delay + ap.uplink_extra_delay)
-            pkt = frame.payload
-            if ap.uplink_ahead is None or not ap.uplink_ahead(pkt, at):
-                self.sim.schedule_at(at, ap.uplink_handler or ap.router.handle, pkt)
+            self.sim.schedule_at(at, ap.uplink_handler or ap.router.handle,
+                                 frame.payload)
         else:
             self.sim.schedule_in(delay, ap.on_frame, frame)
+
+    def uplink_run(self, iface, ap: "AccessPoint", pkt, run) -> None:
+        """Uplink data for a run of app packets on the AP's channel.
+
+        pkt is the datagram every packet of the run travels in, so the
+        delay to the AP's wired side is the same for all of them, grouped as
+        iface_to_ap groups it. Each packet in range at its tick goes on to
+        ap.uplink_run; the others drop, in tick order.
+        """
+        hop = ((pkt.size_bits + MAC_OVERHEAD_BITS) / self.bitrate
+               + ap.lan_delay + ap.uplink_extra_delay)
+        times = run.times
+        n = len(times)
+        lo = i = 0
+        inside, until = self.in_range_moving(ap, iface, times[0])
+        while True:
+            i = bisect_left(times, until, i + 1)  # first tick the verdict may not cover
+            if i == n:
+                break
+            verdict, until = self.in_range_moving(ap, iface, times[i])
+            if verdict != inside:
+                self._pass_run(ap, pkt, run.part(lo, i), inside, hop)
+                lo, inside = i, verdict
+        self._pass_run(ap, pkt, run if lo == 0 else run.part(lo, n), inside, hop)
+
+    def _pass_run(self, ap: "AccessPoint", pkt, run, inside: bool, hop: float) -> None:
+        if inside:
+            ap.uplink_run(pkt, run, hop)
+        elif self.drop_hook is not None:
+            self.drop_hook(run)
 
 
 class AccessPoint:
@@ -177,9 +209,9 @@ class AccessPoint:
         # the topology makes the next hop unconditional
         self.uplink_handler: Optional[Callable[[Any], None]] = None
         self.uplink_extra_delay: float = 0.0
-        # optional (pkt, arrival time) -> bool taken before the handler: True
-        # when it delivered the packet itself, so no handler event is needed
-        self.uplink_ahead: Optional[Callable[[Any, float], bool]] = None
+        # (datagram, run, hop) -> None: takes the packets of a run of app
+        # packets, packet k reaching the wired side at times[k] + hop
+        self.uplink_run: Optional[Callable[[Any, Any, float], None]] = None
 
     def start(self) -> None:
         self._beacon_tick(0)

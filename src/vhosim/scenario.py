@@ -8,6 +8,7 @@ its own channel. The correspondent node hangs off the home agent's core link.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Optional
 
 from .engine import Simulator
@@ -18,8 +19,8 @@ from .mipv6 import BA_BITS, HomeAgentCore, MnBindingManager, decapsulate
 from .mobility import TractorPath
 from .radio import (MAC_OVERHEAD_BITS, AccessPoint, ApConfig, ASSOC_BITS,
                     DISASSOC_BITS, Frame, Medium)
-from .traffic import (AppPacket, FlowStats, Sink, VideoSource, VoipConfig,
-                      VoipSource)
+from .traffic import (AppPacket, FlowStats, PacketRun, Sink, VideoSource,
+                      VoipConfig, VoipSource)
 
 
 class WirelessInterface:
@@ -37,8 +38,8 @@ class WirelessInterface:
         self._target: Optional[AccessPoint] = None
         medium.register_iface(self)
 
-    def position(self) -> tuple[float, float]:
-        return self.mn.position()
+    def position(self, t: float) -> tuple[float, float]:
+        return self.mn.position(t)
 
     def listens(self, channel: int) -> bool:
         if self.associated:
@@ -112,9 +113,8 @@ class MobileNode:
         self.sim = sim
         self.path = path
         self.drop = drop_hook
+        self.medium = medium
         self.sinks: dict[str, Sink] = {}
-        self._route_ver = -1
-        self._route_ok: dict[tuple[str, int], bool] = {}
 
         self.llc = VhoController(sim, node_id,
                                  beacon_interval=beacon_interval,
@@ -134,8 +134,8 @@ class MobileNode:
         self.llc.command_disassociate = self._teardown_iface
         self.llc.on_promoted = self._on_promoted
 
-    def position(self) -> tuple[float, float]:
-        return self.path.position(self.sim.now)
+    def position(self, t: float) -> tuple[float, float]:
+        return self.path.position(t)
 
     # -- controller wiring ------------------------------------------------------
 
@@ -161,41 +161,34 @@ class MobileNode:
     def send_routed(self, pkt: Packet) -> None:
         """Emit through the serving interface; unroutable packets drop and count."""
         iface_id = self.llc.serving_interface()
-        if iface_id is None:
-            self.drop(pkt)
-            return
-        # routability per (iface, dst prefix) only changes when the routing
-        # table does, so cache the verdict between changes
-        routes = self.host.routes
-        if self._route_ver != routes.version:
-            self._route_ver = routes.version
-            self._route_ok.clear()
-        key = (iface_id, pkt.dst.prefix)
-        ok = self._route_ok.get(key)
-        if ok is None:
-            ok = routes.lookup(pkt.dst, iface_id) is not None
-            self._route_ok[key] = ok
-        if not ok:
+        if iface_id is None or self.host.routes.lookup(pkt.dst, iface_id) is None:
             self.drop(pkt)
             return
         self.ifaces[iface_id].send_packet(pkt)
 
-    def send_app(self, app_pkt: AppPacket, dst: Address) -> None:
+    def send_run(self, run: PacketRun, dst: Address) -> None:
+        """The uplink: send a run of app packets to dst.
+
+        No control state changes inside a run, so its fate up to the radio
+        is decided once: home address, tunnel wrap, serving interface, route
+        and association. The medium checks range per packet.
+        """
         hoa = self.host.home_address
         if hoa is None or hoa.scope != "global":
-            self.drop_app(app_pkt)
+            self.drop(run)
             return
-        inner = Packet(hoa, dst, "app", app_pkt.size_bits + IPV6_HEADER_BITS,
-                       payload=app_pkt)
-        wrapped = self.mip.wrap_outgoing(inner)
-        if wrapped is None:
-            self.drop_app(app_pkt)
+        pkt = self.mip.wrap_outgoing(Packet(hoa, dst, "app",
+                                            run.bits + IPV6_HEADER_BITS))
+        iface_id = self.llc.serving_interface()
+        if (pkt is None or iface_id is None
+                or self.host.routes.lookup(pkt.dst, iface_id) is None):
+            self.drop(run)
             return
-        self.send_routed(wrapped)
-
-    def drop_app(self, app_pkt: AppPacket) -> None:
-        self.drop(Packet(self.host.home_address or Address(0, 0),
-                         Address(0, 0), "app", app_pkt.size_bits, payload=app_pkt))
+        iface = self.ifaces[iface_id]
+        if not iface.associated or iface.ap is None:
+            self.drop(run)
+            return
+        self.medium.uplink_run(iface, iface.ap, pkt, run)
 
     def receive_packet(self, pkt: Packet, iface_id: str) -> None:
         if pkt.kind == "tunnel" or pkt.inner is not None:
@@ -207,22 +200,22 @@ class MobileNode:
         if pkt.kind == "ba":
             self.mip.on_binding_ack(pkt.payload)
         elif pkt.kind == "app":
-            sink = self.sinks.get(pkt.payload.flow_id)
+            app = pkt.payload
+            sink = self.sinks.get(app.flow_id)
             if sink is not None:
-                sink.on_receive(pkt.payload, self.sim.now)
+                sink.on_receive(app.seq, app.sent_at, self.sim.now, app.spurt)
 
 
 class HomeAgentNode:
     """Home-network router and MIPv6 home agent with static core forwarding."""
 
     def __init__(self, sim: Simulator, core: HomeAgentCore, home_prefix: int,
-                 foreign_prefix: int, core_prefix: int, cn_delay: float,
-                 foreign_delay: float, drop_hook):
+                 foreign_prefix: int, cn_delay: float, foreign_delay: float,
+                 drop_hook):
         self.sim = sim
         self.core = core
         self.home_prefix = home_prefix
         self.foreign_prefix = foreign_prefix
-        self.core_prefix = core_prefix
         self.cn_delay = cn_delay
         self.foreign_delay = foreign_delay
         self.drop = drop_hook
@@ -236,7 +229,7 @@ class HomeAgentNode:
 
     def handle(self, pkt: Packet) -> None:
         """Packets that need an event here: binding updates and downlink.
-        Uplink app packets for the CN take forward_ahead instead."""
+        Uplink app packets for the CN take forward_run instead."""
         if pkt.dst == self.core.address:
             if pkt.kind == "bu":
                 ba = self.core.process_bu(pkt.payload, self.sim.now)
@@ -249,22 +242,16 @@ class HomeAgentNode:
         else:
             self.forward(pkt)
 
-    def forward_ahead(self, pkt: Packet, at: float) -> bool:
-        """Take an uplink packet that reaches the HA at time at, without an event.
+    def forward_run(self, pkt: Packet, run: PacketRun, hop: float) -> None:
+        """Take a run of uplink app packets for the CN, native or
+        reverse-tunnelled in pkt, packet k arriving here at times[k] + hop.
 
-        An app packet for the CN, native or reverse-tunnelled, reads no
-        mutable state here or at the CN, so it goes straight to the CN's
-        arrival queue; this is the CN's only way in. Anything else returns
-        False and needs a handle event.
+        They read no mutable state here or at the CN, so they need no
+        event: the CN queues them by arrival time.
         """
         if pkt.dst == self.core.address:
-            if pkt.inner is None:
-                return False
             pkt = decapsulate(pkt)
-        if pkt.kind != "app" or pkt.dst.prefix != self.core_prefix:
-            return False
-        self.cn.arrive(pkt, at, at + self.cn_delay)
-        return True
+        self.cn.arrive(pkt.src, run, hop, self.cn_delay)
 
     def forward(self, pkt: Packet) -> None:
         prefix = pkt.dst.prefix
@@ -309,46 +296,78 @@ class CorrespondentNode:
         self.sinks: dict[str, Sink] = {}
         self.app_received = 0
         self.app_src_matches = 0
-        # uplink packets on their way: (HA arrival time, arrival order,
-        # packet, CN arrival time); heap order is the order handle events
-        # at the HA would have delivered them in
-        self._arrivals: list[tuple[float, int, Packet, float]] = []
-        self._arrival_order = 0
+        # uplink runs on their way, each a list [HA arrival time of its next
+        # packet, sending order of that packet, its index, run, hop, delay to
+        # here, sink, source is the HoA]; heap order is the order handle
+        # events at the HA would have delivered the packets in
+        self._arrivals: list[list] = []
+        self._order = 0
 
-    def arrive(self, pkt: Packet, ha_at: float, at: float) -> None:
-        """Queue a packet that reaches the HA at ha_at and here at at."""
-        self.commit(self.sim.now)
-        heapq.heappush(self._arrivals, (ha_at, self._arrival_order, pkt, at))
-        self._arrival_order += 1
+    def arrive(self, src: Address, run: PacketRun, hop: float, delay: float) -> None:
+        """Queue a run from src whose packet k reaches the HA at
+        times[k] + hop and here delay after that."""
+        # every packet that reaches the HA before this run's first is in the
+        # queue already; commit them so that the queue stays short
+        arrivals = self._arrivals
+        if arrivals and arrivals[0][0] <= run.times[0]:
+            self.commit(run.times[0])
+        heapq.heappush(arrivals, [
+            run.times[0] + hop, self._order, 0, run, hop, delay,
+            self.sinks[run.flow_id],
+            self.expected_src is not None and src == self.expected_src])
+        self._order += len(run.times)
 
     def commit(self, until: float) -> None:
-        """Receive, in order, the queued packets that reach the HA by until."""
+        """Hand the sinks, in order, the queued packets that reach the HA by
+        until, each with its arrival time here."""
         arrivals = self._arrivals
         while arrivals and arrivals[0][0] <= until:
-            _, _, pkt, at = heapq.heappop(arrivals)
-            self.receive(pkt, at)
+            entry = arrivals[0]
+            ha, order, i, run, hop, delay, sink, from_hoa = entry
+            # this run's packets go first while they precede the next run's
+            if len(arrivals) == 1:
+                next_ha, next_order = math.inf, 0
+            else:
+                nxt = min(arrivals[1:3])
+                next_ha, next_order = nxt[0], nxt[1]
+            times, seq0, spurt = run.times, run.seq0, run.spurt
+            n = len(times)
+            on_receive = sink.on_receive
+            first = i
+            while True:
+                on_receive(seq0 + i, times[i], ha + delay, spurt)
+                i += 1
+                order += 1
+                if i == n:
+                    break
+                ha = times[i] + hop
+                if ha > until or ha > next_ha or (ha == next_ha and order > next_order):
+                    break
+            self.app_received += i - first
+            if from_hoa:
+                self.app_src_matches += i - first
+            if i == n:
+                heapq.heappop(arrivals)
+            else:
+                entry[0], entry[1], entry[2] = ha, order, i
+                heapq.heapreplace(arrivals, entry)
 
-    def receive(self, pkt: Packet, at: float) -> None:
-        """An app packet reaches the CN at time at."""
-        self.app_received += 1
-        if self.expected_src is not None and pkt.src == self.expected_src:
-            self.app_src_matches += 1
-        sink = self.sinks.get(pkt.payload.flow_id)
-        if sink is not None:
-            sink.on_receive(pkt.payload, at)
-
-    def send_app(self, app_pkt: AppPacket, dst: Address) -> None:
-        pkt = Packet(self.address, dst, "app",
-                     app_pkt.size_bits + IPV6_HEADER_BITS, payload=app_pkt)
-        self.sim.schedule_in(self.link_delay, self.ha.handle, pkt)
+    def send_run(self, run: PacketRun, dst: Address) -> None:
+        """The downlink: each packet of the run reaches the HA link_delay
+        after its tick, in an event."""
+        size = run.bits + IPV6_HEADER_BITS
+        for k, t in enumerate(run.times):
+            app = AppPacket(run.flow_id, run.seq0 + k, run.bits, t, run.spurt)
+            self.sim.schedule_at(t + self.link_delay, self.ha.handle,
+                                 Packet(self.address, dst, "app", size, payload=app))
 
 
-def _innermost_app(pkt: Any) -> Optional[AppPacket]:
+def _innermost_app(pkt: Any) -> Optional[AppPacket | PacketRun]:
     while isinstance(pkt, Packet):
         if isinstance(pkt.payload, AppPacket):
             return pkt.payload
         pkt = pkt.inner
-    return None
+    return pkt if isinstance(pkt, PacketRun) else None
 
 
 class Scenario:
@@ -369,7 +388,7 @@ class Scenario:
         fr_addr = Address(cfg.foreign_prefix, derive_iid("fr", 0))
         cn_addr = Address(cfg.core_prefix, derive_iid("cn", 0))
         self.ha = HomeAgentNode(sim, HomeAgentCore(ha_addr),
-                                cfg.home_prefix, cfg.foreign_prefix, cfg.core_prefix,
+                                cfg.home_prefix, cfg.foreign_prefix,
                                 cfg.cn_link_delay, cfg.foreign_link_delay,
                                 self._on_drop)
         self.fr = ForeignRouterNode(sim, fr_addr, cfg.foreign_prefix)
@@ -397,8 +416,8 @@ class Scenario:
         self.ap_foreign.uplink_extra_delay = cfg.foreign_link_delay
         # both uplink paths end at the HA, which passes app packets for the
         # CN on without an event
-        self.ap_home.uplink_ahead = self.ha.forward_ahead
-        self.ap_foreign.uplink_ahead = self.ha.forward_ahead
+        self.ap_home.uplink_run = self.ha.forward_run
+        self.ap_foreign.uplink_run = self.ha.forward_run
 
         path = TractorPath(cfg.field_x1, cfg.field_y1, cfg.field_x2, cfg.field_y2,
                            cfg.row_count, cfg.speed)
@@ -422,14 +441,13 @@ class Scenario:
         sim = self.sim
         start, stop = cfg.traffic_start, cfg.sim_time_resolved
 
-        def mn_emit(app_pkt: AppPacket) -> None:
-            self.flows[app_pkt.flow_id].sent += 1
-            self.mn.send_app(app_pkt, self.cn.address)
+        def mn_emit(run: PacketRun) -> None:
+            self.flows[run.flow_id].sent += len(run.times)
+            self.mn.send_run(run, self.cn.address)
 
-        def cn_emit(app_pkt: AppPacket) -> None:
-            self.flows[app_pkt.flow_id].sent += 1
-            self.cn.send_app(app_pkt, self.mn.host.home_address
-                             or self.cn.expected_src)
+        def cn_emit(run: PacketRun) -> None:
+            self.flows[run.flow_id].sent += len(run.times)
+            self.cn.send_run(run, self.mn.host.home_address or self.cn.expected_src)
 
         self.sources = []
         if cfg.application == "video":
@@ -457,15 +475,23 @@ class Scenario:
             raise ValueError(f"unknown application {cfg.application!r}")
 
     def _on_drop(self, payload: Any) -> None:
+        """Count and log lost app packets: a packet in an event drops now, a
+        packet of a run at its own tick."""
         app = _innermost_app(payload)
         if app is None:
             return
         stats = self.flows.get(app.flow_id)
-        if stats is not None:
+        if stats is None:
+            return
+        if isinstance(app, AppPacket):
+            lost = [(app.seq, self.sim.now)]
+        else:
+            lost = zip(range(app.seq0, app.seq0 + len(app.times)), app.times)
+        for seq, t in lost:
             stats.lost += 1
-            stats.dropped_seqs.add(app.seq)
-            self.sim.trace("net", "traffic", "drop",
-                           f"flow={app.flow_id} seq={app.seq}")
+            stats.dropped_seqs.add(seq)
+            self.sim.trace("net", "traffic", "drop", f"flow={app.flow_id} seq={seq}",
+                           at=t)
 
     # -- execution ---------------------------------------------------------------
 

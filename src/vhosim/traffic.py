@@ -2,20 +2,38 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .engine import Simulator
+from .engine import SchedulingError, Simulator
 
 
 @dataclass
 class AppPacket:
+    """One packet that travels through engine events (the downlink)."""
     flow_id: str
     seq: int
     size_bits: int
     sent_at: float
     spurt: int = 0  # talk-spurt index, VoIP only
+
+
+@dataclass(slots=True)
+class PacketRun:
+    """Consecutive packets of one flow, one per source tick: packet k has
+    seq seq0 + k and is sent at times[k]."""
+    flow_id: str
+    seq0: int
+    times: list[float]
+    bits: int
+    spurt: int = 0  # talk-spurt index, VoIP only
+
+    def part(self, lo: int, hi: int) -> "PacketRun":
+        """Packets lo..hi-1 as a run of their own."""
+        return PacketRun(self.flow_id, self.seq0 + lo, self.times[lo:hi],
+                         self.bits, self.spurt)
 
 
 @dataclass
@@ -129,11 +147,60 @@ def compute_mos(stats: FlowStats) -> MosReport:
     return MosReport(r, mos, mean_delay, loss)
 
 
-class VideoSource:
+class _Source:
+    """Emission shared by the sources: ticks go to emit as runs.
+
+    A tick that would be the next event anyway runs inline instead, in a run
+    with the ticks before and after it that may run inline too. A run's emit
+    runs with the clock at the run's last tick. It must not schedule an event
+    at or before that tick, except in a run of one tick: such an event would
+    have come before a later tick of the run.
+    """
+
+    sim: Simulator
+    flow_id: str
+    packet_bits: int
+    emit: Callable[[PacketRun], None]
+    seq: int
+
+    def _ticks(self, t0: float, k: int, dt: float, until: float,
+               spurt: int = 0) -> tuple[int, bool]:
+        """Emit the due tick t0 + k*dt, then every later tick before until
+        that may run inline.
+
+        Returns the index of the first tick not emitted and whether it runs
+        now (it is at or after until); if not, it needs an event.
+        """
+        sim = self.sim
+        t = t0 + k * dt
+        limit = t  # the due tick goes alone: its emit may schedule before the next tick
+        while t <= limit:
+            times = []
+            while t <= limit and t < until:
+                times.append(t)
+                k += 1
+                t = t0 + k * dt
+            if not times:
+                return k, True
+            last = times[-1]
+            if last > sim.now:  # the clock is at the due tick already
+                sim.run_ahead(last)
+            seq = self.seq
+            self.seq = seq + len(times)
+            self.emit(PacketRun(self.flow_id, seq, times, self.packet_bits, spurt))
+            # the next tick is judged against the heap as this emit left it
+            limit = sim.ahead_limit()
+            if limit < last and len(times) > 1:
+                raise SchedulingError(f"{self.flow_id}: the emit of a run scheduled "
+                                      f"an event at or before its last tick t={last}")
+        return k, False
+
+
+class VideoSource(_Source):
     """Constant-bit-rate stream: one packet of packet_bits every packet_bits/rate."""
 
     def __init__(self, sim: Simulator, flow_id: str, rate_bps: float, packet_bits: int,
-                 emit: Callable[[AppPacket], None], start: float = 0.0,
+                 emit: Callable[[PacketRun], None], start: float = 0.0,
                  stop: Optional[float] = None):
         if rate_bps <= 0:
             raise ValueError("rate must be > 0")
@@ -143,31 +210,23 @@ class VideoSource:
         self.packet_bits = packet_bits
         self.emit = emit
         self.start_at = start
-        self.stop = stop
+        self.stop = math.inf if stop is None else stop
         self.seq = 0
 
     def start(self) -> None:
         self.sim.schedule_at(self.start_at, self._tick, 0)
 
     def _tick(self, k: int) -> None:
-        # later ticks run inline while nothing else is due before them
-        sim = self.sim
-        t = self.start_at + k * self.interval
-        while self.stop is None or t < self.stop:
-            self.emit(AppPacket(self.flow_id, self.seq, self.packet_bits, t))
-            self.seq += 1
-            k += 1
-            t = self.start_at + k * self.interval
-            if not sim.run_ahead(t):
-                sim.schedule_at(t, self._tick, k)
-                return
+        k, now = self._ticks(self.start_at, k, self.interval, self.stop)
+        if not now:
+            self.sim.schedule_at(self.start_at + k * self.interval, self._tick, k)
 
 
-class VoipSource:
+class VoipSource(_Source):
     """On/off voice: exponentially distributed talk spurts and silences."""
 
     def __init__(self, sim: Simulator, flow_id: str, cfg: VoipConfig,
-                 rng: random.Random, emit: Callable[[AppPacket], None],
+                 rng: random.Random, emit: Callable[[PacketRun], None],
                  start: float = 0.0, stop: Optional[float] = None):
         self.sim = sim
         self.flow_id = flow_id
@@ -175,7 +234,7 @@ class VoipSource:
         self.rng = rng
         self.emit = emit
         self.start_at = start
-        self.stop = stop
+        self.stop = math.inf if stop is None else stop
         self.seq = 0
         self.spurt_idx = -1
         self.packet_bits = int(cfg.codec_rate * cfg.packetization_interval)
@@ -184,26 +243,21 @@ class VoipSource:
         self.sim.schedule_at(self.start_at, self._begin_spurt)
 
     def _begin_spurt(self) -> None:
-        if self.stop is not None and self.sim.now >= self.stop:
+        if self.sim.now >= self.stop:
             return
         self.spurt_idx += 1
         duration = self.rng.expovariate(1.0 / self.cfg.spurt_mean)
         self._tick(self.sim.now, 0, self.sim.now + duration)
 
     def _tick(self, spurt_start: float, k: int, spurt_end: float) -> None:
-        # later ticks of the spurt run inline while nothing else is due before them
         sim = self.sim
         interval = self.cfg.packetization_interval
+        k, now = self._ticks(spurt_start, k, interval, min(spurt_end, self.stop),
+                             self.spurt_idx)
         t = spurt_start + k * interval
-        while t < spurt_end and (self.stop is None or t < self.stop):
-            self.emit(AppPacket(self.flow_id, self.seq, self.packet_bits, t,
-                                spurt=self.spurt_idx))
-            self.seq += 1
-            k += 1
-            t = spurt_start + k * interval
-            if not sim.run_ahead(t):
-                sim.schedule_at(t, self._tick, spurt_start, k, spurt_end)
-                return
+        if not now:
+            sim.schedule_at(t, self._tick, spurt_start, k, spurt_end)
+            return
         silence = self.rng.expovariate(1.0 / self.cfg.silence_mean)
         sim.schedule_at(t + silence, self._begin_spurt)
 
@@ -224,17 +278,18 @@ class Sink:
         self._first_spurt_min: Optional[float] = None
         self.duplicates = 0
 
-    def on_receive(self, pkt: AppPacket, now: float) -> str:
+    def on_receive(self, seq: int, sent_at: float, now: float, spurt: int = 0) -> str:
+        """Classify packet seq, sent at sent_at and arriving at now."""
         stats = self.stats
-        if not stats.received_seqs.add(pkt.seq):
+        if not stats.received_seqs.add(seq):
             self.duplicates += 1
             return "duplicate"
-        delay = now - pkt.sent_at
+        delay = now - sent_at
         if self.kind != "voip":
             stats.received += 1
             stats.delay_sum += delay
             return "received"
-        if pkt.spurt == 0:
+        if spurt == 0:
             if self._first_spurt_min is None or delay < self._first_spurt_min:
                 self._first_spurt_min = delay
             stats.received += 1

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -155,6 +157,58 @@ def test_run_ahead_refuses_outside_run_until():
         sim.run_ahead(0.5)
 
 
+def test_ahead_limit_is_the_last_time_run_ahead_accepts():
+    sim = Simulator()
+    got = []
+
+    def probe():
+        limit = sim.ahead_limit()
+        got.append(limit)
+        assert sim.run_ahead(limit) and not sim.run_ahead(math.nextafter(limit, 9.0))
+
+    sim.schedule_at(0.5, probe)
+    sim.schedule_at(1.0, lambda: None)
+    sim.schedule_at(1.5, probe)
+    sim.run_until(2.0)
+    assert got == [math.nextafter(1.0, 0.0), 2.0]
+    assert sim.ahead_limit() == -math.inf  # outside run_until
+
+
+def _video_run_program(offset):
+    """A 1 s video source held back by an event at 5.5 s, whose emit of a
+    run of more than one tick schedules an event offset after its first."""
+    sim = Simulator()
+    runs = []
+
+    def emit(run):
+        runs.append(run.times)
+        if len(run.times) > 1:
+            sim.schedule_at(run.times[0] + offset, lambda: None)
+
+    VideoSource(sim, "v", 1.0, 1, emit, start=0.0).start()
+    sim.schedule_at(5.5, lambda: None)
+    return sim, runs
+
+
+@pytest.mark.parametrize("offset", [0.5, 4.0])
+def test_emit_that_schedules_into_its_own_run_raises(offset):
+    # the run after the due tick at 0 holds the ticks 1..5; an event at
+    # 1.5 s or 5 s would have come before one of them
+    sim, runs = _video_run_program(offset)
+    with pytest.raises(SchedulingError):
+        sim.run_until(10.0)
+    assert runs == [[0.0], [1.0, 2.0, 3.0, 4.0, 5.0]]
+
+
+def test_emit_that_schedules_past_its_run_keeps_the_run():
+    sim, runs = _video_run_program(4.25)  # at 5.25 s, after the run's last tick
+    sim.run_until(7.0)
+    assert runs == [[0.0], [1.0, 2.0, 3.0, 4.0, 5.0], [6.0], [7.0]]
+    sim, runs = _video_run_program(4.25)
+    sim.run_until(3.0)
+    assert runs == [[0.0], [1.0, 2.0, 3.0]]  # cut at the run_until end
+
+
 # Times on a grid of quarter seconds are exact in binary floating point, so
 # ticks land exactly on pending entries, tombstones and run_until ends.
 _quarter = st.integers(0, 24).map(lambda q: q / 4)
@@ -164,23 +218,26 @@ _action = st.one_of(st.just(("none",)),
 
 
 def _run_schedule(shots, tombstones, sources, ends, inline):
-    """(time, callback id) log of one program; inline=False pushes every
-    source tick through the heap."""
+    """(time, callback id) log of one program, the log span (start, end) of
+    each emit that spawned an event into its own run, and whether the run
+    raised SchedulingError; inline=False pushes every source tick through
+    the heap."""
     sim = Simulator(seed=3)
     if not inline:
-        sim.run_ahead = lambda t: False
+        sim.ahead_limit = lambda: -math.inf
     log = []
     handles = []
+    into_own_run = []
 
-    def act(action):
+    def act(action, now):
         if action[0] == "spawn":
-            schedule(sim.now + action[1], ("none",))
+            schedule(now + action[1], ("none",))
         elif action[0] == "cancel" and handles:
             sim.cancel(handles[action[1] % len(handles)])
 
     def fire(eid, action):
         log.append((sim.now, f"shot{eid}"))
-        act(action)
+        act(action, sim.now)
 
     def schedule(t, action):
         handles.append(sim.schedule_at(t, fire, len(handles), action))
@@ -191,21 +248,30 @@ def _run_schedule(shots, tombstones, sources, ends, inline):
         if handles:
             sim.cancel(handles[j % len(handles)])
     for i, (kind, start, step, every, action) in enumerate(sources):
-        def emit(pkt, every=every, action=action):
-            assert pkt.sent_at == sim.now
-            log.append((sim.now, f"{pkt.flow_id}:{pkt.seq}"))
-            if pkt.seq % every == 0:
-                act(action)
+        def emit(run, every=every, action=action):
+            assert sim.now == run.times[-1]  # the clock is at the run's last tick
+            start = len(log)
+            for k, t in enumerate(run.times):
+                seq = run.seq0 + k
+                log.append((t, f"{run.flow_id}:{seq}"))
+                if seq % every == 0:
+                    if (action[0] == "spawn" and len(run.times) > 1
+                            and t + action[1] <= run.times[-1]):
+                        into_own_run.append((start, start + len(run.times)))
+                    act(action, t)
         if kind == "video":  # step quarters per packet
             src = VideoSource(sim, f"v{i}", 4.0, step, emit, start=start, stop=5.5)
         else:
             src = VoipSource(sim, f"a{i}", VoipConfig(packetization_interval=step / 4),
                              sim.rng(f"a{i}"), emit, start=start, stop=5.5)
         src.start()
-    for end in sorted(ends):
-        sim.run_until(end)
-        log.append((sim.now, "end"))
-    return log
+    try:
+        for end in sorted(ends):
+            sim.run_until(end)
+            log.append((sim.now, "end"))
+    except SchedulingError:
+        return log, into_own_run, True
+    return log, into_own_run, False
 
 
 @settings(max_examples=150, deadline=None)
@@ -220,6 +286,23 @@ def _run_schedule(shots, tombstones, sources, ends, inline):
 @example(shots=[(0.5, ("spawn", 0.0))], tombstones=[],
          sources=[("video", 0.25, 1, 2, ("spawn", 0.25)),
                   ("voip", 0.0, 1, 3, ("cancel", 0))], ends=[0.75, 6.0])
+@example(shots=[], tombstones=[], sources=[("video", 0.0, 1, 3, ("spawn", 0.5))],
+         ends=[6.0])  # tick 0.75 opens a run and spawns into it at 1.25
+@example(shots=[], tombstones=[], sources=[("video", 0.0, 1, 3, ("spawn", 0.5))],
+         ends=[1.25, 6.0])  # ... at 1.25, the run's last tick
+@example(shots=[], tombstones=[], sources=[("video", 0.0, 1, 3, ("spawn", 1.0))],
+         ends=[6.0])  # each run's spawn lands after its last tick
 def test_run_ahead_keeps_the_order_of_the_heap(shots, tombstones, sources, ends):
-    assert (_run_schedule(shots, tombstones, sources, ends, inline=True)
-            == _run_schedule(shots, tombstones, sources, ends, inline=False))
+    inline, into_own_run, raised = _run_schedule(shots, tombstones, sources, ends,
+                                                 inline=True)
+    heap, _, heap_raised = _run_schedule(shots, tombstones, sources, ends,
+                                         inline=False)
+    assert not heap_raised
+    # an emit that spawns into its own run breaks the run, and must say so
+    # before anything after that emit runs; up to that emit, the order holds
+    assert raised == bool(into_own_run)
+    if raised:
+        start, end = into_own_run[0]
+        assert len(inline) <= end and inline[:start] == heap[:start]
+    else:
+        assert inline == heap

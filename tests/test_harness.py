@@ -1,9 +1,12 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vhosim
 from vhosim.cli import main
@@ -106,6 +109,30 @@ def test_emit_csv_shape_and_round_trip(tmp_path):
     assert parsed == records
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_count = st.integers(0, 10**9)
+_records = st.builds(
+    MetricsRecord, scheme=st.sampled_from(["hard", "soft"]),
+    application=st.sampled_from(["video", "voip"]), rate_bps=_finite,
+    speed=_finite, seed=st.integers(-2**63, 2**63), sim_time=_finite,
+    handover_count=_count, sent=_count, received=_count, late=_count,
+    lost=_count, loss_rate=_finite, mean_delay=_finite,
+    r_factor=st.none() | _finite, mos=st.none() | _finite,
+    dl_loss_rate=st.none() | _finite, gaps=st.lists(_finite, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_records, max_size=6))
+@example([MetricsRecord("soft", "voip", 64000.0, 1 / 3, 7, 2000 / 3, 10, 3, 2, 0, 1,
+                        1 / 3, 0.1 + 0.2, None, None, None, []),
+          _record(2.0, mos=2 / 3)])
+def test_csv_round_trips_random_records(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "results.csv"
+        emit_csv(records, out)
+        assert parse_csv(out) == records
+
+
 def test_emit_csv_is_byte_stable(tmp_path):
     records = [_record(4, mos=4.1)]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -202,3 +229,42 @@ def test_cli_config_file_with_overrides(tmp_path, capsys):
     code = main(["--config", str(conf), "--speed", "10", "--scheme", "soft"])
     assert code == 0
     assert "soft video speed=10" in capsys.readouterr().out
+
+
+def _cli(args, tmp_path):
+    """Exit code, stdout and stderr of vhosim.cli run in a separate process,
+    so a flag that slips through fails on the timeout instead of running a
+    whole sweep."""
+    src = str(Path(vhosim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "vhosim.cli", *args], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["--rate", "1e6"], "--rate"),  # the default application is VoIP
+    (["--app", "voip", "--rate", "1e6"], "--rate"),
+    (["--sweep", "--app", "video", "--speed", "2"], "--speed"),
+    (["--sweep", "--app", "video", "--scheme", "soft"], "--scheme"),
+    (["--sweep", "--app", "video", "--event-log", "events.log"], "--event-log"),
+])
+def test_cli_rejects_a_flag_the_mode_ignores(tmp_path, args, flag):
+    code, out, err = _cli(args, tmp_path)
+    assert code == 2, err
+    assert err.startswith(f"usage error: {flag}:"), err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--out", "--event-log"])
+def test_cli_rejects_an_unwritable_output_before_the_run(tmp_path, flag):
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = _cli(["--scheme", "soft", "--app", "voip", "--speed", "10",
+                           flag, str(path)], tmp_path)
+    assert code == 2, err
+    assert err.startswith(f"usage error: {flag}: cannot write {path}"), err
+    assert "Traceback" not in err
+    assert out == ""  # nothing ran: a run prints its summary first
+    code, _, err = _cli([flag, str(tmp_path), "--app", "voip", "--speed", "10"],
+                        tmp_path)
+    assert code == 2 and err.startswith(f"usage error: {flag}: {tmp_path} is a directory")

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vhosim.mobility import TractorPath
 
@@ -67,6 +69,23 @@ def test_positions_match_reference_walker(speed):
         got = p.position(t)
         want = reference_position(4.0, 0.0, 196.0, 50.0, 5, speed, t)
         assert math.dist(got, want) < MM, (t, got, want)
+
+
+_coord = st.floats(-500.0, 500.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corners=st.tuples(_coord, _coord, _coord, _coord), rows=st.integers(1, 8),
+       speed=st.floats(0.1, 20.0), t=st.floats(0.0, 5000.0))
+def test_position_matches_reference_walker_on_random_fields(corners, rows, speed, t):
+    x1, y1, x2, y2 = corners
+    p = TractorPath(x1, y1, x2, y2, rows, speed)
+    got = p.position(t)
+    if p.length == 0.0:  # a point field: the walker has no path to walk
+        assert got == (x1, y1)
+        return
+    want = reference_position(x1, y1, x2, y2, rows, speed, t)
+    assert math.dist(got, want) < MM, (got, want)
 
 
 def test_pingpong_retrace_returns_to_start():

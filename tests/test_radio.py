@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vhosim.engine import Simulator
+from vhosim.ipv6 import Packet
 from vhosim.mobility import TractorPath
 from vhosim.radio import (
     AccessPoint,
@@ -14,6 +15,7 @@ from vhosim.radio import (
     fspl_db,
     rx_power_dbm,
 )
+from vhosim.traffic import PacketRun
 
 # Frozen expected received powers, computed from the closed-form free-space
 # path loss 20*log10(d) + 20*log10(f) + 20*log10(4*pi/c).
@@ -64,7 +66,7 @@ class StubIface:
     def listens(self, channel):
         return channel == self.channel
 
-    def position(self):
+    def position(self, t):
         return self.pos
 
     def on_frame(self, frame):
@@ -159,8 +161,8 @@ class PathIface(StubIface):
         self.path = path
         self.max_speed = path.speed
 
-    def position(self):
-        return self.path.position(self.sim.now)
+    def position(self, t):
+        return self.path.position(t)
 
 
 @settings(max_examples=300, deadline=None)
@@ -175,6 +177,40 @@ def test_range_memo_agrees_with_uncached_check(speed, ap_xy, steps):
     t = 0.0
     for dt in steps:
         t += dt
-        sim.run_until(t)
-        assert med.in_range_moving(ap, iface) == med.in_range(ap, iface.position()), \
-            f"t={t} pos={iface.position()}"
+        verdict, until = med.in_range_moving(ap, iface, t)
+        assert verdict == med.in_range(ap, iface.position(t)), \
+            f"t={t} pos={iface.position(t)}"
+        # the verdict is claimed to hold until `until`
+        mid = (t + until) / 2
+        assert until >= t
+        assert med.in_range(ap, iface.position(mid)) == verdict, f"t={t} mid={mid}"
+
+
+class RunAp:
+    """Records what the AP's uplink takes from a run."""
+
+    def __init__(self):
+        self.taken = []
+
+    def __call__(self, pkt, run, hop):
+        self.taken.append((pkt, run.seq0, run.times, hop))
+
+
+def test_uplink_run_splits_at_the_coverage_edge():
+    # 1 m/s along x from the AP: the edge (just under 176.8 m) is crossed
+    # between t = 176.5 and t = 177.0, so the run's last two packets drop
+    sim = Simulator()
+    drops = []
+    med = _medium(sim, drops)
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1, 0x1), med, router=None)
+    ap.uplink_extra_delay = 0.001
+    ap.uplink_run = RunAp()
+    iface = PathIface(sim, TractorPath(0.0, 0.0, 1000.0, 0.0, 1, 1.0))
+    times = [175.0, 175.5, 176.0, 176.5, 177.0, 177.5]
+    run = PacketRun("f", 10, times, 10000)
+    pkt = Packet(None, None, "app", 10320)
+    med.uplink_run(iface, ap, pkt, run)
+    # serialization of the datagram plus MAC overhead, the LAN hop, the extra hop
+    hop = (10320 + 272) / 2e6 + 0.0005 + 0.001
+    assert ap.uplink_run.taken == [(pkt, 10, times[:4], hop)]
+    assert [(r.seq0, r.times) for r in drops] == [(14, times[4:])]

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from vhosim.engine import Simulator
 from vhosim.traffic import (
-    AppPacket,
     FlowStats,
+    PacketRun,
     SeqSet,
     Sink,
     VideoSource,
@@ -76,6 +76,11 @@ def test_loss_rate_requires_traffic():
         packet_loss_rate(FlowStats("f"))
 
 
+def packets(runs: list[PacketRun]) -> list[PacketRun]:
+    """Every packet of the runs, in emission order, as a run of one."""
+    return [run.part(k, k + 1) for run in runs for k in range(len(run.times))]
+
+
 def test_video_source_cadence_and_sizes():
     sim = Simulator()
     out = []
@@ -84,10 +89,13 @@ def test_video_source_cadence_and_sizes():
     src.start()
     sim.run_until(5.99)
     # 10000 bits at 0.5 Mbps: one packet every 20 ms, 50 packets in [5, 5.99]
-    assert len(out) == 50
-    assert [p.sent_at for p in out[:3]] == [5.0, 5.02, 5.04]
-    assert all(p.size_bits == 10000 for p in out)
-    assert [p.seq for p in out] == list(range(50))
+    pkts = packets(out)
+    assert len(pkts) == 50
+    assert [p.times[0] for p in pkts[:3]] == [5.0, 5.02, 5.04]
+    assert all(p.bits == 10000 for p in pkts)
+    assert [p.seq0 for p in pkts] == list(range(50))
+    # the due tick goes alone, the rest run inline as one run
+    assert [len(run.times) for run in out] == [1, 49]
 
 
 def test_video_source_stop_time():
@@ -95,7 +103,7 @@ def test_video_source_stop_time():
     out = []
     VideoSource(sim, "v", 2e6, 10000, out.append, start=0.0, stop=0.1).start()
     sim.run_until(1.0)
-    assert len(out) == 20  # 5 ms interval, [0, 0.1)
+    assert len(packets(out)) == 20  # 5 ms interval, [0, 0.1)
 
 
 def test_voip_packets_carry_spurt_index_and_fixed_size():
@@ -104,12 +112,13 @@ def test_voip_packets_carry_spurt_index_and_fixed_size():
     src = VoipSource(sim, "voip", VoipConfig(), sim.rng("voip"), out.append)
     src.start()
     sim.run_until(60.0)
-    assert all(p.size_bits == 1280 for p in out)  # 64 kbps * 20 ms
-    spurts = sorted({p.spurt for p in out})
+    pkts = packets(out)
+    assert all(p.bits == 1280 for p in pkts)  # 64 kbps * 20 ms
+    spurts = sorted({p.spurt for p in pkts})
     assert spurts == list(range(len(spurts))) and len(spurts) > 10
     # within a spurt, packets are spaced exactly one packetization interval
-    first = [p for p in out if p.spurt == spurts[1]]
-    gaps = {round(b.sent_at - a.sent_at, 9) for a, b in zip(first, first[1:])}
+    first = [p for p in pkts if p.spurt == spurts[1]]
+    gaps = {round(b.times[0] - a.times[0], 9) for a, b in zip(first, first[1:])}
     assert gaps <= {0.02}
 
 
@@ -118,7 +127,7 @@ def test_voip_long_run_talk_fraction():
     out = []
     VoipSource(sim, "voip", VoipConfig(), sim.rng("voip"), out.append).start()
     sim.run_until(2000.0)
-    talk_fraction = len(out) * 0.020 / 2000.0
+    talk_fraction = len(packets(out)) * 0.020 / 2000.0
     # exponential on/off with means 1.0 / 1.35 -> duty cycle 1/2.35
     assert abs(talk_fraction - 1.0 / 2.35) < 0.03
 
@@ -129,7 +138,7 @@ def test_voip_source_reproducible_per_seed():
         out = []
         VoipSource(sim, "voip", VoipConfig(), sim.rng("voip"), out.append).start()
         sim.run_until(50.0)
-        return [(p.seq, p.sent_at) for p in out]
+        return [(p.seq0, p.times[0]) for p in packets(out)]
 
     assert run(3) == run(3)
     assert run(3) != run(4)
@@ -147,26 +156,25 @@ def test_sink_late_classification_uses_first_spurt_budget():
     sink = Sink(stats, "voip", playout_delay=0.005)
     # first spurt establishes the 10 ms floor -> budget 15 ms
     for seq, delay in enumerate((0.012, 0.010, 0.011)):
-        sink.on_receive(AppPacket("voip", seq, 1280, sent_at=0.0, spurt=0), now=delay)
+        sink.on_receive(seq, sent_at=0.0, now=delay, spurt=0)
     assert stats.received == 3 and stats.late == 0
-    assert sink.on_receive(AppPacket("voip", 3, 1280, 2.0, spurt=1), 2.014) == "received"
-    assert sink.on_receive(AppPacket("voip", 4, 1280, 2.02, spurt=1), 2.040) == "late"
+    assert sink.on_receive(3, 2.0, 2.014, spurt=1) == "received"
+    assert sink.on_receive(4, 2.02, 2.040, spurt=1) == "late"
     assert stats.received == 4 and stats.late == 1
 
 
 def test_sink_video_has_no_deadline():
     stats = FlowStats("v")
     sink = Sink(stats, "video")
-    assert sink.on_receive(AppPacket("v", 0, 10000, 0.0), now=9.0) == "received"
+    assert sink.on_receive(0, 0.0, now=9.0) == "received"
     assert stats.late == 0
 
 
 def test_sink_counts_duplicates_once():
     stats = FlowStats("v")
     sink = Sink(stats, "video")
-    pkt = AppPacket("v", 0, 10000, 0.0)
-    assert sink.on_receive(pkt, 0.01) == "received"
-    assert sink.on_receive(pkt, 0.02) == "duplicate"
+    assert sink.on_receive(0, 0.0, 0.01) == "received"
+    assert sink.on_receive(0, 0.0, 0.02) == "duplicate"
     assert stats.received == 1 and sink.duplicates == 1
 
 
@@ -223,8 +231,7 @@ def test_sink_memory_does_not_grow_per_packet(kind):
         before = tracemalloc.get_traced_memory()[0]
         for seq in range(n):
             sent_at = seq * 0.02
-            sink.on_receive(AppPacket("f", seq, 1280, sent_at, spurt=seq // 50),
-                            sent_at + 0.003)
+            sink.on_receive(seq, sent_at, sent_at + 0.003, spurt=seq // 50)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -50,10 +50,10 @@ def record(cfg: ScenarioConfig) -> dict[str, list[tuple[int, str]]]:
     calls: dict[str, list[tuple[int, str]]] = {}
     original = Sink.on_receive
 
-    def on_receive(sink, pkt, now):
-        verdict = original(sink, pkt, now)
-        calls.setdefault(pkt.flow_id, []).append(
-            (pkt.seq, f"{pkt.flow_id} {pkt.seq} {now!r} {verdict}"))
+    def on_receive(sink, seq, sent_at, now, spurt=0):
+        verdict = original(sink, seq, sent_at, now, spurt)
+        flow = sink.stats.flow_id
+        calls.setdefault(flow, []).append((seq, f"{flow} {seq} {now!r} {verdict}"))
         return verdict
 
     Sink.on_receive = on_receive
