@@ -8,6 +8,7 @@ times and therefore performs exactly ten handovers at every speed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -87,6 +88,10 @@ class ScenarioConfig:
         return STANDARD_PATH_METERS / self.speed
 
     def validate(self) -> "ScenarioConfig":
+        for name, (tp, _) in _CONFIG_TYPES.items():
+            value = getattr(self, name)
+            if tp is float and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name}: must be finite, got {value!r}")
         if self.scheme not in ("hard", "soft"):
             raise ConfigError(f"scheme: must be 'hard' or 'soft', got {self.scheme!r}")
         if self.application not in ("video", "voip"):
@@ -100,6 +105,9 @@ class ScenarioConfig:
                 raise ConfigError(f"{name}: must be >= 0, got {getattr(self, name)!r}")
         if self.sim_time is not None and not self.sim_time > 0:
             raise ConfigError(f"sim_time: must be > 0 or auto, got {self.sim_time!r}")
+        if self.expected_handovers is not None and self.expected_handovers < 0:
+            raise ConfigError(f"expected_handovers: must be >= 0 or none, "
+                              f"got {self.expected_handovers!r}")
         # the run ends at sim_time, or after 2000 m of travel when it is auto
         end = self.sim_time_resolved
         key = "sim_time" if self.sim_time is not None else "speed"
@@ -112,6 +120,11 @@ class ScenarioConfig:
         if self.ap_home_channel == self.ap_foreign_channel:
             raise ConfigError("ap_foreign_channel: the two APs must use "
                               "distinct channels")
+        # packets are routed by prefix, so a shared prefix misroutes them
+        for a, b in (("home_prefix", "foreign_prefix"), ("home_prefix", "core_prefix"),
+                     ("foreign_prefix", "core_prefix")):
+            if getattr(self, a) == getattr(self, b):
+                raise ConfigError(f"{b}: must differ from {a}")
         return self
 
 

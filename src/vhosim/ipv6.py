@@ -100,8 +100,6 @@ class InterfaceRecord:
     iface_id: str
     addresses: list[Address] = field(default_factory=list)
     on_link_prefix: Optional[int] = None
-    home_prefix: Optional[int] = None
-    home_address: Optional[Address] = None
 
     def address_for_prefix(self, prefix: int) -> Optional[Address]:
         for a in self.addresses:
@@ -136,11 +134,9 @@ class Ipv6Host:
         self._dad_handles: dict[str, EventHandle] = {}
         self.dad_log: list[tuple[float, str, Address]] = []
 
-    def add_interface(self, iface_id: str, index: int) -> InterfaceRecord:
-        rec = InterfaceRecord(iface_id)
-        self.records[iface_id] = rec
+    def add_interface(self, iface_id: str, index: int) -> None:
+        self.records[iface_id] = InterfaceRecord(iface_id)
         self._iface_index[iface_id] = index
-        return rec
 
     def iid(self, iface_id: str) -> int:
         return derive_iid(self.node_id, self._iface_index[iface_id])
@@ -163,8 +159,6 @@ class Ipv6Host:
             self.ha_address = ra.router
             addr = Address(ra.prefix, self.iid(iface_id), "tentative")
             self.home_address = addr
-            rec.home_prefix = ra.prefix
-            rec.home_address = addr
             rec.addresses.append(addr)
             self.start_dad(iface_id, addr)
             return
@@ -228,17 +222,10 @@ class Ipv6Host:
         removed = self.routes.remove_for_iface(prev_iface)
         rec = self.records.get(prev_iface)
         if rec is not None:
-            rec.addresses = [a for a in rec.addresses
-                             if rec.home_address is not None and a == rec.home_address]
-            # home knowledge follows the node, not the interface
+            # the home address stays on the old interface while no other serves
             serving = self.serving_iface()
-            if rec.home_prefix is not None and serving is not None and serving != prev_iface:
-                new_rec = self.records[serving]
-                new_rec.home_prefix = rec.home_prefix
-                new_rec.home_address = rec.home_address
-                rec.home_prefix = None
-                rec.home_address = None
-                rec.addresses = []
+            keep = self.home_address if serving in (None, prev_iface) else None
+            rec.addresses = [a for a in rec.addresses if a == keep]
         self.sim.trace(self.node_id, "ipv6", "route_cleanup",
                        f"iface={prev_iface} removed={removed}")
         return removed

@@ -1,7 +1,7 @@
 """Link-layer handover controller.
 
 A control-plane-only entity that grants or denies interface association,
-tracks serving/candidate interface records, executes
+tracks which interface serves and which is the candidate, executes
 make-before-break switching and exposes the serving interface to the upper
 layers. It exchanges only beacons, association signaling and notifications;
 it never touches data packets.
@@ -9,32 +9,23 @@ it never touches data packets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .engine import Simulator
 
 
-@dataclass
-class NetworkAttributes:
-    """Per-interface record of the related network, refreshed on each beacon."""
-    iface_id: str
-    ap_id: str
-    last_update: float = 0.0
-
-
 class VhoController:
     """Serving / candidate role machine for multi-interface handover.
 
-    A new network is promoted only once its interface is associated,
-    configured and holds a global address; the old interface is released
-    then. The controller has one behaviour for both schemes: they differ only
-    in the interface list Scenario builds. Soft (make-before-break) gives the
-    node one radio per AP, so the candidate comes up while the serving link
-    still carries traffic. Hard gives it a single radio, which hears the new
-    network only after beacon loss has torn the old link down, so the node
-    has no link until it associates again and no service until the new
-    network is configured.
+    Both roles are interface ids. A beacon on an unassociated interface,
+    with no candidate in flight, makes it the candidate and permits it to
+    associate when nothing serves or its network appears fresh. The candidate
+    is promoted once it is associated, configured and holds a global address;
+    the old interface is released then. Hard and soft differ only in the
+    interface list Scenario builds. Soft (make-before-break) gives the node
+    one radio per AP, so the candidate comes up while the serving link still
+    carries traffic. Hard gives it one radio, which hears the new network
+    only after beacon loss has torn the old link down.
     """
 
     def __init__(self, sim: Simulator, node_id: str = "mn",
@@ -44,9 +35,8 @@ class VhoController:
         self.beacon_interval = beacon_interval
         self.miss_threshold = miss_threshold
 
-        self.serving: Optional[NetworkAttributes] = None
-        self.candidate: Optional[NetworkAttributes] = None
-        self.records: dict[str, NetworkAttributes] = {}
+        self.serving: Optional[str] = None
+        self.candidate: Optional[str] = None
 
         # wiring set by the scenario builder
         self.command_associate: Callable[[str, object], None] = lambda i, ap: None
@@ -54,6 +44,7 @@ class VhoController:
         self.on_promoted: Callable[[str, Optional[str]], None] = lambda i, p: None
 
         self._last_beacon: dict[tuple[str, str], float] = {}  # (iface, ap) -> time
+        self._last_heard: dict[str, float] = {}  # iface -> time of its last beacon
         self._assoc_set: set[str] = set()
         self._confirmed: set[str] = set()
         self._ever_attached = False
@@ -68,7 +59,7 @@ class VhoController:
     # -- queries ------------------------------------------------------------
 
     def serving_interface(self) -> Optional[str]:
-        return self.serving.iface_id if self.serving is not None else None
+        return self.serving
 
     @property
     def handover_count(self) -> int:
@@ -77,50 +68,32 @@ class VhoController:
 
     # -- beacon path ----------------------------------------------------------
 
-    def on_beacon(self, iface_id: str, attrs: NetworkAttributes, ap) -> None:
+    def on_beacon(self, iface_id: str, ap_id: str, ap) -> None:
         self.handled_kinds.add("beacon")
-        attrs.last_update = self.sim.now
-        key = (iface_id, attrs.ap_id)
+        now = self.sim.now
+        key = (iface_id, ap_id)
         previous_seen = self._last_beacon.get(key)
-        self._last_beacon[key] = self.sim.now
-        self.records[iface_id] = attrs
+        self._last_beacon[key] = now
+        self._last_heard[iface_id] = now
 
         if iface_id in self._assoc_set:
-            if self.serving is not None and self.serving.iface_id == iface_id:
-                self.serving = attrs
             return
-
-        fresh_appearance = (previous_seen is None or
-                            self.sim.now - previous_seen >
-                            self.miss_threshold * self.beacon_interval)
         if self.candidate is not None:
-            return  # single in-flight candidate; attributes stored, action deferred
+            return  # single in-flight candidate; action deferred
+        fresh_appearance = (previous_seen is None or
+                            now - previous_seen >
+                            self.miss_threshold * self.beacon_interval)
         if self.serving is not None and not fresh_appearance:
             return
         if iface_id in self._pending_ap:
             return
-        self.candidate = attrs
+        self.candidate = iface_id
         self.sim.trace(self.node_id, "llc", "candidate",
-                       f"iface={iface_id} ap={attrs.ap_id}")
-        verdict = self.request_association(iface_id)
-        if verdict == "permit":
-            self._pending_ap[iface_id] = ap
-            self.command_associate(iface_id, ap)
-        else:
-            self.candidate = None
-
-    def request_association(self, iface_id: str) -> str:
-        """'permit' or 'deny'; a permit lets the interface associate with its AP."""
-        self.handled_kinds.add("assoc_request")
-        cand = self.candidate
-        if cand is None or cand.iface_id != iface_id:
-            return "deny"
-        if self.sim.now - cand.last_update >= self.miss_threshold * self.beacon_interval:
-            self.sim.trace(self.node_id, "llc", "deny", f"iface={iface_id} stale")
-            return "deny"
+                       f"iface={iface_id} ap={ap_id}")
         # a fresh candidate always wins over the serving network
         self.sim.trace(self.node_id, "llc", "permit", f"iface={iface_id}")
-        return "permit"
+        self._pending_ap[iface_id] = ap
+        self.command_associate(iface_id, ap)
 
     # -- association lifecycle -----------------------------------------------
 
@@ -155,14 +128,12 @@ class VhoController:
 
     def on_address_global(self, iface_id: str) -> None:
         self.handled_kinds.add("addr_global")
-        cand = self.candidate
-        if cand is None or cand.iface_id != iface_id:
+        if self.candidate != iface_id:
             self.sim.trace(self.node_id, "llc", "addr_global_ignored", f"iface={iface_id}")
             return
-        prev = self.serving
-        self.serving = cand
+        prev_id = self.serving
+        self.serving = iface_id
         self.candidate = None
-        prev_id = prev.iface_id if prev is not None else None
         self.promotions.append((self.sim.now, iface_id, prev_id))
         self.sim.trace(self.node_id, "llc", "promote",
                        f"iface={iface_id} prev={prev_id}")
@@ -181,8 +152,7 @@ class VhoController:
         self._watchdogs.pop(iface_id, None)
         if iface_id not in self._assoc_set:
             return
-        attrs = self.records.get(iface_id)
-        last = attrs.last_update if attrs is not None else 0.0
+        last = self._last_heard.get(iface_id, 0.0)
         rearm_at = last + (self.miss_threshold + 0.5) * self.beacon_interval
         if rearm_at <= self.sim.now:
             self.on_beacon_loss(iface_id)
@@ -193,12 +163,12 @@ class VhoController:
     def on_beacon_loss(self, iface_id: str) -> None:
         self.handled_kinds.add("beacon_loss")
         self.sim.trace(self.node_id, "llc", "beacon_loss", f"iface={iface_id}")
-        if self.serving is not None and self.serving.iface_id == iface_id:
+        if self.serving == iface_id:
             self.serving = None
             self.command_disassociate(iface_id)
             # soft mode: a candidate mid-handover keeps going; the gap lasts
             # until its promotion
-        elif self.candidate is not None and self.candidate.iface_id == iface_id:
+        elif self.candidate == iface_id:
             self.candidate = None
             self._pending_ap.pop(iface_id, None)
             self.command_disassociate(iface_id)

@@ -44,7 +44,6 @@ class ApConfig:
     x: float
     y: float
     channel: int
-    prefix: int
     tx_power_dbm: float = 0.0
     beacon_interval: float = 0.1
 
@@ -53,7 +52,6 @@ class ApConfig:
 class Frame:
     kind: str  # beacon | assoc_request | assoc_response | disassoc | data
     src: str
-    dst: str
     channel: int
     size_bits: int
     payload: Any = None
@@ -121,9 +119,12 @@ class Medium:
             self.drop_hook(frame.payload)
 
     def broadcast(self, ap: "AccessPoint", frame: Frame) -> None:
-        """Beacon delivery to every interface tuned to the AP's channel and in range."""
+        """Beacons to the interfaces in range, on the AP's channel and not
+        bound to another AP (WirelessInterface.allowed_ap)."""
         delay = frame.size_bits / self.bitrate
         for iface in self.ifaces:
+            if iface.allowed_ap not in (None, ap.cfg.ap_id):
+                continue
             if not iface.listens(frame.channel):
                 continue
             if not self.in_range(ap, iface.position(self.sim.now)):
@@ -218,7 +219,7 @@ class AccessPoint:
         self._ra_tick(0)
 
     def _beacon_tick(self, k: int) -> None:
-        frame = Frame("beacon", self.cfg.ap_id, "*", self.cfg.channel, BEACON_BITS,
+        frame = Frame("beacon", self.cfg.ap_id, self.cfg.channel, BEACON_BITS,
                       payload=self)
         self.medium.broadcast(self, frame)
         self.sim.schedule_at((k + 1) * self.cfg.beacon_interval, self._beacon_tick, k + 1)
@@ -229,8 +230,8 @@ class AccessPoint:
         self.sim.schedule_at((k + 1) * self.ra_interval, self._ra_tick, k + 1)
 
     def send_ra(self, iface) -> None:
-        frame = Frame("data", self.cfg.ap_id, iface.iface_id, self.cfg.channel,
-                      BEACON_BITS, payload=self.router.advertisement())
+        frame = Frame("data", self.cfg.ap_id, self.cfg.channel, BEACON_BITS,
+                      payload=self.router.advertisement())
         self.medium.ap_to_iface(self, iface, frame)
 
     def on_frame(self, frame: Frame) -> None:
@@ -238,8 +239,8 @@ class AccessPoint:
             iface = frame.payload
             self.stations[frame.src] = iface
             self.sim.trace(self.cfg.ap_id, "radio", "assoc", f"station={frame.src}")
-            resp = Frame("assoc_response", self.cfg.ap_id, frame.src,
-                         self.cfg.channel, ASSOC_BITS, payload=self)
+            resp = Frame("assoc_response", self.cfg.ap_id, self.cfg.channel,
+                         ASSOC_BITS, payload=self)
             self.medium.ap_to_iface(self, iface, resp)
             self.send_ra(iface)
         elif frame.kind == "disassoc":
@@ -253,6 +254,6 @@ class AccessPoint:
                 self.medium.drop_hook(pkt)
             return
         for iface in self.stations.values():
-            frame = Frame("data", self.cfg.ap_id, iface.iface_id, self.cfg.channel,
+            frame = Frame("data", self.cfg.ap_id, self.cfg.channel,
                           pkt.size_bits + MAC_OVERHEAD_BITS, payload=pkt)
             self.medium.ap_to_iface(self, iface, frame)

@@ -14,13 +14,13 @@ from typing import Any, Optional
 from .engine import Simulator
 from .ipv6 import (IPV6_HEADER_BITS, Address, Ipv6Host, Packet,
                    RouterAdvertisement, derive_iid)
-from .llc import NetworkAttributes, VhoController
+from .llc import VhoController
 from .mipv6 import BA_BITS, HomeAgentCore, MnBindingManager, decapsulate
 from .mobility import TractorPath
 from .radio import (MAC_OVERHEAD_BITS, AccessPoint, ApConfig, ASSOC_BITS,
                     DISASSOC_BITS, Frame, Medium)
-from .traffic import (AppPacket, FlowStats, PacketRun, Sink, VideoSource,
-                      VoipConfig, VoipSource)
+from .traffic import (FlowStats, PacketRun, Sink, VideoSource, VoipConfig,
+                      VoipSource)
 
 
 class WirelessInterface:
@@ -46,20 +46,20 @@ class WirelessInterface:
             return self.ap is not None and channel == self.ap.cfg.channel
         if self._target is not None:
             return channel == self._target.cfg.channel
-        return True  # unassociated interface scans; the allowed-AP filter is upstream
+        return True  # scanning: Medium.broadcast applies the allowed-AP filter
 
     # -- commands from the controller -----------------------------------------
 
     def begin_association(self, ap: AccessPoint) -> None:
         self._target = ap
-        frame = Frame("assoc_request", self.iface_id, ap.cfg.ap_id,
-                      ap.cfg.channel, ASSOC_BITS, payload=self)
+        frame = Frame("assoc_request", self.iface_id, ap.cfg.channel, ASSOC_BITS,
+                      payload=self)
         self.medium.iface_to_ap(self, ap, frame)
 
     def disassociate(self) -> None:
         if self.ap is not None:
-            frame = Frame("disassoc", self.iface_id, self.ap.cfg.ap_id,
-                          self.ap.cfg.channel, DISASSOC_BITS)
+            frame = Frame("disassoc", self.iface_id, self.ap.cfg.channel,
+                          DISASSOC_BITS)
             self.medium.iface_to_ap(self, self.ap, frame)
         was = self.associated
         self.associated = False
@@ -73,10 +73,7 @@ class WirelessInterface:
     def on_frame(self, frame: Frame) -> None:
         if frame.kind == "beacon":
             ap: AccessPoint = frame.payload
-            if self.allowed_ap is not None and ap.cfg.ap_id != self.allowed_ap:
-                return
-            attrs = NetworkAttributes(self.iface_id, ap.cfg.ap_id)
-            self.mn.llc.on_beacon(self.iface_id, attrs, ap)
+            self.mn.llc.on_beacon(self.iface_id, ap.cfg.ap_id, ap)
         elif frame.kind == "assoc_response":
             if self.associated:
                 return
@@ -99,9 +96,8 @@ class WirelessInterface:
         if not self.associated or self.ap is None:
             self.mn.drop(pkt)
             return
-        frame = Frame("data", self.iface_id, self.ap.cfg.ap_id,
-                      self.ap.cfg.channel, pkt.size_bits + MAC_OVERHEAD_BITS,
-                      payload=pkt)
+        frame = Frame("data", self.iface_id, self.ap.cfg.channel,
+                      pkt.size_bits + MAC_OVERHEAD_BITS, payload=pkt)
         self.medium.iface_to_ap(self, self.ap, frame)
 
 
@@ -191,7 +187,7 @@ class MobileNode:
         self.medium.uplink_run(iface, iface.ap, pkt, run)
 
     def receive_packet(self, pkt: Packet, iface_id: str) -> None:
-        if pkt.kind == "tunnel" or pkt.inner is not None:
+        if pkt.inner is not None:
             inner = self.mip.unwrap_incoming(pkt)
             if inner is None:
                 self.drop(pkt)  # stale CoA or unexpected endpoint
@@ -200,23 +196,21 @@ class MobileNode:
         if pkt.kind == "ba":
             self.mip.on_binding_ack(pkt.payload)
         elif pkt.kind == "app":
-            app = pkt.payload
-            sink = self.sinks.get(app.flow_id)
+            run = pkt.payload  # one tick
+            sink = self.sinks.get(run.flow_id)
             if sink is not None:
-                sink.on_receive(app.seq, app.sent_at, self.sim.now, app.spurt)
+                sink.on_receive(run.seq0, run.times[0], self.sim.now, run.spurt)
 
 
 class HomeAgentNode:
     """Home-network router and MIPv6 home agent with static core forwarding."""
 
     def __init__(self, sim: Simulator, core: HomeAgentCore, home_prefix: int,
-                 foreign_prefix: int, cn_delay: float, foreign_delay: float,
-                 drop_hook):
+                 foreign_prefix: int, foreign_delay: float, drop_hook):
         self.sim = sim
         self.core = core
         self.home_prefix = home_prefix
         self.foreign_prefix = foreign_prefix
-        self.cn_delay = cn_delay
         self.foreign_delay = foreign_delay
         self.drop = drop_hook
         self.home_ap: Optional[AccessPoint] = None
@@ -228,17 +222,14 @@ class HomeAgentNode:
                                    is_home_agent=True)
 
     def handle(self, pkt: Packet) -> None:
-        """Packets that need an event here: binding updates and downlink.
+        """Binding updates, the only packets addressed to the HA, and downlink.
         Uplink app packets for the CN take forward_run instead."""
         if pkt.dst == self.core.address:
-            if pkt.kind == "bu":
-                ba = self.core.process_bu(pkt.payload, self.sim.now)
-                self.sim.trace("ha", "mipv6", "bu_processed",
-                               f"seq={ba.seq} {ba.status}")
-                self.forward(Packet(self.core.address, pkt.src, "ba",
-                                    BA_BITS + IPV6_HEADER_BITS, payload=ba))
-            else:
-                self.drop(pkt)
+            ba = self.core.process_bu(pkt.payload, self.sim.now)
+            self.sim.trace("ha", "mipv6", "bu_processed",
+                           f"seq={ba.seq} {ba.status}")
+            self.forward(Packet(self.core.address, pkt.src, "ba",
+                                BA_BITS + IPV6_HEADER_BITS, payload=ba))
         else:
             self.forward(pkt)
 
@@ -251,7 +242,7 @@ class HomeAgentNode:
         """
         if pkt.dst == self.core.address:
             pkt = decapsulate(pkt)
-        self.cn.arrive(pkt.src, run, hop, self.cn_delay)
+        self.cn.arrive(pkt.src, run, hop)
 
     def forward(self, pkt: Packet) -> None:
         prefix = pkt.dst.prefix
@@ -272,8 +263,7 @@ class ForeignRouterNode:
     """Foreign-network router: downlink only, since the foreign AP sends its
     uplink straight on to the HA (AccessPoint.uplink_handler)."""
 
-    def __init__(self, sim: Simulator, address: Address, prefix: int):
-        self.sim = sim
+    def __init__(self, address: Address, prefix: int):
         self.address = address
         self.prefix = prefix
         self.ap: Optional[AccessPoint] = None
@@ -297,22 +287,22 @@ class CorrespondentNode:
         self.app_received = 0
         self.app_src_matches = 0
         # uplink runs on their way, each a list [HA arrival time of its next
-        # packet, sending order of that packet, its index, run, hop, delay to
-        # here, sink, source is the HoA]; heap order is the order handle
-        # events at the HA would have delivered the packets in
+        # packet, sending order of that packet, its index, run, hop, sink,
+        # source is the HoA]; heap order is the order handle events at the HA
+        # would have delivered the packets in
         self._arrivals: list[list] = []
         self._order = 0
 
-    def arrive(self, src: Address, run: PacketRun, hop: float, delay: float) -> None:
+    def arrive(self, src: Address, run: PacketRun, hop: float) -> None:
         """Queue a run from src whose packet k reaches the HA at
-        times[k] + hop and here delay after that."""
+        times[k] + hop and here link_delay after that."""
         # every packet that reaches the HA before this run's first is in the
         # queue already; commit them so that the queue stays short
         arrivals = self._arrivals
         if arrivals and arrivals[0][0] <= run.times[0]:
             self.commit(run.times[0])
         heapq.heappush(arrivals, [
-            run.times[0] + hop, self._order, 0, run, hop, delay,
+            run.times[0] + hop, self._order, 0, run, hop,
             self.sinks[run.flow_id],
             self.expected_src is not None and src == self.expected_src])
         self._order += len(run.times)
@@ -321,9 +311,10 @@ class CorrespondentNode:
         """Hand the sinks, in order, the queued packets that reach the HA by
         until, each with its arrival time here."""
         arrivals = self._arrivals
+        delay = self.link_delay
         while arrivals and arrivals[0][0] <= until:
             entry = arrivals[0]
-            ha, order, i, run, hop, delay, sink, from_hoa = entry
+            ha, order, i, run, hop, sink, from_hoa = entry
             # this run's packets go first while they precede the next run's
             if len(arrivals) == 1:
                 next_ha, next_order = math.inf, 0
@@ -354,17 +345,17 @@ class CorrespondentNode:
 
     def send_run(self, run: PacketRun, dst: Address) -> None:
         """The downlink: each packet of the run reaches the HA link_delay
-        after its tick, in an event."""
+        after its tick, in an event, as a run of one tick."""
         size = run.bits + IPV6_HEADER_BITS
         for k, t in enumerate(run.times):
-            app = AppPacket(run.flow_id, run.seq0 + k, run.bits, t, run.spurt)
             self.sim.schedule_at(t + self.link_delay, self.ha.handle,
-                                 Packet(self.address, dst, "app", size, payload=app))
+                                 Packet(self.address, dst, "app", size,
+                                        payload=run.part(k, k + 1)))
 
 
-def _innermost_app(pkt: Any) -> Optional[AppPacket | PacketRun]:
+def _innermost_app(pkt: Any) -> Optional[PacketRun]:
     while isinstance(pkt, Packet):
-        if isinstance(pkt.payload, AppPacket):
+        if isinstance(pkt.payload, PacketRun):
             return pkt.payload
         pkt = pkt.inner
     return pkt if isinstance(pkt, PacketRun) else None
@@ -389,19 +380,18 @@ class Scenario:
         cn_addr = Address(cfg.core_prefix, derive_iid("cn", 0))
         self.ha = HomeAgentNode(sim, HomeAgentCore(ha_addr),
                                 cfg.home_prefix, cfg.foreign_prefix,
-                                cfg.cn_link_delay, cfg.foreign_link_delay,
-                                self._on_drop)
-        self.fr = ForeignRouterNode(sim, fr_addr, cfg.foreign_prefix)
+                                cfg.foreign_link_delay, self._on_drop)
+        self.fr = ForeignRouterNode(fr_addr, cfg.foreign_prefix)
         self.cn = CorrespondentNode(sim, cn_addr, self.ha, cfg.cn_link_delay)
         self.ha.foreign_router = self.fr
         self.ha.cn = self.cn
 
         home_ap_cfg = ApConfig("ap-home", cfg.ap_home_x, cfg.ap_home_y,
-                               cfg.ap_home_channel, cfg.home_prefix,
+                               cfg.ap_home_channel,
                                tx_power_dbm=cfg.tx_power_dbm,
                                beacon_interval=cfg.beacon_interval)
         foreign_ap_cfg = ApConfig("ap-foreign", cfg.ap_foreign_x, cfg.ap_foreign_y,
-                                  cfg.ap_foreign_channel, cfg.foreign_prefix,
+                                  cfg.ap_foreign_channel,
                                   tx_power_dbm=cfg.tx_power_dbm,
                                   beacon_interval=cfg.beacon_interval)
         self.ap_home = AccessPoint(sim, home_ap_cfg, self.medium, self.ha,
@@ -475,19 +465,14 @@ class Scenario:
             raise ValueError(f"unknown application {cfg.application!r}")
 
     def _on_drop(self, payload: Any) -> None:
-        """Count and log lost app packets: a packet in an event drops now, a
-        packet of a run at its own tick."""
+        """Count and log lost app packets: a run inside a packet, which
+        travels in an event, drops now; a bare run drops at its own ticks."""
         app = _innermost_app(payload)
         if app is None:
             return
-        stats = self.flows.get(app.flow_id)
-        if stats is None:
-            return
-        if isinstance(app, AppPacket):
-            lost = [(app.seq, self.sim.now)]
-        else:
-            lost = zip(range(app.seq0, app.seq0 + len(app.times)), app.times)
-        for seq, t in lost:
+        stats = self.flows[app.flow_id]
+        times = app.times if payload is app else [self.sim.now] * len(app.times)
+        for seq, t in zip(range(app.seq0, app.seq0 + len(app.times)), times):
             stats.lost += 1
             stats.dropped_seqs.add(seq)
             self.sim.trace("net", "traffic", "drop", f"flow={app.flow_id} seq={seq}",

@@ -10,16 +10,6 @@ from typing import Callable, Optional
 from .engine import SchedulingError, Simulator
 
 
-@dataclass
-class AppPacket:
-    """One packet that travels through engine events (the downlink)."""
-    flow_id: str
-    seq: int
-    size_bits: int
-    sent_at: float
-    spurt: int = 0  # talk-spurt index, VoIP only
-
-
 @dataclass(slots=True)
 class PacketRun:
     """Consecutive packets of one flow, one per source tick: packet k has

@@ -2,15 +2,19 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import vhosim
 from vhosim.cli import main
 from vhosim.harness import (
+    _KEY_ALIASES,
+    _NON_NEGATIVE,
+    _POSITIVE,
     ConfigError,
     MetricsRecord,
     ScenarioConfig,
@@ -46,6 +50,59 @@ def test_load_scenario_round_trip(tmp_path):
     assert cfg.ap_foreign_channel == 11
     assert cfg.sim_time is None
     assert cfg.expected_handovers == 10
+
+
+_DEFAULTS = ScenarioConfig()
+# field -> every key a config file may name it by
+_KEYS = {f.name: [f.name] + [k for k, v in _KEY_ALIASES.items() if v == f.name]
+         for f in fields(ScenarioConfig)}
+
+
+def _values(name):
+    """Values of one field that validate() accepts on their own."""
+    if name == "scheme":
+        return st.sampled_from(["hard", "soft"])
+    if name == "application":
+        return st.sampled_from(["video", "voip"])
+    if name == "sim_time":
+        return st.none() | st.floats(10.5, 1e4)
+    if name == "expected_handovers":
+        return st.none() | st.integers(0, 100)
+    if isinstance(getattr(_DEFAULTS, name), int):
+        return st.integers(1 if name in _POSITIVE else -2**64, 2**64)
+    if name in _POSITIVE:
+        return st.floats(0.05, 100.0)  # 2000 m at 0.05 m/s is within a day
+    if name in _NON_NEGATIVE:
+        return st.floats(0.0, 10.0)  # before the earliest auto end, 20 s
+    return st.floats(-1e4, 1e4)
+
+
+def _line(data, name, value) -> str:
+    if value is None:
+        text = data.draw(st.sampled_from(["auto", "none"]))
+    elif isinstance(value, str):
+        text = value
+    elif isinstance(value, int):
+        text = data.draw(st.sampled_from([str(value), hex(value)]))
+    else:
+        text = repr(value)
+    return f"{data.draw(st.sampled_from(_KEYS[name]))} = {text}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_config_file_round_trips_random_configs(data):
+    names = sorted(data.draw(st.sets(st.sampled_from(sorted(_KEYS)))))
+    cfg = replace(_DEFAULTS, **{n: data.draw(_values(n), label=n) for n in names})
+    try:
+        cfg.validate()
+    except ConfigError:
+        assume(False)  # e.g. both APs drawn on one channel
+    lines = data.draw(st.permutations([_line(data, n, getattr(cfg, n)) for n in names]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.conf"
+        path.write_text("# random config\n" + "\n".join(lines) + "\n")
+        assert load_scenario(path) == cfg
 
 
 def test_sim_time_auto_covers_standard_path():
@@ -208,6 +265,18 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("mobility.speed = 1e-9", "speed"),  # used to run for 2e12 simulated s
     ("sim_time = 3", "sim_time"),  # below traffic_start; used to exit 3
     ("mn.interfaces = 2", "mn.interfaces"),  # no such option
+    # each of these used to run the whole simulation and then exit 3
+    ("mobility.x1 = nan", "field_x1"),
+    ("mobility.y2 = inf", "field_y2"),
+    ("ap.home.x = -inf", "ap_home_x"),
+    ("ap.foreign.y = nan", "ap_foreign_y"),
+    ("radio.tx_power_dbm = inf", "tx_power_dbm"),
+    ("radio.sensitivity_dbm = -inf", "sensitivity_dbm"),
+    ("radio.d_ref = nan", "d_ref"),
+    ("expected_handovers = -1", "expected_handovers"),
+    # used to exit 0 with no binding update sent
+    ("home_prefix = 0x20010DB800020000", "foreign_prefix"),
+    ("core_prefix = 0x20010DB800010000", "core_prefix"),
 ])
 def test_cli_rejects_bad_value_naming_the_key(tmp_path, line, key):
     conf = tmp_path / "bad.conf"

@@ -137,9 +137,19 @@ def test_route_cleanup_after_handover():
     removed = host.update_routes_after_handover("wlan0")
     assert removed == 2  # on-link /64 plus default route
     assert host.routes.lookup(Address(CORE, 7)) == (Address(FOREIGN, 1), "wlan1")
-    # home knowledge migrated to the new serving interface
-    assert host.records["wlan1"].home_address == host.home_address
-    assert host.records["wlan0"].home_address is None
+    # another interface serves: the old one keeps no address, and the home
+    # address stays with the host
+    assert host.records["wlan0"].addresses == []
+    assert host.home_address.scope == "global"
+
+
+def test_home_address_stays_on_the_old_interface_while_none_serves():
+    sim = Simulator()
+    host = make_host(sim, [])
+    host.on_router_advertisement("wlan0", ha_ra())
+    sim.run_until(1.0)
+    host.update_routes_after_handover("wlan0")  # beacon loss: nothing serves
+    assert host.records["wlan0"].addresses == [host.home_address]
 
 
 def test_route_lookup_prefers_on_link_then_default():

@@ -1,7 +1,7 @@
 import pytest
 
 from vhosim.engine import Simulator
-from vhosim.llc import NetworkAttributes, VhoController
+from vhosim.llc import VhoController
 
 
 class Rig:
@@ -16,9 +16,7 @@ class Rig:
         self.llc.on_promoted = lambda i, p: self.commands.append(("promoted", i, p))
 
     def beacon(self, iface, ap_id, ap="AP"):
-        attrs = NetworkAttributes(iface_id=iface, ap_id=ap_id)
-        self.llc.on_beacon(iface, attrs, ap)
-        return attrs
+        self.llc.on_beacon(iface, ap_id, ap)
 
     def attach(self, iface, ap_id):
         """Full beacon -> associate -> confirm -> address-up sequence."""
@@ -31,7 +29,7 @@ class Rig:
 def test_first_beacon_makes_candidate_and_permits():
     rig = Rig()
     rig.beacon("i1", "ap-a")
-    assert rig.llc.candidate.iface_id == "i1"
+    assert rig.llc.candidate == "i1"
     assert rig.commands == [("assoc", "i1", "AP")]
 
 
@@ -104,14 +102,6 @@ def test_duplicate_confirmation_is_noop():
     rig.llc.on_association_confirmed("i1")  # must not raise
 
 
-def test_stale_candidate_is_denied():
-    rig = Rig()
-    rig.beacon("i1", "ap-a")
-    rig.sim.run_until(1.0)  # well past miss_threshold * beacon_interval
-    assert rig.llc.request_association("i1") == "deny"
-    assert rig.llc.request_association("other") == "deny"
-
-
 def test_address_up_on_non_candidate_interface_is_ignored():
     rig = Rig()
     rig.attach("i1", "ap-a")
@@ -123,7 +113,7 @@ def test_single_candidate_at_a_time():
     rig = Rig()
     rig.beacon("i1", "ap-a")
     rig.beacon("i2", "ap-b")  # deferred while i1 is in flight
-    assert rig.llc.candidate.iface_id == "i1"
+    assert rig.llc.candidate == "i1"
     assert [c for c in rig.commands if c[0] == "assoc"] == [("assoc", "i1", "AP")]
 
 
@@ -178,5 +168,5 @@ def test_controller_never_sees_data_plane_kinds():
     rig.attach("i1", "ap-a")
     rig.sim.run_until(5.0)
     assert rig.llc.handled_kinds <= {
-        "beacon", "assoc_request", "assoc_confirmed", "addr_global", "beacon_loss",
+        "beacon", "assoc_confirmed", "addr_global", "beacon_loss",
     }

@@ -57,10 +57,11 @@ def test_doubling_distance_adds_six_db():
 
 
 class StubIface:
-    def __init__(self, iface_id, pos, channel):
+    def __init__(self, iface_id, pos, channel, allowed_ap=None):
         self.iface_id = iface_id
         self.pos = pos
         self.channel = channel
+        self.allowed_ap = allowed_ap
         self.frames = []
 
     def listens(self, channel):
@@ -82,7 +83,7 @@ def test_coverage_edge_at_default_budget():
     # 0 dBm tx, -85 dBm sensitivity, 2.4 GHz: edge is just under 176.8 m
     sim = Simulator()
     med = Medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1, 0x1), med, router=None)
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1), med, router=None)
     assert med.in_range(ap, (176.7, 0.0))
     assert not med.in_range(ap, (176.8, 0.0))
 
@@ -90,26 +91,39 @@ def test_coverage_edge_at_default_budget():
 def test_broadcast_respects_channel_and_range():
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1, 0x1), med, router=None)
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1), med, router=None)
     near = StubIface("near", (50.0, 0.0), 1)
     wrong_channel = StubIface("wrong", (50.0, 0.0), 6)
     far = StubIface("far", (400.0, 0.0), 1)
     for i in (near, wrong_channel, far):
         med.register_iface(i)
-    med.broadcast(ap, Frame("beacon", "ap", "*", 1, 640, payload=ap))
+    med.broadcast(ap, Frame("beacon", "ap", 1, 640, payload=ap))
     sim.run_until(1.0)
     assert len(near.frames) == 1
     assert wrong_channel.frames == [] and far.frames == []
 
 
+def test_broadcast_skips_an_interface_bound_to_another_ap():
+    sim = Simulator()
+    med = _medium(sim)
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1), med, router=None)
+    bound_here = StubIface("here", (50.0, 0.0), 1, allowed_ap="ap")
+    bound_elsewhere = StubIface("elsewhere", (50.0, 0.0), 1, allowed_ap="other")
+    for i in (bound_here, bound_elsewhere):
+        med.register_iface(i)
+    med.broadcast(ap, Frame("beacon", "ap", 1, 640, payload=ap))
+    assert sim.run_until(1.0) == 1  # no event for the other AP's interface
+    assert len(bound_here.frames) == 1 and bound_elsewhere.frames == []
+
+
 def test_serialization_delay_at_two_megabits():
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1, 0x1), med, router=None)
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1), med, router=None)
     iface = StubIface("i", (10.0, 0.0), 1)
     seen_at = []
     iface.on_frame = lambda frame: seen_at.append(sim.now)
-    med.ap_to_iface(ap, iface, Frame("data", "ap", "i", 1, 2000))
+    med.ap_to_iface(ap, iface, Frame("data", "ap", 1, 2000))
     sim.run_until(1.0)
     assert seen_at == [2000 / 2e6]  # 1 ms
 
@@ -118,9 +132,9 @@ def test_uplink_out_of_range_drops_payload():
     sim = Simulator()
     drops = []
     med = _medium(sim, drops)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1, 0x1), med, router=None)
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1), med, router=None)
     iface = StubIface("i", (500.0, 0.0), 1)
-    med.iface_to_ap(iface, ap, Frame("data", "i", "ap", 1, 1000, payload="pkt"))
+    med.iface_to_ap(iface, ap, Frame("data", "i", 1, 1000, payload="pkt"))
     sim.run_until(1.0)
     assert drops == ["pkt"]
 
@@ -129,9 +143,9 @@ def test_uplink_cross_channel_drops_payload():
     sim = Simulator()
     drops = []
     med = _medium(sim, drops)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 6, 0x1), med, router=None)
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 6), med, router=None)
     iface = StubIface("i", (10.0, 0.0), 1)
-    med.iface_to_ap(iface, ap, Frame("data", "i", "ap", 1, 1000, payload="pkt"))
+    med.iface_to_ap(iface, ap, Frame("data", "i", 1, 1000, payload="pkt"))
     sim.run_until(1.0)
     assert drops == ["pkt"]
 
@@ -139,7 +153,7 @@ def test_uplink_cross_channel_drops_payload():
 def test_beacons_fire_on_strict_schedule():
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1, 0x1, beacon_interval=0.1),
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1, beacon_interval=0.1),
                      med, router=None)
     iface = StubIface("i", (10.0, 0.0), 1)
     med.register_iface(iface)
@@ -172,7 +186,7 @@ class PathIface(StubIface):
 def test_range_memo_agrees_with_uncached_check(speed, ap_xy, steps):
     sim = Simulator()
     med = Medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1], 1, 0x1), med, router=None)
+    ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1], 1), med, router=None)
     iface = PathIface(sim, TractorPath(4.0, 0.0, 196.0, 50.0, 5, speed))
     t = 0.0
     for dt in steps:
@@ -202,7 +216,7 @@ def test_uplink_run_splits_at_the_coverage_edge():
     sim = Simulator()
     drops = []
     med = _medium(sim, drops)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1, 0x1), med, router=None)
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1), med, router=None)
     ap.uplink_extra_delay = 0.001
     ap.uplink_run = RunAp()
     iface = PathIface(sim, TractorPath(0.0, 0.0, 1000.0, 0.0, 1, 1.0))

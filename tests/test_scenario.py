@@ -77,8 +77,7 @@ def test_no_duplicate_deliveries(soft_voip, hard_video):
 def test_controller_stays_out_of_the_data_plane(soft_voip, hard_video):
     for result in (soft_voip, hard_video):
         kinds = result.scenario.mn.llc.handled_kinds
-        assert kinds <= {"beacon", "assoc_request", "assoc_confirmed",
-                         "addr_global", "beacon_loss"}
+        assert kinds <= {"beacon", "assoc_confirmed", "addr_global", "beacon_loss"}
 
 
 @settings(max_examples=20, deadline=None)
