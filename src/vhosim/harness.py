@@ -14,11 +14,13 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, get_args, get_origin, get_type_hints
 
+from .radio import Medium
 from .scenario import Scenario
 from .traffic import compute_mos, packet_loss_rate
 
 STANDARD_PATH_METERS = 2000.0
 MAX_SIM_TIME = 86_400.0  # one simulated day; bounds the run of any valid config
+MAX_TICKS = 5e7  # of each periodic process per run; a day of 2 Mb/s video is 17.3 M
 
 
 class ConfigError(Exception):
@@ -103,6 +105,14 @@ class ScenarioConfig:
         for name in _NON_NEGATIVE:
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name}: must be >= 0, got {getattr(self, name)!r}")
+        try:
+            radius2 = Medium(None, self.frequency_hz, self.sensitivity_dbm,
+                             d_ref=self.d_ref).coverage_radius2(self.tx_power_dbm)
+        except OverflowError:
+            radius2 = math.inf
+        if not math.isfinite(radius2):
+            raise ConfigError("tx_power_dbm: the budget over sensitivity_dbm at "
+                              "frequency_hz gives no finite coverage radius")
         if self.sim_time is not None and not self.sim_time > 0:
             raise ConfigError(f"sim_time: must be > 0 or auto, got {self.sim_time!r}")
         if self.expected_handovers is not None and self.expected_handovers < 0:
@@ -117,6 +127,15 @@ class ScenarioConfig:
         if not end > self.traffic_start:
             raise ConfigError(f"{key}: the run would end at {end!r} s, not after "
                               f"traffic_start = {self.traffic_start!r} s")
+        for period_key, period in (
+                ("beacon_interval", self.beacon_interval),
+                ("ra_interval", self.ra_interval),
+                ("voip_packetization", self.voip_packetization),
+                ("video_packet_bits / video_rate_bps",
+                 self.video_packet_bits / self.video_rate_bps)):
+            if not end / period <= MAX_TICKS:
+                raise ConfigError(f"{period_key}: {end / period:.3g} ticks of its "
+                                  f"period in a run, more than {MAX_TICKS:g}")
         if self.ap_home_channel == self.ap_foreign_channel:
             raise ConfigError("ap_foreign_channel: the two APs must use "
                               "distinct channels")
@@ -128,9 +147,9 @@ class ScenarioConfig:
         return self
 
 
-# a zero rate, size or period divides by zero or never advances the clock, a
-# zero miss threshold denies every candidate as stale, and a negative delay
-# would schedule into the past
+# a zero rate, size or period divides by zero or never advances the clock; a
+# zero miss threshold sets a watchdog window of half a beacon interval, which
+# loses every link between two beacons; a negative delay schedules into the past
 _POSITIVE = ("speed", "video_rate_bps", "video_packet_bits", "voip_packetization",
              "voip_playout", "voip_spurt_mean", "voip_silence_mean",
              "voip_codec_rate", "row_count", "beacon_interval", "frequency_hz",

@@ -97,7 +97,6 @@ class RoutingTable:
 
 @dataclass
 class InterfaceRecord:
-    iface_id: str
     addresses: list[Address] = field(default_factory=list)
     on_link_prefix: Optional[int] = None
 
@@ -118,16 +117,13 @@ class Ipv6Host:
 
     def __init__(self, sim: Simulator, node_id: str,
                  on_address_global: Callable[[str], None],
-                 dad_duration: float = 1.0,
-                 serving_iface: Optional[Callable[[], Optional[str]]] = None):
+                 dad_duration: float = 1.0):
         self.sim = sim
         self.node_id = node_id
         self.dad_duration = dad_duration
         self.notify_global = on_address_global
-        self.serving_iface = serving_iface or (lambda: None)
         self.records: dict[str, InterfaceRecord] = {}
         self.routes = RoutingTable()
-        self.home_prefix: Optional[int] = None
         self.home_address: Optional[Address] = None
         self.ha_address: Optional[Address] = None
         self._iface_index: dict[str, int] = {}
@@ -135,7 +131,7 @@ class Ipv6Host:
         self.dad_log: list[tuple[float, str, Address]] = []
 
     def add_interface(self, iface_id: str, index: int) -> None:
-        self.records[iface_id] = InterfaceRecord(iface_id)
+        self.records[iface_id] = InterfaceRecord()
         self._iface_index[iface_id] = index
 
     def iid(self, iface_id: str) -> int:
@@ -143,19 +139,15 @@ class Ipv6Host:
 
     # -- neighbor discovery --------------------------------------------------
 
-    def on_router_advertisement(self, iface_id: str, ra: RouterAdvertisement,
-                                link_up: bool = True) -> None:
-        if not link_up:
-            return
+    def on_router_advertisement(self, iface_id: str, ra: RouterAdvertisement) -> None:
         rec = self.records[iface_id]
         rec.on_link_prefix = ra.prefix
         self.routes.add(ra.prefix, ra.router, iface_id)
         self.routes.add(None, ra.router, iface_id)
         self.sim.trace(self.node_id, "ipv6", "ra", f"iface={iface_id} prefix={ra.prefix:#x}")
 
-        if ra.is_home_agent and self.home_prefix is None:
+        if ra.is_home_agent and self.home_address is None:
             # first home RA: learn home network and form the home address (tentative)
-            self.home_prefix = ra.prefix
             self.ha_address = ra.router
             addr = Address(ra.prefix, self.iid(iface_id), "tentative")
             self.home_address = addr
@@ -208,26 +200,21 @@ class Ipv6Host:
         self.sim.trace(self.node_id, "ipv6", "dad_done", f"iface={iface_id} addr={addr}")
         self.notify_global(iface_id)
 
-    def on_interface_down(self, iface_id: str) -> None:
-        """Link loss or disassociation: cancel DAD, drop tentative addresses."""
+    # -- interface release -------------------------------------------------------
+
+    def release_interface(self, iface_id: str, serving: Optional[str]) -> int:
+        """Link loss or disassociation: cancel DAD and drop the interface's
+        routes and addresses. The global home address stays on it while no
+        other interface serves."""
         handle = self._dad_handles.pop(iface_id, None)
         if handle is not None:
             self.sim.cancel(handle)
+        removed = self.routes.remove_for_iface(iface_id)
+        keep = self.home_address if serving in (None, iface_id) else None
         rec = self.records[iface_id]
-        rec.addresses = [a for a in rec.addresses if a.scope == "global"]
-
-    # -- handover cleanup --------------------------------------------------------
-
-    def update_routes_after_handover(self, prev_iface: str) -> int:
-        removed = self.routes.remove_for_iface(prev_iface)
-        rec = self.records.get(prev_iface)
-        if rec is not None:
-            # the home address stays on the old interface while no other serves
-            serving = self.serving_iface()
-            keep = self.home_address if serving in (None, prev_iface) else None
-            rec.addresses = [a for a in rec.addresses if a == keep]
+        rec.addresses = [a for a in rec.addresses if a == keep and a.scope == "global"]
         self.sim.trace(self.node_id, "ipv6", "route_cleanup",
-                       f"iface={prev_iface} removed={removed}")
+                       f"iface={iface_id} removed={removed}")
         return removed
 
     # -- forwarding helpers --------------------------------------------------------

@@ -45,21 +45,14 @@ class VhoController:
 
         self._last_beacon: dict[tuple[str, str], float] = {}  # (iface, ap) -> time
         self._last_heard: dict[str, float] = {}  # iface -> time of its last beacon
-        self._assoc_set: set[str] = set()
-        self._confirmed: set[str] = set()
-        self._ever_attached = False
+        self._associated: set[str] = set()
         self._gap_open: Optional[float] = None
-        self._pending_ap: dict[str, object] = {}
         self._watchdogs: dict[str, object] = {}
 
         self.promotions: list[tuple[float, str, Optional[str]]] = []
         self.gap_intervals: list[tuple[float, float]] = []
-        self.handled_kinds: set[str] = set()
 
     # -- queries ------------------------------------------------------------
-
-    def serving_interface(self) -> Optional[str]:
-        return self.serving
 
     @property
     def handover_count(self) -> int:
@@ -69,14 +62,13 @@ class VhoController:
     # -- beacon path ----------------------------------------------------------
 
     def on_beacon(self, iface_id: str, ap_id: str, ap) -> None:
-        self.handled_kinds.add("beacon")
         now = self.sim.now
         key = (iface_id, ap_id)
         previous_seen = self._last_beacon.get(key)
         self._last_beacon[key] = now
         self._last_heard[iface_id] = now
 
-        if iface_id in self._assoc_set:
+        if iface_id in self._associated:
             return
         if self.candidate is not None:
             return  # single in-flight candidate; action deferred
@@ -85,49 +77,39 @@ class VhoController:
                             self.miss_threshold * self.beacon_interval)
         if self.serving is not None and not fresh_appearance:
             return
-        if iface_id in self._pending_ap:
-            return
         self.candidate = iface_id
         self.sim.trace(self.node_id, "llc", "candidate",
                        f"iface={iface_id} ap={ap_id}")
         # a fresh candidate always wins over the serving network
         self.sim.trace(self.node_id, "llc", "permit", f"iface={iface_id}")
-        self._pending_ap[iface_id] = ap
         self.command_associate(iface_id, ap)
 
     # -- association lifecycle -----------------------------------------------
 
-    def on_link_up(self, iface_id: str) -> None:
-        if not self._assoc_set and self._gap_open is not None:
+    def on_association_confirmed(self, iface_id: str) -> None:
+        if iface_id != self.candidate:
+            raise RuntimeError(f"association confirmed without permit on {iface_id}")
+        if iface_id in self._associated:
+            raise RuntimeError(f"association confirmed twice on {iface_id}")
+        if not self._associated and self._gap_open is not None:
             self.gap_intervals.append((self._gap_open, self.sim.now))
             self._gap_open = None
-        self._assoc_set.add(iface_id)
-        self._ever_attached = True
-
-    def on_link_down(self, iface_id: str) -> None:
-        self._assoc_set.discard(iface_id)
-        self._confirmed.discard(iface_id)
-        if not self._assoc_set and self._ever_attached and self._gap_open is None:
-            self._gap_open = self.sim.now
-        handle = self._watchdogs.pop(iface_id, None)
-        if handle is not None:
-            self.sim.cancel(handle)
-
-    def on_association_confirmed(self, iface_id: str) -> None:
-        self.handled_kinds.add("assoc_confirmed")
-        if iface_id in self._confirmed:
-            return  # duplicate confirmation is a no-op
-        if iface_id not in self._pending_ap:
-            raise RuntimeError(f"association confirmed without permit on {iface_id}")
-        self._confirmed.add(iface_id)
-        self._pending_ap.pop(iface_id, None)
+        self._associated.add(iface_id)
         self.sim.trace(self.node_id, "llc", "assoc_confirmed", f"iface={iface_id}")
         self._arm_watchdog(iface_id)
         # network-layer configuration proceeds when the first RA arrives;
         # serving traffic, if any, continues untouched on the old interface
 
+    def on_link_down(self, iface_id: str) -> None:
+        """The interface lost its association; it was confirmed before."""
+        self._associated.discard(iface_id)
+        if not self._associated and self._gap_open is None:
+            self._gap_open = self.sim.now
+        handle = self._watchdogs.pop(iface_id, None)
+        if handle is not None:
+            self.sim.cancel(handle)
+
     def on_address_global(self, iface_id: str) -> None:
-        self.handled_kinds.add("addr_global")
         if self.candidate != iface_id:
             self.sim.trace(self.node_id, "llc", "addr_global_ignored", f"iface={iface_id}")
             return
@@ -150,8 +132,6 @@ class VhoController:
 
     def _watchdog_check(self, iface_id: str) -> None:
         self._watchdogs.pop(iface_id, None)
-        if iface_id not in self._assoc_set:
-            return
         last = self._last_heard.get(iface_id, 0.0)
         rearm_at = last + (self.miss_threshold + 0.5) * self.beacon_interval
         if rearm_at <= self.sim.now:
@@ -161,7 +141,6 @@ class VhoController:
                 rearm_at, self._watchdog_check, iface_id)
 
     def on_beacon_loss(self, iface_id: str) -> None:
-        self.handled_kinds.add("beacon_loss")
         self.sim.trace(self.node_id, "llc", "beacon_loss", f"iface={iface_id}")
         if self.serving == iface_id:
             self.serving = None
@@ -170,7 +149,6 @@ class VhoController:
             # until its promotion
         elif self.candidate == iface_id:
             self.candidate = None
-            self._pending_ap.pop(iface_id, None)
             self.command_disassociate(iface_id)
         # released / idle interfaces: nothing to do
 

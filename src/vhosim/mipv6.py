@@ -94,9 +94,6 @@ class HomeAgentCore:
         self.address = address
         self.cache = BindingCache()
 
-    def process_bu(self, bu: BindingUpdate, now: float) -> BindingAck:
-        return self.cache.process(bu, now)
-
     def intercept(self, pkt: Packet, now: float) -> tuple[str, Packet]:
         """Route a packet addressed into the home prefix.
 
@@ -133,22 +130,18 @@ class MnBindingManager:
     # -- state queries -------------------------------------------------------
 
     def current_coa(self) -> Optional[Address]:
-        iface = self.llc.serving_interface()
+        iface = self.llc.serving
         return None if iface is None else self.host.global_address(iface)
-
-    def at_home(self) -> bool:
-        coa = self.current_coa()
-        return (coa is not None and self.host.home_prefix is not None
-                and coa.prefix == self.host.home_prefix)
 
     # -- registration ----------------------------------------------------------
 
     def on_serving_changed(self) -> None:
         """Called after a promotion; registers or deregisters as needed."""
         coa = self.current_coa()
-        if coa is None or self.host.home_prefix is None or self.host.ha_address is None:
+        hoa = self.host.home_address
+        if coa is None or hoa is None or self.host.ha_address is None:
             return  # deferred until the next promotion provides an address
-        if coa.prefix == self.host.home_prefix:
+        if coa.prefix == hoa.prefix:
             if self.binding_active or self._awaiting is not None:
                 self._send_bu(coa, 0.0)
         else:
@@ -193,7 +186,7 @@ class MnBindingManager:
     def _refresh_binding(self) -> None:
         self._refresh = None
         coa = self.current_coa()
-        if self.binding_active and coa is not None and not self.at_home():
+        if self.binding_active and coa is not None:
             self._send_bu(coa, self.lifetime)
 
     def _cancel_timers(self) -> None:
@@ -211,14 +204,12 @@ class MnBindingManager:
         coa = self.current_coa()
         if coa is None:
             return None
-        if coa.prefix == self.host.home_prefix:
+        if coa.prefix == self.host.home_address.prefix:
             return inner
         return encapsulate(inner, coa, self.host.ha_address)
 
     def unwrap_incoming(self, pkt: Packet) -> Optional[Packet]:
         """Decapsulate an HA tunnel addressed to one of our current addresses."""
-        if pkt.inner is None:
-            raise TunnelError("packet carries no inner datagram")
         coa = self.current_coa()
         if coa is None or pkt.dst != coa or pkt.src != self.host.ha_address:
             return None  # stale CoA or unexpected tunnel endpoint

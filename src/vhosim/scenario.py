@@ -33,8 +33,7 @@ class WirelessInterface:
         self.medium = medium
         self.allowed_ap = allowed_ap  # ap_id this interface may associate with
         self.max_speed = mn.path.speed  # bound used by the medium's range memo
-        self.associated = False
-        self.ap: Optional[AccessPoint] = None
+        self.ap: Optional[AccessPoint] = None  # set while associated
         self._target: Optional[AccessPoint] = None
         medium.register_iface(self)
 
@@ -42,8 +41,8 @@ class WirelessInterface:
         return self.mn.position(t)
 
     def listens(self, channel: int) -> bool:
-        if self.associated:
-            return self.ap is not None and channel == self.ap.cfg.channel
+        if self.ap is not None:
+            return channel == self.ap.cfg.channel
         if self._target is not None:
             return channel == self._target.cfg.channel
         return True  # scanning: Medium.broadcast applies the allowed-AP filter
@@ -57,16 +56,14 @@ class WirelessInterface:
         self.medium.iface_to_ap(self, ap, frame)
 
     def disassociate(self) -> None:
-        if self.ap is not None:
-            frame = Frame("disassoc", self.iface_id, self.ap.cfg.channel,
-                          DISASSOC_BITS)
-            self.medium.iface_to_ap(self, self.ap, frame)
-        was = self.associated
-        self.associated = False
-        self.ap = None
         self._target = None
-        if was:
-            self.mn.on_iface_down(self.iface_id)
+        if self.ap is None:
+            return
+        frame = Frame("disassoc", self.iface_id, self.ap.cfg.channel,
+                      DISASSOC_BITS)
+        self.medium.iface_to_ap(self, self.ap, frame)
+        self.ap = None
+        self.mn.llc.on_link_down(self.iface_id)
 
     # -- radio receive path -------------------------------------------------------
 
@@ -75,30 +72,18 @@ class WirelessInterface:
             ap: AccessPoint = frame.payload
             self.mn.llc.on_beacon(self.iface_id, ap.cfg.ap_id, ap)
         elif frame.kind == "assoc_response":
-            if self.associated:
+            if self.ap is not None:
                 return
-            self.associated = True
             self.ap = frame.payload
             self._target = None
-            self.mn.on_iface_up(self.iface_id)
-        elif frame.kind == "data":
-            if isinstance(frame.payload, RouterAdvertisement):
-                self.mn.host.on_router_advertisement(self.iface_id, frame.payload,
-                                                     link_up=self.associated)
-            elif not self.associated:
-                self.mn.drop(frame.payload)  # frame landed after disassociation
-            else:
-                self.mn.receive_packet(frame.payload, self.iface_id)
-
-    # -- radio transmit path ---------------------------------------------------------
-
-    def send_packet(self, pkt: Packet) -> None:
-        if not self.associated or self.ap is None:
-            self.mn.drop(pkt)
-            return
-        frame = Frame("data", self.iface_id, self.ap.cfg.channel,
-                      pkt.size_bits + MAC_OVERHEAD_BITS, payload=pkt)
-        self.medium.iface_to_ap(self, self.ap, frame)
+            self.mn.llc.on_association_confirmed(self.iface_id)
+        elif self.ap is None:  # data that landed after disassociation
+            if not isinstance(frame.payload, RouterAdvertisement):
+                self.mn.drop(frame.payload)
+        elif isinstance(frame.payload, RouterAdvertisement):
+            self.mn.host.on_router_advertisement(self.iface_id, frame.payload)
+        else:
+            self.mn.receive_packet(frame.payload, self.iface_id)
 
 
 class MobileNode:
@@ -116,8 +101,7 @@ class MobileNode:
                                  beacon_interval=beacon_interval,
                                  miss_threshold=miss_threshold)
         self.host = Ipv6Host(sim, node_id, self.llc.on_address_global,
-                             dad_duration=dad_duration,
-                             serving_iface=self.llc.serving_interface)
+                             dad_duration=dad_duration)
         self.mip = MnBindingManager(sim, self.host, self.llc, self.send_routed,
                                     node_id=node_id)
         self.ifaces: dict[str, WirelessInterface] = {}
@@ -128,7 +112,7 @@ class MobileNode:
 
         self.llc.command_associate = lambda i, ap: self.ifaces[i].begin_association(ap)
         self.llc.command_disassociate = self._teardown_iface
-        self.llc.on_promoted = self._on_promoted
+        self.llc.on_promoted = lambda i, p: self.mip.on_serving_changed()
 
     def position(self, t: float) -> tuple[float, float]:
         return self.path.position(t)
@@ -137,30 +121,27 @@ class MobileNode:
 
     def _teardown_iface(self, iface_id: str) -> None:
         self.ifaces[iface_id].disassociate()
-        self.host.on_interface_down(iface_id)
-        self.host.update_routes_after_handover(iface_id)
-
-    def _on_promoted(self, iface_id: str, prev_iface: Optional[str]) -> None:
-        if prev_iface is not None:
-            self.host.update_routes_after_handover(prev_iface)
-        self.mip.on_serving_changed()
-
-    def on_iface_up(self, iface_id: str) -> None:
-        self.llc.on_link_up(iface_id)
-        self.llc.on_association_confirmed(iface_id)
-
-    def on_iface_down(self, iface_id: str) -> None:
-        self.llc.on_link_down(iface_id)
+        self.host.release_interface(iface_id, self.llc.serving)
 
     # -- data plane ----------------------------------------------------------------
 
+    def _uplink_iface(self, dst: Address) -> Optional[WirelessInterface]:
+        """The interface that serves, routes to dst and is associated, if any."""
+        iface_id = self.llc.serving
+        if iface_id is None or self.host.routes.lookup(dst, iface_id) is None:
+            return None
+        iface = self.ifaces[iface_id]
+        return iface if iface.ap is not None else None
+
     def send_routed(self, pkt: Packet) -> None:
         """Emit through the serving interface; unroutable packets drop and count."""
-        iface_id = self.llc.serving_interface()
-        if iface_id is None or self.host.routes.lookup(pkt.dst, iface_id) is None:
+        iface = self._uplink_iface(pkt.dst)
+        if iface is None:
             self.drop(pkt)
             return
-        self.ifaces[iface_id].send_packet(pkt)
+        frame = Frame("data", iface.iface_id, iface.ap.cfg.channel,
+                      pkt.size_bits + MAC_OVERHEAD_BITS, payload=pkt)
+        self.medium.iface_to_ap(iface, iface.ap, frame)
 
     def send_run(self, run: PacketRun, dst: Address) -> None:
         """The uplink: send a run of app packets to dst.
@@ -175,13 +156,8 @@ class MobileNode:
             return
         pkt = self.mip.wrap_outgoing(Packet(hoa, dst, "app",
                                             run.bits + IPV6_HEADER_BITS))
-        iface_id = self.llc.serving_interface()
-        if (pkt is None or iface_id is None
-                or self.host.routes.lookup(pkt.dst, iface_id) is None):
-            self.drop(run)
-            return
-        iface = self.ifaces[iface_id]
-        if not iface.associated or iface.ap is None:
+        iface = None if pkt is None else self._uplink_iface(pkt.dst)
+        if iface is None:
             self.drop(run)
             return
         self.medium.uplink_run(iface, iface.ap, pkt, run)
@@ -225,7 +201,7 @@ class HomeAgentNode:
         """Binding updates, the only packets addressed to the HA, and downlink.
         Uplink app packets for the CN take forward_run instead."""
         if pkt.dst == self.core.address:
-            ba = self.core.process_bu(pkt.payload, self.sim.now)
+            ba = self.core.cache.process(pkt.payload, self.sim.now)
             self.sim.trace("ha", "mipv6", "bu_processed",
                            f"seq={ba.seq} {ba.status}")
             self.forward(Packet(self.core.address, pkt.src, "ba",

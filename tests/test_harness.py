@@ -15,6 +15,7 @@ from vhosim.harness import (
     _KEY_ALIASES,
     _NON_NEGATIVE,
     _POSITIVE,
+    MAX_SIM_TIME,
     ConfigError,
     MetricsRecord,
     ScenarioConfig,
@@ -138,6 +139,12 @@ def test_validation_rejects_bad_enums():
         ScenarioConfig(application="ftp").validate()
     with pytest.raises(ConfigError, match="speed"):
         ScenarioConfig(speed=0.0).validate()
+
+
+def test_tick_bound_admits_a_one_day_2mbps_video_run():
+    # 17.3 M packets: the bound leaves room for the longest, densest video run
+    ScenarioConfig(application="video", video_rate_bps=2e6,
+                   sim_time=MAX_SIM_TIME).validate()
 
 
 def test_shared_channel_rejected():
@@ -277,6 +284,17 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     # used to exit 0 with no binding update sent
     ("home_prefix = 0x20010DB800020000", "foreign_prefix"),
     ("core_prefix = 0x20010DB800010000", "core_prefix"),
+    # a budget whose coverage radius overflows used to exit 1 with a traceback
+    ("radio.tx_power_dbm = 1e4", "tx_power_dbm"),
+    ("radio.tx_power_dbm = 7000", "tx_power_dbm"),
+    ("radio.sensitivity_dbm = -1e4", "tx_power_dbm"),
+    ("radio.frequency_hz = 1e-300", "tx_power_dbm"),
+    # a period this short used to run for hours
+    ("radio.beacon_interval = 1e-6", "beacon_interval"),
+    ("ipv6.ra_interval = 1e-6", "ra_interval"),
+    ("voip.packetization_interval = 1e-7", "voip_packetization"),
+    ("video.rate_bps = 1e13", "video_rate_bps"),
+    ("video.packet_bits = 1", "video_packet_bits"),  # 1e9 packets in 2000 s
 ])
 def test_cli_rejects_bad_value_naming_the_key(tmp_path, line, key):
     conf = tmp_path / "bad.conf"

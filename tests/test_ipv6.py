@@ -49,7 +49,7 @@ def test_home_ra_forms_tentative_home_address_and_starts_dad():
     host = make_host(sim, notes)
     sim.run_until(2.0)
     host.on_router_advertisement("wlan0", ha_ra())
-    assert host.home_prefix == HOME
+    assert host.home_address.prefix == HOME
     assert host.home_address.scope == "tentative"
     assert host.global_address("wlan0") is None
     assert notes == []
@@ -89,22 +89,13 @@ def test_repeated_ra_does_not_restart_dad_or_duplicate_address():
     assert notes == ["wlan1"]  # exactly one DAD completion
 
 
-def test_ra_on_downed_link_is_ignored():
-    sim = Simulator()
-    notes = []
-    host = make_host(sim, notes)
-    host.on_router_advertisement("wlan1", fr_ra(), link_up=False)
-    assert host.records["wlan1"].on_link_prefix is None
-    assert host.routes.entries == []
-
-
 def test_interface_down_cancels_dad_and_drops_tentative():
     sim = Simulator()
     notes = []
     host = make_host(sim, notes)
     host.on_router_advertisement("wlan1", fr_ra())
     sim.run_until(0.5)
-    host.on_interface_down("wlan1")
+    host.release_interface("wlan1", None)
     sim.run_until(5.0)
     assert notes == []
     assert host.records["wlan1"].addresses == []
@@ -114,7 +105,6 @@ def test_returning_to_known_prefix_skips_dad():
     sim = Simulator()
     notes = []
     host = make_host(sim, notes)
-    host.serving_iface = lambda: "wlan0"
     host.on_router_advertisement("wlan0", ha_ra())
     sim.run_until(1.0)
     assert notes == ["wlan0"]
@@ -129,12 +119,11 @@ def test_route_cleanup_after_handover():
     sim = Simulator()
     notes = []
     host = make_host(sim, notes)
-    host.serving_iface = lambda: "wlan1"
     host.on_router_advertisement("wlan0", ha_ra())
     sim.run_until(1.0)
     host.on_router_advertisement("wlan1", fr_ra())
     sim.run_until(2.0)
-    removed = host.update_routes_after_handover("wlan0")
+    removed = host.release_interface("wlan0", "wlan1")
     assert removed == 2  # on-link /64 plus default route
     assert host.routes.lookup(Address(CORE, 7)) == (Address(FOREIGN, 1), "wlan1")
     # another interface serves: the old one keeps no address, and the home
@@ -148,7 +137,7 @@ def test_home_address_stays_on_the_old_interface_while_none_serves():
     host = make_host(sim, [])
     host.on_router_advertisement("wlan0", ha_ra())
     sim.run_until(1.0)
-    host.update_routes_after_handover("wlan0")  # beacon loss: nothing serves
+    host.release_interface("wlan0", None)  # beacon loss: nothing serves
     assert host.records["wlan0"].addresses == [host.home_address]
 
 

@@ -21,7 +21,6 @@ class Rig:
     def attach(self, iface, ap_id):
         """Full beacon -> associate -> confirm -> address-up sequence."""
         self.beacon(iface, ap_id)
-        self.llc.on_link_up(iface)
         self.llc.on_association_confirmed(iface)
         self.llc.on_address_global(iface)
 
@@ -36,7 +35,7 @@ def test_first_beacon_makes_candidate_and_permits():
 def test_initial_attach_is_not_counted_as_handover():
     rig = Rig()
     rig.attach("i1", "ap-a")
-    assert rig.llc.serving_interface() == "i1"
+    assert rig.llc.serving == "i1"
     assert rig.llc.handover_count == 0
     assert rig.commands[-1] == ("promoted", "i1", None)
 
@@ -48,7 +47,7 @@ def test_promotion_releases_previous_interface_after_switch():
         rig.sim.run_until(0.1 * k)
         rig.beacon("i1", "ap-a")
     rig.attach("i2", "ap-b")
-    assert rig.llc.serving_interface() == "i2"
+    assert rig.llc.serving == "i2"
     assert rig.llc.handover_count == 1
     # break happens only after make: disassoc of i1 then promotion of i2
     assert rig.commands[-2:] == [("disassoc", "i1"), ("promoted", "i2", "i1")]
@@ -76,10 +75,9 @@ def test_steady_beacons_from_other_network_do_not_cause_pingpong():
         rig.beacon("i2", "ap-b")
         rig.beacon("i1", "ap-a")
     assert len([c for c in rig.commands if c[0] == "assoc"]) == 2
-    rig.llc.on_link_up("i2")
     rig.llc.on_association_confirmed("i2")
     rig.llc.on_address_global("i2")
-    assert rig.llc.serving_interface() == "i2"
+    assert rig.llc.serving == "i2"
     # i1 beacons keep arriving but never re-promote
     for k in range(20):
         rig.sim.run_until(2.0 + 0.1 * k)
@@ -94,12 +92,14 @@ def test_confirmation_without_permit_is_rejected():
         rig.llc.on_association_confirmed("i1")
 
 
-def test_duplicate_confirmation_is_noop():
+def test_duplicate_confirmation_is_rejected():
+    # the interface ignores a second association response, so a second
+    # confirmation means the wiring is broken
     rig = Rig()
     rig.beacon("i1", "ap-a")
-    rig.llc.on_link_up("i1")
     rig.llc.on_association_confirmed("i1")
-    rig.llc.on_association_confirmed("i1")  # must not raise
+    with pytest.raises(RuntimeError):
+        rig.llc.on_association_confirmed("i1")
 
 
 def test_address_up_on_non_candidate_interface_is_ignored():
@@ -122,7 +122,7 @@ def test_beacon_loss_on_serving_interface_detaches():
     rig.attach("i1", "ap-a")
     # watchdog armed at confirm; no further beacons ever arrive
     rig.sim.run_until(5.0)
-    assert rig.llc.serving_interface() is None
+    assert rig.llc.serving is None
     assert ("disassoc", "i1") in rig.commands
 
 
@@ -133,7 +133,7 @@ def test_watchdog_tolerates_on_time_beacons():
         rig.sim.run_until(0.1 * k)
         rig.beacon("i1", "ap-a")
     rig.sim.run_until(5.2)
-    assert rig.llc.serving_interface() == "i1"
+    assert rig.llc.serving == "i1"
     assert ("disassoc", "i1") not in rig.commands
 
 
@@ -143,7 +143,8 @@ def test_gap_intervals_recorded_between_attachments():
     rig.sim.run_until(3.0)
     rig.llc.on_link_down("i1")
     rig.sim.run_until(4.5)
-    rig.llc.on_link_up("i1")
+    rig.beacon("i1", "ap-a")  # a fresh appearance: permitted again
+    rig.llc.on_association_confirmed("i1")
     rig.sim.run_until(6.0)
     rig.llc.on_link_down("i1")
     rig.llc.close_gaps(7.0)
@@ -155,18 +156,8 @@ def test_make_before_break_has_no_gap():
     rig.attach("i1", "ap-a")
     rig.sim.run_until(2.0)
     rig.beacon("i2", "ap-b")
-    rig.llc.on_link_up("i2")
     rig.llc.on_association_confirmed("i2")
     rig.llc.on_address_global("i2")  # i1 released only now
     rig.llc.on_link_down("i1")
     rig.llc.close_gaps(10.0)
     assert rig.llc.gap_intervals == []
-
-
-def test_controller_never_sees_data_plane_kinds():
-    rig = Rig()
-    rig.attach("i1", "ap-a")
-    rig.sim.run_until(5.0)
-    assert rig.llc.handled_kinds <= {
-        "beacon", "assoc_confirmed", "addr_global", "beacon_loss",
-    }

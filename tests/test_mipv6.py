@@ -112,7 +112,7 @@ def test_home_agent_intercept_tunnels_when_bound():
     ha = HomeAgentCore(HA)
     action, pkt = ha.intercept(Packet(CN, HOA, "app", 10000), now=0.0)
     assert action == "native"
-    ha.process_bu(BindingUpdate(HOA, COA_A, 1, 420.0), now=0.0)
+    ha.cache.process(BindingUpdate(HOA, COA_A, 1, 420.0), now=0.0)
     action, pkt = ha.intercept(Packet(CN, HOA, "app", 10000), now=1.0)
     assert action == "tunnel"
     assert pkt.src == HA and pkt.dst == COA_A
@@ -129,17 +129,14 @@ class MnRig:
         host = _StubHost()
         self.host = host
         self.mip = MnBindingManager(self.sim, host, self.llc, self.sent.append)
-        self.iface = None
-        self.llc.serving_interface = lambda: self.iface
 
     def move_to(self, iface, addr):
-        self.iface = iface
+        self.llc.serving = iface
         self.host.addrs[iface] = addr
 
 
 class _StubHost:
     def __init__(self):
-        self.home_prefix = HOME
         self.home_address = HOA
         self.ha_address = HA
         self.addrs = {}

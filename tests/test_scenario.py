@@ -1,22 +1,64 @@
 """End-to-end runs of the built scenario at the fastest (cheapest) speed."""
 
+import inspect
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vhosim.harness import ScenarioConfig, run_experiment
+from vhosim.harness import ScenarioConfig, RunResult, run_experiment
+from vhosim.ipv6 import Packet
+from vhosim.llc import VhoController
+from vhosim.radio import BEACON_BITS, Frame
+from vhosim.scenario import Scenario
+from vhosim.traffic import PacketRun
+
+
+class SpiedRun(NamedTuple):
+    result: RunResult
+    log: list[str]
+    controller_arg_types: set[type]  # of every argument a controller method took
+
+
+def _spied_run(cfg: ScenarioConfig) -> SpiedRun:
+    """Run cfg with every VhoController method wrapped to record the types
+    of the arguments it is handed."""
+    seen: set[type] = set()
+
+    def spy(fn):
+        def wrapper(*args, **kwargs):
+            seen.update(type(a) for a in (*args[1:], *kwargs.values()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    log: list[str] = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fn in list(vars(VhoController).items()):
+            if inspect.isfunction(fn):
+                mp.setattr(VhoController, name, spy(fn))
+        result = run_experiment(cfg, trace_sink=log)
+    return SpiedRun(result, log, seen)
 
 
 @pytest.fixture(scope="module")
-def soft_voip():
-    return run_experiment(ScenarioConfig(scheme="soft", application="voip",
-                                         speed=10.0))
+def soft_voip_run():
+    return _spied_run(ScenarioConfig(scheme="soft", application="voip", speed=10.0))
 
 
 @pytest.fixture(scope="module")
-def hard_video():
-    return run_experiment(ScenarioConfig(scheme="hard", application="video",
-                                         speed=10.0))
+def hard_video_run():
+    return _spied_run(ScenarioConfig(scheme="hard", application="video", speed=10.0))
+
+
+@pytest.fixture(scope="module")
+def soft_voip(soft_voip_run):
+    return soft_voip_run.result
+
+
+@pytest.fixture(scope="module")
+def hard_video(hard_video_run):
+    return hard_video_run.result
 
 
 def test_soft_run_has_ten_handovers_and_no_gap(soft_voip):
@@ -74,10 +116,37 @@ def test_no_duplicate_deliveries(soft_voip, hard_video):
             assert sink.duplicates == 0
 
 
-def test_controller_stays_out_of_the_data_plane(soft_voip, hard_video):
-    for result in (soft_voip, hard_video):
-        kinds = result.scenario.mn.llc.handled_kinds
-        assert kinds <= {"beacon", "assoc_confirmed", "addr_global", "beacon_loss"}
+def test_controller_stays_out_of_the_data_plane(soft_voip_run, hard_video_run):
+    for run in (soft_voip_run, hard_video_run):
+        assert str in run.controller_arg_types  # the spy saw the calls
+        assert not run.controller_arg_types & {Packet, PacketRun, Frame}
+
+
+def test_each_released_interface_is_cleaned_up_once(soft_voip_run):
+    # the old interface is released once per handover, when the candidate
+    # is promoted; the promotion itself cleans up nothing more
+    cleanups = [line for line in soft_voip_run.log if " ipv6 route_cleanup " in line]
+    assert soft_voip_run.result.scenario.mn.llc.handover_count == 10
+    assert len(cleanups) == 10
+
+
+def test_ra_landing_after_disassociation_is_ignored_at_the_interface(monkeypatch):
+    scn = Scenario(ScenarioConfig(scheme="hard", application="video", speed=10.0))
+    scn.ap_home.start()
+    scn.sim.run_until(0.5)
+    mn = scn.mn
+    iface = mn.ifaces["mn.wlan0"]
+    assert iface.ap is scn.ap_home
+    ras = []
+    monkeypatch.setattr(mn.host, "on_router_advertisement", lambda *a: ras.append(a))
+    frame = Frame("data", "ap-home", scn.ap_home.cfg.channel, BEACON_BITS,
+                  payload=scn.ha.advertisement())
+    iface.on_frame(frame)
+    assert len(ras) == 1
+    mn.llc.command_disassociate(iface.iface_id)
+    assert iface.ap is None and mn.host.routes.entries == []
+    iface.on_frame(frame)  # sent before the disassociation, landing after it
+    assert len(ras) == 1
 
 
 @settings(max_examples=20, deadline=None)
