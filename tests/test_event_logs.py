@@ -1,0 +1,80 @@
+"""Golden of whole event logs: the SHA-256 and line count of each config's log.
+
+The CSV rows and the sink order cannot show where control events fall
+relative to each other. The full event log can: a candidate, permit or
+beacon_loss line that moves past an RA, DAD or drop line at the same instant
+changes the digest. The configs cover the ties that the beacon path must keep
+(each found with a probe of on_frame and on_beacon_loss):
+
+- an acting beacon that arrives at the same instant as an RA frame, which it
+  must follow: churn-hard-9 and churn-hard-10 (two each) and churn-soft-8
+  (two), and six in miss1-bi0.5-soft;
+- a beacon loss at a beacon send time (radio.bitrate = 12800, so a beacon
+  takes half an interval to arrive), which must come before that beacon is
+  sent: bitrate12800-hard, five losses.
+
+miss1-bi0.5-soft makes 14 handovers and foreignx150-hard one, so neither
+asserts the count.
+
+Refresh tests/golden/event_logs.json after an intended change of the log
+(say in CHANGES.md which lines changed and why):
+
+    PYTHONPATH=src python tests/test_event_logs.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from vhosim.harness import ScenarioConfig, run_experiment
+
+GOLDEN = Path(__file__).parent / "golden" / "event_logs.json"
+
+
+def _churn(scheme: str, speed: float) -> ScenarioConfig:
+    # as in the handover-churn benchmark workload at seed 1
+    return ScenarioConfig(scheme=scheme, application="video",
+                          video_rate_bps=64000.0, speed=speed, seed=1)
+
+
+CONFIGS = {
+    **{f"churn-{s}-{v:g}": _churn(s, v)
+       for s in ("hard", "soft") for v in (8.0, 9.0, 10.0)},
+    "voip-hard-2-seed1": ScenarioConfig(scheme="hard", application="voip",
+                                        speed=2.0, seed=1),
+    "voip-soft-2-seed1": ScenarioConfig(scheme="soft", application="voip",
+                                        speed=2.0, seed=1),
+    "bitrate12800-hard": ScenarioConfig(scheme="hard", bitrate=12800.0),
+    "bitrate12800-soft": ScenarioConfig(scheme="soft", bitrate=12800.0),
+    "miss1-bi0.5-soft": ScenarioConfig(scheme="soft", miss_threshold=1,
+                                       beacon_interval=0.5,
+                                       expected_handovers=None),
+    "foreignx150-hard": ScenarioConfig(scheme="hard", ap_foreign_x=150.0,
+                                       expected_handovers=None),
+}
+
+
+def log_digest(cfg: ScenarioConfig) -> dict[str, object]:
+    """SHA-256 and line count of the event log, as --event-log writes it."""
+    trace: list[str] = []
+    run_experiment(cfg, trace_sink=trace)
+    text = "\n".join(trace) + "\n"
+    return {"lines": len(trace), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_event_log_matches_golden(name):
+    want = json.loads(GOLDEN.read_text())[name]
+    got = log_digest(CONFIGS[name])
+    assert got == want, f"{name}: event log differs from {GOLDEN.name}: {got}"
+
+
+if __name__ == "__main__":
+    out = {name: log_digest(cfg) for name, cfg in sorted(CONFIGS.items())}
+    GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}", file=sys.stderr)
