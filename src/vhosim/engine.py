@@ -21,7 +21,8 @@ class Simulator:
     """Single-threaded event loop with an exact, reproducible execution order.
 
     Times are seconds (float). Events with equal fire time execute in
-    scheduling order (a monotone sequence number breaks ties), so a fixed
+    scheduling order (a monotone sequence number breaks ties), those
+    scheduled with last=True after the others, so a fixed
     program yields a bit-identical event order on every run. Schedulers must
     derive fire times arithmetically (t0 + k*dt), never by accumulating
     increments.
@@ -53,10 +54,12 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def schedule_at(self, fire_at: float, callback: Callable, *args: Any) -> EventHandle:
+    def schedule_at(self, fire_at: float, callback: Callable, *args: Any,
+                    last: bool = False) -> EventHandle:
+        """last: run after the events at fire_at scheduled without it."""
         if fire_at < self.now:
             raise SchedulingError(f"schedule at t={fire_at} in the past (now={self.now})")
-        entry = [fire_at, self._seq, callback, args]
+        entry = [fire_at, self._seq + (1 << 62 if last else 0), callback, args]
         self._seq += 1
         heapq.heappush(self._heap, entry)
         return entry

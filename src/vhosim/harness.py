@@ -110,9 +110,9 @@ class ScenarioConfig:
                              d_ref=self.d_ref).coverage_radius2(self.tx_power_dbm)
         except OverflowError:
             radius2 = math.inf
-        if not math.isfinite(radius2):
+        if not (math.isfinite(radius2) and radius2 > 0):  # no coverage, or no bound to it
             raise ConfigError("tx_power_dbm: the budget over sensitivity_dbm at "
-                              "frequency_hz gives no finite coverage radius")
+                              "frequency_hz gives no finite, positive coverage radius")
         if self.sim_time is not None and not self.sim_time > 0:
             raise ConfigError(f"sim_time: must be > 0 or auto, got {self.sim_time!r}")
         if self.expected_handovers is not None and self.expected_handovers < 0:

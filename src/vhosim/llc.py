@@ -4,7 +4,7 @@ A control-plane-only entity that grants or denies interface association,
 tracks which interface serves and which is the candidate, executes
 make-before-break switching and exposes the serving interface to the upper
 layers. It exchanges only beacons, association signaling and notifications;
-it never touches data packets.
+it never touches data packets. Its beacon events are only those that act.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ class VhoController:
 
     Both roles are interface ids. A beacon on an unassociated interface,
     with no candidate in flight, makes it the candidate and permits it to
-    associate when nothing serves or its network appears fresh. The candidate
-    is promoted once it is associated, configured and holds a global address;
-    the old interface is released then. Hard and soft differ only in the
+    associate when nothing serves or its network appears fresh (its AP unheard
+    there for over miss_threshold beacon intervals). The candidate is promoted
+    once it is associated, configured and holds a global address; the old
+    interface is released then. Hard and soft differ only in the
     interface list Scenario builds. Soft (make-before-break) gives the node
     one radio per AP, so the candidate comes up while the serving link still
     carries traffic. Hard gives it one radio, which hears the new network
@@ -39,15 +40,16 @@ class VhoController:
         self.candidate: Optional[str] = None
 
         # wiring set by the scenario builder
+        self.beacons = None  # ledger of the beacons the interfaces hear
         self.command_associate: Callable[[str, object], None] = lambda i, ap: None
         self.command_disassociate: Callable[[str], None] = lambda i: None
         self.on_promoted: Callable[[str, Optional[str]], None] = lambda i, p: None
 
-        self._last_beacon: dict[tuple[str, str], float] = {}  # (iface, ap) -> time
-        self._last_heard: dict[str, float] = {}  # iface -> time of its last beacon
         self._associated: set[str] = set()
         self._gap_open: Optional[float] = None
-        self._watchdogs: dict[str, object] = {}
+        # iface -> (time of its association, its beacon-loss event)
+        self._watchdogs: dict[str, tuple[float, object]] = {}
+        self._next_beacon = None  # event of the next beacon that can act
 
         self.promotions: list[tuple[float, str, Optional[str]]] = []
         self.gap_intervals: list[tuple[float, float]] = []
@@ -61,22 +63,31 @@ class VhoController:
 
     # -- beacon path ----------------------------------------------------------
 
-    def on_beacon(self, iface_id: str, ap_id: str, ap) -> None:
-        now = self.sim.now
-        key = (iface_id, ap_id)
-        previous_seen = self._last_beacon.get(key)
-        self._last_beacon[key] = now
-        self._last_heard[iface_id] = now
+    def replan(self) -> None:
+        """Recompute the beacon events: the ledger learned of new beacons."""
+        for iface_id, (since, handle) in list(self._watchdogs.items()):
+            self.sim.cancel(handle)
+            self._arm_watchdog(iface_id, since)
+        self._plan_beacon()
 
-        if iface_id in self._associated:
-            return
-        if self.candidate is not None:
-            return  # single in-flight candidate; action deferred
-        fresh_appearance = (previous_seen is None or
-                            now - previous_seen >
-                            self.miss_threshold * self.beacon_interval)
-        if self.serving is not None and not fresh_appearance:
-            return
+    def _plan_beacon(self) -> None:
+        """Keep one event pending, for the next beacon that can act: the
+        first to reach an unassociated interface while no candidate is in
+        flight, if nothing serves or its network appears fresh."""
+        plan = None
+        if self.candidate is None:
+            gap = None if self.serving is None else self.miss_threshold * self.beacon_interval
+            plan = self.beacons.next_beacon(
+                [i for i in self.beacons.ifaces if i not in self._associated], self.sim.now, gap)
+        if self._next_beacon is not None:
+            self.sim.cancel(self._next_beacon)
+        self._next_beacon = None if plan is None else self.beacons.deliver(*plan)
+
+    def on_beacon(self, iface_id: str, ap_id: str, ap) -> None:
+        """The planned beacon arrived: its interface becomes the candidate."""
+        if self.candidate is not None or iface_id in self._associated:
+            raise RuntimeError(f"beacon on {iface_id} cannot act")
+        self._next_beacon = None
         self.candidate = iface_id
         self.sim.trace(self.node_id, "llc", "candidate",
                        f"iface={iface_id} ap={ap_id}")
@@ -96,7 +107,7 @@ class VhoController:
             self._gap_open = None
         self._associated.add(iface_id)
         self.sim.trace(self.node_id, "llc", "assoc_confirmed", f"iface={iface_id}")
-        self._arm_watchdog(iface_id)
+        self._arm_watchdog(iface_id, self.sim.now)
         # network-layer configuration proceeds when the first RA arrives;
         # serving traffic, if any, continues untouched on the old interface
 
@@ -105,9 +116,10 @@ class VhoController:
         self._associated.discard(iface_id)
         if not self._associated and self._gap_open is None:
             self._gap_open = self.sim.now
-        handle = self._watchdogs.pop(iface_id, None)
-        if handle is not None:
-            self.sim.cancel(handle)
+        watchdog = self._watchdogs.pop(iface_id, None)
+        if watchdog is not None:
+            self.sim.cancel(watchdog[1])
+        self._plan_beacon()
 
     def on_address_global(self, iface_id: str) -> None:
         if self.candidate != iface_id:
@@ -120,25 +132,23 @@ class VhoController:
         self.sim.trace(self.node_id, "llc", "promote",
                        f"iface={iface_id} prev={prev_id}")
         if prev_id is not None:
-            self.command_disassociate(prev_id)
+            self.command_disassociate(prev_id)  # its link-down plans the next beacon
+        else:
+            self._plan_beacon()
         self.on_promoted(iface_id, prev_id)
 
     # -- beacon-loss detection ---------------------------------------------------
 
-    def _arm_watchdog(self, iface_id: str) -> None:
+    def _arm_watchdog(self, iface_id: str, since: float) -> None:
+        """Schedule the beacon loss of an interface associated at `since`."""
         window = (self.miss_threshold + 0.5) * self.beacon_interval
-        self._watchdogs[iface_id] = self.sim.schedule_in(
-            window, self._watchdog_check, iface_id)
+        self._watchdogs[iface_id] = (since, self.sim.schedule_at(
+            self.beacons.loss_time(iface_id, since + window, window),
+            self._watchdog_check, iface_id))
 
     def _watchdog_check(self, iface_id: str) -> None:
-        self._watchdogs.pop(iface_id, None)
-        last = self._last_heard.get(iface_id, 0.0)
-        rearm_at = last + (self.miss_threshold + 0.5) * self.beacon_interval
-        if rearm_at <= self.sim.now:
-            self.on_beacon_loss(iface_id)
-        else:
-            self._watchdogs[iface_id] = self.sim.schedule_at(
-                rearm_at, self._watchdog_check, iface_id)
+        del self._watchdogs[iface_id]
+        self.on_beacon_loss(iface_id)
 
     def on_beacon_loss(self, iface_id: str) -> None:
         self.sim.trace(self.node_id, "llc", "beacon_loss", f"iface={iface_id}")

@@ -2,17 +2,17 @@
 
 No MAC contention, fading or interference: the scenario uses orthogonal
 channels in free space, so delivery is deterministic range + channel gating
-at a fixed bitrate.
+at a fixed bitrate, and the beacons an interface hears are known in advance.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .engine import Simulator
+from .engine import EventHandle, Simulator
 
 SPEED_OF_LIGHT = 299_792_458.0
 _FSPL_CONST_DB = 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT)
@@ -70,13 +70,10 @@ class Medium:
         self.bitrate = bitrate
         self.d_ref = d_ref
         self.drop_hook = drop_hook
-        self.ifaces: list = []  # mobile-node interfaces listening on the medium
+        self.beacons = BeaconLedger(self)
         # (ap, iface) -> (verdict, valid_until): a range verdict cannot flip
         # before the node has covered the distance margin to the coverage edge
         self._range_verdicts: dict[tuple[int, int], tuple[bool, float]] = {}
-
-    def register_iface(self, iface) -> None:
-        self.ifaces.append(iface)
 
     def coverage_radius2(self, tx_power_dbm: float) -> float:
         """Squared closed-form coverage radius: cheaper to compare against on
@@ -118,21 +115,8 @@ class Medium:
         if self.drop_hook is not None:
             self.drop_hook(frame.payload)
 
-    def broadcast(self, ap: "AccessPoint", frame: Frame) -> None:
-        """Beacons to the interfaces in range, on the AP's channel and not
-        bound to another AP (WirelessInterface.allowed_ap)."""
-        delay = frame.size_bits / self.bitrate
-        for iface in self.ifaces:
-            if iface.allowed_ap not in (None, ap.cfg.ap_id):
-                continue
-            if not iface.listens(frame.channel):
-                continue
-            if not self.in_range(ap, iface.position(self.sim.now)):
-                continue
-            self.sim.schedule_in(delay, iface.on_frame, frame)
-
     def ap_to_iface(self, ap: "AccessPoint", iface, frame: Frame) -> None:
-        if not iface.listens(frame.channel):
+        if iface.channel not in (None, frame.channel):
             self._drop(frame)
             return
         if not self.in_range_moving(ap, iface, self.sim.now)[0]:
@@ -215,14 +199,8 @@ class AccessPoint:
         self.uplink_run: Optional[Callable[[Any, Any, float], None]] = None
 
     def start(self) -> None:
-        self._beacon_tick(0)
+        self.medium.beacons.add_ap(self)
         self._ra_tick(0)
-
-    def _beacon_tick(self, k: int) -> None:
-        frame = Frame("beacon", self.cfg.ap_id, self.cfg.channel, BEACON_BITS,
-                      payload=self)
-        self.medium.broadcast(self, frame)
-        self.sim.schedule_at((k + 1) * self.cfg.beacon_interval, self._beacon_tick, k + 1)
 
     def _ra_tick(self, k: int) -> None:
         for iface in self.stations.values():
@@ -257,3 +235,127 @@ class AccessPoint:
             frame = Frame("data", self.cfg.ap_id, self.cfg.channel,
                           pkt.size_bits + MAC_OVERHEAD_BITS, payload=pkt)
             self.medium.ap_to_iface(self, iface, frame)
+
+
+def _first_tick(t: float, step: float, offset: float = 0.0) -> int:
+    """The least k >= 0 with k * step + offset >= t as the floats compare."""
+    k = max(0, math.ceil((t - offset) / step))
+    while k > 0 and (k - 1) * step + offset >= t:
+        k -= 1
+    while k * step + offset < t:
+        k += 1
+    return k
+
+
+class BeaconLedger:
+    """The beacons each interface hears, computed on demand: beacon k of a
+    started AP is sent at k * beacon_interval and arrives BEACON_BITS /
+    bitrate later at each interface that, at the send time, may associate
+    with the AP, listens on its channel (a change at that instant counts)
+    and is in range. Searches stop at the horizon, the end of the run."""
+
+    def __init__(self, medium: Medium):
+        self.medium = medium
+        self.horizon = math.inf
+        self.aps: list[AccessPoint] = []  # started, in the order they beacon at one instant
+        self.ifaces: dict[str, Any] = {}  # iface_id -> interface, in the order beacons reach them
+        # iface_id -> (times, channel listened to from each on; None: all)
+        self._listening: dict[str, tuple[list[float], list[Optional[int]]]] = {}
+        self.on_change: Callable[[], None] = lambda: None  # an AP started
+
+    def add_ap(self, ap: "AccessPoint") -> None:
+        self.aps.append(ap)
+        self.on_change()
+
+    def add_iface(self, iface) -> None:
+        self.ifaces[iface.iface_id] = iface
+        self._listening[iface.iface_id] = ([-math.inf], [iface.channel])
+
+    def listen(self, iface) -> None:
+        """Record what the interface listens to from now on."""
+        times, channels = self._listening[iface.iface_id]
+        times.append(self.medium.sim.now)
+        channels.append(iface.channel)
+
+    def arrival(self, ap: "AccessPoint", k: int) -> float:
+        return k * ap.cfg.beacon_interval + BEACON_BITS / self.medium.bitrate
+
+    def _index(self, ap: "AccessPoint", t: float) -> int:
+        """The first beacon of ap arriving after t."""
+        return _first_tick(math.nextafter(t, math.inf), ap.cfg.beacon_interval,
+                           BEACON_BITS / self.medium.bitrate)
+
+    def _seek(self, iface, ap: "AccessPoint", k: int, heard: bool = True) -> Optional[int]:
+        """The first beacon of ap from index k on that the interface hears
+        (misses, if not heard), or None if none is sent by the horizon. It
+        steps to the next listening change, or past the beacons before the
+        node can reach the coverage edge but for the last, judged alone."""
+        bi = ap.cfg.beacon_interval
+        times, channels = self._listening[iface.iface_id]
+        while k < math.inf and k * bi <= self.horizon:
+            i = bisect_right(times, k * bi)
+            hi = _first_tick(times[i], bi) if i < len(times) else math.inf
+            verdict = (iface.allowed_ap in (None, ap.cfg.ap_id)
+                       and channels[i - 1] in (None, ap.cfg.channel))
+            if verdict:
+                pos = iface.position(k * bi)
+                verdict = self.medium.in_range(ap, pos)
+                speed = getattr(iface, "max_speed", 0.0)
+                reach = abs(math.hypot(pos[0] - ap.cfg.x, pos[1] - ap.cfg.y) - math.sqrt(
+                    ap.radius2)) / speed if speed > 0.0 and ap.radius2 > 0.0 else 0.0
+                hi = min(hi, max(k + 1, _first_tick(k * bi + reach, bi) - 1))
+            if verdict == heard:
+                return k
+            k = hi
+        return None
+
+    def _appearance(self, iface, ap: "AccessPoint", start: float,
+                    gap: Optional[float]) -> Optional[int]:
+        """The first beacon of ap heard at or after start whose previous
+        heard beacon arrived more than gap before it (or none did)."""
+        k0 = self._index(ap, math.nextafter(start, -math.inf))
+        bi = ap.cfg.beacon_interval
+        # a beacon heard over gap + 2 intervals before k0 leaves every later one fresh
+        p, k = None, self._seek(iface, ap, k0 if gap is None else max(0, k0 - int(gap / bi) - 2))
+        while k is not None and (k < k0 or gap is not None and p is not None
+                                 and not self.arrival(ap, k) - self.arrival(ap, p) > gap):
+            if gap >= 2 * bi:  # in a run of heard beacons only the first may be fresh
+                u = self._seek(iface, ap, k + 1, heard=False)
+                p, k = (k, None) if u is None else (u - 1, self._seek(iface, ap, u))
+            else:
+                p, k = k, self._seek(iface, ap, k + 1)
+        return k
+
+    def next_beacon(self, iface_ids, start: float, gap: Optional[float]):
+        """(arrival, iface_id, ap) of the first beacon arriving at or after
+        start on one of the interfaces whose AP that interface last heard more
+        than gap before (or never; any if gap is None), or None. Beacons
+        arriving together go in AP order, then interface order."""
+        return min(((self.arrival(ap, k), iface_id, ap) for ap in self.aps
+                    for iface_id, iface in self.ifaces.items() if iface_id in iface_ids
+                    and (k := self._appearance(iface, ap, start, gap)) is not None),
+                   default=None, key=lambda hit: hit[0])
+
+    def loss_time(self, iface_id: str, check: float, window: float) -> float:
+        """When a watchdog looking at check, then window after the last arrival
+        each look found, first finds no arrival (inf if not by the horizon)."""
+        iface = self.ifaces[iface_id]
+        last, t = None, check - 2 * window  # an earlier one leaves check empty
+        while True:
+            bound = check if last is None or last + window <= check else last + window
+            hit = min(((self.arrival(ap, k), ap, k) for ap in self.aps
+                       if (k := self._seek(iface, ap, self._index(ap, t))) is not None),
+                      default=None, key=lambda hit: hit[0])
+            if hit is None or not hit[0] < bound:
+                return bound
+            _, ap, k = hit  # the rest of ap's run of heard beacons follows within window
+            u = (self._seek(iface, ap, k + 1, False)
+                 if window >= 1.5 * ap.cfg.beacon_interval else k + 1)
+            if u is None:
+                return math.inf
+            last = t = self.arrival(ap, u - 1)
+
+    def deliver(self, at: float, iface_id: str, ap: "AccessPoint") -> EventHandle:
+        """Schedule the beacon of ap arriving at the interface at `at`."""
+        frame = Frame("beacon", ap.cfg.ap_id, ap.cfg.channel, BEACON_BITS, payload=ap)
+        return self.medium.sim.schedule_at(at, self.ifaces[iface_id].on_frame, frame, last=True)

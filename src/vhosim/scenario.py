@@ -32,37 +32,36 @@ class WirelessInterface:
         self.iface_id = iface_id
         self.medium = medium
         self.allowed_ap = allowed_ap  # ap_id this interface may associate with
-        self.max_speed = mn.path.speed  # bound used by the medium's range memo
+        self.max_speed = mn.path.speed  # bound used by the range memo and the beacon ledger
         self.ap: Optional[AccessPoint] = None  # set while associated
         self._target: Optional[AccessPoint] = None
-        medium.register_iface(self)
+        medium.beacons.add_iface(self)
 
     def position(self, t: float) -> tuple[float, float]:
         return self.mn.position(t)
 
-    def listens(self, channel: int) -> bool:
-        if self.ap is not None:
-            return channel == self.ap.cfg.channel
-        if self._target is not None:
-            return channel == self._target.cfg.channel
-        return True  # scanning: Medium.broadcast applies the allowed-AP filter
+    @property
+    def channel(self) -> Optional[int]:
+        """The channel the radio listens on; None while it scans them all."""
+        ap = self.ap if self.ap is not None else self._target
+        return None if ap is None else ap.cfg.channel
 
     # -- commands from the controller -----------------------------------------
 
     def begin_association(self, ap: AccessPoint) -> None:
         self._target = ap
+        self.medium.beacons.listen(self)
         frame = Frame("assoc_request", self.iface_id, ap.cfg.channel, ASSOC_BITS,
                       payload=self)
         self.medium.iface_to_ap(self, ap, frame)
 
     def disassociate(self) -> None:
-        self._target = None
-        if self.ap is None:
+        ap, self.ap, self._target = self.ap, None, None
+        self.medium.beacons.listen(self)
+        if ap is None:
             return
-        frame = Frame("disassoc", self.iface_id, self.ap.cfg.channel,
-                      DISASSOC_BITS)
-        self.medium.iface_to_ap(self, self.ap, frame)
-        self.ap = None
+        frame = Frame("disassoc", self.iface_id, ap.cfg.channel, DISASSOC_BITS)
+        self.medium.iface_to_ap(self, ap, frame)
         self.mn.llc.on_link_down(self.iface_id)
 
     # -- radio receive path -------------------------------------------------------
@@ -76,6 +75,7 @@ class WirelessInterface:
                 return
             self.ap = frame.payload
             self._target = None
+            self.medium.beacons.listen(self)
             self.mn.llc.on_association_confirmed(self.iface_id)
         elif self.ap is None:  # data that landed after disassociation
             if not isinstance(frame.payload, RouterAdvertisement):
@@ -110,6 +110,8 @@ class MobileNode:
             self.ifaces[iface_id] = WirelessInterface(self, iface_id, medium, allowed)
             self.host.add_interface(iface_id, idx)
 
+        self.llc.beacons = medium.beacons
+        medium.beacons.on_change = self.llc.replan
         self.llc.command_associate = lambda i, ap: self.ifaces[i].begin_association(ap)
         self.llc.command_disassociate = self._teardown_iface
         self.llc.on_promoted = lambda i, p: self.mip.on_serving_changed()
@@ -350,6 +352,7 @@ class Scenario:
                              sensitivity_dbm=cfg.sensitivity_dbm,
                              bitrate=cfg.bitrate, d_ref=cfg.d_ref,
                              drop_hook=self._on_drop)
+        self.medium.beacons.horizon = cfg.sim_time_resolved
 
         ha_addr = Address(cfg.home_prefix, derive_iid("ha", 0))
         fr_addr = Address(cfg.foreign_prefix, derive_iid("fr", 0))

@@ -289,6 +289,8 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("radio.tx_power_dbm = 7000", "tx_power_dbm"),
     ("radio.sensitivity_dbm = -1e4", "tx_power_dbm"),
     ("radio.frequency_hz = 1e-300", "tx_power_dbm"),
+    # no coverage anywhere used to run the whole simulation and exit 3
+    ("radio.sensitivity_dbm = 1e4", "tx_power_dbm"),
     # a period this short used to run for hours
     ("radio.beacon_interval = 1e-6", "beacon_interval"),
     ("ipv6.ra_interval = 1e-6", "ra_interval"),

@@ -1,7 +1,46 @@
+import math
+
 import pytest
 
 from vhosim.engine import Simulator
 from vhosim.llc import VhoController
+
+
+class ScriptedBeacons:
+    """A beacon ledger whose arrivals the test writes down as it goes; it
+    answers the controller's queries by scanning them."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.ifaces = {}  # iface -> None, in the order of their first beacon
+        self.heard = []  # (arrival, iface, (ap_id, ap)), in arrival order
+        self.on_change = lambda: None
+        self.on_beacon = None
+
+    def hear(self, iface, ap_id, ap):
+        self.ifaces.setdefault(iface)
+        self.heard.append((self.sim.now, iface, (ap_id, ap)))
+        self.on_change()
+
+    def next_beacon(self, iface_ids, start, gap):
+        for t, iface, ap in self.heard:
+            if t < start or iface not in iface_ids:
+                continue
+            before = [u for u, i, a in self.heard if i == iface and a == ap and u < t]
+            if gap is None or not before or t - before[-1] > gap:
+                return (t, iface, ap)
+        return None
+
+    def loss_time(self, iface_id, check, window):
+        last = None
+        for t in [t for t, i, _ in self.heard if i == iface_id] + [math.inf]:
+            bound = check if last is None or last + window <= check else last + window
+            if not t < bound:
+                return bound
+            last = t
+
+    def deliver(self, at, iface_id, ap):
+        return self.sim.schedule_at(at, self.on_beacon, iface_id, *ap, last=True)
 
 
 class Rig:
@@ -10,13 +49,19 @@ class Rig:
     def __init__(self):
         self.sim = Simulator()
         self.llc = VhoController(self.sim)
+        self.llc.beacons = ScriptedBeacons(self.sim)
+        self.llc.beacons.on_change = self.llc.replan
+        self.llc.beacons.on_beacon = self.llc.on_beacon
         self.commands = []
         self.llc.command_associate = lambda i, ap: self.commands.append(("assoc", i, ap))
         self.llc.command_disassociate = lambda i: self.commands.append(("disassoc", i))
         self.llc.on_promoted = lambda i, p: self.commands.append(("promoted", i, p))
 
     def beacon(self, iface, ap_id, ap="AP"):
-        self.llc.on_beacon(iface, ap_id, ap)
+        """A beacon of ap_id reaches iface now: the ledger learns of it, and
+        if it can act, its planned event runs now."""
+        self.llc.beacons.hear(iface, ap_id, ap)
+        self.sim.run_until(self.sim.now)
 
     def attach(self, iface, ap_id):
         """Full beacon -> associate -> confirm -> address-up sequence."""

@@ -59,3 +59,58 @@ def test_every_config_field_is_read():
                                 and _is_name(node.value, "self"))
     unread = [f.name for f in fields(ScenarioConfig) if f.name not in read]
     assert unread == []
+
+
+def _handlers() -> set[str]:
+    """bench/tracer.py HANDLERS: the event callbacks the benchmark counts."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and _is_name(node.targets[0], "HANDLERS"):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError(f"no HANDLERS in {path}")
+
+
+def test_every_scheduled_callback_is_a_counted_handler():
+    """Each callback passed to schedule_at or schedule_in resolves to
+    Class.method names listed in HANDLERS, so engine.events.other stays 0 on
+    every workload. A callback reached through an attribute resolves to every
+    class that defines a method of that name, or, for an attribute holding a
+    callable, to what is assigned to it."""
+    trees = [tree for path, tree in _sources() if path.name != "engine.py"]
+    methods: dict[str, set[str]] = {}  # method name -> "Class.method"
+    assigned: dict[str, list[ast.expr]] = {}  # attribute -> values assigned to it
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        methods.setdefault(fn.name, set()).add(f"{node.name}.{fn.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                    if isinstance(target, ast.Attribute):
+                        assigned.setdefault(target.attr, []).append(node.value)
+
+    def resolve(expr: ast.expr) -> set[str]:
+        if isinstance(expr, ast.BoolOp):
+            return set().union(*(resolve(value) for value in expr.values))
+        if isinstance(expr, ast.Constant) and expr.value is None:
+            return set()
+        if isinstance(expr, ast.Attribute):
+            if expr.attr in methods:
+                return methods[expr.attr]
+            values = assigned.get(expr.attr, [])
+            if values:
+                return set().union(*(resolve(value) for value in values))
+        return {f"<unresolved {ast.unparse(expr)}>"}
+
+    handlers = _handlers()
+    seen, outside = set(), []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("schedule_at", "schedule_in")):
+                names = resolve(node.args[1])
+                seen |= names
+                outside += [f"line {node.lineno}: {name}" for name in sorted(names - handlers)]
+    assert len(seen) >= 10  # the scan found the scheduling calls
+    assert outside == []

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vhosim.engine import Simulator
@@ -64,9 +64,6 @@ class StubIface:
         self.allowed_ap = allowed_ap
         self.frames = []
 
-    def listens(self, channel):
-        return channel == self.channel
-
     def position(self, t):
         return self.pos
 
@@ -77,6 +74,15 @@ class StubIface:
 def _medium(sim, drops=None):
     hook = drops.append if drops is not None else None
     return Medium(sim, drop_hook=hook)
+
+
+def _deliver_heard(ledger, iface_id, until=math.inf):
+    """Schedule the arrival of every beacon the ledger says the interface
+    hears, up to the ledger's horizon or the arrival time until."""
+    t = 0.0
+    while (hit := ledger.next_beacon([iface_id], t, None)) is not None and hit[0] <= until:
+        ledger.deliver(*hit)
+        t = math.nextafter(hit[0], math.inf)
 
 
 def test_coverage_edge_at_default_budget():
@@ -92,12 +98,14 @@ def test_broadcast_respects_channel_and_range():
     sim = Simulator()
     med = _medium(sim)
     ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1), med, router=None)
+    med.beacons.add_ap(ap)
+    med.beacons.horizon = 0.0  # the beacon sent at time 0 only
     near = StubIface("near", (50.0, 0.0), 1)
     wrong_channel = StubIface("wrong", (50.0, 0.0), 6)
     far = StubIface("far", (400.0, 0.0), 1)
     for i in (near, wrong_channel, far):
-        med.register_iface(i)
-    med.broadcast(ap, Frame("beacon", "ap", 1, 640, payload=ap))
+        med.beacons.add_iface(i)
+        _deliver_heard(med.beacons, i.iface_id)
     sim.run_until(1.0)
     assert len(near.frames) == 1
     assert wrong_channel.frames == [] and far.frames == []
@@ -107,11 +115,13 @@ def test_broadcast_skips_an_interface_bound_to_another_ap():
     sim = Simulator()
     med = _medium(sim)
     ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1), med, router=None)
+    med.beacons.add_ap(ap)
+    med.beacons.horizon = 0.0
     bound_here = StubIface("here", (50.0, 0.0), 1, allowed_ap="ap")
     bound_elsewhere = StubIface("elsewhere", (50.0, 0.0), 1, allowed_ap="other")
     for i in (bound_here, bound_elsewhere):
-        med.register_iface(i)
-    med.broadcast(ap, Frame("beacon", "ap", 1, 640, payload=ap))
+        med.beacons.add_iface(i)
+        _deliver_heard(med.beacons, i.iface_id)
     assert sim.run_until(1.0) == 1  # no event for the other AP's interface
     assert len(bound_here.frames) == 1 and bound_elsewhere.frames == []
 
@@ -155,15 +165,16 @@ def test_beacons_fire_on_strict_schedule():
     med = _medium(sim)
     ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1, beacon_interval=0.1),
                      med, router=None)
+    med.beacons.add_ap(ap)
     iface = StubIface("i", (10.0, 0.0), 1)
-    med.register_iface(iface)
+    med.beacons.add_iface(iface)
     heard_at = []
     iface.on_frame = lambda frame: heard_at.append((sim.now, frame.kind))
-    ap._beacon_tick(0)
+    _deliver_heard(med.beacons, "i", until=1.0)
     sim.run_until(1.0)
     # beacon k transmitted at k*interval, heard after serialization
-    times = [0.1 * k + 640 / 2e6 for k in range(10)]
-    assert heard_at == [(pytest.approx(t), "beacon") for t in times]
+    times = [k * 0.1 + 640 / 2e6 for k in range(10)]
+    assert heard_at == [(t, "beacon") for t in times]
 
 
 class PathIface(StubIface):
@@ -188,6 +199,15 @@ def test_range_memo_agrees_with_uncached_check(speed, ap_xy, steps):
     med = Medium(sim)
     ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1], 1), med, router=None)
     iface = PathIface(sim, TractorPath(4.0, 0.0, 196.0, 50.0, 5, speed))
+    # a beacon-ledger lookahead first: had it gone through the memo, the
+    # verdict it left for a late time would answer the earlier queries below
+    ledger = med.beacons
+    ledger.add_ap(ap)
+    ledger.add_iface(iface)
+    ledger.horizon = sum(steps) + 60.0
+    ledger.next_beacon(["i"], sum(steps), None)
+    ledger.next_beacon(["i"], sum(steps), 0.3)
+    ledger.loss_time("i", sum(steps), 0.35)
     t = 0.0
     for dt in steps:
         t += dt
@@ -198,6 +218,131 @@ def test_range_memo_agrees_with_uncached_check(speed, ap_xy, steps):
         mid = (t + until) / 2
         assert until >= t
         assert med.in_range(ap, iface.position(mid)) == verdict, f"t={t} mid={mid}"
+
+
+R = math.sqrt(Medium(None).coverage_radius2(0.0))  # coverage radius at the default budget
+
+
+class TunedIface(PathIface):
+    """A path-borne interface whose channel (None: all) the test retunes."""
+
+    def __init__(self, sim, path, allowed_ap):
+        super().__init__(sim, path)
+        self.channel = None
+        self.allowed_ap = allowed_ap
+
+
+def _heard(med, ap, iface, changes, horizon):
+    """Arrival times of the beacons of ap that the interface hears, by a
+    scan over every beacon sent by the horizon."""
+    bi = ap.cfg.beacon_interval
+    out = []
+    k = 0
+    while k * bi <= horizon:
+        s = k * bi
+        tuned = [ch for t, ch in changes if t <= s]
+        if (iface.allowed_ap in (None, "ap") and (tuned[-1] if tuned else None) in (None, 1)
+                and med.in_range(ap, iface.position(s))):
+            out.append(s + 640 / med.bitrate)
+        k += 1
+    return out
+
+
+def _fresh(arrivals, start, gap):
+    for i, a in enumerate(arrivals):
+        if a >= start and (gap is None or i == 0 or a - arrivals[i - 1] > gap):
+            return a
+    return None
+
+
+def _loss(arrivals, check, window):
+    last = None
+    for a in arrivals + [math.inf]:
+        bound = check if last is None or last + window <= check else last + window
+        if not a < bound:
+            return bound
+        last = a
+
+
+@st.composite
+def ledger_cases(draw):
+    x1, y1 = draw(st.floats(0.0, 50.0)), draw(st.floats(0.0, 50.0))
+    x2, y2 = x1 + draw(st.floats(20.0, 300.0)), y1 + draw(st.floats(0.0, 60.0))
+    path = TractorPath(x1, y1, x2, y2, draw(st.integers(1, 5)), draw(st.floats(0.5, 20.0)))
+    graze = y1 + R * (1 + draw(st.floats(-1e-4, 1e-4))) * draw(st.sampled_from([-1, 1]))
+    ap_xy = draw(st.one_of(
+        st.tuples(st.floats(-100.0, 400.0), st.floats(-100.0, 200.0)),
+        # the first row grazes the coverage edge
+        st.tuples(st.floats(x1, x2), st.just(graze)),
+        # a row end just past the edge: the node leaves and comes back
+        st.tuples(st.floats(x2 - R - 3.0, x2 - R + 1.0), st.floats(y1, y2))))
+    horizon = draw(st.floats(5.0, 120.0))
+    changes = sorted(draw(st.lists(st.tuples(st.floats(0.0, horizon),
+                                             st.sampled_from([None, 1, 6])), max_size=6)),
+                     key=lambda change: change[0])
+    return (path, ap_xy, draw(st.sampled_from([0.05, 0.1, 0.25, 0.5])),
+            draw(st.sampled_from([None, "ap", "other"])), changes, horizon,
+            draw(st.lists(st.floats(0.0, horizon), min_size=1, max_size=4)),
+            draw(st.integers(1, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ledger_cases())
+# the row end at x = 100 lies 0.2 m past the edge: the node is out of range
+# for about 0.09 s, under two beacons, and back within the loss window
+@example((TractorPath(0.0, 0.0, 100.0, 0.5, 2, 10.0), (100.0 - R - 0.2, 0.0), 0.05,
+          None, [], 30.0, [0.0, 9.0], 3))
+# the first row runs 1e-9 m inside the edge for its whole length
+@example((TractorPath(0.0, 0.0, 200.0, 20.0, 2, 4.0), (100.0, R - 1e-9), 0.1,
+          "ap", [(3.0, 6), (7.5, None)], 60.0, [0.0, 20.0], 1))
+def test_ledger_matches_a_scan_of_every_beacon(case):
+    path, ap_xy, bi, allowed, changes, horizon, starts, m = case
+    sim = Simulator()
+    med = Medium(sim)
+    ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1], 1, beacon_interval=bi),
+                     med, router=None)
+    iface = TunedIface(sim, path, allowed)
+    ledger = med.beacons
+    ledger.add_ap(ap)
+    ledger.add_iface(iface)
+    ledger.horizon = horizon
+    for t, ch in changes:
+        sim.run_until(t)
+        iface.channel = ch
+        ledger.listen(iface)
+    arrivals = _heard(med, ap, iface, changes, horizon)
+    window = (m + 0.5) * bi
+    for start in starts + arrivals[:3] + arrivals[-3:]:
+        for gap in (None, m * bi):
+            want = _fresh(arrivals, start, gap)
+            got = ledger.next_beacon(["i"], start, gap)
+            assert got == (None if want is None else (want, "i", ap)), (start, gap)
+        want = _loss(arrivals, start + window, window)
+        got = ledger.loss_time("i", start + window, window)
+        # past the horizon the ledger need not know when the loss comes
+        assert got == want or (got > horizon and want > horizon), start
+
+
+def test_ledger_ties_a_listening_change_and_a_loss_check_at_a_beacon_instant():
+    # beacon 1 goes out at the instant the interface tunes away, beacon 2 at
+    # the instant it tunes back: each meets the new state. Arrival 2 lands
+    # exactly one window after arrival 0 and so comes after the check there.
+    sim = Simulator()
+    med = _medium(sim)
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1, beacon_interval=0.5), med, router=None)
+    iface = StubIface("i", (10.0, 0.0), None)
+    ledger = med.beacons
+    ledger.add_ap(ap)
+    ledger.add_iface(iface)
+    ledger.horizon = 5.0
+    for t, channel in ((0.5, 6), (1.0, None)):
+        sim.run_until(t)
+        iface.channel = channel
+        ledger.listen(iface)
+    a0, a2 = [k * 0.5 + 640 / 2e6 for k in (0, 2)]
+    assert a0 + 1.0 == a2
+    assert ledger.next_beacon(["i"], math.nextafter(a0, math.inf), None) == (a2, "i", ap)
+    assert ledger.loss_time("i", a0 + 1.0, 1.0) == a0 + 1.0
 
 
 class RunAp:
