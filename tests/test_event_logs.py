@@ -13,6 +13,10 @@ changes the digest. The configs cover the ties that the beacon path must keep
   takes half an interval to arrive), which must come before that beacon is
   sent: bitrate12800-hard, five losses.
 
+The two VoIP runs with a 50 ms foreign link hold downlink packets still on
+their way over several source ticks, so their drop and intercept lines of
+different packets interleave.
+
 miss1-bi0.5-soft makes 14 handovers and foreignx150-hard one, so neither
 asserts the count.
 
@@ -49,6 +53,10 @@ CONFIGS = {
                                         speed=2.0, seed=1),
     "voip-soft-2-seed1": ScenarioConfig(scheme="soft", application="voip",
                                         speed=2.0, seed=1),
+    "voip-hard-4-fld0.05": ScenarioConfig(scheme="hard", application="voip",
+                                          speed=4.0, foreign_link_delay=0.05),
+    "voip-soft-4-fld0.05": ScenarioConfig(scheme="soft", application="voip",
+                                          speed=4.0, foreign_link_delay=0.05),
     "bitrate12800-hard": ScenarioConfig(scheme="hard", bitrate=12800.0),
     "bitrate12800-soft": ScenarioConfig(scheme="soft", bitrate=12800.0),
     "miss1-bi0.5-soft": ScenarioConfig(scheme="soft", miss_threshold=1,

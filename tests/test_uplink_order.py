@@ -5,7 +5,9 @@ may the delay sum. This file pins, for each flow of a few runs, the SHA-256
 of that flow's Sink.on_receive calls, one line per call:
 "flow seq repr(now) verdict". The video runs and the first VoIP run use a
 foreign link slower than the packet spacing, so reverse-tunnelled packets
-reach the correspondent after native packets sent later.
+reach the correspondent after native packets sent later. The VoIP runs pin
+the downlink too, in both schemes; with the slow foreign link a tunnelled
+downlink packet is still on its way when the next ones are sent.
 
 Refresh tests/golden/uplink_order.json after an intended change of order
 (say in CHANGES.md why the order changed):
@@ -38,6 +40,10 @@ CONFIGS = {
         scheme="soft", application="voip", speed=4.0, foreign_link_delay=0.05),
     "voip-soft-2-seed1001": ScenarioConfig(
         scheme="soft", application="voip", speed=2.0, seed=1001),
+    "voip-hard-4-fld0.05": ScenarioConfig(
+        scheme="hard", application="voip", speed=4.0, foreign_link_delay=0.05),
+    "voip-hard-2-seed1001": ScenarioConfig(
+        scheme="hard", application="voip", speed=2.0, seed=1001),
 }
 # runs whose uplink must be committed out of sending order, or the golden
 # would not tell arrival order from sending order
