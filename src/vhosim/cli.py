@@ -34,20 +34,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> ScenarioConfig:
     cfg = load_scenario(args.config) if args.config else ScenarioConfig()
-    overrides = {}
-    if args.scheme:
-        overrides["scheme"] = args.scheme
-    if args.application:
-        overrides["application"] = args.application
-    if args.rate is not None:
-        overrides["video_rate_bps"] = args.rate
-    if args.speed is not None:
-        overrides["speed"] = args.speed
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg.validate()
+    overrides = {name: value for name, value in (
+        ("scheme", args.scheme), ("application", args.application),
+        ("video_rate_bps", args.rate), ("speed", args.speed), ("seed", args.seed))
+        if value is not None}
+    return replace(cfg, **overrides).validate()
 
 
 def _flag_error(args, cfg: ScenarioConfig) -> Optional[str]:

@@ -37,6 +37,7 @@ class Simulator:
         self._end = -math.inf  # bound of the run_until call in progress
         self._rngs: dict[str, random.Random] = {}
         self._trace = trace_sink
+        self.tracing = trace_sink is not None  # check before building a trace detail
 
     # -- random streams ----------------------------------------------------
 

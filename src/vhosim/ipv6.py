@@ -37,8 +37,7 @@ class Address:
 
     def __str__(self):
         val = (self.prefix << 64) | self.iid
-        groups = [f"{(val >> (112 - 16 * i)) & 0xFFFF:x}" for i in range(8)]
-        return ":".join(groups)
+        return ":".join(f"{(val >> (112 - 16 * i)) & 0xFFFF:x}" for i in range(8))
 
 
 @dataclass
@@ -183,13 +182,15 @@ class Ipv6Host:
             return  # global: no DAD; tentative: DAD already running
         addr = Address(prefix, self.iid(iface_id), "tentative")
         rec.addresses.append(addr)
-        self.sim.trace(self.node_id, "ipv6", "slaac", f"iface={iface_id} addr={addr}")
+        if self.sim.tracing:
+            self.sim.trace(self.node_id, "ipv6", "slaac", f"iface={iface_id} addr={addr}")
         self.start_dad(iface_id, addr)
 
     def start_dad(self, iface_id: str, addr: Address) -> None:
         if addr.scope != "tentative":
             raise ValueError("DAD requires a tentative address")
-        self.sim.trace(self.node_id, "ipv6", "dad_start", f"iface={iface_id} addr={addr}")
+        if self.sim.tracing:
+            self.sim.trace(self.node_id, "ipv6", "dad_start", f"iface={iface_id} addr={addr}")
         self._dad_handles[iface_id] = self.sim.schedule_in(
             self.dad_duration, self._dad_done, iface_id, addr)
 
@@ -197,7 +198,8 @@ class Ipv6Host:
         addr.scope = "global"
         self._dad_handles.pop(iface_id, None)
         self.dad_log.append((self.sim.now, iface_id, addr))
-        self.sim.trace(self.node_id, "ipv6", "dad_done", f"iface={iface_id} addr={addr}")
+        if self.sim.tracing:
+            self.sim.trace(self.node_id, "ipv6", "dad_done", f"iface={iface_id} addr={addr}")
         self.notify_global(iface_id)
 
     # -- interface release -------------------------------------------------------

@@ -166,8 +166,9 @@ class MnBindingManager:
         pkt = Packet(bu.coa, self.host.ha_address, "bu", BU_BITS + IPV6_HEADER_BITS,
                      payload=bu)
         self.bu_log.append((self.sim.now, bu.seq, bu.coa, bu.lifetime))
-        self.sim.trace(self.node_id, "mipv6", "bu_send",
-                       f"seq={bu.seq} coa={bu.coa} lifetime={bu.lifetime}")
+        if self.sim.tracing:
+            self.sim.trace(self.node_id, "mipv6", "bu_send",
+                           f"seq={bu.seq} coa={bu.coa} lifetime={bu.lifetime}")
         self.send_packet(pkt)
         self._retransmit = self.sim.schedule_in(BU_RETRANSMIT_INTERVAL, self._transmit)
 

@@ -226,11 +226,7 @@ class AccessPoint:
             self.sim.trace(self.cfg.ap_id, "radio", "disassoc", f"station={frame.src}")
 
     def deliver_packet(self, pkt) -> None:
-        """Downlink: radio delivery to the (single) associated station, if any."""
-        if not self.stations:
-            if self.medium.drop_hook is not None:
-                self.medium.drop_hook(pkt)
-            return
+        """Downlink binding acks: radio delivery to the station, if any."""
         for iface in self.stations.values():
             frame = Frame("data", self.cfg.ap_id, self.cfg.channel,
                           pkt.size_bits + MAC_OVERHEAD_BITS, payload=pkt)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Optional
+from typing import Optional
 
 from .engine import Simulator
 from .ipv6 import (IPV6_HEADER_BITS, Address, Ipv6Host, Packet,
@@ -78,12 +78,14 @@ class WirelessInterface:
             self.medium.beacons.listen(self)
             self.mn.llc.on_association_confirmed(self.iface_id)
         elif self.ap is None:  # data that landed after disassociation
-            if not isinstance(frame.payload, RouterAdvertisement):
-                self.mn.drop(frame.payload)
+            return
         elif isinstance(frame.payload, RouterAdvertisement):
             self.mn.host.on_router_advertisement(self.iface_id, frame.payload)
-        else:
-            self.mn.receive_packet(frame.payload, self.iface_id)
+        else:  # a binding ack, native or tunnelled (app packets come in DownlinkRun)
+            pkt = frame.payload
+            pkt = pkt if pkt.inner is None else self.mn.mip.unwrap_incoming(pkt)
+            if pkt is not None:  # else: a stale CoA or an unexpected tunnel endpoint
+                self.mn.mip.on_binding_ack(pkt.payload)
 
 
 class MobileNode:
@@ -97,8 +99,7 @@ class MobileNode:
         self.medium = medium
         self.sinks: dict[str, Sink] = {}
 
-        self.llc = VhoController(sim, node_id,
-                                 beacon_interval=beacon_interval,
+        self.llc = VhoController(sim, node_id, beacon_interval=beacon_interval,
                                  miss_threshold=miss_threshold)
         self.host = Ipv6Host(sim, node_id, self.llc.on_address_global,
                              dad_duration=dad_duration)
@@ -136,10 +137,9 @@ class MobileNode:
         return iface if iface.ap is not None else None
 
     def send_routed(self, pkt: Packet) -> None:
-        """Emit through the serving interface; unroutable packets drop and count."""
+        """Emit a binding update through the serving interface, if one routes."""
         iface = self._uplink_iface(pkt.dst)
         if iface is None:
-            self.drop(pkt)
             return
         frame = Frame("data", iface.iface_id, iface.ap.cfg.channel,
                       pkt.size_bits + MAC_OVERHEAD_BITS, payload=pkt)
@@ -164,21 +164,6 @@ class MobileNode:
             return
         self.medium.uplink_run(iface, iface.ap, pkt, run)
 
-    def receive_packet(self, pkt: Packet, iface_id: str) -> None:
-        if pkt.inner is not None:
-            inner = self.mip.unwrap_incoming(pkt)
-            if inner is None:
-                self.drop(pkt)  # stale CoA or unexpected endpoint
-                return
-            pkt = inner
-        if pkt.kind == "ba":
-            self.mip.on_binding_ack(pkt.payload)
-        elif pkt.kind == "app":
-            run = pkt.payload  # one tick
-            sink = self.sinks.get(run.flow_id)
-            if sink is not None:
-                sink.on_receive(run.seq0, run.times[0], self.sim.now, run.spurt)
-
 
 class HomeAgentNode:
     """Home-network router and MIPv6 home agent with static core forwarding."""
@@ -199,17 +184,16 @@ class HomeAgentNode:
         return RouterAdvertisement(self.home_prefix, self.core.address,
                                    is_home_agent=True)
 
-    def handle(self, pkt: Packet) -> None:
-        """Binding updates, the only packets addressed to the HA, and downlink.
-        Uplink app packets for the CN take forward_run instead."""
-        if pkt.dst == self.core.address:
-            ba = self.core.cache.process(pkt.payload, self.sim.now)
-            self.sim.trace("ha", "mipv6", "bu_processed",
-                           f"seq={ba.seq} {ba.status}")
-            self.forward(Packet(self.core.address, pkt.src, "ba",
-                                BA_BITS + IPV6_HEADER_BITS, payload=ba))
-        else:
-            self.forward(pkt)
+    def handle(self, pkt) -> None:
+        """A binding update, the only packet addressed to the HA, or the
+        continuation of a DownlinkRun. Uplink app packets take forward_run."""
+        if isinstance(pkt, DownlinkRun):
+            pkt.advance(event=True)
+            return
+        ba = self.core.cache.process(pkt.payload, self.sim.now)
+        self.sim.trace("ha", "mipv6", "bu_processed", f"seq={ba.seq} {ba.status}")
+        self.forward(Packet(self.core.address, pkt.src, "ba",
+                            BA_BITS + IPV6_HEADER_BITS, payload=ba))
 
     def forward_run(self, pkt: Packet, run: PacketRun, hop: float) -> None:
         """Take a run of uplink app packets for the CN, native or
@@ -223,18 +207,15 @@ class HomeAgentNode:
         self.cn.arrive(pkt.src, run, hop)
 
     def forward(self, pkt: Packet) -> None:
-        prefix = pkt.dst.prefix
-        if prefix == self.foreign_prefix:
-            self.sim.schedule_in(self.foreign_delay, self.foreign_router.handle, pkt)
-        elif prefix == self.home_prefix:
-            action, out = self.core.intercept(pkt, self.sim.now)
-            if action == "tunnel":
-                self.sim.trace("ha", "mipv6", "intercept", f"dst={pkt.dst}")
-                self.forward(out)
-            else:
+        """A binding ack to the CoA it came from, or to the home address."""
+        if pkt.dst.prefix != self.foreign_prefix:
+            action, pkt = self.core.intercept(pkt, self.sim.now)
+            if action == "native":
                 self.home_ap.deliver_packet(pkt)
-        else:
-            self.drop(pkt)
+                return
+            if self.sim.tracing:
+                self.sim.trace("ha", "mipv6", "intercept", f"dst={pkt.inner.dst}")
+        self.sim.schedule_in(self.foreign_delay, self.foreign_router.handle, pkt)
 
 
 class ForeignRouterNode:
@@ -255,12 +236,12 @@ class ForeignRouterNode:
 
 class CorrespondentNode:
     def __init__(self, sim: Simulator, address: Address, ha: HomeAgentNode,
-                 link_delay: float, expected_src: Optional[Address] = None):
+                 link_delay: float, hoa: Address):
         self.sim = sim
         self.address = address
         self.ha = ha
         self.link_delay = link_delay
-        self.expected_src = expected_src  # the MN's HoA, set once known
+        self.hoa = hoa  # the MN's, for the reverse-tunnel check and the downlink
         self.sinks: dict[str, Sink] = {}
         self.app_received = 0
         self.app_src_matches = 0
@@ -282,7 +263,7 @@ class CorrespondentNode:
         heapq.heappush(arrivals, [
             run.times[0] + hop, self._order, 0, run, hop,
             self.sinks[run.flow_id],
-            self.expected_src is not None and src == self.expected_src])
+            src == self.hoa])
         self._order += len(run.times)
 
     def commit(self, until: float) -> None:
@@ -294,11 +275,7 @@ class CorrespondentNode:
             entry = arrivals[0]
             ha, order, i, run, hop, sink, from_hoa = entry
             # this run's packets go first while they precede the next run's
-            if len(arrivals) == 1:
-                next_ha, next_order = math.inf, 0
-            else:
-                nxt = min(arrivals[1:3])
-                next_ha, next_order = nxt[0], nxt[1]
+            next_ha, next_order = min(arrivals[1:3])[:2] if len(arrivals) > 1 else (math.inf, 0)
             times, seq0, spurt = run.times, run.seq0, run.spurt
             n = len(times)
             on_receive = sink.on_receive
@@ -322,21 +299,74 @@ class CorrespondentNode:
                 heapq.heapreplace(arrivals, entry)
 
     def send_run(self, run: PacketRun, dst: Address) -> None:
-        """The downlink: each packet of the run reaches the HA link_delay
-        after its tick, in an event, as a run of one tick."""
-        size = run.bits + IPV6_HEADER_BITS
-        for k, t in enumerate(run.times):
-            self.sim.schedule_at(t + self.link_delay, self.ha.handle,
-                                 Packet(self.address, dst, "app", size,
-                                        payload=run.part(k, k + 1)))
+        """The downlink: packet k reaches the HA link_delay after its tick."""
+        DownlinkRun(self.ha, run, dst, self.link_delay).advance()
 
 
-def _innermost_app(pkt: Any) -> Optional[PacketRun]:
-    while isinstance(pkt, Packet):
-        if isinstance(pkt.payload, PacketRun):
-            return pkt.payload
-        pkt = pkt.inner
-    return pkt if isinstance(pkt, PacketRun) else None
+class DownlinkRun:
+    """A run of downlink app packets on its way from the HA to the MN's sink.
+
+    At the HA (where 0) a packet is tunnelled while a binding holds and is
+    delivered at the foreign AP foreign_delay later (where 1), else at the
+    home AP; it reaches the AP's station size / bitrate later (where 2). The
+    stages run in time order, those at one instant in the order of the
+    stages before them, as their events would have. A stage runs inline if
+    run_ahead allows its time; any other gets an event of its own,
+    HomeAgentNode.handle(self), queued when the stage before it ran. The
+    control state a stage reads changes only in events.
+    """
+
+    __slots__ = ("ha", "run", "dst", "_pending")
+
+    def __init__(self, ha: HomeAgentNode, run: PacketRun, dst: Address, delay: float):
+        self.ha, self.run, self.dst = ha, run, dst
+        # heap of (time, time of the stage before, k, where, CoA, interface)
+        self._pending = [(t + delay, t, k, 0, None, None) for k, t in enumerate(run.times)]
+
+    def advance(self, event: bool = False) -> None:
+        """Run the stage of this event, if any, and those run_ahead allows;
+        queue an event for each other stage that has none yet."""
+        ha, run, pending = self.ha, self.run, self._pending
+        sim, core = ha.sim, ha.core
+        limit, due = sim.ahead_limit(), event  # due: the first pending is the event's
+        while pending:
+            t, before, k, where, coa, iface = pending[0]
+            if t > limit and not due:
+                break
+            due = False
+            heapq.heappop(pending)
+            if where == 2:
+                mn = iface.mn
+                if iface.ap is None or coa is not None and (  # disassociated; stale CoA
+                        mn.mip.current_coa() != coa or mn.host.ha_address != core.address):
+                    ha.drop(run.part(k, k + 1), t)
+                else:
+                    mn.sinks[run.flow_id].on_receive(run.seq0 + k, run.times[k], t, run.spurt)
+                continue
+            if where == 1:
+                ap = ha.foreign_router.ap
+            elif (coa := core.cache.lookup(self.dst, t)) is None:
+                ap = ha.home_ap
+            else:
+                if sim.tracing:
+                    sim.trace("ha", "mipv6", "intercept", f"dst={self.dst}", at=t)
+                nxt = (t + ha.foreign_delay, t, k, 1, coa, None)
+            if where == 1 or coa is None:
+                # each interface may associate with one AP, so an AP has one station at most
+                iface = next(iter(ap.stations.values()), None)
+                if (iface is None or iface.channel not in (None, ap.cfg.channel)
+                        or not ap.medium.in_range_moving(ap, iface, t)[0]):
+                    ha.drop(run.part(k, k + 1), t)
+                    continue
+                bits = run.bits + MAC_OVERHEAD_BITS + IPV6_HEADER_BITS * (1 if coa is None else 2)
+                nxt = (t + bits / ap.medium.bitrate, t, k, 2, coa, iface)
+            heapq.heappush(pending, nxt)
+            if nxt[0] > limit:
+                sim.schedule_at(nxt[0], ha.handle, self)
+        if not event:  # the emit: the packets that reach the HA past the limit
+            for entry in pending:
+                if entry[3] == 0:
+                    sim.schedule_at(entry[0], ha.handle, self)
 
 
 class Scenario:
@@ -361,22 +391,20 @@ class Scenario:
                                 cfg.home_prefix, cfg.foreign_prefix,
                                 cfg.foreign_link_delay, self._on_drop)
         self.fr = ForeignRouterNode(fr_addr, cfg.foreign_prefix)
-        self.cn = CorrespondentNode(sim, cn_addr, self.ha, cfg.cn_link_delay)
+        hoa = Address(cfg.home_prefix, derive_iid("mn", 0), "global")  # as the CN knows it
+        self.cn = CorrespondentNode(sim, cn_addr, self.ha, cfg.cn_link_delay, hoa)
         self.ha.foreign_router = self.fr
         self.ha.cn = self.cn
 
-        home_ap_cfg = ApConfig("ap-home", cfg.ap_home_x, cfg.ap_home_y,
-                               cfg.ap_home_channel,
-                               tx_power_dbm=cfg.tx_power_dbm,
-                               beacon_interval=cfg.beacon_interval)
-        foreign_ap_cfg = ApConfig("ap-foreign", cfg.ap_foreign_x, cfg.ap_foreign_y,
-                                  cfg.ap_foreign_channel,
-                                  tx_power_dbm=cfg.tx_power_dbm,
-                                  beacon_interval=cfg.beacon_interval)
-        self.ap_home = AccessPoint(sim, home_ap_cfg, self.medium, self.ha,
-                                   ra_interval=cfg.ra_interval)
-        self.ap_foreign = AccessPoint(sim, foreign_ap_cfg, self.medium, self.fr,
-                                      ra_interval=cfg.ra_interval)
+        def access_point(ap_id: str, x: float, y: float, channel: int, router) -> AccessPoint:
+            return AccessPoint(sim, ApConfig(ap_id, x, y, channel, cfg.tx_power_dbm,
+                                             cfg.beacon_interval),
+                               self.medium, router, ra_interval=cfg.ra_interval)
+
+        self.ap_home = access_point("ap-home", cfg.ap_home_x, cfg.ap_home_y,
+                                    cfg.ap_home_channel, self.ha)
+        self.ap_foreign = access_point("ap-foreign", cfg.ap_foreign_x, cfg.ap_foreign_y,
+                                       cfg.ap_foreign_channel, self.fr)
         self.ha.home_ap = self.ap_home
         self.fr.ap = self.ap_foreign
         # everything bridged up at the foreign AP crosses the foreign-HA link;
@@ -390,16 +418,10 @@ class Scenario:
 
         path = TractorPath(cfg.field_x1, cfg.field_y1, cfg.field_x2, cfg.field_y2,
                            cfg.row_count, cfg.speed)
-        if cfg.scheme == "soft":
-            iface_specs = ["ap-home", "ap-foreign"]
-        else:
-            iface_specs = [None]
+        iface_specs = ["ap-home", "ap-foreign"] if cfg.scheme == "soft" else [None]
         self.mn = MobileNode(sim, path, self.medium, iface_specs,
                              cfg.dad_duration, cfg.beacon_interval,
                              cfg.miss_threshold, self._on_drop)
-        # the CN's view of the MN identity (used for the reverse-tunnel check)
-        self.cn.expected_src = Address(cfg.home_prefix,
-                                       derive_iid("mn", 0), "global")
 
         self._build_traffic()
 
@@ -416,7 +438,7 @@ class Scenario:
 
         def cn_emit(run: PacketRun) -> None:
             self.flows[run.flow_id].sent += len(run.times)
-            self.cn.send_run(run, self.mn.host.home_address or self.cn.expected_src)
+            self.cn.send_run(run, self.cn.hoa)
 
         self.sources = []
         if cfg.application == "video":
@@ -443,19 +465,17 @@ class Scenario:
         else:
             raise ValueError(f"unknown application {cfg.application!r}")
 
-    def _on_drop(self, payload: Any) -> None:
-        """Count and log lost app packets: a run inside a packet, which
-        travels in an event, drops now; a bare run drops at its own ticks."""
-        app = _innermost_app(payload)
-        if app is None:
+    def _on_drop(self, run, at: Optional[float] = None) -> None:
+        """Count and log lost app packets, each at its send time or at `at`;
+        control packets are not counted."""
+        if not isinstance(run, PacketRun):
             return
-        stats = self.flows[app.flow_id]
-        times = app.times if payload is app else [self.sim.now] * len(app.times)
-        for seq, t in zip(range(app.seq0, app.seq0 + len(app.times)), times):
+        stats = self.flows[run.flow_id]
+        for seq, t in enumerate(run.times if at is None else [at] * len(run.times), run.seq0):
             stats.lost += 1
             stats.dropped_seqs.add(seq)
-            self.sim.trace("net", "traffic", "drop", f"flow={app.flow_id} seq={seq}",
-                           at=t)
+            if self.sim.tracing:
+                self.sim.trace("net", "traffic", "drop", f"flow={run.flow_id} seq={seq}", at=t)
 
     # -- execution ---------------------------------------------------------------
 

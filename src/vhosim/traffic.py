@@ -140,38 +140,41 @@ def compute_mos(stats: FlowStats) -> MosReport:
 class _Source:
     """Emission shared by the sources: ticks go to emit as runs.
 
-    A tick that would be the next event anyway runs inline instead, in a run
-    with the ticks before and after it that may run inline too. A run's emit
-    runs with the clock at the run's last tick. It must not schedule an event
-    at or before that tick, except in a run of one tick: such an event would
-    have come before a later tick of the run.
+    A tick that would be the next event anyway runs inline instead, in one
+    run with the due tick and every tick after it that may run inline too.
+    A run's emit runs with the clock at the run's last tick. It must not
+    schedule an event at or before that tick, except in a run of one tick:
+    such an event would have come before a later tick of the run.
     """
 
-    sim: Simulator
-    flow_id: str
     packet_bits: int
-    emit: Callable[[PacketRun], None]
-    seq: int
+
+    def __init__(self, sim: Simulator, flow_id: str, emit: Callable[[PacketRun], None],
+                 start: float, stop: Optional[float]):
+        self.sim = sim
+        self.flow_id = flow_id
+        self.emit = emit
+        self.start_at = start
+        self.stop = math.inf if stop is None else stop
+        self.seq = 0
 
     def _ticks(self, t0: float, k: int, dt: float, until: float,
                spurt: int = 0) -> tuple[int, bool]:
-        """Emit the due tick t0 + k*dt, then every later tick before until
-        that may run inline.
+        """Emit the due tick t0 + k*dt and every later tick before until
+        that may run inline, as one run.
 
         Returns the index of the first tick not emitted and whether it runs
         now (it is at or after until); if not, it needs an event.
         """
         sim = self.sim
         t = t0 + k * dt
-        limit = t  # the due tick goes alone: its emit may schedule before the next tick
-        while t <= limit:
-            times = []
-            while t <= limit and t < until:
-                times.append(t)
-                k += 1
-                t = t0 + k * dt
-            if not times:
-                return k, True
+        limit = max(t, sim.ahead_limit())  # the due tick runs now in any case
+        times = []
+        while t <= limit and t < until:
+            times.append(t)
+            k += 1
+            t = t0 + k * dt
+        if times:
             last = times[-1]
             if last > sim.now:  # the clock is at the due tick already
                 sim.run_ahead(last)
@@ -183,7 +186,7 @@ class _Source:
             if limit < last and len(times) > 1:
                 raise SchedulingError(f"{self.flow_id}: the emit of a run scheduled "
                                       f"an event at or before its last tick t={last}")
-        return k, False
+        return k, t <= limit
 
 
 class VideoSource(_Source):
@@ -194,14 +197,9 @@ class VideoSource(_Source):
                  stop: Optional[float] = None):
         if rate_bps <= 0:
             raise ValueError("rate must be > 0")
-        self.sim = sim
-        self.flow_id = flow_id
+        super().__init__(sim, flow_id, emit, start, stop)
         self.interval = packet_bits / rate_bps
         self.packet_bits = packet_bits
-        self.emit = emit
-        self.start_at = start
-        self.stop = math.inf if stop is None else stop
-        self.seq = 0
 
     def start(self) -> None:
         self.sim.schedule_at(self.start_at, self._tick, 0)
@@ -218,14 +216,9 @@ class VoipSource(_Source):
     def __init__(self, sim: Simulator, flow_id: str, cfg: VoipConfig,
                  rng: random.Random, emit: Callable[[PacketRun], None],
                  start: float = 0.0, stop: Optional[float] = None):
-        self.sim = sim
-        self.flow_id = flow_id
+        super().__init__(sim, flow_id, emit, start, stop)
         self.cfg = cfg
         self.rng = rng
-        self.emit = emit
-        self.start_at = start
-        self.stop = math.inf if stop is None else stop
-        self.seq = 0
         self.spurt_idx = -1
         self.packet_bits = int(cfg.codec_rate * cfg.packetization_interval)
 
@@ -275,22 +268,16 @@ class Sink:
             self.duplicates += 1
             return "duplicate"
         delay = now - sent_at
-        if self.kind != "voip":
-            stats.received += 1
-            stats.delay_sum += delay
-            return "received"
-        if spurt == 0:
+        if self.kind == "voip" and spurt == 0:
             if self._first_spurt_min is None or delay < self._first_spurt_min:
                 self._first_spurt_min = delay
-            stats.received += 1
-            stats.delay_sum += delay
-            return "received"
-        if self._budget is None:
-            self._budget = (self._first_spurt_min if self._first_spurt_min is not None
-                            else delay) + self.playout_delay
-        if delay <= self._budget:
-            stats.received += 1
-            stats.delay_sum += delay
-            return "received"
-        stats.late += 1
-        return "late"
+        elif self.kind == "voip":
+            if self._budget is None:
+                self._budget = (self._first_spurt_min if self._first_spurt_min is not None
+                                else delay) + self.playout_delay
+            if delay > self._budget:
+                stats.late += 1
+                return "late"
+        stats.received += 1
+        stats.delay_sum += delay
+        return "received"

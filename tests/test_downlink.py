@@ -1,0 +1,175 @@
+"""A downlink run met by a control change while its packets are on their way.
+
+Each case sends one run of ten VoIP ticks, 50.00 to 50.18 s, to a hard-scheme
+MN that is registered at the foreign network (binding accepted at 44.35 s, in
+range of the foreign AP until 93.95 s), over a 50 ms foreign link; no source
+runs. A change mid-run cuts the run: a binding update processed at the HA, a
+disassociation, or the expiry of the binding's lifetime.
+
+Every case runs twice. Inline, the run is one emit at its last tick, as a
+source sends it, and DownlinkRun.advance runs what stages it may inline. In
+the event world, each tick is emitted from its own event and the ahead limit
+is held at -inf, so that every stage runs from an event of its own at its own
+time. Both must give the same sink calls, drop lines, event log and counts.
+The last test draws whole VoIP runs and compares them with the event world
+in the same way.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from vhosim.harness import ScenarioConfig, run_experiment
+from vhosim.ipv6 import IPV6_HEADER_BITS, Packet
+from vhosim.mipv6 import BU_BITS, BindingUpdate
+from vhosim.radio import MAC_OVERHEAD_BITS
+from vhosim.scenario import Scenario
+from vhosim.traffic import PacketRun
+
+TICKS = [50.0 + k * 0.02 for k in range(10)]
+BITS = 1280  # 64 kb/s for 20 ms
+
+
+def _send(change, event_world: bool, **overrides):
+    """(sink calls, drop lines, whole log, scenario) of one run of TICKS;
+    change(scenario) runs at 49 s and may schedule the control change."""
+    log: list[str] = []
+    scn = Scenario(ScenarioConfig(scheme="hard", application="voip", speed=4.0,
+                                  foreign_link_delay=0.05, **overrides), trace_sink=log)
+    sim = scn.sim
+    if event_world:
+        sim.ahead_limit = lambda: -math.inf
+    scn.ap_home.start()
+    scn.ap_foreign.start()
+    sim.run_until(49.0)
+    assert scn.ha.core.cache.lookup(scn.cn.hoa, sim.now) is not None
+    change(scn)
+    calls = []
+    sink = scn.mn.sinks["voip-dl"]
+    take = sink.on_receive
+    sink.on_receive = lambda seq, sent_at, now, spurt=0: calls.append(
+        (seq, now, take(seq, sent_at, now, spurt)))
+    run = PacketRun("voip-dl", 0, TICKS, BITS)
+    scn.flows["voip-dl"].sent += len(TICKS)
+    for lo, hi in ([(k, k + 1) for k in range(len(TICKS))] if event_world
+                   else [(0, len(TICKS))]):
+        sim.schedule_at(TICKS[hi - 1], scn.cn.send_run, run.part(lo, hi), scn.cn.hoa)
+    sim.run_until(51.0)
+    drops = [(float(line.split()[0]), int(line.rsplit("=", 1)[1]))
+             for line in log if " traffic drop flow=voip-dl " in line]
+    return calls, drops, log, scn
+
+
+def _both(change, **overrides):
+    """The inline run, checked against the event world."""
+    calls, drops, log, scn = _send(change, False, **overrides)
+    calls_ev, drops_ev, log_ev, scn_ev = _send(change, True, **overrides)
+    assert calls == calls_ev
+    assert log == log_ev
+    stats, stats_ev = scn.flows["voip-dl"], scn_ev.flows["voip-dl"]
+    assert (stats.received, stats.late, stats.lost) == (stats_ev.received, stats_ev.late,
+                                                        stats_ev.lost)
+    assert stats.sent == stats.received + stats.late + stats.lost
+    # the inline run needs fewer events than one per stage and tick
+    assert scn.sim.executed < scn_ev.sim.executed
+    return [seq for seq, _, _ in calls], drops, scn
+
+
+def _at_ha(k: int, cn_delay: float = 0.002) -> float:
+    return TICKS[k] + cn_delay
+
+
+def _at_foreign_ap(k: int) -> float:
+    return _at_ha(k) + 0.05
+
+
+def test_binding_update_processed_mid_run_sends_later_packets_home():
+    # the packets reach the HA 100 ms after their ticks, 50.10 to 50.28 s; a
+    # deregistration processed at 50.19 s leaves the HA no binding, so the
+    # packets after it go native to the home AP, which the MN has left
+    def deregister(scn):
+        core = scn.ha.core
+        coa = core.cache.lookup(scn.cn.hoa, scn.sim.now)
+        bu = BindingUpdate(scn.cn.hoa, coa, seq=100, lifetime=0.0)
+        scn.sim.schedule_at(50.19, scn.ha.handle, Packet(coa, core.address, "bu",
+                                                         BU_BITS + IPV6_HEADER_BITS,
+                                                         payload=bu))
+
+    received, drops, scn = _both(deregister, cn_link_delay=0.1)
+    assert received == [0, 1, 2, 3, 4]
+    assert drops == [(pytest.approx(_at_ha(k, 0.1), abs=1e-9), k) for k in range(5, 10)]
+    assert scn.cn.hoa not in scn.ha.core.cache.entries
+
+
+def test_disassociation_mid_run_drops_the_packets_still_on_their_way():
+    # at 50.1925 s packet 7 has reached the foreign AP (50.192 s) but not the
+    # MN (50.1931 s), and drops there; packets 8 and 9 reach the AP after the
+    # disassociation frame has removed its station, and drop at the AP
+    def disassociate(scn):
+        scn.sim.schedule_at(50.1925, scn.mn.llc.command_disassociate, "mn.wlan0")
+
+    received, drops, _ = _both(disassociate)
+    assert received == [0, 1, 2, 3, 4, 5, 6]
+    air = (BITS + 2 * IPV6_HEADER_BITS + MAC_OVERHEAD_BITS) / 2e6
+    assert drops == [(pytest.approx(_at_foreign_ap(7) + air, abs=1e-9), 7),
+                     (pytest.approx(_at_foreign_ap(8), abs=1e-9), 8),
+                     (pytest.approx(_at_foreign_ap(9), abs=1e-9), 9)]
+
+
+def test_binding_expiring_mid_run_is_read_at_each_packets_time():
+    # the packets reach the HA at 50.002 to 50.182 s, all of them before the
+    # clock reaches the emit at 50.18 s; the binding lapses at 50.09 s, so
+    # packet 5 (50.102 s) finds it expired and deletes it
+    def shorten(scn):
+        entry = scn.ha.core.cache.entries[scn.cn.hoa]
+        entry.lifetime = 50.09 - entry.created_at
+
+    received, drops, scn = _both(shorten)
+    assert received == [0, 1, 2, 3, 4]
+    assert drops == [(pytest.approx(_at_ha(k), abs=1e-9), k) for k in range(5, 10)]
+    assert scn.cn.hoa not in scn.ha.core.cache.entries
+
+
+def _sink_calls(cfg: ScenarioConfig, event_world: bool) -> tuple[dict, list[str], list]:
+    """(flow -> its sink calls in order, event log, CSV row) of one run."""
+    calls: dict[str, list] = {}
+    log: list[str] = []
+    original = Scenario.__init__
+
+    def build(scn, *args, **kwargs):
+        original(scn, *args, **kwargs)
+        if event_world:
+            scn.sim.ahead_limit = lambda: -math.inf
+        for sinks in (scn.cn.sinks, scn.mn.sinks):
+            for flow, sink in sinks.items():
+                take = sink.on_receive
+                sink.on_receive = (lambda seq, sent_at, now, spurt=0, take=take, flow=flow:
+                                   calls.setdefault(flow, []).append(
+                                       (seq, now, take(seq, sent_at, now, spurt))))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Scenario, "__init__", build)
+        row = run_experiment(cfg, trace_sink=log).metrics.to_row()
+    return calls, log, row
+
+
+@settings(max_examples=15, deadline=None)
+@given(scheme=st.sampled_from(["hard", "soft"]),
+       seed=st.integers(1, 10_000),
+       cn_link_delay=st.sampled_from([0.0, 0.002, 0.02, 0.1]),
+       foreign_link_delay=st.one_of(st.sampled_from([0.0, 0.02, 0.05]),
+                                    st.floats(0.0, 0.1)))
+@example(scheme="hard", seed=3408, cn_link_delay=0.02, foreign_link_delay=0.02)
+def test_voip_runs_keep_the_order_of_the_event_world(scheme, seed, cn_link_delay,
+                                                     foreign_link_delay):
+    # 10 m/s for 45 s: two or three handovers. Link delays that are multiples
+    # of the 20 ms packet spacing make stages of different packets fall at
+    # one instant, where the order of their events decides the log
+    cfg = ScenarioConfig(scheme=scheme, application="voip", speed=10.0, seed=seed,
+                         sim_time=45.0, cn_link_delay=cn_link_delay,
+                         foreign_link_delay=foreign_link_delay, expected_handovers=None)
+    assert _sink_calls(cfg, False) == _sink_calls(cfg, True)

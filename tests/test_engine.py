@@ -192,21 +192,21 @@ def _video_run_program(offset):
 
 @pytest.mark.parametrize("offset", [0.5, 4.0])
 def test_emit_that_schedules_into_its_own_run_raises(offset):
-    # the run after the due tick at 0 holds the ticks 1..5; an event at
-    # 1.5 s or 5 s would have come before one of them
+    # the run from the due tick at 0 holds the ticks 0..5; an event at
+    # 0.5 s or 4 s would have come before one of them
     sim, runs = _video_run_program(offset)
     with pytest.raises(SchedulingError):
         sim.run_until(10.0)
-    assert runs == [[0.0], [1.0, 2.0, 3.0, 4.0, 5.0]]
+    assert runs == [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]]
 
 
 def test_emit_that_schedules_past_its_run_keeps_the_run():
-    sim, runs = _video_run_program(4.25)  # at 5.25 s, after the run's last tick
+    sim, runs = _video_run_program(5.25)  # at 5.25 s, after the run's last tick
     sim.run_until(7.0)
-    assert runs == [[0.0], [1.0, 2.0, 3.0, 4.0, 5.0], [6.0], [7.0]]
-    sim, runs = _video_run_program(4.25)
+    assert runs == [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [6.0, 7.0]]
+    sim, runs = _video_run_program(5.25)
     sim.run_until(3.0)
-    assert runs == [[0.0], [1.0, 2.0, 3.0]]  # cut at the run_until end
+    assert runs == [[0.0, 1.0, 2.0, 3.0]]  # cut at the run_until end
 
 
 # Times on a grid of quarter seconds are exact in binary floating point, so
@@ -287,10 +287,11 @@ def _run_schedule(shots, tombstones, sources, ends, inline):
          sources=[("video", 0.25, 1, 2, ("spawn", 0.25)),
                   ("voip", 0.0, 1, 3, ("cancel", 0))], ends=[0.75, 6.0])
 @example(shots=[], tombstones=[], sources=[("video", 0.0, 1, 3, ("spawn", 0.5))],
-         ends=[6.0])  # tick 0.75 opens a run and spawns into it at 1.25
+         ends=[6.0])  # the due tick 0 opens a run and spawns into it at 0.5
 @example(shots=[], tombstones=[], sources=[("video", 0.0, 1, 3, ("spawn", 0.5))],
-         ends=[1.25, 6.0])  # ... at 1.25, the run's last tick
-@example(shots=[], tombstones=[], sources=[("video", 0.0, 1, 3, ("spawn", 1.0))],
+         ends=[0.5, 6.0])  # ... at 0.5, the run's last tick
+@example(shots=[(0.5, ("none",))], tombstones=[],
+         sources=[("video", 0.0, 1, 3, ("spawn", 1.0))],
          ends=[6.0])  # each run's spawn lands after its last tick
 def test_run_ahead_keeps_the_order_of_the_heap(shots, tombstones, sources, ends):
     inline, into_own_run, raised = _run_schedule(shots, tombstones, sources, ends,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vhosim.harness import ScenarioConfig, RunResult, run_experiment
-from vhosim.ipv6 import Packet
+from vhosim.ipv6 import Address, Packet
 from vhosim.llc import VhoController
 from vhosim.radio import BEACON_BITS, Frame
 from vhosim.scenario import Scenario
@@ -122,6 +122,19 @@ def test_controller_stays_out_of_the_data_plane(soft_voip_run, hard_video_run):
         assert not run.controller_arg_types & {Packet, PacketRun, Frame}
 
 
+def test_an_untraced_run_formats_no_address(monkeypatch):
+    # trace details are built only while tracing: an untraced VoIP run
+    # renders no address, not even for the intercept of each tunnelled packet
+    calls = []
+    render = Address.__str__
+    monkeypatch.setattr(Address, "__str__", lambda a: calls.append(a) or render(a))
+    cfg = ScenarioConfig(scheme="soft", application="voip", speed=10.0)
+    run_experiment(cfg)
+    assert calls == []
+    run_experiment(cfg, trace_sink=[])
+    assert calls  # the wrapper sees the addresses a traced run renders
+
+
 def test_each_released_interface_is_cleaned_up_once(soft_voip_run):
     # the old interface is released once per handover, when the candidate
     # is promoted; the promotion itself cleans up nothing more
@@ -155,15 +168,22 @@ def test_ra_landing_after_disassociation_is_ignored_at_the_interface(monkeypatch
        rate=st.sampled_from([0.5e6, 2e6]),
        speed=st.floats(1.0, 10.0),
        seed=st.integers(1, 10_000),
-       sim_time=st.floats(5.5, 60.0))
+       sim_time=st.floats(5.5, 60.0),
+       foreign_link_delay=st.floats(0.0, 0.1))
 def test_packet_conservation_on_random_short_runs(scheme, app, rate, speed, seed,
-                                                  sim_time):
+                                                  sim_time, foreign_link_delay):
+    # a foreign link slower than the packet spacing keeps several downlink
+    # packets of a run on their way at once, and interleaves their stages
     cfg = ScenarioConfig(scheme=scheme, application=app, video_rate_bps=rate,
                          speed=speed, seed=seed, sim_time=sim_time,
+                         foreign_link_delay=foreign_link_delay,
                          expected_handovers=None)
+    spacing = cfg.voip_packetization if app == "voip" else cfg.video_packet_bits / rate
     for flow in run_experiment(cfg).scenario.flows.values():
         assert flow.sent == flow.received + flow.late + flow.lost + flow.in_flight
-        assert 0 <= flow.in_flight <= 5, flow.in_flight
+        # in flight: what the run end cut off mid-path, so one packet more
+        # per packet spacing of the foreign link
+        assert 0 <= flow.in_flight <= 5 + foreign_link_delay / spacing, flow.in_flight
         assert not (flow.received_seqs & flow.dropped_seqs)
         assert len(flow.received_seqs) == flow.received + flow.late
         assert len(flow.dropped_seqs) == flow.lost

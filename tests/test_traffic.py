@@ -94,8 +94,8 @@ def test_video_source_cadence_and_sizes():
     assert [p.times[0] for p in pkts[:3]] == [5.0, 5.02, 5.04]
     assert all(p.bits == 10000 for p in pkts)
     assert [p.seq0 for p in pkts] == list(range(50))
-    # the due tick goes alone, the rest run inline as one run
-    assert [len(run.times) for run in out] == [1, 49]
+    # the due tick and the ticks that run inline after it make one run
+    assert [len(run.times) for run in out] == [50]
 
 
 def test_video_source_stop_time():
