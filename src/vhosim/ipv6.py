@@ -37,7 +37,8 @@ class Address:
 
     def __str__(self):
         val = (self.prefix << 64) | self.iid
-        return ":".join(f"{(val >> (112 - 16 * i)) & 0xFFFF:x}" for i in range(8))
+        groups = [f"{(val >> (112 - 16 * i)) & 0xFFFF:x}" for i in range(8)]
+        return ":".join(groups)
 
 
 @dataclass

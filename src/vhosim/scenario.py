@@ -99,7 +99,8 @@ class MobileNode:
         self.medium = medium
         self.sinks: dict[str, Sink] = {}
 
-        self.llc = VhoController(sim, node_id, beacon_interval=beacon_interval,
+        self.llc = VhoController(sim, node_id,
+                                 beacon_interval=beacon_interval,
                                  miss_threshold=miss_threshold)
         self.host = Ipv6Host(sim, node_id, self.llc.on_address_global,
                              dad_duration=dad_duration)
@@ -343,15 +344,12 @@ class DownlinkRun:
                 else:
                     mn.sinks[run.flow_id].on_receive(run.seq0 + k, run.times[k], t, run.spurt)
                 continue
-            if where == 1:
-                ap = ha.foreign_router.ap
-            elif (coa := core.cache.lookup(self.dst, t)) is None:
-                ap = ha.home_ap
-            else:
+            if where == 0 and (coa := core.cache.lookup(self.dst, t)) is not None:
                 if sim.tracing:
                     sim.trace("ha", "mipv6", "intercept", f"dst={self.dst}", at=t)
                 nxt = (t + ha.foreign_delay, t, k, 1, coa, None)
-            if where == 1 or coa is None:
+            else:  # delivery at the foreign AP past the router, or natively at home
+                ap = ha.foreign_router.ap if where == 1 else ha.home_ap
                 # each interface may associate with one AP, so an AP has one station at most
                 iface = next(iter(ap.stations.values()), None)
                 if (iface is None or iface.channel not in (None, ap.cfg.channel)

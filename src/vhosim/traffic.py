@@ -268,16 +268,17 @@ class Sink:
             self.duplicates += 1
             return "duplicate"
         delay = now - sent_at
-        if self.kind == "voip" and spurt == 0:
-            if self._first_spurt_min is None or delay < self._first_spurt_min:
-                self._first_spurt_min = delay
-        elif self.kind == "voip":
-            if self._budget is None:
-                self._budget = (self._first_spurt_min if self._first_spurt_min is not None
-                                else delay) + self.playout_delay
-            if delay > self._budget:
-                stats.late += 1
-                return "late"
+        if self.kind == "voip":
+            if spurt == 0:
+                if self._first_spurt_min is None or delay < self._first_spurt_min:
+                    self._first_spurt_min = delay
+            else:
+                if self._budget is None:
+                    self._budget = (self._first_spurt_min if self._first_spurt_min is not None
+                                    else delay) + self.playout_delay
+                if delay > self._budget:
+                    stats.late += 1
+                    return "late"
         stats.received += 1
         stats.delay_sum += delay
         return "received"
