@@ -15,7 +15,9 @@ changes the digest. The configs cover the ties that the beacon path must keep
 
 The two VoIP runs with a 50 ms foreign link hold downlink packets still on
 their way over several source ticks, so their drop and intercept lines of
-different packets interleave.
+different packets interleave. The two VoIP runs with 0.2 s talk spurts and
+0.3 s silences start a spurt in one flow every 0.25 s on average, so the two
+flows' spurt starts and ticks interleave densely.
 
 miss1-bi0.5-soft makes 14 handovers and foreignx150-hard one, so neither
 asserts the count.
@@ -57,6 +59,9 @@ CONFIGS = {
                                           speed=4.0, foreign_link_delay=0.05),
     "voip-soft-4-fld0.05": ScenarioConfig(scheme="soft", application="voip",
                                           speed=4.0, foreign_link_delay=0.05),
+    **{f"voip-{s}-4-spurt0.2": ScenarioConfig(scheme=s, application="voip", speed=4.0,
+                                              voip_spurt_mean=0.2, voip_silence_mean=0.3)
+       for s in ("hard", "soft")},
     "bitrate12800-hard": ScenarioConfig(scheme="hard", bitrate=12800.0),
     "bitrate12800-soft": ScenarioConfig(scheme="soft", bitrate=12800.0),
     "miss1-bi0.5-soft": ScenarioConfig(scheme="soft", miss_threshold=1,

@@ -7,7 +7,8 @@ of that flow's Sink.on_receive calls, one line per call:
 foreign link slower than the packet spacing, so reverse-tunnelled packets
 reach the correspondent after native packets sent later. The VoIP runs pin
 the downlink too, in both schemes; with the slow foreign link a tunnelled
-downlink packet is still on its way when the next ones are sent.
+downlink packet is still on its way when the next ones are sent, and with
+short talk spurts and silences the two flows' spurts interleave densely.
 
 Refresh tests/golden/uplink_order.json after an intended change of order
 (say in CHANGES.md why the order changed):
@@ -44,6 +45,9 @@ CONFIGS = {
         scheme="hard", application="voip", speed=4.0, foreign_link_delay=0.05),
     "voip-hard-2-seed1001": ScenarioConfig(
         scheme="hard", application="voip", speed=2.0, seed=1001),
+    **{f"voip-{s}-4-spurt0.2": ScenarioConfig(
+        scheme=s, application="voip", speed=4.0, voip_spurt_mean=0.2,
+        voip_silence_mean=0.3) for s in ("hard", "soft")},
 }
 # runs whose uplink must be committed out of sending order, or the golden
 # would not tell arrival order from sending order
