@@ -33,11 +33,13 @@ class Simulator:
         self.seed = seed
         self.executed = 0
         self._heap: list[list] = []
-        self._seq = 0
+        self.scheduled = 0  # entries scheduled so far; each one's tie-break number
         self._end = -math.inf  # bound of the run_until call in progress
         self._rngs: dict[str, random.Random] = {}
         self._trace = trace_sink
         self.tracing = trace_sink is not None  # check before building a trace detail
+        self.held: list[tuple[float, str]] | None = None  # set: trace() keeps lines here
+        self.ticker = None  # the sources' clock (traffic.Ticker), made by the first source
 
     # -- random streams ----------------------------------------------------
 
@@ -60,8 +62,8 @@ class Simulator:
         """last: run after the events at fire_at scheduled without it."""
         if fire_at < self.now:
             raise SchedulingError(f"schedule at t={fire_at} in the past (now={self.now})")
-        entry = [fire_at, self._seq + (1 << 62 if last else 0), callback, args]
-        self._seq += 1
+        entry = [fire_at, self.scheduled + (1 << 62 if last else 0), callback, args]
+        self.scheduled += 1
         heapq.heappush(self._heap, entry)
         return entry
 
@@ -130,7 +132,18 @@ class Simulator:
         """Log a line stamped with the clock, or with at: a packet of a run
         is handled at its own tick, which the clock does not step through."""
         if self._trace is not None:
-            line = f"{self.now if at is None else at:.9f} {node} {module} {kind}"
+            t = self.now if at is None else at
+            line = f"{t:.9f} {node} {module} {kind}"
             if detail:
                 line = f"{line} {detail}"
-            self._trace.append(line)
+            if self.held is None:
+                self._trace.append(line)
+            else:
+                self.held.append((t, line))
+
+    def release_trace(self, held: list[list[tuple[float, str]]]) -> None:
+        """Log the (time, line) pairs kept in the lists of held in time order;
+        lines of one time in the order of the lists, then as they came."""
+        self.held = None
+        pairs = sorted((pair for kept in held for pair in kept), key=lambda pair: pair[0])
+        self._trace.extend(line for _, line in pairs)

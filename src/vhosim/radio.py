@@ -69,11 +69,11 @@ class Medium:
         self.sensitivity_dbm = sensitivity_dbm
         self.bitrate = bitrate
         self.d_ref = d_ref
-        self.drop_hook = drop_hook
+        self.drop_hook = drop_hook  # takes the runs of app packets lost out of range
         self.beacons = BeaconLedger(self)
-        # (ap, iface) -> (verdict, valid_until): a range verdict cannot flip
-        # before the node has covered the distance margin to the coverage edge
-        self._range_verdicts: dict[tuple[int, int], tuple[bool, float]] = {}
+        # (ap, iface) -> (valid_since, (verdict, valid_until)): a range verdict cannot
+        # flip within the time the node needs to cover its margin to the coverage edge
+        self._range_verdicts: dict[tuple[int, int], tuple[float, tuple[bool, float]]] = {}
 
     def coverage_radius2(self, tx_power_dbm: float) -> float:
         """Squared closed-form coverage radius: cheaper to compare against on
@@ -93,12 +93,13 @@ class Medium:
     def in_range_moving(self, ap: "AccessPoint", iface, t: float) -> tuple[bool, float]:
         """Range verdict at time t for a node of bounded speed, and the time
         until which it holds: the node cannot cross the coverage edge before
-        it has covered its distance to it. Memoized per (ap, iface) for
-        queries at non-decreasing times."""
+        it has covered its distance to it. Memoized per (ap, iface): a verdict
+        judged at t_c answers every query with |t - t_c| < margin / speed, in
+        whatever order the queries come."""
         key = (id(ap), id(iface))
         cached = self._range_verdicts.get(key)
-        if cached is not None and t < cached[1]:
-            return cached
+        if cached is not None and cached[0] < t < cached[1][1]:
+            return cached[1]
         pos = iface.position(t)
         dx = pos[0] - ap.cfg.x
         dy = pos[1] - ap.cfg.y
@@ -106,21 +107,14 @@ class Medium:
         r2 = ap.radius2
         speed = getattr(iface, "max_speed", 0.0)
         if speed > 0.0 and r2 > 0.0:
-            margin = abs(math.sqrt(d2) - math.sqrt(r2))
-            cached = self._range_verdicts[key] = (d2 <= r2, t + margin / speed)
-            return cached
+            reach = abs(math.sqrt(d2) - math.sqrt(r2)) / speed
+            cached = self._range_verdicts[key] = (t - reach, (d2 <= r2, t + reach))
+            return cached[1]
         return (d2 <= r2, t)
 
-    def _drop(self, frame: Frame) -> None:
-        if self.drop_hook is not None:
-            self.drop_hook(frame.payload)
-
     def ap_to_iface(self, ap: "AccessPoint", iface, frame: Frame) -> None:
-        if iface.channel not in (None, frame.channel):
-            self._drop(frame)
-            return
-        if not self.in_range_moving(ap, iface, self.sim.now)[0]:
-            self._drop(frame)
+        if (iface.channel not in (None, frame.channel)
+                or not self.in_range_moving(ap, iface, self.sim.now)[0]):
             return
         self.sim.schedule_in(frame.size_bits / self.bitrate, iface.on_frame, frame)
 
@@ -128,7 +122,6 @@ class Medium:
         # symmetric link budget: the AP hears the node iff the node hears the AP
         if (frame.channel != ap.cfg.channel
                 or not self.in_range_moving(ap, iface, self.sim.now)[0]):
-            self._drop(frame)
             return
         delay = frame.size_bits / self.bitrate
         if frame.kind == "data":

@@ -463,11 +463,8 @@ class Scenario:
         else:
             raise ValueError(f"unknown application {cfg.application!r}")
 
-    def _on_drop(self, run, at: Optional[float] = None) -> None:
-        """Count and log lost app packets, each at its send time or at `at`;
-        control packets are not counted."""
-        if not isinstance(run, PacketRun):
-            return
+    def _on_drop(self, run: PacketRun, at: Optional[float] = None) -> None:
+        """Count and log lost app packets, each at its send time or at `at`."""
         stats = self.flows[run.flow_id]
         for seq, t in enumerate(run.times if at is None else [at] * len(run.times), run.seq0):
             stats.lost += 1

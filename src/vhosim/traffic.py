@@ -137,56 +137,117 @@ def compute_mos(stats: FlowStats) -> MosReport:
     return MosReport(r, mos, mean_delay, loss)
 
 
+class Ticker:
+    """The one clock of a simulator's sources (Simulator.ticker): one heap
+    entry, at the earliest next action of any source, scheduled as that
+    source's _tick. When it fires, each source takes its actions up to the
+    ahead limit, the due source's next one in any case, and the runs go to
+    the emits in the order of their last ticks (README "Determinism")."""
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self.sources: list[_Source] = []
+        self._entry = None  # the pending heap entry, if any
+        self.bound = -math.inf  # no emit of a window may schedule an event at or before it
+
+    def add(self, src: "_Source") -> None:
+        self.sources.append(src)
+        entry = self._entry
+        if entry is None or src.next_at < entry[0]:
+            if entry is not None:
+                self.sim.cancel(entry)
+            self._schedule(src)
+
+    def _schedule(self, src: "_Source") -> None:
+        """Queue the entry for src, the source with the earliest next action."""
+        self._entry = (self.sim.schedule_at(src.next_at, src._tick)
+                       if src.next_at < math.inf else None)
+
+    def run(self, due: "_Source") -> None:
+        """Emit every source's actions up to the ahead limit."""
+        sim = self.sim
+        limit = sim.ahead_limit()
+        runs: list[tuple[float, int, PacketRun]] = []  # (last tick, source, run)
+        nxt = None  # the source with the earliest next action, the first on ties
+        for i, src in enumerate(self.sources):
+            src.take(max(limit, src.next_at) if src is due else limit, i, runs)
+            if nxt is None or src.next_at < nxt.next_at:
+                nxt = src
+        if runs:
+            runs.sort()
+            last = runs[-1][0]
+            self.bound = last if len(runs) > 1 or len(runs[0][2].times) > 1 else -math.inf
+            held = [[] for _ in self.sources] if sim.tracing else None
+            writer = None  # the source whose emits scheduled events
+            for end, i, run in runs:
+                sim.run_ahead(end)  # False for the due tick past the limit: the clock is there
+                if held is not None:
+                    sim.held = held[i]
+                scheduled = sim.scheduled
+                self.sources[i].emit(run)
+                if sim.ahead_limit() < self.bound:
+                    raise SchedulingError(f"{run.flow_id}: an emit scheduled an event at "
+                                          f"or before t={last}, the last tick of its window")
+                if sim.scheduled != scheduled:
+                    if writer not in (None, i):
+                        raise SchedulingError(f"{run.flow_id}: emits of two sources of the "
+                                              f"window to t={last} scheduled events")
+                    writer = i
+            if held is not None:
+                sim.release_trace(held)
+        self._schedule(nxt)
+
+
 class _Source:
-    """Emission shared by the sources: ticks go to emit as runs.
-
-    A tick that would be the next event anyway runs inline instead, in one
-    run with the due tick and every tick after it that may run inline too.
-    A run's emit runs with the clock at the run's last tick. It must not
-    schedule an event at or before that tick, except in a run of one tick:
-    such an event would have come before a later tick of the run.
-    """
-
-    packet_bits: int
+    """A flow's ticks, in spurts: a spurt starting at t0 ticks at t0 + k*dt
+    while before its end, and ends at the first tick past that."""
 
     def __init__(self, sim: Simulator, flow_id: str, emit: Callable[[PacketRun], None],
-                 start: float, stop: Optional[float]):
+                 start: float, stop: Optional[float], interval: float, packet_bits: int):
         self.sim = sim
         self.flow_id = flow_id
         self.emit = emit
-        self.start_at = start
         self.stop = math.inf if stop is None else stop
+        self.interval = interval
+        self.packet_bits = packet_bits
         self.seq = 0
+        self.spurt = -1  # index of the current spurt
+        self.t0 = self.until = start  # the current spurt's first tick and end
+        self.k = -1  # the next tick's index in the spurt; -1: a spurt starts next
+        self.next_at = start  # time of the next action
 
-    def _ticks(self, t0: float, k: int, dt: float, until: float,
-               spurt: int = 0) -> tuple[int, bool]:
-        """Emit the due tick t0 + k*dt and every later tick before until
-        that may run inline, as one run.
+    def start(self) -> None:
+        if self.sim.ticker is None:
+            self.sim.ticker = Ticker(self.sim)
+        self.sim.ticker.add(self)
 
-        Returns the index of the first tick not emitted and whether it runs
-        now (it is at or after until); if not, it needs an event.
-        """
-        sim = self.sim
-        t = t0 + k * dt
-        limit = max(t, sim.ahead_limit())  # the due tick runs now in any case
-        times = []
-        while t <= limit and t < until:
-            times.append(t)
-            k += 1
-            t = t0 + k * dt
-        if times:
-            last = times[-1]
-            if last > sim.now:  # the clock is at the due tick already
-                sim.run_ahead(last)
-            seq = self.seq
-            self.seq = seq + len(times)
-            self.emit(PacketRun(self.flow_id, seq, times, self.packet_bits, spurt))
-            # the next tick is judged against the heap as this emit left it
-            limit = sim.ahead_limit()
-            if limit < last and len(times) > 1:
-                raise SchedulingError(f"{self.flow_id}: the emit of a run scheduled "
-                                      f"an event at or before its last tick t={last}")
-        return k, t <= limit
+    def _length(self, talk: bool) -> float:
+        """Duration of the next talk spurt, or silence: one spurt by default."""
+        return math.inf
+
+    def take(self, limit: float, index: int, runs: list) -> None:
+        """Add (last tick, index, run) to runs for each spurt of actions up to limit."""
+        t, k = self.next_at, self.k
+        while t <= limit:
+            if k < 0:  # a spurt starts at t
+                if t >= self.stop:
+                    t = math.inf
+                    break
+                self.spurt += 1
+                self.t0, k, self.until = t, 0, min(t + self._length(True), self.stop)
+            t0, dt, until = self.t0, self.interval, self.until
+            times = []
+            while t <= limit and t < until:
+                times.append(t)
+                k += 1
+                t = t0 + k * dt
+            if times:
+                runs.append((times[-1], index, PacketRun(self.flow_id, self.seq, times,
+                                                         self.packet_bits, self.spurt)))
+                self.seq += len(times)
+            if until <= t <= limit:  # the spurt ends; the next starts after a silence
+                t, k = t + self._length(False), -1
+        self.next_at, self.k = t, k
 
 
 class VideoSource(_Source):
@@ -197,17 +258,10 @@ class VideoSource(_Source):
                  stop: Optional[float] = None):
         if rate_bps <= 0:
             raise ValueError("rate must be > 0")
-        super().__init__(sim, flow_id, emit, start, stop)
-        self.interval = packet_bits / rate_bps
-        self.packet_bits = packet_bits
+        super().__init__(sim, flow_id, emit, start, stop, packet_bits / rate_bps, packet_bits)
 
-    def start(self) -> None:
-        self.sim.schedule_at(self.start_at, self._tick, 0)
-
-    def _tick(self, k: int) -> None:
-        k, now = self._ticks(self.start_at, k, self.interval, self.stop)
-        if not now:
-            self.sim.schedule_at(self.start_at + k * self.interval, self._tick, k)
+    def _tick(self) -> None:
+        self.sim.ticker.run(self)
 
 
 class VoipSource(_Source):
@@ -216,33 +270,16 @@ class VoipSource(_Source):
     def __init__(self, sim: Simulator, flow_id: str, cfg: VoipConfig,
                  rng: random.Random, emit: Callable[[PacketRun], None],
                  start: float = 0.0, stop: Optional[float] = None):
-        super().__init__(sim, flow_id, emit, start, stop)
+        super().__init__(sim, flow_id, emit, start, stop, cfg.packetization_interval,
+                         int(cfg.codec_rate * cfg.packetization_interval))
         self.cfg = cfg
         self.rng = rng
-        self.spurt_idx = -1
-        self.packet_bits = int(cfg.codec_rate * cfg.packetization_interval)
 
-    def start(self) -> None:
-        self.sim.schedule_at(self.start_at, self._begin_spurt)
+    def _length(self, talk: bool) -> float:
+        return self.rng.expovariate(1.0 / (self.cfg.spurt_mean if talk else self.cfg.silence_mean))
 
-    def _begin_spurt(self) -> None:
-        if self.sim.now >= self.stop:
-            return
-        self.spurt_idx += 1
-        duration = self.rng.expovariate(1.0 / self.cfg.spurt_mean)
-        self._tick(self.sim.now, 0, self.sim.now + duration)
-
-    def _tick(self, spurt_start: float, k: int, spurt_end: float) -> None:
-        sim = self.sim
-        interval = self.cfg.packetization_interval
-        k, now = self._ticks(spurt_start, k, interval, min(spurt_end, self.stop),
-                             self.spurt_idx)
-        t = spurt_start + k * interval
-        if not now:
-            sim.schedule_at(t, self._tick, spurt_start, k, spurt_end)
-            return
-        silence = self.rng.expovariate(1.0 / self.cfg.silence_mean)
-        sim.schedule_at(t + silence, self._begin_spurt)
+    def _tick(self) -> None:
+        self.sim.ticker.run(self)
 
 
 class Sink:

@@ -11,8 +11,8 @@ source sends it, and DownlinkRun.advance runs what stages it may inline. In
 the event world, each tick is emitted from its own event and the ahead limit
 is held at -inf, so that every stage runs from an event of its own at its own
 time. Both must give the same sink calls, drop lines, event log and counts.
-The last test draws whole VoIP runs and compares them with the event world
-in the same way.
+The last test draws whole VoIP runs, both flows under one source ticker, and
+compares them with the event world in the same way.
 """
 
 from __future__ import annotations
@@ -157,19 +157,27 @@ def _sink_calls(cfg: ScenarioConfig, event_world: bool) -> tuple[dict, list[str]
     return calls, log, row
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(scheme=st.sampled_from(["hard", "soft"]),
        seed=st.integers(1, 10_000),
-       cn_link_delay=st.sampled_from([0.0, 0.002, 0.02, 0.1]),
+       cn_link_delay=st.one_of(st.sampled_from([0.0, 0.002, 0.02, 0.1]),
+                               st.floats(0.0, 1.0)),
        foreign_link_delay=st.one_of(st.sampled_from([0.0, 0.02, 0.05]),
-                                    st.floats(0.0, 0.1)))
-@example(scheme="hard", seed=3408, cn_link_delay=0.02, foreign_link_delay=0.02)
+                                    st.floats(0.0, 1.0)),
+       spurt_mean=st.floats(0.05, 2.0),
+       silence_mean=st.floats(0.05, 2.0))
+@example(scheme="hard", seed=3408, cn_link_delay=0.02, foreign_link_delay=0.02,
+         spurt_mean=1.0, silence_mean=1.35)
 def test_voip_runs_keep_the_order_of_the_event_world(scheme, seed, cn_link_delay,
-                                                     foreign_link_delay):
+                                                     foreign_link_delay, spurt_mean,
+                                                     silence_mean):
     # 10 m/s for 45 s: two or three handovers. Link delays that are multiples
     # of the 20 ms packet spacing make stages of different packets fall at
-    # one instant, where the order of their events decides the log
+    # one instant, where the order of their events decides the log; short
+    # spurts and silences interleave the two flows' spurt starts and ticks
     cfg = ScenarioConfig(scheme=scheme, application="voip", speed=10.0, seed=seed,
                          sim_time=45.0, cn_link_delay=cn_link_delay,
-                         foreign_link_delay=foreign_link_delay, expected_handovers=None)
+                         foreign_link_delay=foreign_link_delay,
+                         voip_spurt_mean=spurt_mean, voip_silence_mean=silence_mean,
+                         expected_handovers=None)
     assert _sink_calls(cfg, False) == _sink_calls(cfg, True)

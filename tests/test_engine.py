@@ -218,29 +218,37 @@ _action = st.one_of(st.just(("none",)),
 
 
 def _run_schedule(shots, tombstones, sources, ends, inline):
-    """(time, callback id) log of one program, the log span (start, end) of
-    each emit that spawned an event into its own run, and whether the run
-    raised SchedulingError; inline=False pushes every source tick through
-    the heap."""
-    sim = Simulator(seed=3)
+    """Event log of one program (a line per shot, tick and run_until end),
+    the log span (start, end) of each emit that spawned an event into its
+    own window of ticks or in a window where another source's emit did, and
+    whether the run raised SchedulingError; inline=False pushes every source
+    tick through the heap. A shot may cancel any event, a source only those
+    its own emits spawned: emits of two sources share no state."""
+    log = []
+    sim = Simulator(seed=3, trace_sink=log)
     if not inline:
         sim.ahead_limit = lambda: -math.inf
-    log = []
     handles = []
     into_own_run = []
 
-    def act(action, now):
+    def act(action, now, own):
+        """Spawn an event, or cancel one of own; True iff it spawned."""
         if action[0] == "spawn":
-            schedule(now + action[1], ("none",))
-        elif action[0] == "cancel" and handles:
-            sim.cancel(handles[action[1] % len(handles)])
+            handle = schedule(now + action[1], ("none",))
+            if own is not handles:
+                own.append(handle)
+            return True
+        if action[0] == "cancel" and own:
+            sim.cancel(own[action[1] % len(own)])
+        return False
 
     def fire(eid, action):
-        log.append((sim.now, f"shot{eid}"))
-        act(action, sim.now)
+        sim.trace(f"shot{eid}", "test", "fire")
+        act(action, sim.now, handles)
 
     def schedule(t, action):
         handles.append(sim.schedule_at(t, fire, len(handles), action))
+        return handles[-1]
 
     for t, action in shots:
         schedule(t, action)
@@ -248,27 +256,35 @@ def _run_schedule(shots, tombstones, sources, ends, inline):
         if handles:
             sim.cancel(handles[j % len(handles)])
     for i, (kind, start, step, every, action) in enumerate(sources):
-        def emit(run, every=every, action=action):
+        own = []  # the events this source's emits spawned
+
+        def emit(run, every=every, action=action, own=own):
             assert sim.now == run.times[-1]  # the clock is at the run's last tick
             start = len(log)
             for k, t in enumerate(run.times):
                 seq = run.seq0 + k
-                log.append((t, f"{run.flow_id}:{seq}"))
+                sim.trace(f"{run.flow_id}:{seq}", "test", "tick", at=t)
                 if seq % every == 0:
-                    if (action[0] == "spawn" and len(run.times) > 1
-                            and t + action[1] <= run.times[-1]):
+                    # the window's lines are held back until its last emit
+                    if action[0] == "spawn" and t + action[1] <= sim.ticker.bound:
                         into_own_run.append((start, start + len(run.times)))
-                    act(action, t)
+                    if act(action, t, own):
+                        spawners[-1].add(run.flow_id)
+                        if len(spawners[-1]) > 1:
+                            into_own_run.append((start, start + len(run.times)))
         if kind == "video":  # step quarters per packet
             src = VideoSource(sim, f"v{i}", 4.0, step, emit, start=start, stop=5.5)
         else:
             src = VoipSource(sim, f"a{i}", VoipConfig(packetization_interval=step / 4),
                              sim.rng(f"a{i}"), emit, start=start, stop=5.5)
         src.start()
+    spawners = []  # per window of ticks, the sources whose emits spawned events
+    run_window = sim.ticker.run
+    sim.ticker.run = lambda due: (spawners.append(set()), run_window(due))
     try:
         for end in sorted(ends):
             sim.run_until(end)
-            log.append((sim.now, "end"))
+            sim.trace("end", "test", "end")
     except SchedulingError:
         return log, into_own_run, True
     return log, into_own_run, False
@@ -293,14 +309,31 @@ def _run_schedule(shots, tombstones, sources, ends, inline):
 @example(shots=[(0.5, ("none",))], tombstones=[],
          sources=[("video", 0.0, 1, 3, ("spawn", 1.0))],
          ends=[6.0])  # each run's spawn lands after its last tick
+@example(shots=[], tombstones=[],
+         sources=[("video", 0.0, 2, 1, ("none",)), ("video", 0.25, 2, 1, ("none",))],
+         ends=[6.0])  # two sources tick in turn, in one window
+@example(shots=[(2.0, ("none",)), (3.5, ("cancel", 0))], tombstones=[],
+         sources=[("voip", 0.0, 1, 2, ("none",)), ("video", 0.25, 2, 3, ("none",)),
+                  ("video", 0.0, 3, 1, ("none",))],
+         ends=[1.0, 6.0])  # three sources, ties at 0, 0.75 and 2.25 s, cut by events
+@example(shots=[], tombstones=[],
+         sources=[("video", 5.0, 1, 1, ("spawn", 0.25)), ("video", 0.0, 1, 1, ("none",))],
+         ends=[6.0])  # the run [5.0] spawns into the other source's run [0 .. 5.25]
+@example(shots=[], tombstones=[],
+         sources=[("video", 0.0, 4, 1, ("spawn", 0.0)), ("voip", 0.0, 4, 1, ("none",))],
+         ends=[0.0, 6.0])  # a spawn at its own tick, a window of two ticks at 0
+@example(shots=[], tombstones=[],
+         sources=[("video", 0.5, 4, 2, ("spawn", 3.0)), ("video", 0.0, 1, 1, ("spawn", 3.5))],
+         ends=[3.0, 6.0])  # both spawn at 3.5 s, from ticks 0.5 s and 0 s of one window
 def test_run_ahead_keeps_the_order_of_the_heap(shots, tombstones, sources, ends):
     inline, into_own_run, raised = _run_schedule(shots, tombstones, sources, ends,
                                                  inline=True)
     heap, _, heap_raised = _run_schedule(shots, tombstones, sources, ends,
                                          inline=False)
     assert not heap_raised
-    # an emit that spawns into its own run breaks the run, and must say so
-    # before anything after that emit runs; up to that emit, the order holds
+    # an emit that spawns into its own window of ticks, or in a window where
+    # another source's emit spawned, breaks the window, and must say so
+    # before anything after that emit runs; up to that window, the order holds
     assert raised == bool(into_own_run)
     if raised:
         start, end = into_own_run[0]

@@ -138,26 +138,37 @@ def test_serialization_delay_at_two_megabits():
     assert seen_at == [2000 / 2e6]  # 1 ms
 
 
-def test_uplink_out_of_range_drops_payload():
+class Router:
+    def __init__(self):
+        self.handled = []
+
+    def handle(self, pkt):
+        self.handled.append(pkt)
+
+
+def _send_control_frame(ap_pos, ap_channel):
+    """(packets the AP's router got, drop hook calls) for one control frame
+    sent up from an interface at (10, 0) on channel 1, and one sent down."""
     sim = Simulator()
     drops = []
     med = _medium(sim, drops)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1), med, router=None)
-    iface = StubIface("i", (500.0, 0.0), 1)
-    med.iface_to_ap(iface, ap, Frame("data", "i", 1, 1000, payload="pkt"))
+    router = Router()
+    ap = AccessPoint(sim, ApConfig("ap", ap_pos, 0.0, ap_channel), med, router=router)
+    iface = StubIface("i", (10.0, 0.0), 1)
+    med.iface_to_ap(iface, ap, Frame("data", "i", 1, 1000, payload="bu"))
+    med.ap_to_iface(ap, iface, Frame("data", "ap", ap_channel, 1000, payload="ba"))
     sim.run_until(1.0)
-    assert drops == ["pkt"]
+    return router.handled, iface.frames, drops
+
+
+def test_uplink_out_of_range_drops_payload():
+    # a lost control frame is not an app packet: the drop hook gets nothing
+    assert _send_control_frame(500.0, 1) == ([], [], [])
+    assert _send_control_frame(0.0, 1)[:2] == (["bu"], [Frame("data", "ap", 1, 1000, "ba")])
 
 
 def test_uplink_cross_channel_drops_payload():
-    sim = Simulator()
-    drops = []
-    med = _medium(sim, drops)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 6), med, router=None)
-    iface = StubIface("i", (10.0, 0.0), 1)
-    med.iface_to_ap(iface, ap, Frame("data", "i", 1, 1000, payload="pkt"))
-    sim.run_until(1.0)
-    assert drops == ["pkt"]
+    assert _send_control_frame(0.0, 6) == ([], [], [])
 
 
 def test_beacons_fire_on_strict_schedule():
@@ -218,6 +229,24 @@ def test_range_memo_agrees_with_uncached_check(speed, ap_xy, steps):
         mid = (t + until) / 2
         assert until >= t
         assert med.in_range(ap, iface.position(mid)) == verdict, f"t={t} mid={mid}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(speed=st.floats(0.1, 20.0),
+       ap_xy=st.tuples(st.floats(-100.0, 300.0), st.floats(-100.0, 150.0)),
+       times=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=80))
+# out of range at 89 s for longer than 89 s before, but in range at 0 s
+@example(speed=20.0, ap_xy=(0.0, 0.0), times=[89.0, 0.0])
+def test_range_memo_answers_queries_in_any_order(speed, ap_xy, times):
+    # the two directions of a VoIP call query one (ap, iface) pair at times
+    # that need not increase: one flow's run may reach past the other's
+    sim = Simulator()
+    med = Medium(sim)
+    ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1], 1), med, router=None)
+    iface = PathIface(sim, TractorPath(4.0, 0.0, 196.0, 50.0, 5, speed))
+    for t in times:
+        assert med.in_range_moving(ap, iface, t)[0] == med.in_range(ap, iface.position(t)), \
+            f"t={t} pos={iface.position(t)}"
 
 
 R = math.sqrt(Medium(None).coverage_radius2(0.0))  # coverage radius at the default budget
