@@ -152,10 +152,9 @@ class Ticker:
 
     def add(self, src: "_Source") -> None:
         self.sources.append(src)
-        entry = self._entry
-        if entry is None or src.next_at < entry[0]:
-            if entry is not None:
-                self.sim.cancel(entry)
+        if self._entry is None or src.next_at < self._entry[0]:
+            if self._entry is not None:
+                self.sim.cancel(self._entry)
             self._schedule(src)
 
     def _schedule(self, src: "_Source") -> None:
@@ -170,7 +169,7 @@ class Ticker:
         runs: list[tuple[float, int, PacketRun]] = []  # (last tick, source, run)
         nxt = None  # the source with the earliest next action, the first on ties
         for i, src in enumerate(self.sources):
-            src.take(max(limit, src.next_at) if src is due else limit, i, runs)
+            src.take(src.next_at if src is due and limit < src.next_at else limit, i, runs)
             if nxt is None or src.next_at < nxt.next_at:
                 nxt = src
         if runs:
@@ -236,8 +235,9 @@ class _Source:
                 self.spurt += 1
                 self.t0, k, self.until = t, 0, min(t + self._length(True), self.stop)
             t0, dt, until = self.t0, self.interval, self.until
+            end = min(until, math.nextafter(limit, math.inf))  # a tick before end is taken
             times = []
-            while t <= limit and t < until:
+            while t < end:
                 times.append(t)
                 k += 1
                 t = t0 + k * dt
