@@ -148,53 +148,53 @@ class Ticker:
         self.sim = sim
         self.sources: list[_Source] = []
         self._entry = None  # the pending heap entry, if any
-        self.bound = -math.inf  # no emit of a window may schedule an event at or before it
 
     def add(self, src: "_Source") -> None:
         self.sources.append(src)
         if self._entry is None or src.next_at < self._entry[0]:
             if self._entry is not None:
                 self.sim.cancel(self._entry)
-            self._schedule(src)
-
-    def _schedule(self, src: "_Source") -> None:
-        """Queue the entry for src, the source with the earliest next action."""
-        self._entry = (self.sim.schedule_at(src.next_at, src._tick)
-                       if src.next_at < math.inf else None)
+            self._entry = self.sim.schedule_at(src.next_at, src._tick)
 
     def run(self, due: "_Source") -> None:
         """Emit every source's actions up to the ahead limit."""
         sim = self.sim
         limit = sim.ahead_limit()
+        after = math.nextafter(limit, math.inf)  # the actions before it are taken
+        due_after = after if due.next_at < after else math.nextafter(due.next_at, math.inf)
         runs: list[tuple[float, int, PacketRun]] = []  # (last tick, source, run)
         nxt = None  # the source with the earliest next action, the first on ties
         for i, src in enumerate(self.sources):
-            src.take(src.next_at if src is due and limit < src.next_at else limit, i, runs)
+            src.take(due_after if src is due else after, i, runs)
             if nxt is None or src.next_at < nxt.next_at:
                 nxt = src
         if runs:
-            runs.sort()
+            many = len(runs) > 1
+            if many:
+                runs.sort()
             last = runs[-1][0]
-            self.bound = last if len(runs) > 1 or len(runs[0][2].times) > 1 else -math.inf
-            held = [[] for _ in self.sources] if sim.tracing else None
+            held = [[] for _ in self.sources] if many and sim.tracing else None
             writer = None  # the source whose emits scheduled events
             for end, i, run in runs:
-                sim.run_ahead(end)  # False for the due tick past the limit: the clock is there
+                if end > sim.now:
+                    sim.run_ahead(end)
                 if held is not None:
                     sim.held = held[i]
                 scheduled = sim.scheduled
                 self.sources[i].emit(run)
-                if sim.ahead_limit() < self.bound:
+                # an event at or before the last tick of a window of more than one
+                # tick would have come before one of its ticks
+                if sim.ahead_limit() < last and (many or len(run.times) > 1):
                     raise SchedulingError(f"{run.flow_id}: an emit scheduled an event at "
                                           f"or before t={last}, the last tick of its window")
-                if sim.scheduled != scheduled:
+                if many and sim.scheduled != scheduled:
                     if writer not in (None, i):
                         raise SchedulingError(f"{run.flow_id}: emits of two sources of the "
                                               f"window to t={last} scheduled events")
                     writer = i
             if held is not None:
                 sim.release_trace(held)
-        self._schedule(nxt)
+        self._entry = sim.schedule_at(nxt.next_at, nxt._tick) if nxt.next_at < math.inf else None
 
 
 class _Source:
@@ -224,10 +224,10 @@ class _Source:
         """Duration of the next talk spurt, or silence: one spurt by default."""
         return math.inf
 
-    def take(self, limit: float, index: int, runs: list) -> None:
-        """Add (last tick, index, run) to runs for each spurt of actions up to limit."""
+    def take(self, after: float, index: int, runs: list) -> None:
+        """Add (last tick, index, run) to runs for each spurt of actions before after."""
         t, k = self.next_at, self.k
-        while t <= limit:
+        while t < after:
             if k < 0:  # a spurt starts at t
                 if t >= self.stop:
                     t = math.inf
@@ -235,7 +235,7 @@ class _Source:
                 self.spurt += 1
                 self.t0, k, self.until = t, 0, min(t + self._length(True), self.stop)
             t0, dt, until = self.t0, self.interval, self.until
-            end = min(until, math.nextafter(limit, math.inf))  # a tick before end is taken
+            end = until if until < after else after  # a tick before end is taken
             times = []
             while t < end:
                 times.append(t)
@@ -245,7 +245,7 @@ class _Source:
                 runs.append((times[-1], index, PacketRun(self.flow_id, self.seq, times,
                                                          self.packet_bits, self.spurt)))
                 self.seq += len(times)
-            if until <= t <= limit:  # the spurt ends; the next starts after a silence
+            if until <= t < after:  # the spurt ends; the next starts after a silence
                 t, k = t + self._length(False), -1
         self.next_at, self.k = t, k
 

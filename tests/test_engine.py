@@ -217,41 +217,46 @@ _action = st.one_of(st.just(("none",)),
                     st.tuples(st.just("cancel"), st.integers(0, 30)))
 
 
-def _run_schedule(shots, tombstones, sources, ends, inline):
+def _run_schedule(shots, tombstones, sources, ends, heap_ticks=None):
     """Event log of one program (a line per shot, tick and run_until end),
     the log span (start, end) of each emit that spawned an event into its
-    own window of ticks or in a window where another source's emit did, and
-    whether the run raised SchedulingError; inline=False pushes every source
-    tick through the heap. A shot may cancel any event, a source only those
-    its own emits spawned: emits of two sources share no state."""
+    own window of ticks or in a window where another source's emit did,
+    whether the run raised SchedulingError, and the (time, flow, seq) of each
+    tick emitted. heap_ticks=None pushes every source tick through the heap;
+    else heap_ticks are the ticks of that run, from which each window's ticks
+    are told. A shot may cancel any event; a source, a shot of the setup, one
+    that a shot spawned, or one its own emits spawned: emits of two sources
+    share no state."""
     log = []
     sim = Simulator(seed=3, trace_sink=log)
-    if not inline:
+    if heap_ticks is None:
         sim.ahead_limit = lambda: -math.inf
-    handles = []
+    handles = []  # every event, by id
+    shot_handles = []  # the events of the setup and those shots spawned, never an emit
     into_own_run = []
+    emitted = []
+    spawns = []  # (time, emit's log span) of each event the window's emits spawned
+    spawners = []  # per window of ticks, the sources whose emits spawned events
 
-    def act(action, now, own):
-        """Spawn an event, or cancel one of own; True iff it spawned."""
+    def act(action, now, own, targets):
+        """Spawn an event and add it to own, or cancel one of targets; True iff it spawned."""
         if action[0] == "spawn":
-            handle = schedule(now + action[1], ("none",))
-            if own is not handles:
-                own.append(handle)
+            own.append(schedule(now + action[1], ("none",)))
             return True
-        if action[0] == "cancel" and own:
-            sim.cancel(own[action[1] % len(own)])
+        if action[0] == "cancel" and targets:
+            sim.cancel(targets[action[1] % len(targets)])
         return False
 
     def fire(eid, action):
         sim.trace(f"shot{eid}", "test", "fire")
-        act(action, sim.now, handles)
+        act(action, sim.now, shot_handles, handles)
 
     def schedule(t, action):
         handles.append(sim.schedule_at(t, fire, len(handles), action))
         return handles[-1]
 
     for t, action in shots:
-        schedule(t, action)
+        shot_handles.append(schedule(t, action))
     for j in tombstones:
         if handles:
             sim.cancel(handles[j % len(handles)])
@@ -260,34 +265,54 @@ def _run_schedule(shots, tombstones, sources, ends, inline):
 
         def emit(run, every=every, action=action, own=own):
             assert sim.now == run.times[-1]  # the clock is at the run's last tick
-            start = len(log)
+            start = len(log)  # a window of runs of two sources holds its lines back
+            span = (start, start + len(run.times))
             for k, t in enumerate(run.times):
                 seq = run.seq0 + k
+                emitted.append((t, run.flow_id, seq))
                 sim.trace(f"{run.flow_id}:{seq}", "test", "tick", at=t)
                 if seq % every == 0:
-                    # the window's lines are held back until its last emit
-                    if action[0] == "spawn" and t + action[1] <= sim.ticker.bound:
-                        into_own_run.append((start, start + len(run.times)))
-                    if act(action, t, own):
+                    if action[0] == "spawn":
+                        spawns.append((t + action[1], span))
+                    if act(action, t, own, shot_handles + own):
                         spawners[-1].add(run.flow_id)
                         if len(spawners[-1]) > 1:
-                            into_own_run.append((start, start + len(run.times)))
+                            into_own_run.append(span)
         if kind == "video":  # step quarters per packet
             src = VideoSource(sim, f"v{i}", 4.0, step, emit, start=start, stop=5.5)
         else:
             src = VoipSource(sim, f"a{i}", VoipConfig(packetization_interval=step / 4),
                              sim.rng(f"a{i}"), emit, start=start, stop=5.5)
         src.start()
-    spawners = []  # per window of ticks, the sources whose emits spawned events
     run_window = sim.ticker.run
-    sim.ticker.run = lambda due: (spawners.append(set()), run_window(due))
+
+    def window(due):
+        """Run one window of ticks; a spawn at or before its last tick, if it
+        holds more than one, goes into it. Its ticks are the heap run's ticks
+        not yet emitted up to the ahead limit, or else the due source's next."""
+        bound = -math.inf
+        if heap_ticks is not None:
+            limit = sim.ahead_limit()
+            done = set(emitted)
+            pending = [tick for tick in heap_ticks if tick not in done]
+            ticks = ([t for t, _, _ in pending if t <= limit]
+                     or [t for t, flow, _ in pending if flow == due.flow_id][:1])
+            if len(ticks) > 1:
+                bound = max(ticks)
+        spawners.append(set())
+        spawns.clear()
+        try:
+            run_window(due)
+        finally:  # also when the window raised
+            into_own_run.extend(span for t, span in spawns if t <= bound)
+    sim.ticker.run = window
     try:
         for end in sorted(ends):
             sim.run_until(end)
             sim.trace("end", "test", "end")
     except SchedulingError:
-        return log, into_own_run, True
-    return log, into_own_run, False
+        return log, into_own_run, True, emitted
+    return log, into_own_run, False, emitted
 
 
 @settings(max_examples=150, deadline=None)
@@ -301,7 +326,8 @@ def _run_schedule(shots, tombstones, sources, ends, inline):
          sources=[("video", 0.0, 1, 1, ("none",))], ends=[2.0, 6.0])
 @example(shots=[(0.5, ("spawn", 0.0))], tombstones=[],
          sources=[("video", 0.25, 1, 2, ("spawn", 0.25)),
-                  ("voip", 0.0, 1, 3, ("cancel", 0))], ends=[0.75, 6.0])
+                  ("voip", 0.0, 1, 3, ("cancel", 0))],
+         ends=[0.75, 6.0])  # the voip tick at 0 cancels the shot at 0.5 s
 @example(shots=[], tombstones=[], sources=[("video", 0.0, 1, 3, ("spawn", 0.5))],
          ends=[6.0])  # the due tick 0 opens a run and spawns into it at 0.5
 @example(shots=[], tombstones=[], sources=[("video", 0.0, 1, 3, ("spawn", 0.5))],
@@ -325,12 +351,16 @@ def _run_schedule(shots, tombstones, sources, ends, inline):
 @example(shots=[], tombstones=[],
          sources=[("video", 0.5, 4, 2, ("spawn", 3.0)), ("video", 0.0, 1, 1, ("spawn", 3.5))],
          ends=[3.0, 6.0])  # both spawn at 3.5 s, from ticks 0.5 s and 0 s of one window
+@example(shots=[], tombstones=[], sources=[("video", 0.0, 4, 1, ("spawn", 1.25))],
+         ends=[1.5, 6.0])  # the run [0, 1] spawns at 1.25 s, after it, before the limit
+@example(shots=[], tombstones=[],
+         sources=[("video", 0.0, 4, 1, ("spawn", 1.5)), ("voip", 0.25, 4, 1, ("none",))],
+         ends=[1.5, 6.0])  # ... and in a window of two sources to 1.25 s, at 1.5 s
 def test_run_ahead_keeps_the_order_of_the_heap(shots, tombstones, sources, ends):
-    inline, into_own_run, raised = _run_schedule(shots, tombstones, sources, ends,
-                                                 inline=True)
-    heap, _, heap_raised = _run_schedule(shots, tombstones, sources, ends,
-                                         inline=False)
+    heap, _, heap_raised, heap_ticks = _run_schedule(shots, tombstones, sources, ends)
     assert not heap_raised
+    inline, into_own_run, raised, _ = _run_schedule(shots, tombstones, sources, ends,
+                                                    heap_ticks)
     # an emit that spawns into its own window of ticks, or in a window where
     # another source's emit spawned, breaks the window, and must say so
     # before anything after that emit runs; up to that window, the order holds
