@@ -71,9 +71,9 @@ class Medium:
         self.d_ref = d_ref
         self.drop_hook = drop_hook  # takes the runs of app packets lost out of range
         self.beacons = BeaconLedger(self)
-        # (ap, iface) -> (valid_since, (verdict, valid_until)): a range verdict cannot
+        # (ap, iface) -> (verdict, valid_until, valid_since): a range verdict cannot
         # flip within the time the node needs to cover its margin to the coverage edge
-        self._range_verdicts: dict[tuple[int, int], tuple[float, tuple[bool, float]]] = {}
+        self._range_verdicts: dict[tuple, tuple[bool, float, float]] = {}
 
     def coverage_radius2(self, tx_power_dbm: float) -> float:
         """Squared closed-form coverage radius: cheaper to compare against on
@@ -90,16 +90,16 @@ class Medium:
         dy = pos[1] - ap.cfg.y
         return dx * dx + dy * dy <= ap.radius2
 
-    def in_range_moving(self, ap: "AccessPoint", iface, t: float) -> tuple[bool, float]:
-        """Range verdict at time t for a node of bounded speed, and the time
-        until which it holds: the node cannot cross the coverage edge before
-        it has covered its distance to it. Memoized per (ap, iface): a verdict
-        judged at t_c answers every query with |t - t_c| < margin / speed, in
-        whatever order the queries come."""
-        key = (id(ap), id(iface))
+    def in_range_moving(self, ap: "AccessPoint", iface, t: float) -> tuple[bool, float, float]:
+        """Range verdict at time t for a node of bounded speed, and the times
+        until and since which it holds: the node cannot cross the coverage
+        edge before it has covered its distance to it. Memoized per (ap,
+        iface): a verdict judged at t_c answers every query with |t - t_c| <
+        margin / speed, in whatever order the queries come."""
+        key = (ap, iface)
         cached = self._range_verdicts.get(key)
-        if cached is not None and cached[0] < t < cached[1][1]:
-            return cached[1]
+        if cached is not None and cached[2] < t < cached[1]:
+            return cached
         pos = iface.position(t)
         dx = pos[0] - ap.cfg.x
         dy = pos[1] - ap.cfg.y
@@ -108,9 +108,9 @@ class Medium:
         speed = getattr(iface, "max_speed", 0.0)
         if speed > 0.0 and r2 > 0.0:
             reach = abs(math.sqrt(d2) - math.sqrt(r2)) / speed
-            cached = self._range_verdicts[key] = (t - reach, (d2 <= r2, t + reach))
-            return cached[1]
-        return (d2 <= r2, t)
+            cached = self._range_verdicts[key] = (d2 <= r2, t + reach, t - reach)
+            return cached
+        return (d2 <= r2, t, t)
 
     def ap_to_iface(self, ap: "AccessPoint", iface, frame: Frame) -> None:
         if (iface.channel not in (None, frame.channel)
@@ -146,12 +146,12 @@ class Medium:
         times = run.times
         n = len(times)
         lo = i = 0
-        inside, until = self.in_range_moving(ap, iface, times[0])
+        inside, until, _ = self.in_range_moving(ap, iface, times[0])
         while True:
             i = bisect_left(times, until, i + 1)  # first tick the verdict may not cover
             if i == n:
                 break
-            verdict, until = self.in_range_moving(ap, iface, times[i])
+            verdict, until, _ = self.in_range_moving(ap, iface, times[i])
             if verdict != inside:
                 self._pass_run(ap, pkt, run.part(lo, i), inside, hop)
                 lo, inside = i, verdict

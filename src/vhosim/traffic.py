@@ -160,12 +160,10 @@ class Ticker:
         """Emit every source's actions up to the ahead limit."""
         sim = self.sim
         limit = sim.ahead_limit()
-        after = math.nextafter(limit, math.inf)  # the actions before it are taken
-        due_after = after if due.next_at < after else math.nextafter(due.next_at, math.inf)
         runs: list[tuple[float, int, PacketRun]] = []  # (last tick, source, run)
         nxt = None  # the source with the earliest next action, the first on ties
         for i, src in enumerate(self.sources):
-            src.take(due_after if src is due else after, i, runs)
+            src.take(src.next_at if src is due and limit < src.next_at else limit, i, runs)
             if nxt is None or src.next_at < nxt.next_at:
                 nxt = src
         if runs:
@@ -211,7 +209,7 @@ class _Source:
         self.packet_bits = packet_bits
         self.seq = 0
         self.spurt = -1  # index of the current spurt
-        self.t0 = self.until = start  # the current spurt's first tick and end
+        self.t0 = self.latest = start  # the spurt's first tick; the last float before its end
         self.k = -1  # the next tick's index in the spurt; -1: a spurt starts next
         self.next_at = start  # time of the next action
 
@@ -224,20 +222,21 @@ class _Source:
         """Duration of the next talk spurt, or silence: one spurt by default."""
         return math.inf
 
-    def take(self, after: float, index: int, runs: list) -> None:
-        """Add (last tick, index, run) to runs for each spurt of actions before after."""
+    def take(self, limit: float, index: int, runs: list) -> None:
+        """Add (last tick, index, run) to runs for each spurt of actions up to limit."""
         t, k = self.next_at, self.k
-        while t < after:
+        while t <= limit:
             if k < 0:  # a spurt starts at t
                 if t >= self.stop:
                     t = math.inf
                     break
                 self.spurt += 1
-                self.t0, k, self.until = t, 0, min(t + self._length(True), self.stop)
-            t0, dt, until = self.t0, self.interval, self.until
-            end = until if until < after else after  # a tick before end is taken
+                self.t0, k = t, 0
+                self.latest = math.nextafter(min(t + self._length(True), self.stop), -math.inf)
+            t0, dt, latest = self.t0, self.interval, self.latest
+            end = latest if latest < limit else limit  # a tick up to end is taken
             times = []
-            while t < end:
+            while t <= end:
                 times.append(t)
                 k += 1
                 t = t0 + k * dt
@@ -245,7 +244,7 @@ class _Source:
                 runs.append((times[-1], index, PacketRun(self.flow_id, self.seq, times,
                                                          self.packet_bits, self.spurt)))
                 self.seq += len(times)
-            if until <= t < after:  # the spurt ends; the next starts after a silence
+            if latest < t <= limit:  # the spurt ends; the next starts after a silence
                 t, k = t + self._length(False), -1
         self.next_at, self.k = t, k
 

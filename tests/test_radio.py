@@ -222,7 +222,7 @@ def test_range_memo_agrees_with_uncached_check(speed, ap_xy, steps):
     t = 0.0
     for dt in steps:
         t += dt
-        verdict, until = med.in_range_moving(ap, iface, t)
+        verdict, until, _ = med.in_range_moving(ap, iface, t)
         assert verdict == med.in_range(ap, iface.position(t)), \
             f"t={t} pos={iface.position(t)}"
         # the verdict is claimed to hold until `until`
