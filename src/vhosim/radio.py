@@ -1,8 +1,10 @@
-"""Free-space propagation, access-point beaconing, channel-gated frame delivery.
+"""Free-space propagation, access-point beaconing, range-gated frame delivery.
 
 No MAC contention, fading or interference: the scenario uses orthogonal
-channels in free space, so delivery is deterministic range + channel gating
-at a fixed bitrate, and the beacons an interface hears are known in advance.
+channels in free space, so delivery is a deterministic range check at a fixed
+bitrate, and the beacons an interface hears are known in advance. Channels
+gate only beacons (BeaconLedger): every other frame goes between an AP and
+its station, which is tuned to the AP's channel by construction.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ _FSPL_CONST_DB = 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT)
 
 BEACON_BITS = 640
 ASSOC_BITS = 512
-DISASSOC_BITS = 256
 MAC_OVERHEAD_BITS = 272
 
 
@@ -50,9 +51,10 @@ class ApConfig:
 
 @dataclass
 class Frame:
-    kind: str  # beacon | assoc_request | assoc_response | disassoc | data
-    src: str
-    channel: int
+    """A frame on the air. Beacons carry their AP, association requests the
+    interface, responses the AP; data frames carry a datagram or an RA."""
+
+    kind: str  # beacon | assoc_request | assoc_response | data
     size_bits: int
     payload: Any = None
 
@@ -113,15 +115,12 @@ class Medium:
         return (d2 <= r2, t, t)
 
     def ap_to_iface(self, ap: "AccessPoint", iface, frame: Frame) -> None:
-        if (iface.channel not in (None, frame.channel)
-                or not self.in_range_moving(ap, iface, self.sim.now)[0]):
-            return
-        self.sim.schedule_in(frame.size_bits / self.bitrate, iface.on_frame, frame)
+        if self.in_range_moving(ap, iface, self.sim.now)[0]:
+            self.sim.schedule_in(frame.size_bits / self.bitrate, iface.on_frame, frame)
 
     def iface_to_ap(self, iface, ap: "AccessPoint", frame: Frame) -> None:
         # symmetric link budget: the AP hears the node iff the node hears the AP
-        if (frame.channel != ap.cfg.channel
-                or not self.in_range_moving(ap, iface, self.sim.now)[0]):
+        if not self.in_range_moving(ap, iface, self.sim.now)[0]:
             return
         delay = frame.size_bits / self.bitrate
         if frame.kind == "data":
@@ -168,8 +167,13 @@ class AccessPoint:
     """802.11-style AP: periodic beacons, association handling, station delivery.
 
     The AP bridges its radio side to a router object exposing handle(pkt) and
-    advertisement(); router advertisements are relayed to associated stations
-    periodically and immediately upon association.
+    advertisement(). It has one station slot: hard mode gives the node one
+    radio, and soft mode binds each radio to one AP. A station joins when its
+    association request arrives and leaves at the instant its interface
+    disassociates, heard or not (an inactivity timeout of zero), so the
+    station is always tuned to this AP's channel. Router advertisements go to
+    the station upon association and at each k * ra_interval while it stays;
+    a tick that finds no station is the last until the next join.
     """
 
     def __init__(self, sim: Simulator, cfg: ApConfig, medium: Medium, router,
@@ -181,7 +185,8 @@ class AccessPoint:
         self.ra_interval = ra_interval
         self.lan_delay = lan_delay
         self.radius2 = medium.coverage_radius2(cfg.tx_power_dbm)
-        self.stations: dict[str, Any] = {}  # iface_id -> interface
+        self.station = None  # the associated interface, if any
+        self._ra_armed = False  # an RA tick is pending
         # static uplink data path (handler, extra wired delay beyond the LAN
         # hop); defaults to the attached router, may be pointed past it when
         # the topology makes the next hop unconditional
@@ -193,37 +198,39 @@ class AccessPoint:
 
     def start(self) -> None:
         self.medium.beacons.add_ap(self)
-        self._ra_tick(0)
 
     def _ra_tick(self, k: int) -> None:
-        for iface in self.stations.values():
-            self.send_ra(iface)
+        if self.station is None:
+            self._ra_armed = False
+            return
+        self.send_ra(self.station)
         self.sim.schedule_at((k + 1) * self.ra_interval, self._ra_tick, k + 1)
 
     def send_ra(self, iface) -> None:
-        frame = Frame("data", self.cfg.ap_id, self.cfg.channel, BEACON_BITS,
-                      payload=self.router.advertisement())
+        frame = Frame("data", BEACON_BITS, payload=self.router.advertisement())
         self.medium.ap_to_iface(self, iface, frame)
 
     def on_frame(self, frame: Frame) -> None:
-        if frame.kind == "assoc_request":
-            iface = frame.payload
-            self.stations[frame.src] = iface
-            self.sim.trace(self.cfg.ap_id, "radio", "assoc", f"station={frame.src}")
-            resp = Frame("assoc_response", self.cfg.ap_id, self.cfg.channel,
-                         ASSOC_BITS, payload=self)
-            self.medium.ap_to_iface(self, iface, resp)
-            self.send_ra(iface)
-        elif frame.kind == "disassoc":
-            self.stations.pop(frame.src, None)
-            self.sim.trace(self.cfg.ap_id, "radio", "disassoc", f"station={frame.src}")
+        """An association request, the only frame an AP receives."""
+        iface = self.station = frame.payload
+        self.sim.trace(self.cfg.ap_id, "radio", "assoc", f"station={iface.iface_id}")
+        self.medium.ap_to_iface(self, iface, Frame("assoc_response", ASSOC_BITS, payload=self))
+        self.send_ra(iface)
+        if not self._ra_armed:  # the first grid point after the join
+            self._ra_armed = True
+            k = _first_tick(math.nextafter(self.sim.now, math.inf), self.ra_interval)
+            self.sim.schedule_at(k * self.ra_interval, self._ra_tick, k)
+
+    def leave(self, iface) -> None:
+        """The station disassociates."""
+        self.station = None
+        self.sim.trace(self.cfg.ap_id, "radio", "disassoc", f"station={iface.iface_id}")
 
     def deliver_packet(self, pkt) -> None:
         """Downlink binding acks: radio delivery to the station, if any."""
-        for iface in self.stations.values():
-            frame = Frame("data", self.cfg.ap_id, self.cfg.channel,
-                          pkt.size_bits + MAC_OVERHEAD_BITS, payload=pkt)
-            self.medium.ap_to_iface(self, iface, frame)
+        if self.station is not None:
+            frame = Frame("data", pkt.size_bits + MAC_OVERHEAD_BITS, payload=pkt)
+            self.medium.ap_to_iface(self, self.station, frame)
 
 
 def _first_tick(t: float, step: float, offset: float = 0.0) -> int:
@@ -346,5 +353,5 @@ class BeaconLedger:
 
     def deliver(self, at: float, iface_id: str, ap: "AccessPoint") -> EventHandle:
         """Schedule the beacon of ap arriving at the interface at `at`."""
-        frame = Frame("beacon", ap.cfg.ap_id, ap.cfg.channel, BEACON_BITS, payload=ap)
+        frame = Frame("beacon", BEACON_BITS, payload=ap)
         return self.medium.sim.schedule_at(at, self.ifaces[iface_id].on_frame, frame, last=True)

@@ -17,8 +17,7 @@ from .ipv6 import (IPV6_HEADER_BITS, Address, Ipv6Host, Packet,
 from .llc import VhoController
 from .mipv6 import BA_BITS, HomeAgentCore, MnBindingManager, decapsulate
 from .mobility import TractorPath
-from .radio import (MAC_OVERHEAD_BITS, AccessPoint, ApConfig, ASSOC_BITS,
-                    DISASSOC_BITS, Frame, Medium)
+from .radio import MAC_OVERHEAD_BITS, AccessPoint, ApConfig, ASSOC_BITS, Frame, Medium
 from .traffic import (FlowStats, PacketRun, Sink, VideoSource, VoipConfig,
                       VoipSource)
 
@@ -51,17 +50,16 @@ class WirelessInterface:
     def begin_association(self, ap: AccessPoint) -> None:
         self._target = ap
         self.medium.beacons.listen(self)
-        frame = Frame("assoc_request", self.iface_id, ap.cfg.channel, ASSOC_BITS,
-                      payload=self)
-        self.medium.iface_to_ap(self, ap, frame)
+        self.medium.iface_to_ap(self, ap, Frame("assoc_request", ASSOC_BITS, payload=self))
 
     def disassociate(self) -> None:
+        """Leave the AP at once: it drops the station whether or not the
+        node is still in its range."""
         ap, self.ap, self._target = self.ap, None, None
         self.medium.beacons.listen(self)
         if ap is None:
             return
-        frame = Frame("disassoc", self.iface_id, ap.cfg.channel, DISASSOC_BITS)
-        self.medium.iface_to_ap(self, ap, frame)
+        ap.leave(self)
         self.mn.llc.on_link_down(self.iface_id)
 
     # -- radio receive path -------------------------------------------------------
@@ -142,8 +140,7 @@ class MobileNode:
         iface = self._uplink_iface(pkt.dst)
         if iface is None:
             return
-        frame = Frame("data", iface.iface_id, iface.ap.cfg.channel,
-                      pkt.size_bits + MAC_OVERHEAD_BITS, payload=pkt)
+        frame = Frame("data", pkt.size_bits + MAC_OVERHEAD_BITS, payload=pkt)
         self.medium.iface_to_ap(iface, iface.ap, frame)
 
     def send_run(self, run: PacketRun, dst: Address) -> None:
@@ -350,10 +347,8 @@ class DownlinkRun:
                 nxt = (t + ha.foreign_delay, t, k, 1, coa, None)
             else:  # delivery at the foreign AP past the router, or natively at home
                 ap = ha.foreign_router.ap if where == 1 else ha.home_ap
-                # each interface may associate with one AP, so an AP has one station at most
-                iface = next(iter(ap.stations.values()), None)
-                if (iface is None or iface.channel not in (None, ap.cfg.channel)
-                        or not ap.medium.in_range_moving(ap, iface, t)[0]):
+                iface = ap.station
+                if iface is None or not ap.medium.in_range_moving(ap, iface, t)[0]:
                     ha.drop(run.part(k, k + 1), t)
                     continue
                 bits = run.bits + MAC_OVERHEAD_BITS + IPV6_HEADER_BITS * (1 if coa is None else 2)

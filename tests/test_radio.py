@@ -133,7 +133,7 @@ def test_serialization_delay_at_two_megabits():
     iface = StubIface("i", (10.0, 0.0), 1)
     seen_at = []
     iface.on_frame = lambda frame: seen_at.append(sim.now)
-    med.ap_to_iface(ap, iface, Frame("data", "ap", 1, 2000))
+    med.ap_to_iface(ap, iface, Frame("data", 2000))
     sim.run_until(1.0)
     assert seen_at == [2000 / 2e6]  # 1 ms
 
@@ -146,29 +146,26 @@ class Router:
         self.handled.append(pkt)
 
 
-def _send_control_frame(ap_pos, ap_channel):
-    """(packets the AP's router got, drop hook calls) for one control frame
-    sent up from an interface at (10, 0) on channel 1, and one sent down."""
+def _send_control_frame(ap_pos):
+    """(packets the AP's router got, frames the interface got, drop hook
+    calls) for one control frame sent up from an interface at (10, 0), and
+    one sent down."""
     sim = Simulator()
     drops = []
     med = _medium(sim, drops)
     router = Router()
-    ap = AccessPoint(sim, ApConfig("ap", ap_pos, 0.0, ap_channel), med, router=router)
+    ap = AccessPoint(sim, ApConfig("ap", ap_pos, 0.0, 1), med, router=router)
     iface = StubIface("i", (10.0, 0.0), 1)
-    med.iface_to_ap(iface, ap, Frame("data", "i", 1, 1000, payload="bu"))
-    med.ap_to_iface(ap, iface, Frame("data", "ap", ap_channel, 1000, payload="ba"))
+    med.iface_to_ap(iface, ap, Frame("data", 1000, payload="bu"))
+    med.ap_to_iface(ap, iface, Frame("data", 1000, payload="ba"))
     sim.run_until(1.0)
     return router.handled, iface.frames, drops
 
 
 def test_uplink_out_of_range_drops_payload():
     # a lost control frame is not an app packet: the drop hook gets nothing
-    assert _send_control_frame(500.0, 1) == ([], [], [])
-    assert _send_control_frame(0.0, 1)[:2] == (["bu"], [Frame("data", "ap", 1, 1000, "ba")])
-
-
-def test_uplink_cross_channel_drops_payload():
-    assert _send_control_frame(0.0, 6) == ([], [], [])
+    assert _send_control_frame(500.0) == ([], [], [])
+    assert _send_control_frame(0.0)[:2] == (["bu"], [Frame("data", 1000, "ba")])
 
 
 def test_beacons_fire_on_strict_schedule():

@@ -164,8 +164,7 @@ def test_ra_landing_after_disassociation_is_ignored_at_the_interface(monkeypatch
     assert iface.ap is scn.ap_home
     ras = []
     monkeypatch.setattr(mn.host, "on_router_advertisement", lambda *a: ras.append(a))
-    frame = Frame("data", "ap-home", scn.ap_home.cfg.channel, BEACON_BITS,
-                  payload=scn.ha.advertisement())
+    frame = Frame("data", BEACON_BITS, payload=scn.ha.advertisement())
     iface.on_frame(frame)
     assert len(ras) == 1
     mn.llc.command_disassociate(iface.iface_id)
