@@ -21,6 +21,7 @@ from .traffic import compute_mos, packet_loss_rate
 STANDARD_PATH_METERS = 2000.0
 MAX_SIM_TIME = 86_400.0  # one simulated day; bounds the run of any valid config
 MAX_TICKS = 5e7  # of each periodic process per run; a day of 2 Mb/s video is 17.3 M
+MAX_ROWS = 10**5  # the path keeps two vertices a row: 1e5 rows take about 25 MB
 
 
 class ConfigError(Exception):
@@ -105,6 +106,9 @@ class ScenarioConfig:
         for name in _NON_NEGATIVE:
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name}: must be >= 0, got {getattr(self, name)!r}")
+        if self.row_count > MAX_ROWS:
+            raise ConfigError(f"row_count: {self.row_count} rows, more than {MAX_ROWS}; "
+                              f"the path holds two vertices a row in memory")
         try:
             radius2 = Medium(None, self.frequency_hz, self.sensitivity_dbm,
                              d_ref=self.d_ref).coverage_radius2(self.tx_power_dbm)
@@ -207,6 +211,7 @@ _KEY_ALIASES = {
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse a flat key = value config file with dotted section keys."""
     cfg = ScenarioConfig()
+    set_on: dict[str, int] = {}  # field -> line that set it
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -217,6 +222,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         name = _KEY_ALIASES.get(key, key)
         if name not in _CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if (first := set_on.setdefault(name, lineno)) != lineno:
+            raise ConfigError(f"{path}:{lineno}: {key!r} sets {name}, already set on line {first}")
         setattr(cfg, name, _parse(name, value))
     return cfg.validate()
 

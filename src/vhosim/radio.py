@@ -3,8 +3,7 @@
 No MAC contention, fading or interference: the scenario uses orthogonal
 channels in free space, so delivery is a deterministic range check at a fixed
 bitrate, and the beacons an interface hears are known in advance. Channels
-gate only beacons (BeaconLedger): every other frame goes between an AP and
-its station, which is tuned to the AP's channel by construction.
+gate only beacons: other frames pass between an AP and its station, tuned to it.
 """
 
 from __future__ import annotations
@@ -51,12 +50,9 @@ class ApConfig:
 
 @dataclass
 class Frame:
-    """A frame on the air. Beacons carry their AP, association requests the
-    interface, responses the AP; data frames carry a datagram or an RA."""
-
     kind: str  # beacon | assoc_request | assoc_response | data
     size_bits: int
-    payload: Any = None
+    payload: Any = None  # the AP; the requesting interface; or a datagram or an RA
 
 
 class Medium:
@@ -167,13 +163,11 @@ class AccessPoint:
     """802.11-style AP: periodic beacons, association handling, station delivery.
 
     The AP bridges its radio side to a router object exposing handle(pkt) and
-    advertisement(). It has one station slot: hard mode gives the node one
-    radio, and soft mode binds each radio to one AP. A station joins when its
-    association request arrives and leaves at the instant its interface
-    disassociates, heard or not (an inactivity timeout of zero), so the
-    station is always tuned to this AP's channel. Router advertisements go to
-    the station upon association and at each k * ra_interval while it stays;
-    a tick that finds no station is the last until the next join.
+    advertisement(). It has one station slot (one radio in hard mode, one
+    radio per AP in soft mode), filled when an association request arrives
+    and emptied the instant that interface disassociates, heard or not: an
+    inactivity timeout of zero. So the station is always tuned to this AP.
+    RAs go to it on association and at each k * ra_interval while it stays.
     """
 
     def __init__(self, sim: Simulator, cfg: ApConfig, medium: Medium, router,
@@ -200,11 +194,10 @@ class AccessPoint:
         self.medium.beacons.add_ap(self)
 
     def _ra_tick(self, k: int) -> None:
-        if self.station is None:
-            self._ra_armed = False
-            return
-        self.send_ra(self.station)
-        self.sim.schedule_at((k + 1) * self.ra_interval, self._ra_tick, k + 1)
+        self._ra_armed = self.station is not None  # else the last tick until a join
+        if self._ra_armed:
+            self.send_ra(self.station)
+            self.sim.schedule_at((k + 1) * self.ra_interval, self._ra_tick, k + 1)
 
     def send_ra(self, iface) -> None:
         frame = Frame("data", BEACON_BITS, payload=self.router.advertisement())
@@ -222,7 +215,6 @@ class AccessPoint:
             self.sim.schedule_at(k * self.ra_interval, self._ra_tick, k)
 
     def leave(self, iface) -> None:
-        """The station disassociates."""
         self.station = None
         self.sim.trace(self.cfg.ap_id, "radio", "disassoc", f"station={iface.iface_id}")
 

@@ -53,8 +53,7 @@ class WirelessInterface:
         self.medium.iface_to_ap(self, ap, Frame("assoc_request", ASSOC_BITS, payload=self))
 
     def disassociate(self) -> None:
-        """Leave the AP at once: it drops the station whether or not the
-        node is still in its range."""
+        """Leave the AP at once, whether or not it is in range to hear."""
         ap, self.ap, self._target = self.ap, None, None
         self.medium.beacons.listen(self)
         if ap is None:
@@ -68,9 +67,7 @@ class WirelessInterface:
         if frame.kind == "beacon":
             ap: AccessPoint = frame.payload
             self.mn.llc.on_beacon(self.iface_id, ap.cfg.ap_id, ap)
-        elif frame.kind == "assoc_response":
-            if self.ap is not None:
-                return
+        elif frame.kind == "assoc_response":  # to the one request of the candidate
             self.ap = frame.payload
             self._target = None
             self.medium.beacons.listen(self)
@@ -306,12 +303,13 @@ class DownlinkRun:
 
     At the HA (where 0) a packet is tunnelled while a binding holds and is
     delivered at the foreign AP foreign_delay later (where 1), else at the
-    home AP; it reaches the AP's station size / bitrate later (where 2). The
-    stages run in time order, those at one instant in the order of the
-    stages before them, as their events would have. A stage runs inline if
-    run_ahead allows its time; any other gets an event of its own,
-    HomeAgentNode.handle(self), queued when the stage before it ran. The
-    control state a stage reads changes only in events.
+    home AP; it reaches the AP's station, if in range, size / bitrate later
+    (where 2), and drops there if the station has left. The stages run in
+    time order, those at one instant in the order of the stages before them,
+    as their events would have. A stage runs inline if run_ahead allows its
+    time; any other gets an event of its own, HomeAgentNode.handle(self),
+    queued when the stage before it ran. The control state a stage reads
+    changes only in events.
     """
 
     __slots__ = ("ha", "run", "dst", "_pending")

@@ -108,7 +108,8 @@ def test_binding_update_processed_mid_run_sends_later_packets_home():
 def test_disassociation_mid_run_drops_the_packets_still_on_their_way():
     # at 50.1925 s packet 7 has reached the foreign AP (50.192 s) but not the
     # MN (50.1931 s), and drops there; packets 8 and 9 reach the AP after the
-    # disassociation frame has removed its station, and drop at the AP
+    # station left it, at the instant its interface disassociated, and drop
+    # at the AP
     def disassociate(scn):
         scn.sim.schedule_at(50.1925, scn.mn.llc.command_disassociate, "mn.wlan0")
 

@@ -15,6 +15,7 @@ from vhosim.harness import (
     _KEY_ALIASES,
     _NON_NEGATIVE,
     _POSITIVE,
+    MAX_ROWS,
     MAX_SIM_TIME,
     ConfigError,
     MetricsRecord,
@@ -145,6 +146,24 @@ def test_tick_bound_admits_a_one_day_2mbps_video_run():
     # 17.3 M packets: the bound leaves room for the longest, densest video run
     ScenarioConfig(application="video", video_rate_bps=2e6,
                    sim_time=MAX_SIM_TIME).validate()
+
+
+@pytest.mark.parametrize("first,second", [("mobility.speed = 5", "speed = 10"),
+                                          ("seed = 2", "seed = 3")])
+def test_a_key_set_twice_is_rejected_naming_both_lines(tmp_path, capsys, first, second):
+    conf = tmp_path / "twice.conf"
+    conf.write_text(f"{first}\nscheme = hard\n{second}\n")
+    key = second.split()[0]
+    with pytest.raises(ConfigError, match=rf"twice.conf:3: '{key}' .* on line 1$"):
+        load_scenario(conf)
+    assert main(["--config", str(conf)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_too_many_rows_rejected_before_a_path_is_built():
+    ScenarioConfig(row_count=MAX_ROWS).validate()
+    with pytest.raises(ConfigError, match="row_count: .* memory"):
+        ScenarioConfig(row_count=10**9).validate()
 
 
 def test_shared_channel_rejected():
@@ -297,6 +316,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("voip.packetization_interval = 1e-7", "voip_packetization"),
     ("video.rate_bps = 1e13", "video_rate_bps"),
     ("video.packet_bits = 1", "video_packet_bits"),  # 1e9 packets in 2000 s
+    ("mobility.row_count = 1000000000", "row_count"),  # exhausted memory building the path
 ])
 def test_cli_rejects_bad_value_naming_the_key(tmp_path, line, key):
     conf = tmp_path / "bad.conf"

@@ -8,6 +8,8 @@ from vhosim.engine import Simulator
 from vhosim.ipv6 import Packet
 from vhosim.mobility import TractorPath
 from vhosim.radio import (
+    ASSOC_BITS,
+    BEACON_BITS,
     AccessPoint,
     ApConfig,
     Frame,
@@ -166,6 +168,42 @@ def test_uplink_out_of_range_drops_payload():
     # a lost control frame is not an app packet: the drop hook gets nothing
     assert _send_control_frame(500.0) == ([], [], [])
     assert _send_control_frame(0.0)[:2] == (["bu"], [Frame("data", 1000, "ba")])
+
+
+class Advertiser:
+    def advertisement(self):
+        return "ra"
+
+
+def test_ra_ticks_run_on_the_grid_only_while_a_station_stays(monkeypatch):
+    # joins at 2.5 s, leaves at 4.5 s, rejoins exactly on the 1 s grid at 7 s
+    sim = Simulator()
+    med = _medium(sim)
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1), med, router=Advertiser())
+    ap.start()
+    iface = StubIface("i", (10.0, 0.0), 1)
+    heard = []
+    iface.on_frame = lambda frame: heard.append((sim.now, frame.kind))
+    ticks = []
+
+    def tick(k):
+        ticks.append((sim.now, ap.station is iface))
+        AccessPoint._ra_tick(ap, k)
+
+    monkeypatch.setattr(ap, "_ra_tick", tick)
+    join = Frame("assoc_request", ASSOC_BITS, payload=iface)
+    sim.schedule_at(2.5, ap.on_frame, join)
+    sim.schedule_at(4.5, ap.leave, iface)
+    sim.schedule_at(7.0, ap.on_frame, join)
+    sim.run_until(10.5)
+    # one idle tick after the leave, then none until the rejoin; the grid
+    # point at the rejoin instant gets no tick of its own
+    assert ticks == [(3.0, True), (4.0, True), (5.0, False), (8.0, True),
+                     (9.0, True), (10.0, True)]
+    ra_sent = [round(t - BEACON_BITS / 2e6, 9) for t, kind in heard if kind == "data"]
+    assert ra_sent == [2.5, 3.0, 4.0, 7.0, 8.0, 9.0, 10.0]
+    assert [t for t, kind in heard if kind == "assoc_response"] == [
+        2.5 + ASSOC_BITS / 2e6, 7.0 + ASSOC_BITS / 2e6]
 
 
 def test_beacons_fire_on_strict_schedule():

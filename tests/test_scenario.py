@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from vhosim.harness import ScenarioConfig, RunResult, run_experiment
 from vhosim.ipv6 import Address, Packet
 from vhosim.llc import VhoController
-from vhosim.radio import BEACON_BITS, Frame
-from vhosim.scenario import Scenario
+from vhosim.radio import BEACON_BITS, AccessPoint, Frame
+from vhosim.scenario import DownlinkRun, Scenario, WirelessInterface
 from vhosim.traffic import PacketRun
 
 
@@ -173,28 +173,30 @@ def test_ra_landing_after_disassociation_is_ignored_at_the_interface(monkeypatch
     assert len(ras) == 1
 
 
+@st.composite
+def short_runs(draw) -> ScenarioConfig:
+    """A random short hard or soft run of either application."""
+    app = draw(st.sampled_from(["video", "voip"]))
+    return ScenarioConfig(scheme=draw(st.sampled_from(["hard", "soft"])), application=app,
+                          video_rate_bps=draw(st.sampled_from([0.5e6, 2e6])),
+                          speed=draw(st.floats(1.0, 10.0)), seed=draw(st.integers(1, 10_000)),
+                          sim_time=draw(st.floats(5.5, 60.0)),
+                          foreign_link_delay=draw(st.floats(0.0, 0.1)),
+                          expected_handovers=None)
+
+
 @settings(max_examples=20, deadline=None)
-@given(scheme=st.sampled_from(["hard", "soft"]),
-       app=st.sampled_from(["video", "voip"]),
-       rate=st.sampled_from([0.5e6, 2e6]),
-       speed=st.floats(1.0, 10.0),
-       seed=st.integers(1, 10_000),
-       sim_time=st.floats(5.5, 60.0),
-       foreign_link_delay=st.floats(0.0, 0.1))
-def test_packet_conservation_on_random_short_runs(scheme, app, rate, speed, seed,
-                                                  sim_time, foreign_link_delay):
+@given(short_runs())
+def test_packet_conservation_on_random_short_runs(cfg):
     # a foreign link slower than the packet spacing keeps several downlink
     # packets of a run on their way at once, and interleaves their stages
-    cfg = ScenarioConfig(scheme=scheme, application=app, video_rate_bps=rate,
-                         speed=speed, seed=seed, sim_time=sim_time,
-                         foreign_link_delay=foreign_link_delay,
-                         expected_handovers=None)
-    spacing = cfg.voip_packetization if app == "voip" else cfg.video_packet_bits / rate
+    spacing = (cfg.voip_packetization if cfg.application == "voip"
+               else cfg.video_packet_bits / cfg.video_rate_bps)
     for flow in run_experiment(cfg).scenario.flows.values():
         assert flow.sent == flow.received + flow.late + flow.lost + flow.in_flight
         # in flight: what the run end cut off mid-path, so one packet more
         # per packet spacing of the foreign link
-        assert 0 <= flow.in_flight <= 5 + foreign_link_delay / spacing, flow.in_flight
+        assert 0 <= flow.in_flight <= 5 + cfg.foreign_link_delay / spacing, flow.in_flight
         assert not (flow.received_seqs & flow.dropped_seqs)
         assert len(flow.received_seqs) == flow.received + flow.late
         assert len(flow.dropped_seqs) == flow.lost
@@ -203,3 +205,66 @@ def test_packet_conservation_on_random_short_runs(scheme, app, rate, speed, seed
         settled = sum(1 for seq in range(flow.sent)
                       if seq in flow.received_seqs or seq in flow.dropped_seqs)
         assert settled == flow.sent - flow.in_flight
+
+
+@settings(max_examples=20, deadline=None)
+@given(short_runs())
+def test_an_ap_holds_only_a_station_tuned_to_it(cfg):
+    # checked on entry to and exit from each act of an AP: an RA tick, an
+    # association request, a binding-ack delivery, and a downlink run, whose
+    # stages at an AP read state that changes only in events
+    scn = Scenario(cfg)
+    aps = (scn.ap_home, scn.ap_foreign)
+    acts = []
+
+    def check(what):
+        for ap in aps:
+            station = ap.station
+            assert station is None or station.channel == ap.cfg.channel, \
+                (what, scn.sim.now, ap.cfg.ap_id, station.iface_id, station.channel)
+
+    def act(fn):
+        def wrapper(*args, **kwargs):
+            acts.append(fn.__name__)
+            check(fn.__name__)
+            fn(*args, **kwargs)
+            check(fn.__name__)
+        return wrapper
+
+    def disassociate(iface):
+        WirelessInterface.disassociate(iface)
+        assert all(ap.station is not iface for ap in aps), (scn.sim.now, iface.iface_id)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name in ((AccessPoint, "_ra_tick"), (AccessPoint, "on_frame"),
+                            (AccessPoint, "deliver_packet"), (DownlinkRun, "advance")):
+            mp.setattr(owner, name, act(getattr(owner, name)))
+        for iface in scn.mn.ifaces.values():
+            mp.setattr(iface, "disassociate", disassociate.__get__(iface))
+        scn.run()
+    assert "_ra_tick" in acts and "on_frame" in acts
+
+
+def test_idle_ra_ticks_are_at_most_the_disassociations(monkeypatch):
+    # an AP ticks only while it has a station, and once more after it
+    # leaves; ticking regardless, the six handover-churn runs made 726
+    # idle ticks for their 60 disassociations
+    idle, leaves = [], []
+    ra_tick, disassociate = AccessPoint._ra_tick, WirelessInterface.disassociate
+
+    def tick(ap, k):
+        idle.append(ap.station is None)
+        ra_tick(ap, k)
+
+    def leave(iface):
+        leaves.append(iface.ap is not None)
+        disassociate(iface)
+
+    monkeypatch.setattr(AccessPoint, "_ra_tick", tick)
+    monkeypatch.setattr(WirelessInterface, "disassociate", leave)
+    for scheme in ("hard", "soft"):
+        for speed in (8.0, 9.0, 10.0):  # the handover-churn benchmark configs
+            run_experiment(ScenarioConfig(scheme=scheme, application="video",
+                                          video_rate_bps=64000.0, speed=speed, seed=1))
+    assert sum(leaves) == 60
+    assert sum(idle) <= sum(leaves)
