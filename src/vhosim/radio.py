@@ -52,7 +52,7 @@ class ApConfig:
 class Frame:
     kind: str  # beacon | assoc_request | assoc_response | data
     size_bits: int
-    payload: Any = None  # the AP; the requesting interface; or a datagram or an RA
+    payload: Any = None  # the AP (beacon, response), the interface (request), a datagram or an RA
 
 
 class Medium:
