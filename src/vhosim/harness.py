@@ -108,7 +108,7 @@ class ScenarioConfig:
                 raise ConfigError(f"{name}: must be >= 0, got {getattr(self, name)!r}")
         if self.row_count > MAX_ROWS:
             raise ConfigError(f"row_count: {self.row_count} rows, more than {MAX_ROWS}; "
-                              f"the path holds two vertices a row in memory")
+                              "the path holds two vertices a row in memory")
         try:
             radius2 = Medium(None, self.frequency_hz, self.sensitivity_dbm,
                              d_ref=self.d_ref).coverage_radius2(self.tx_power_dbm)

@@ -176,8 +176,8 @@ def test_ra_landing_after_disassociation_is_ignored_at_the_interface(monkeypatch
 @st.composite
 def short_runs(draw) -> ScenarioConfig:
     """A random short hard or soft run of either application."""
-    app = draw(st.sampled_from(["video", "voip"]))
-    return ScenarioConfig(scheme=draw(st.sampled_from(["hard", "soft"])), application=app,
+    return ScenarioConfig(scheme=draw(st.sampled_from(["hard", "soft"])),
+                          application=draw(st.sampled_from(["video", "voip"])),
                           video_rate_bps=draw(st.sampled_from([0.5e6, 2e6])),
                           speed=draw(st.floats(1.0, 10.0)), seed=draw(st.integers(1, 10_000)),
                           sim_time=draw(st.floats(5.5, 60.0)),
