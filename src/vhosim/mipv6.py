@@ -6,6 +6,7 @@ the correspondent node always replies through the home network.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -85,6 +86,19 @@ class BindingCache:
             del self.entries[hoa]
             return None
         return entry.coa
+
+    def lookup_run(self, hoa: Address, times: list[float], lo: int, hi: int,
+                   at: Callable[[float], float]) -> tuple[Optional[Address], int]:
+        """lookup(hoa, at(times[k])) for k = lo..hi-1 in turn, at not
+        decreasing: the CoA, and the first k that finds none."""
+        entry = self.entries.get(hoa)
+        if entry is None:
+            return None, lo
+        end = bisect_right(times, entry.lifetime, lo, hi,
+                           key=lambda x: at(x) - entry.created_at)
+        if end < hi:
+            del self.entries[hoa]
+        return entry.coa, end
 
 
 class HomeAgentCore:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Optional
+from bisect import bisect_left, bisect_right
+from typing import Callable, Optional
 
 from .engine import Simulator
 from .ipv6 import (IPV6_HEADER_BITS, Address, Ipv6Host, Packet,
@@ -180,8 +181,9 @@ class HomeAgentNode:
                                    is_home_agent=True)
 
     def handle(self, pkt) -> None:
-        """A binding update, the only packet addressed to the HA, or the
-        continuation of a DownlinkRun. Uplink app packets take forward_run."""
+        """A binding update, the only packet addressed to the HA, or a
+        DownlinkRun with a stage due now: it runs that stage and what the
+        ahead limit allows. Uplink app packets take forward_run."""
         if isinstance(pkt, DownlinkRun):
             pkt.advance(event=True)
             return
@@ -301,63 +303,151 @@ class CorrespondentNode:
 class DownlinkRun:
     """A run of downlink app packets on its way from the HA to the MN's sink.
 
-    At the HA (where 0) a packet is tunnelled while a binding holds and is
-    delivered at the foreign AP foreign_delay later (where 1), else at the
+    At the HA (stage 0) a packet is tunnelled while a binding holds and is
+    delivered at the foreign AP foreign_delay later (stage 1), else at the
     home AP; it reaches the AP's station, if in range, size / bitrate later
-    (where 2), and drops there if the station has left. The stages run in
-    time order, those at one instant in the order of the stages before them,
-    as their events would have. A stage runs inline if run_ahead allows its
-    time; any other gets an event of its own, HomeAgentNode.handle(self),
-    queued when the stage before it ran. The control state a stage reads
-    changes only in events.
+    (stage 2), and drops there if the station has left or, tunnelled, its
+    CoA is stale. A stage runs inline if run_ahead allows its time; any
+    other gets an event of its own, HomeAgentNode.handle(self), queued when
+    the stage before it ran.
+
+    Control state changes only in events, so the stages one advance runs
+    all read one binding, station, association and CoA. It decides them per
+    segment: consecutive packets at one stage of one path, cut where the
+    range verdict changes (Medium.range_cuts) and at the first packet whose
+    HA time finds the binding expired (BindingCache.lookup_run). A stage's
+    time is computed from the tick with the grouping of the stage events:
+    ((tick + delay) + foreign_delay) + size / bitrate. Sink calls, and drop
+    and intercept lines, go in the order a heap of the stages would pop
+    them: by time, then time of the stage before, packet and stage, as
+    their events would have run.
     """
 
-    __slots__ = ("ha", "run", "dst", "_pending")
+    __slots__ = ("ha", "run", "dst", "delay", "_pending")
 
     def __init__(self, ha: HomeAgentNode, run: PacketRun, dst: Address, delay: float):
-        self.ha, self.run, self.dst = ha, run, dst
-        # heap of (time, time of the stage before, k, where, CoA, interface)
-        self._pending = [(t + delay, t, k, 0, None, None) for k, t in enumerate(run.times)]
+        self.ha, self.run, self.dst, self.delay = ha, run, dst, delay
+        # segments [stage, first, end, CoA (None: native), interface]: packets
+        # that wait at one stage of one path, each with an event queued
+        self._pending: list[list] = []
+
+    def _hops(self, stage: int, coa: Optional[Address]) -> tuple[float, float, float]:
+        """The three delays that take a tick (stage -1) to the stage of the
+        path, added in this order; adding 0.0 keeps a sum exact."""
+        d = self.delay if stage >= 0 else 0.0
+        fd = self.ha.foreign_delay if stage >= 1 and coa is not None else 0.0
+        air = 0.0
+        if stage == 2:
+            bits = self.run.bits + MAC_OVERHEAD_BITS + IPV6_HEADER_BITS * (1 if coa is None else 2)
+            air = bits / self.ha.home_ap.medium.bitrate
+        return d, fd, air
+
+    def _clock(self, stage: int, coa: Optional[Address]) -> Callable[[float], float]:
+        """A packet's time at the stage of its path from its tick."""
+        d, fd, air = self._hops(stage, coa)
+        return lambda x: x + d + fd + air
+
+    def _order(self, stage: int, coa: Optional[Address]) -> Callable[[int], tuple]:
+        """Packet k's place in the stage heap at the stage."""
+        times, at, before = self.run.times, self._clock(stage, coa), self._clock(stage - 1, coa)
+        return lambda k: (at(times[k]), before(times[k]), k, stage)
 
     def advance(self, event: bool = False) -> None:
-        """Run the stage of this event, if any, and those run_ahead allows;
-        queue an event for each other stage that has none yet."""
-        ha, run, pending = self.ha, self.run, self._pending
-        sim, core = ha.sim, ha.core
-        limit, due = sim.ahead_limit(), event  # due: the first pending is the event's
-        while pending:
-            t, before, k, where, coa, iface = pending[0]
-            if t > limit and not due:
-                break
-            due = False
-            heapq.heappop(pending)
-            if where == 2:
-                mn = iface.mn
-                if iface.ap is None or coa is not None and (  # disassociated; stale CoA
-                        mn.mip.current_coa() != coa or mn.host.ha_address != core.address):
-                    ha.drop(run.part(k, k + 1), t)
-                else:
-                    mn.sinks[run.flow_id].on_receive(run.seq0 + k, run.times[k], t, run.spurt)
+        """Run the stage of this event, if any, and every stage run_ahead
+        allows; queue an event for each other stage reached here."""
+        ha, run = self.ha, self.run
+        sim, times = ha.sim, run.times
+        limit = sim.ahead_limit()
+        # work: (stage, first, end, CoA, interface, time bound, events due)
+        work = [(0, 0, len(times), None, None, limit, True)] if not event else []
+        if event:  # the event's stage is the first in heap order
+            seg = min(self._pending, key=lambda s: self._order(s[0], s[3])(s[1]))
+            stage, lo, hi, coa, iface = seg
+            if self._clock(stage, coa)(times[lo]) > limit:  # it alone may run
+                seg[1] += 1
+                if seg[1] == hi:
+                    self._pending.remove(seg)
+                work.append((stage, lo, lo + 1, coa, iface, math.inf, False))
+            else:
+                work.extend((*s, limit, False) for s in self._pending)
+                self._pending = []
+        sinks: list[list] = []  # [stage 2, first, end, CoA, interface]
+        lines: list[list] = []  # [stage, first, end, CoA, "drop" or "intercept"]
+        while work:
+            stage, lo, hi, coa, iface, upto, fresh = work.pop()
+            at = self._clock(stage, coa)
+            m = bisect_right(times, upto, lo, hi, key=at)  # lo..m-1 run now
+            if m < hi:
+                self._pending.append([stage, m, hi, coa, iface])
+                if fresh:
+                    for x in times[m:hi]:
+                        sim.schedule_at(at(x), ha.handle, self)
+            if m == lo:
                 continue
-            if where == 0 and (coa := core.cache.lookup(self.dst, t)) is not None:
-                if sim.tracing:
-                    sim.trace("ha", "mipv6", "intercept", f"dst={self.dst}", at=t)
-                nxt = (t + ha.foreign_delay, t, k, 1, coa, None)
-            else:  # delivery at the foreign AP past the router, or natively at home
-                ap = ha.foreign_router.ap if where == 1 else ha.home_ap
-                iface = ap.station
-                if iface is None or not ap.medium.in_range_moving(ap, iface, t)[0]:
-                    ha.drop(run.part(k, k + 1), t)
-                    continue
-                bits = run.bits + MAC_OVERHEAD_BITS + IPV6_HEADER_BITS * (1 if coa is None else 2)
-                nxt = (t + bits / ap.medium.bitrate, t, k, 2, coa, iface)
-            heapq.heappush(pending, nxt)
-            if nxt[0] > limit:
-                sim.schedule_at(nxt[0], ha.handle, self)
-        if not event:  # the emit: the packets that reach the HA past the limit
-            for entry in pending:
-                if entry[3] == 0:
-                    sim.schedule_at(entry[0], ha.handle, self)
+            if stage == 2:
+                mn = iface.mn
+                if iface.ap is not None and (coa is None or (  # else disassociated; stale CoA
+                        mn.mip.current_coa() == coa and mn.host.ha_address == ha.core.address)):
+                    sinks.append([2, lo, m, coa, iface])
+                else:
+                    lines.append([2, lo, m, coa, "drop"])
+                continue
+            if stage == 0:
+                coa, e = ha.core.cache.lookup_run(self.dst, times, lo, m, at)
+                if e > lo:
+                    lines.append([0, lo, e, None, "intercept"])
+                    work.append((1, lo, e, coa, None, limit, True))
+                lo, coa, ap = e, None, ha.home_ap
+            else:  # delivery at the foreign AP past the router
+                ap = ha.foreign_router.ap
+            if lo == m:
+                continue
+            iface = ap.station
+            for a, b, inside in ([(lo, m, False)] if iface is None else
+                                 ap.medium.range_cuts(ap, iface, times, lo, m, at)):
+                if inside:
+                    work.append((2, a, b, coa, iface, limit, True))
+                else:
+                    lines.append([stage, a, b, coa, "drop"])
+        self._merge(sinks, self._receive)
+        if sim.tracing:
+            self._merge(lines, self._log)
+        else:  # only their count shows
+            for stage, lo, hi, coa, kind in lines:
+                if kind == "drop":
+                    ha.drop(run.part(lo, hi))
+
+    def _merge(self, streams: list[list], out: Callable[[list, int, int], None]) -> None:
+        """Hand out(stream, first, end) the packets of the streams in the
+        order of the stage heap; each stream is in that order already."""
+        heads = [[self._order(s[0], s[3]), s] for s in streams]
+        while heads:
+            if len(heads) > 1:
+                heads.sort(key=lambda h: h[0](h[1][1]))
+            order, s = heads[0]
+            end = s[2] if len(heads) == 1 else bisect_left(
+                range(s[2]), heads[1][0](heads[1][1][1]), s[1], s[2], key=order)
+            out(s, s[1], end)
+            s[1] = end
+            if end == s[2]:
+                heads.pop(0)
+
+    def _receive(self, stream: list, lo: int, hi: int) -> None:
+        run = self.run
+        d, fd, air = self._hops(2, stream[3])
+        on_receive = stream[4].mn.sinks[run.flow_id].on_receive
+        spurt = run.spurt
+        for seq, x in enumerate(run.times[lo:hi], run.seq0 + lo):
+            on_receive(seq, x, x + d + fd + air, spurt)
+
+    def _log(self, stream: list, lo: int, hi: int) -> None:
+        stage, _, _, coa, kind = stream
+        if kind == "drop":
+            self.ha.drop(self.run.part(lo, hi), self._clock(stage, coa))
+            return
+        sim, at = self.ha.sim, self._clock(0, None)
+        for x in self.run.times[lo:hi]:
+            sim.trace("ha", "mipv6", "intercept", f"dst={self.dst}", at=at(x))
 
 
 class Scenario:
@@ -456,14 +546,17 @@ class Scenario:
         else:
             raise ValueError(f"unknown application {cfg.application!r}")
 
-    def _on_drop(self, run: PacketRun, at: Optional[float] = None) -> None:
-        """Count and log lost app packets, each at its send time or at `at`."""
+    def _on_drop(self, run: PacketRun, at: Optional[Callable[[float], float]] = None) -> None:
+        """Count the app packets of run as lost and log each at its drop
+        time: its send time, or at(send time)."""
         stats = self.flows[run.flow_id]
-        for seq, t in enumerate(run.times if at is None else [at] * len(run.times), run.seq0):
-            stats.lost += 1
-            stats.dropped_seqs.add(seq)
-            if self.sim.tracing:
-                self.sim.trace("net", "traffic", "drop", f"flow={run.flow_id} seq={seq}", at=t)
+        n = len(run.times)
+        stats.lost += n
+        stats.dropped_seqs.add_range(run.seq0, run.seq0 + n)
+        if self.sim.tracing:
+            for seq, t in enumerate(run.times, run.seq0):
+                self.sim.trace("net", "traffic", "drop", f"flow={run.flow_id} seq={seq}",
+                               at=t if at is None else at(t))
 
     # -- execution ---------------------------------------------------------------
 

@@ -73,6 +73,20 @@ class SeqSet:
         self._len += 1
         return True
 
+    def add_range(self, lo: int, hi: int) -> int:
+        """Add lo..hi-1; the number of them not in the set yet."""
+        if lo < 0:
+            raise ValueError(f"seq must be >= 0, got {lo}")
+        if hi <= lo:
+            return 0
+        flags = self._flags
+        if hi > len(flags):
+            flags.extend(bytes(hi - len(flags)))
+        added = hi - lo - flags.count(1, lo, hi)
+        flags[lo:hi] = b"\x01" * (hi - lo)
+        self._len += added
+        return added
+
     def __contains__(self, seq: int) -> bool:
         return 0 <= seq < len(self._flags) and self._flags[seq] == 1
 
@@ -132,8 +146,12 @@ def compute_mos(stats: FlowStats) -> MosReport:
     ppl = loss * 100.0
     ie_eff = ie + (95.0 - ie) * ppl / (ppl + bpl)
     r = 93.2 - i_d - ie_eff
-    mos = 1.0 + 0.035 * r + 7e-6 * r * (r - 60.0) * (100.0 - r)
-    mos = min(4.5, max(1.0, mos))
+    if r < 0.0:  # G.107 Annex B: the cubic holds only for 0 <= R <= 100
+        mos = 1.0
+    elif r > 100.0:
+        mos = 4.5
+    else:
+        mos = min(4.5, max(1.0, 1.0 + 0.035 * r + 7e-6 * r * (r - 60.0) * (100.0 - r)))
     return MosReport(r, mos, mean_delay, loss)
 
 

@@ -6,6 +6,11 @@ range of the foreign AP until 93.95 s), over a 50 ms foreign link; no source
 runs. A change mid-run cuts the run: a binding update processed at the HA, a
 disassociation, or the expiry of the binding's lifetime.
 
+One case sends the run to a soft-scheme MN instead, whose foreign radio
+serves while its home radio is idle, and cuts it both ways: tunnelled
+packets drop at the foreign AP while later native ones drop at the home AP,
+so the two paths' stages cross in time.
+
 Every case runs twice. Inline, the run is one emit at its last tick, as a
 source sends it, and DownlinkRun.advance runs what stages it may inline. In
 the event world, each tick is emitted from its own event and the ahead limit
@@ -34,11 +39,11 @@ TICKS = [50.0 + k * 0.02 for k in range(10)]
 BITS = 1280  # 64 kb/s for 20 ms
 
 
-def _send(change, event_world: bool, **overrides):
+def _send(change, event_world: bool, scheme: str = "hard", **overrides):
     """(sink calls, drop lines, whole log, scenario) of one run of TICKS;
     change(scenario) runs at 49 s and may schedule the control change."""
     log: list[str] = []
-    scn = Scenario(ScenarioConfig(scheme="hard", application="voip", speed=4.0,
+    scn = Scenario(ScenarioConfig(scheme=scheme, application="voip", speed=4.0,
                                   foreign_link_delay=0.05, **overrides), trace_sink=log)
     sim = scn.sim
     if event_world:
@@ -64,10 +69,10 @@ def _send(change, event_world: bool, **overrides):
     return calls, drops, log, scn
 
 
-def _both(change, **overrides):
+def _both(change, scheme: str = "hard", **overrides):
     """The inline run, checked against the event world."""
-    calls, drops, log, scn = _send(change, False, **overrides)
-    calls_ev, drops_ev, log_ev, scn_ev = _send(change, True, **overrides)
+    calls, drops, log, scn = _send(change, False, scheme, **overrides)
+    calls_ev, drops_ev, log_ev, scn_ev = _send(change, True, scheme, **overrides)
     assert calls == calls_ev
     assert log == log_ev
     stats, stats_ev = scn.flows["voip-dl"], scn_ev.flows["voip-dl"]
@@ -135,8 +140,56 @@ def test_binding_expiring_mid_run_is_read_at_each_packets_time():
     assert scn.cn.hoa not in scn.ha.core.cache.entries
 
 
-def _sink_calls(cfg: ScenarioConfig, event_world: bool) -> tuple[dict, list[str], list]:
-    """(flow -> its sink calls in order, event log, CSV row) of one run."""
+def test_binding_holds_at_the_instant_its_lifetime_ends():
+    # packet 4 reaches the HA at t with t - created_at == lifetime as floats;
+    # a binding lapses only past its lifetime, so packet 4 still tunnels and
+    # packet 5 goes native, to the home AP that the MN has left
+    def expire_at_packet_4(scn):
+        entry = scn.ha.core.cache.entries[scn.cn.hoa]
+        entry.lifetime = _at_ha(4) - entry.created_at
+        assert _at_ha(4) - entry.created_at == entry.lifetime
+        assert _at_ha(5) - entry.created_at > entry.lifetime
+
+    received, drops, scn = _both(expire_at_packet_4)
+    assert received == [0, 1, 2, 3, 4]
+    assert drops == [(pytest.approx(_at_ha(k), abs=1e-9), k) for k in range(5, 10)]
+    assert scn.cn.hoa not in scn.ha.core.cache.entries
+
+
+def test_tunnelled_and_native_stages_cross_in_time():
+    # soft scheme: wlan1 serves at the foreign AP and the home radio is
+    # idle. The packets reach the HA at 50.10 to 50.28 s and the foreign AP
+    # 50 ms (2.5 tick spacings) later. wlan1 leaves the foreign AP at
+    # 50.195 s, so tunnelled packets from 3 on drop there; a deregistration
+    # processed at 50.225 s sends packets 7 to 9 native, to the home AP,
+    # which has no station, so they drop at their HA times. The drops of the
+    # two paths, and the intercept lines, interleave in time
+    def deregister_and_leave(scn):
+        core = scn.ha.core
+        coa = core.cache.lookup(scn.cn.hoa, scn.sim.now)
+        bu = BindingUpdate(scn.cn.hoa, coa, seq=100, lifetime=0.0)
+        scn.sim.schedule_at(50.225, scn.ha.handle, Packet(coa, core.address, "bu",
+                                                          BU_BITS + IPV6_HEADER_BITS,
+                                                          payload=bu))
+        scn.sim.schedule_at(50.195, scn.mn.llc.command_disassociate, "mn.wlan1")
+
+    received, drops, scn = _both(deregister_and_leave, "soft", cn_link_delay=0.1)
+    assert received == [0, 1, 2]
+    tunnelled = [(pytest.approx(_at_ha(k, 0.1) + 0.05, abs=1e-9), k) for k in range(3, 7)]
+    native = [(pytest.approx(_at_ha(k, 0.1), abs=1e-9), k) for k in range(7, 10)]
+    assert drops == [tunnelled[0], tunnelled[1], native[0], tunnelled[2], native[1],
+                     tunnelled[3], native[2]]
+    _, _, log, _ = _send(deregister_and_leave, False, "soft", cn_link_delay=0.1)
+    lines = ["intercept" if " intercept " in line else f"drop{line.rsplit('=', 1)[1]}"
+             for line in log if " intercept " in line or " traffic drop flow=voip-dl " in line]
+    assert lines == ["intercept"] * 6 + ["drop3", "intercept", "drop4", "drop7", "drop5",
+                                         "drop8", "drop6", "drop9"]
+    assert scn.cn.hoa not in scn.ha.core.cache.entries
+
+
+def _sink_calls(cfg: ScenarioConfig, event_world: bool) -> tuple[dict, list[str], list, dict]:
+    """(flow -> its sink calls in order, event log, CSV row, flow -> its
+    dropped seqs) of one run."""
     calls: dict[str, list] = {}
     log: list[str] = []
     original = Scenario.__init__
@@ -154,8 +207,13 @@ def _sink_calls(cfg: ScenarioConfig, event_world: bool) -> tuple[dict, list[str]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Scenario, "__init__", build)
-        row = run_experiment(cfg, trace_sink=log).metrics.to_row()
-    return calls, log, row
+        result = run_experiment(cfg, trace_sink=log)
+    dropped = {}
+    for flow, stats in result.scenario.flows.items():
+        dropped[flow] = [seq for seq in range(stats.sent) if seq in stats.dropped_seqs]
+        assert len(dropped[flow]) == len(stats.dropped_seqs) == stats.lost
+        assert not any(seq in stats.received_seqs for seq in dropped[flow])
+    return calls, log, result.metrics.to_row(), dropped
 
 
 @settings(max_examples=40, deadline=None)

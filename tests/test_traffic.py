@@ -62,8 +62,24 @@ def test_mos_monotone_in_loss_and_delay():
         assert mos == sorted(mos, reverse=True)
     for loss in (0.0, 0.05, 0.2):
         mos = [compute_mos(stats_for(loss, d)).mos
-               for d in (0.0, 0.1, 0.2, 0.3, 0.4)]
+               for d in (0.0, 0.1, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0, 1.5, 2.0, 3.0)]
         assert mos == sorted(mos, reverse=True)
+
+
+@pytest.mark.parametrize("delay", [1.0, 1.5, 3.0])
+def test_mos_is_one_for_r_below_zero(delay):
+    # G.107 Annex B: MOS 1 for R < 0; the cubic there gives 1.72 at 1.0 s
+    # and 4.5 (clamped) at 1.2 s, from R = -21.3 and -48.1
+    report = compute_mos(stats_for(0.0, delay))
+    assert report.r_factor < 0
+    assert report.mos == 1.0
+
+
+def test_mos_is_four_and_a_half_for_r_above_100():
+    # only a negative delay lifts R past 93.2; the cubic gives 4.30 at R = 117
+    report = compute_mos(stats_for(0.0, -1.0))
+    assert report.r_factor > 100
+    assert report.mos == 4.5
 
 
 def test_loss_rate_counts_late_packets_as_lost():
@@ -212,11 +228,26 @@ def test_seq_set_agrees_with_builtin_set(stream_a, stream_b):
     assert (ours_b & ours_a) == (ref_a & ref_b)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 80), st.integers(0, 30)), max_size=30))
+def test_seq_set_range_add_agrees_with_per_seq_add(ranges):
+    # ranges overlap, leave gaps and come in any order
+    bulk, single = SeqSet(), SeqSet()
+    for lo, n in ranges:
+        added = sum(single.add(seq) for seq in range(lo, lo + n))
+        assert bulk.add_range(lo, lo + n) == added
+        assert len(bulk) == len(single)
+    probe = range(-2, 114)
+    assert [s in bulk for s in probe] == [s in single for s in probe]
+
+
 def test_seq_set_rejects_negative_seq():
     seqs = SeqSet()
     with pytest.raises(ValueError):
         seqs.add(-1)
-    assert len(seqs) == 0 and -1 not in seqs
+    with pytest.raises(ValueError):
+        seqs.add_range(-1, 2)
+    assert len(seqs) == 0 and -1 not in seqs and 0 not in seqs
 
 
 @pytest.mark.parametrize("kind", ["video", "voip"])
