@@ -79,18 +79,15 @@ class BindingCache:
         return BindingAck(bu.hoa, bu.seq, "accepted")
 
     def lookup(self, hoa: Address, now: float) -> Optional[Address]:
-        entry = self.entries.get(hoa)
-        if entry is None:
-            return None
-        if now - entry.created_at > entry.lifetime:
-            del self.entries[hoa]
-            return None
-        return entry.coa
+        """The CoA bound to hoa at now; an expired entry is deleted."""
+        coa, found = self.lookup_run(hoa, [now], 0, 1, lambda t: t)
+        return coa if found else None
 
     def lookup_run(self, hoa: Address, times: list[float], lo: int, hi: int,
                    at: Callable[[float], float]) -> tuple[Optional[Address], int]:
         """lookup(hoa, at(times[k])) for k = lo..hi-1 in turn, at not
-        decreasing: the CoA, and the first k that finds none."""
+        decreasing: the CoA, and the first k that finds none. An entry
+        expires once now - created_at > lifetime."""
         entry = self.entries.get(hoa)
         if entry is None:
             return None, lo

@@ -359,17 +359,18 @@ class DownlinkRun:
         sim, times = ha.sim, run.times
         limit = sim.ahead_limit()
         # work: (stage, first, end, CoA, interface, time bound, events due)
-        work = [(0, 0, len(times), None, None, limit, True)] if not event else []
-        if event:  # the event's stage is the first in heap order
+        if not event:  # the emit
+            work = [(0, 0, len(times), None, None, limit, True)]
+        else:  # the event's stage is the first in heap order
             seg = min(self._pending, key=lambda s: self._order(s[0], s[3])(s[1]))
             stage, lo, hi, coa, iface = seg
             if self._clock(stage, coa)(times[lo]) > limit:  # it alone may run
                 seg[1] += 1
                 if seg[1] == hi:
                     self._pending.remove(seg)
-                work.append((stage, lo, lo + 1, coa, iface, math.inf, False))
+                work = [(stage, lo, lo + 1, coa, iface, math.inf, False)]
             else:
-                work.extend((*s, limit, False) for s in self._pending)
+                work = [(*s, limit, False) for s in self._pending]
                 self._pending = []
         sinks: list[list] = []  # [stage 2, first, end, CoA, interface]
         lines: list[list] = []  # [stage, first, end, CoA, "drop" or "intercept"]

@@ -135,7 +135,8 @@ def packet_loss_rate(stats: FlowStats) -> float:
 
 
 def compute_mos(stats: FlowStats) -> MosReport:
-    """Simplified ITU-T G.107 E-model with G.711 impairment defaults."""
+    """Simplified ITU-T G.107 E-model with G.711 impairment defaults; R
+    maps to MOS as in G.107 Annex B."""
     loss = packet_loss_rate(stats)
     mean_delay = stats.mean_delay
     d_ms = mean_delay * 1000.0
