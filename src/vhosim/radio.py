@@ -138,27 +138,36 @@ class Medium:
         """
         hop = ((pkt.size_bits + MAC_OVERHEAD_BITS) / self.bitrate
                + ap.lan_delay + ap.uplink_extra_delay)
-        n = len(run.times)
-        for lo, hi, inside in self.range_cuts(ap, iface, run.times, 0, n):
-            self._pass_run(ap, pkt, run if hi - lo == n else run.part(lo, hi), inside, hop)
+        times = run.times
+        n = len(times)
+        lo = i = 0
+        inside, until, _ = self.in_range_moving(ap, iface, times[0])
+        while True:
+            i = bisect_left(times, until, i + 1)  # first tick the verdict may not cover
+            if i == n:
+                break
+            verdict, until, _ = self.in_range_moving(ap, iface, times[i])
+            if verdict != inside:
+                self._pass_run(ap, pkt, run.part(lo, i), inside, hop)
+                lo, inside = i, verdict
+        self._pass_run(ap, pkt, run if lo == 0 else run.part(lo, n), inside, hop)
 
     def range_cuts(self, ap: "AccessPoint", iface, times: list[float], lo: int, hi: int,
-                   key: Optional[Callable[[float], float]] = None) -> list[tuple[int, int, bool]]:
+                   at: Callable[[float], float]) -> list[tuple[int, int, bool]]:
         """Packets lo..hi-1 of a run as (first, end, in range) pieces, cut
-        where the range verdict at each packet's time changes. That time is
-        key(times[k]), or the tick itself; it must not decrease with k. The
-        memo is queried once per verdict horizon, at the first packet past
-        it, found by bisect."""
-        inside, until, _ = self.in_range_moving(ap, iface, times[lo] if key is None
-                                                else key(times[lo]))
+        where the range verdict at a packet's time at(times[k]) changes; at
+        must not decrease. As uplink_run cuts a run at its ticks, the memo
+        is queried once per verdict horizon, at the first packet past it,
+        found by bisect. (uplink_run keeps its own loop: through this one,
+        with a list per run, a handover-churn pass runs 1.4% more opcodes.)"""
+        inside, until, _ = self.in_range_moving(ap, iface, at(times[lo]))
         pieces = []
         first = i = lo
         while True:
-            i = bisect_left(times, until, i + 1, hi, key=key)  # the first the verdict may not cover
+            i = bisect_left(times, until, i + 1, hi, key=at)  # the first the verdict may not cover
             if i == hi:
                 break
-            verdict, until, _ = self.in_range_moving(ap, iface, times[i] if key is None
-                                                     else key(times[i]))
+            verdict, until, _ = self.in_range_moving(ap, iface, at(times[i]))
             if verdict != inside:
                 pieces.append((first, i, inside))
                 first, inside = i, verdict
