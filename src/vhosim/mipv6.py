@@ -41,9 +41,7 @@ class BindingAck:
 
 @dataclass
 class BindingCacheEntry:
-    hoa: Address
     coa: Address
-    seq: int
     lifetime: float
     created_at: float
 
@@ -74,8 +72,7 @@ class BindingCache:
         if bu.lifetime <= 0:
             self.entries.pop(bu.hoa, None)
         else:
-            self.entries[bu.hoa] = BindingCacheEntry(
-                bu.hoa, bu.coa, bu.seq, bu.lifetime, now)
+            self.entries[bu.hoa] = BindingCacheEntry(bu.coa, bu.lifetime, now)
         return BindingAck(bu.hoa, bu.seq, "accepted")
 
     def lookup(self, hoa: Address, now: float) -> Optional[Address]:
@@ -98,28 +95,8 @@ class BindingCache:
         return entry.coa, end
 
 
-class HomeAgentCore:
-    """Binding management and interception, independent of topology wiring."""
-
-    def __init__(self, address: Address):
-        self.address = address
-        self.cache = BindingCache()
-
-    def intercept(self, pkt: Packet, now: float) -> tuple[str, Packet]:
-        """Route a packet addressed into the home prefix.
-
-        Returns ("tunnel", encapsulated) when a binding exists for the
-        destination, otherwise ("native", pkt) for on-link delivery; a native
-        delivery to an absent node drops at the radio and is counted there.
-        """
-        coa = self.cache.lookup(pkt.dst, now)
-        if coa is not None:
-            return ("tunnel", encapsulate(pkt, self.address, coa))
-        return ("native", pkt)
-
-
 class MnBindingManager:
-    """MN-side registration: BU emission with retransmission, tunnel wrap/unwrap."""
+    """MN-side registration: BU emission with retransmission, reverse-tunnel wrap."""
 
     def __init__(self, sim: Simulator, host, llc, send_packet: Callable[[Packet], None],
                  node_id: str = "mn", lifetime: float = DEFAULT_BINDING_LIFETIME):
@@ -167,8 +144,6 @@ class MnBindingManager:
 
     def _transmit(self) -> None:
         bu = self._awaiting
-        if bu is None:
-            return
         if self._attempts >= BU_MAX_ATTEMPTS:
             self.sim.trace(self.node_id, "mipv6", "bu_giveup", f"seq={bu.seq}")
             self._awaiting = None
@@ -219,10 +194,3 @@ class MnBindingManager:
         if coa.prefix == self.host.home_address.prefix:
             return inner
         return encapsulate(inner, coa, self.host.ha_address)
-
-    def unwrap_incoming(self, pkt: Packet) -> Optional[Packet]:
-        """Decapsulate an HA tunnel addressed to one of our current addresses."""
-        coa = self.current_coa()
-        if coa is None or pkt.dst != coa or pkt.src != self.host.ha_address:
-            return None  # stale CoA or unexpected tunnel endpoint
-        return decapsulate(pkt)

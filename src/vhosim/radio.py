@@ -313,7 +313,10 @@ class BeaconLedger:
                 speed = getattr(iface, "max_speed", 0.0)
                 reach = abs(math.hypot(pos[0] - ap.cfg.x, pos[1] - ap.cfg.y) - math.sqrt(
                     ap.radius2)) / speed if speed > 0.0 and ap.radius2 > 0.0 else 0.0
-                hi = min(hi, max(k + 1, _first_tick(k * bi + reach, bi) - 1))
+                # a reach past the horizon skips as far as one just past it does;
+                # one near 1e30 s would stall _first_tick
+                until = min(k * bi + reach, self.horizon + 2 * bi)
+                hi = min(hi, max(k + 1, _first_tick(until, bi) - 1))
             if verdict == heard:
                 return k
             k = hi

@@ -16,7 +16,7 @@ from .engine import Simulator
 from .ipv6 import (IPV6_HEADER_BITS, Address, Ipv6Host, Packet,
                    RouterAdvertisement, derive_iid)
 from .llc import VhoController
-from .mipv6 import BA_BITS, HomeAgentCore, MnBindingManager, decapsulate
+from .mipv6 import BA_BITS, BindingCache, MnBindingManager, decapsulate
 from .mobility import TractorPath
 from .radio import MAC_OVERHEAD_BITS, AccessPoint, ApConfig, ASSOC_BITS, Frame, Medium
 from .traffic import (FlowStats, PacketRun, Sink, VideoSource, VoipConfig,
@@ -57,8 +57,6 @@ class WirelessInterface:
         """Leave the AP at once, whether or not it is in range to hear."""
         ap, self.ap, self._target = self.ap, None, None
         self.medium.beacons.listen(self)
-        if ap is None:
-            return
         ap.leave(self)
         self.mn.llc.on_link_down(self.iface_id)
 
@@ -77,11 +75,8 @@ class WirelessInterface:
             return
         elif isinstance(frame.payload, RouterAdvertisement):
             self.mn.host.on_router_advertisement(self.iface_id, frame.payload)
-        else:  # a binding ack, native or tunnelled (app packets come in DownlinkRun)
-            pkt = frame.payload
-            pkt = pkt if pkt.inner is None else self.mn.mip.unwrap_incoming(pkt)
-            if pkt is not None:  # else: a stale CoA or an unexpected tunnel endpoint
-                self.mn.mip.on_binding_ack(pkt.payload)
+        else:  # a binding ack, never tunnelled (app packets come in DownlinkRun)
+            self.mn.mip.on_binding_ack(frame.payload.payload)
 
 
 class MobileNode:
@@ -89,7 +84,6 @@ class MobileNode:
                  iface_specs: list[Optional[str]],
                  dad_duration: float, beacon_interval: float, miss_threshold: int,
                  drop_hook, node_id: str = "mn"):
-        self.sim = sim
         self.path = path
         self.drop = drop_hook
         self.medium = medium
@@ -126,12 +120,12 @@ class MobileNode:
     # -- data plane ----------------------------------------------------------------
 
     def _uplink_iface(self, dst: Address) -> Optional[WirelessInterface]:
-        """The interface that serves, routes to dst and is associated, if any."""
+        """The interface that serves and routes to dst, if any; a serving
+        interface is associated."""
         iface_id = self.llc.serving
         if iface_id is None or self.host.routes.lookup(dst, iface_id) is None:
             return None
-        iface = self.ifaces[iface_id]
-        return iface if iface.ap is not None else None
+        return self.ifaces[iface_id]
 
     def send_routed(self, pkt: Packet) -> None:
         """Emit a binding update through the serving interface, if one routes."""
@@ -145,8 +139,8 @@ class MobileNode:
         """The uplink: send a run of app packets to dst.
 
         No control state changes inside a run, so its fate up to the radio
-        is decided once: home address, tunnel wrap, serving interface, route
-        and association. The medium checks range per packet.
+        is decided once: home address, tunnel wrap, serving interface and
+        route. The medium checks range per packet.
         """
         hoa = self.host.home_address
         if hoa is None or hoa.scope != "global":
@@ -164,10 +158,11 @@ class MobileNode:
 class HomeAgentNode:
     """Home-network router and MIPv6 home agent with static core forwarding."""
 
-    def __init__(self, sim: Simulator, core: HomeAgentCore, home_prefix: int,
+    def __init__(self, sim: Simulator, address: Address, home_prefix: int,
                  foreign_prefix: int, foreign_delay: float, drop_hook):
         self.sim = sim
-        self.core = core
+        self.address = address
+        self.cache = BindingCache()
         self.home_prefix = home_prefix
         self.foreign_prefix = foreign_prefix
         self.foreign_delay = foreign_delay
@@ -177,7 +172,7 @@ class HomeAgentNode:
         self.cn: Optional["CorrespondentNode"] = None
 
     def advertisement(self) -> RouterAdvertisement:
-        return RouterAdvertisement(self.home_prefix, self.core.address,
+        return RouterAdvertisement(self.home_prefix, self.address,
                                    is_home_agent=True)
 
     def handle(self, pkt) -> None:
@@ -187,9 +182,9 @@ class HomeAgentNode:
         if isinstance(pkt, DownlinkRun):
             pkt.advance(event=True)
             return
-        ba = self.core.cache.process(pkt.payload, self.sim.now)
+        ba = self.cache.process(pkt.payload, self.sim.now)
         self.sim.trace("ha", "mipv6", "bu_processed", f"seq={ba.seq} {ba.status}")
-        self.forward(Packet(self.core.address, pkt.src, "ba",
+        self.forward(Packet(self.address, pkt.src, "ba",
                             BA_BITS + IPV6_HEADER_BITS, payload=ba))
 
     def forward_run(self, pkt: Packet, run: PacketRun, hop: float) -> None:
@@ -199,19 +194,17 @@ class HomeAgentNode:
         They read no mutable state here or at the CN, so they need no
         event: the CN queues them by arrival time.
         """
-        if pkt.dst == self.core.address:
+        if pkt.dst == self.address:
             pkt = decapsulate(pkt)
         self.cn.arrive(pkt.src, run, hop)
 
     def forward(self, pkt: Packet) -> None:
-        """A binding ack to the CoA it came from, or to the home address."""
+        """A binding ack, never tunnelled: to the CoA its BU came from (RFC
+        6275 6.1.8), or to the home address after the deregistration that
+        deleted the binding."""
         if pkt.dst.prefix != self.foreign_prefix:
-            action, pkt = self.core.intercept(pkt, self.sim.now)
-            if action == "native":
-                self.home_ap.deliver_packet(pkt)
-                return
-            if self.sim.tracing:
-                self.sim.trace("ha", "mipv6", "intercept", f"dst={pkt.inner.dst}")
+            self.home_ap.deliver_packet(pkt)
+            return
         self.sim.schedule_in(self.foreign_delay, self.foreign_router.handle, pkt)
 
 
@@ -232,9 +225,8 @@ class ForeignRouterNode:
 
 
 class CorrespondentNode:
-    def __init__(self, sim: Simulator, address: Address, ha: HomeAgentNode,
-                 link_delay: float, hoa: Address):
-        self.sim = sim
+    def __init__(self, address: Address, ha: HomeAgentNode, link_delay: float,
+                 hoa: Address):
         self.address = address
         self.ha = ha
         self.link_delay = link_delay
@@ -385,16 +377,14 @@ class DownlinkRun:
                         sim.schedule_at(at(x), ha.handle, self)
             if m == lo:
                 continue
-            if stage == 2:
-                mn = iface.mn
-                if iface.ap is not None and (coa is None or (  # else disassociated; stale CoA
-                        mn.mip.current_coa() == coa and mn.host.ha_address == ha.core.address)):
+            if stage == 2:  # drops if disassociated or, tunnelled, the CoA is stale
+                if iface.ap is not None and (coa is None or iface.mn.mip.current_coa() == coa):
                     sinks.append([2, lo, m, coa, iface])
                 else:
                     lines.append([2, lo, m, coa, "drop"])
                 continue
             if stage == 0:
-                coa, e = ha.core.cache.lookup_run(self.dst, times, lo, m, at)
+                coa, e = ha.cache.lookup_run(self.dst, times, lo, m, at)
                 if e > lo:
                     lines.append([0, lo, e, None, "intercept"])
                     work.append((1, lo, e, coa, None, limit, True))
@@ -469,12 +459,11 @@ class Scenario:
         ha_addr = Address(cfg.home_prefix, derive_iid("ha", 0))
         fr_addr = Address(cfg.foreign_prefix, derive_iid("fr", 0))
         cn_addr = Address(cfg.core_prefix, derive_iid("cn", 0))
-        self.ha = HomeAgentNode(sim, HomeAgentCore(ha_addr),
-                                cfg.home_prefix, cfg.foreign_prefix,
+        self.ha = HomeAgentNode(sim, ha_addr, cfg.home_prefix, cfg.foreign_prefix,
                                 cfg.foreign_link_delay, self._on_drop)
         self.fr = ForeignRouterNode(fr_addr, cfg.foreign_prefix)
         hoa = Address(cfg.home_prefix, derive_iid("mn", 0), "global")  # as the CN knows it
-        self.cn = CorrespondentNode(sim, cn_addr, self.ha, cfg.cn_link_delay, hoa)
+        self.cn = CorrespondentNode(cn_addr, self.ha, cfg.cn_link_delay, hoa)
         self.ha.foreign_router = self.fr
         self.ha.cn = self.cn
 

@@ -29,7 +29,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vhosim.harness import ScenarioConfig, run_experiment
-from vhosim.ipv6 import IPV6_HEADER_BITS, Packet
+from vhosim.ipv6 import IPV6_HEADER_BITS, Address, Packet
 from vhosim.mipv6 import BU_BITS, BindingUpdate
 from vhosim.radio import MAC_OVERHEAD_BITS
 from vhosim.scenario import Scenario
@@ -51,7 +51,7 @@ def _send(change, event_world: bool, scheme: str = "hard", **overrides):
     scn.ap_home.start()
     scn.ap_foreign.start()
     sim.run_until(49.0)
-    assert scn.ha.core.cache.lookup(scn.cn.hoa, sim.now) is not None
+    assert scn.ha.cache.lookup(scn.cn.hoa, sim.now) is not None
     change(scn)
     calls = []
     sink = scn.mn.sinks["voip-dl"]
@@ -97,17 +97,17 @@ def test_binding_update_processed_mid_run_sends_later_packets_home():
     # deregistration processed at 50.19 s leaves the HA no binding, so the
     # packets after it go native to the home AP, which the MN has left
     def deregister(scn):
-        core = scn.ha.core
-        coa = core.cache.lookup(scn.cn.hoa, scn.sim.now)
+        ha = scn.ha
+        coa = ha.cache.lookup(scn.cn.hoa, scn.sim.now)
         bu = BindingUpdate(scn.cn.hoa, coa, seq=100, lifetime=0.0)
-        scn.sim.schedule_at(50.19, scn.ha.handle, Packet(coa, core.address, "bu",
+        scn.sim.schedule_at(50.19, scn.ha.handle, Packet(coa, ha.address, "bu",
                                                          BU_BITS + IPV6_HEADER_BITS,
                                                          payload=bu))
 
     received, drops, scn = _both(deregister, cn_link_delay=0.1)
     assert received == [0, 1, 2, 3, 4]
     assert drops == [(pytest.approx(_at_ha(k, 0.1), abs=1e-9), k) for k in range(5, 10)]
-    assert scn.cn.hoa not in scn.ha.core.cache.entries
+    assert scn.cn.hoa not in scn.ha.cache.entries
 
 
 def test_disassociation_mid_run_drops_the_packets_still_on_their_way():
@@ -131,13 +131,13 @@ def test_binding_expiring_mid_run_is_read_at_each_packets_time():
     # clock reaches the emit at 50.18 s; the binding lapses at 50.09 s, so
     # packet 5 (50.102 s) finds it expired and deletes it
     def shorten(scn):
-        entry = scn.ha.core.cache.entries[scn.cn.hoa]
+        entry = scn.ha.cache.entries[scn.cn.hoa]
         entry.lifetime = 50.09 - entry.created_at
 
     received, drops, scn = _both(shorten)
     assert received == [0, 1, 2, 3, 4]
     assert drops == [(pytest.approx(_at_ha(k), abs=1e-9), k) for k in range(5, 10)]
-    assert scn.cn.hoa not in scn.ha.core.cache.entries
+    assert scn.cn.hoa not in scn.ha.cache.entries
 
 
 def test_binding_holds_at_the_instant_its_lifetime_ends():
@@ -145,7 +145,7 @@ def test_binding_holds_at_the_instant_its_lifetime_ends():
     # a binding lapses only past its lifetime, so packet 4 still tunnels and
     # packet 5 goes native, to the home AP that the MN has left
     def expire_at_packet_4(scn):
-        entry = scn.ha.core.cache.entries[scn.cn.hoa]
+        entry = scn.ha.cache.entries[scn.cn.hoa]
         entry.lifetime = _at_ha(4) - entry.created_at
         assert _at_ha(4) - entry.created_at == entry.lifetime
         assert _at_ha(5) - entry.created_at > entry.lifetime
@@ -153,7 +153,29 @@ def test_binding_holds_at_the_instant_its_lifetime_ends():
     received, drops, scn = _both(expire_at_packet_4)
     assert received == [0, 1, 2, 3, 4]
     assert drops == [(pytest.approx(_at_ha(k), abs=1e-9), k) for k in range(5, 10)]
-    assert scn.cn.hoa not in scn.ha.core.cache.entries
+    assert scn.cn.hoa not in scn.ha.cache.entries
+
+
+def test_tunnels_to_a_coa_the_mn_does_not_hold_drop_at_its_interface():
+    # the packets reach the HA at 50.10 to 50.28 s; a binding update
+    # processed at 50.19 s binds the home address to a CoA the MN does not
+    # hold. Packets 0 to 4 tunnel to the MN's own CoA; packets 5 to 9 tunnel
+    # to the stale one, cross the foreign AP to the MN's interface and drop
+    # there
+    def rebind_elsewhere(scn):
+        ha = scn.ha
+        coa = ha.cache.lookup(scn.cn.hoa, scn.sim.now)
+        stale = Address(coa.prefix, coa.iid + 1)
+        bu = BindingUpdate(scn.cn.hoa, stale, seq=100, lifetime=420.0)
+        scn.sim.schedule_at(50.19, ha.handle, Packet(stale, ha.address, "bu",
+                                                     BU_BITS + IPV6_HEADER_BITS, payload=bu))
+
+    received, drops, scn = _both(rebind_elsewhere, cn_link_delay=0.1)
+    assert received == [0, 1, 2, 3, 4]
+    air = (BITS + 2 * IPV6_HEADER_BITS + MAC_OVERHEAD_BITS) / 2e6
+    assert drops == [(pytest.approx(_at_ha(k, 0.1) + 0.05 + air, abs=1e-9), k)
+                     for k in range(5, 10)]
+    assert scn.ha.cache.entries[scn.cn.hoa].coa != scn.mn.mip.current_coa()
 
 
 def test_tunnelled_and_native_stages_cross_in_time():
@@ -165,10 +187,10 @@ def test_tunnelled_and_native_stages_cross_in_time():
     # which has no station, so they drop at their HA times. The drops of the
     # two paths, and the intercept lines, interleave in time
     def deregister_and_leave(scn):
-        core = scn.ha.core
-        coa = core.cache.lookup(scn.cn.hoa, scn.sim.now)
+        ha = scn.ha
+        coa = ha.cache.lookup(scn.cn.hoa, scn.sim.now)
         bu = BindingUpdate(scn.cn.hoa, coa, seq=100, lifetime=0.0)
-        scn.sim.schedule_at(50.225, scn.ha.handle, Packet(coa, core.address, "bu",
+        scn.sim.schedule_at(50.225, scn.ha.handle, Packet(coa, ha.address, "bu",
                                                           BU_BITS + IPV6_HEADER_BITS,
                                                           payload=bu))
         scn.sim.schedule_at(50.195, scn.mn.llc.command_disassociate, "mn.wlan1")
@@ -184,7 +206,7 @@ def test_tunnelled_and_native_stages_cross_in_time():
              for line in log if " intercept " in line or " traffic drop flow=voip-dl " in line]
     assert lines == ["intercept"] * 6 + ["drop3", "intercept", "drop4", "drop7", "drop5",
                                          "drop8", "drop6", "drop9"]
-    assert scn.cn.hoa not in scn.ha.core.cache.entries
+    assert scn.cn.hoa not in scn.ha.cache.entries
 
 
 def _sink_calls(cfg: ScenarioConfig, event_world: bool) -> tuple[dict, list[str], list, dict]:

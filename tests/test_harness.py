@@ -351,6 +351,20 @@ def _cli(args, tmp_path):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+@pytest.mark.parametrize("line", [
+    "ap.home.x = 1e30",
+    "ap.foreign.y = 1e30",
+    "mobility.speed = 1e-30",
+])
+def test_a_far_ap_or_a_crawling_node_ends_its_run(tmp_path, line):
+    # each used to run forever: the beacon ledger searched for the first
+    # beacon after a time near 1e30 s, where a step of one beacon index no
+    # longer changes the beacon's time as a float
+    (tmp_path / "far.conf").write_text(f"sim_time = 60\nexpected_handovers = none\n{line}\n")
+    code, _, err = _cli(["--config", "far.conf"], tmp_path)
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("args,flag", [
     (["--rate", "1e6"], "--rate"),  # the default application is VoIP
     (["--app", "voip", "--rate", "1e6"], "--rate"),

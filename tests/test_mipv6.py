@@ -9,7 +9,6 @@ from vhosim.mipv6 import (
     BindingAck,
     BindingCache,
     BindingUpdate,
-    HomeAgentCore,
     MnBindingManager,
     TunnelError,
     decapsulate,
@@ -106,17 +105,6 @@ def test_encapsulate_decapsulate_round_trip():
     assert decapsulate(outer) is inner
     with pytest.raises(TunnelError):
         decapsulate(inner)
-
-
-def test_home_agent_intercept_tunnels_when_bound():
-    ha = HomeAgentCore(HA)
-    action, pkt = ha.intercept(Packet(CN, HOA, "app", 10000), now=0.0)
-    assert action == "native"
-    ha.cache.process(BindingUpdate(HOA, COA_A, 1, 420.0), now=0.0)
-    action, pkt = ha.intercept(Packet(CN, HOA, "app", 10000), now=1.0)
-    assert action == "tunnel"
-    assert pkt.src == HA and pkt.dst == COA_A
-    assert pkt.inner.dst == HOA
 
 
 class MnRig:
@@ -219,14 +207,3 @@ def test_reverse_tunnel_keeps_home_address_as_inner_source():
     rig.move_to("wlan0", HOA)
     assert rig.mip.wrap_outgoing(inner) is inner
 
-
-def test_unwrap_rejects_tunnels_for_a_stale_coa():
-    rig = MnRig()
-    rig.move_to("wlan1", COA_A)
-    inner = Packet(CN, HOA, "app", 10000)
-    good = encapsulate(inner, HA, COA_A)
-    assert rig.mip.unwrap_incoming(good) is inner
-    stale = encapsulate(inner, HA, COA_B)
-    assert rig.mip.unwrap_incoming(stale) is None
-    spoofed = encapsulate(inner, CN, COA_A)
-    assert rig.mip.unwrap_incoming(spoofed) is None

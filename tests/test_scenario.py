@@ -1,10 +1,11 @@
 """End-to-end runs of the built scenario at the fastest (cheapest) speed."""
 
 import inspect
+import math
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vhosim.harness import ScenarioConfig, RunResult, run_experiment
@@ -209,6 +210,29 @@ def test_packet_conservation_on_random_short_runs(cfg):
 
 @settings(max_examples=20, deadline=None)
 @given(short_runs())
+@example(ScenarioConfig(scheme="hard", application="voip", speed=10.0, sim_time=60.0,
+                        foreign_link_delay=0.05, expected_handovers=None))
+@example(ScenarioConfig(scheme="soft", application="voip", speed=10.0, sim_time=60.0,
+                        foreign_link_delay=0.05, expected_handovers=None))
+def test_a_binding_ack_for_the_home_network_finds_no_binding(cfg):
+    # HomeAgentNode.forward never tunnels a binding ack: one to a CoA goes
+    # where its BU came from, and one to the home address answers the
+    # deregistration that deleted the binding. Few short runs return home;
+    # each example does, once
+    scn = Scenario(cfg)
+    forward = scn.ha.forward
+
+    def check(pkt):
+        if pkt.dst.prefix != cfg.foreign_prefix:
+            assert pkt.dst not in scn.ha.cache.entries, (scn.sim.now, pkt.payload)
+        forward(pkt)
+
+    scn.ha.forward = check
+    scn.run()
+
+
+@settings(max_examples=20, deadline=None)
+@given(short_runs())
 def test_an_ap_holds_only_a_station_tuned_to_it(cfg):
     # checked on entry to and exit from each act of an AP: an RA tick, an
     # association request, a binding-ack delivery, and a downlink run, whose
@@ -268,3 +292,22 @@ def test_idle_ra_ticks_are_at_most_the_disassociations(monkeypatch):
                                           video_rate_bps=64000.0, speed=speed, seed=1))
     assert sum(leaves) == 60
     assert sum(idle) <= sum(leaves)
+
+
+@pytest.mark.parametrize("scheme", ["hard", "soft"])
+def test_uplink_drops_at_its_ticks_until_the_home_address_is_valid(scheme):
+    # the home address is tentative until its DAD ends at 1.000896 s, so
+    # MobileNode.send_run drops the 26 video packets sent from 0.50 to
+    # 1.00 s at their ticks, before they reach the radio
+    log: list[str] = []
+    result = run_experiment(ScenarioConfig(scheme=scheme, application="video", speed=10.0,
+                                           traffic_start=0.5), trace_sink=log)
+    drops = [(float(line.split()[0]), int(line.rsplit("=", 1)[1]))
+             for line in log if " traffic drop flow=video-ul " in line]
+    assert drops[:26] == [(pytest.approx(0.5 + 0.02 * k, abs=1e-9), k) for k in range(26)]
+    dad_done = next(float(line.split()[0]) for line in log if " ipv6 dad_done " in line)
+    assert 1.0 < dad_done < (drops[26][0] if len(drops) > 26 else math.inf)
+    flow = result.scenario.flows["video-ul"]
+    assert all(seq in flow.dropped_seqs for seq in range(26))
+    assert flow.lost == len(drops) == len(flow.dropped_seqs)
+    assert flow.sent == flow.received + flow.late + flow.lost
