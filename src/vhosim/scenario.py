@@ -259,32 +259,28 @@ class CorrespondentNode:
         """Hand the sinks, in order, the queued packets that reach the HA by
         until, each with its arrival time here."""
         arrivals = self._arrivals
-        delay = self.link_delay
         while arrivals and arrivals[0][0] <= until:
             entry = arrivals[0]
-            ha, order, i, run, hop, sink, from_hoa = entry
-            # this run's packets go first while they precede the next run's
+            _, order, i, run, hop, sink, from_hoa = entry
+            # this run's packets go first while they precede the next run's:
+            # packet i, then those that reach the HA by the bound, where a
+            # tie with the next run goes by sending order
             next_ha, next_order = min(arrivals[1:3])[:2] if len(arrivals) > 1 else (math.inf, 0)
-            times, seq0, spurt = run.times, run.seq0, run.spurt
+            times = run.times
             n = len(times)
-            on_receive = sink.on_receive
-            first = i
-            while True:
-                on_receive(seq0 + i, times[i], ha + delay, spurt)
-                i += 1
-                order += 1
-                if i == n:
-                    break
-                ha = times[i] + hop
-                if ha > until or ha > next_ha or (ha == next_ha and order > next_order):
-                    break
-            self.app_received += i - first
+            bound = until if until < next_ha else next_ha
+            j = bisect_right(times, bound, i + 1, n, key=hop.__add__)  # x + hop, commuted
+            if bound == next_ha and j > i + 1 and times[j - 1] + hop == next_ha:
+                ties = bisect_left(times, next_ha, i + 1, j, key=hop.__add__)
+                j = max(ties, min(j, i + next_order - order))
+            sink.receive(run.seq0, times, i, j, hop, self.link_delay, 0.0, run.spurt)
+            self.app_received += j - i
             if from_hoa:
-                self.app_src_matches += i - first
-            if i == n:
+                self.app_src_matches += j - i
+            if j == n:
                 heapq.heappop(arrivals)
             else:
-                entry[0], entry[1], entry[2] = ha, order, i
+                entry[0], entry[1], entry[2] = times[j] + hop, order + j - i, j
                 heapq.heapreplace(arrivals, entry)
 
     def send_run(self, run: PacketRun, dst: Address) -> None:
@@ -309,10 +305,11 @@ class DownlinkRun:
     range verdict changes (Medium.range_cuts) and at the first packet whose
     HA time finds the binding expired (BindingCache.lookup_run). A stage's
     time is computed from the tick with the grouping of the stage events:
-    ((tick + delay) + foreign_delay) + size / bitrate. Sink calls, and drop
-    and intercept lines, go in the order a heap of the stages would pop
-    them: by time, then time of the stage before, packet and stage, as
-    their events would have run.
+    ((tick + delay) + foreign_delay) + size / bitrate. Packets reach the
+    sink, and drop and intercept lines go out, in the order a heap of the
+    stages would pop them: by time, then time of the stage before, packet
+    and stage, as their events would have run. The sink takes one call per
+    slice of that order that stays in one segment.
     """
 
     __slots__ = ("ha", "run", "dst", "delay", "_pending")
@@ -425,11 +422,8 @@ class DownlinkRun:
 
     def _receive(self, stream: list, lo: int, hi: int) -> None:
         run = self.run
-        d, fd, air = self._hops(2, stream[3])
-        on_receive = stream[4].mn.sinks[run.flow_id].on_receive
-        spurt = run.spurt
-        for seq, x in enumerate(run.times[lo:hi], run.seq0 + lo):
-            on_receive(seq, x, x + d + fd + air, spurt)
+        stream[4].mn.sinks[run.flow_id].receive(run.seq0, run.times, lo, hi,
+                                                *self._hops(2, stream[3]), run.spurt)
 
     def _log(self, stream: list, lo: int, hi: int) -> None:
         stage, _, _, coa, kind = stream

@@ -55,37 +55,37 @@ class SeqSet:
         self._flags = bytearray()
         self._len = 0
 
-    def add(self, seq: int) -> bool:
-        """Add seq; True iff it was not in the set yet."""
+    def add_new(self, lo: int, hi: int) -> int:
+        """Add lo, lo + 1, ... up to hi or the first seq in the set already,
+        whichever comes first; return where it stopped."""
         flags = self._flags
         end = len(flags)
-        if seq == end:  # in-order arrival
-            flags.append(1)
-        elif seq > end:
-            flags.extend(bytes(seq - end))
-            flags.append(1)
-        elif seq < 0:
-            raise ValueError(f"seq must be >= 0, got {seq}")
-        elif flags[seq]:
-            return False
-        else:
-            flags[seq] = 1
-        self._len += 1
-        return True
-
-    def add_range(self, lo: int, hi: int) -> int:
-        """Add lo..hi-1; the number of them not in the set yet."""
+        if lo == end < hi:  # in-order arrival
+            flags += b"\x01" * (hi - lo)
+            self._len += hi - lo
+            return hi
         if lo < 0:
             raise ValueError(f"seq must be >= 0, got {lo}")
         if hi <= lo:
-            return 0
-        flags = self._flags
-        if hi > len(flags):
-            flags.extend(bytes(hi - len(flags)))
-        added = hi - lo - flags.count(1, lo, hi)
-        flags[lo:hi] = b"\x01" * (hi - lo)
-        self._len += added
-        return added
+            return lo
+        m = flags.find(1, lo, hi)
+        if m < 0:
+            m = hi
+        if m > end:
+            flags.extend(bytes(m - end))
+        flags[lo:m] = b"\x01" * (m - lo)
+        self._len += m - lo
+        return m
+
+    def add_range(self, lo: int, hi: int) -> int:
+        """Add lo..hi-1; the number of them not in the set yet."""
+        added = 0
+        while True:
+            m = self.add_new(lo, hi)
+            added += m - lo
+            if m >= hi:
+                return added
+            lo = m + 1  # past a seq in the set
 
     def __contains__(self, seq: int) -> bool:
         return 0 <= seq < len(self._flags) and self._flags[seq] == 1
@@ -316,24 +316,54 @@ class Sink:
         self._first_spurt_min: Optional[float] = None
         self.duplicates = 0
 
-    def on_receive(self, seq: int, sent_at: float, now: float, spurt: int = 0) -> str:
-        """Classify packet seq, sent at sent_at and arriving at now."""
+    def receive(self, seq0: int, times: list[float], lo: int, hi: int,
+                a: float, b: float, c: float, spurt: int = 0) -> str:
+        """Classify packets lo..hi-1 of a run, in this order: packet k has
+        seq seq0 + k, was sent at times[k] and arrives at
+        ((times[k] + a) + b) + c. Returns the verdict of the last."""
         stats = self.stats
-        if not stats.received_seqs.add(seq):
-            self.duplicates += 1
-            return "duplicate"
-        delay = now - sent_at
-        if self.kind == "voip":
-            if spurt == 0:
-                if self._first_spurt_min is None or delay < self._first_spurt_min:
-                    self._first_spurt_min = delay
-            else:
-                if self._budget is None:
-                    self._budget = (self._first_spurt_min if self._first_spurt_min is not None
-                                    else delay) + self.playout_delay
-                if delay > self._budget:
-                    stats.late += 1
-                    return "late"
-        stats.received += 1
-        stats.delay_sum += delay
-        return "received"
+        verdict = "duplicate"
+        while lo < hi:
+            m = stats.received_seqs.add_new(seq0 + lo, seq0 + hi) - seq0  # lo..m-1 are new
+            if m > lo:
+                # delays are summed one by one, in order: sum() may compensate
+                total, late, verdict = stats.delay_sum, 0, "received"
+                if self.kind != "voip":
+                    for x in times[lo:m]:
+                        total += x + a + b + c - x
+                elif spurt == 0:
+                    low = self._first_spurt_min
+                    for x in times[lo:m]:
+                        delay = x + a + b + c - x
+                        if low is None or delay < low:
+                            low = delay
+                        total += delay
+                    self._first_spurt_min = low
+                else:
+                    budget = self._budget
+                    if budget is None:
+                        low, x = self._first_spurt_min, times[lo]
+                        budget = self._budget = (low if low is not None else x + a + b + c - x
+                                                 ) + self.playout_delay
+                    for x in times[lo:m]:
+                        delay = x + a + b + c - x
+                        if delay > budget:
+                            late += 1
+                        else:
+                            total += delay
+                    if delay > budget:
+                        verdict = "late"
+                stats.delay_sum = total
+                stats.received += m - lo - late
+                stats.late += late
+            if m < hi:  # packet m is in the set already
+                self.duplicates += 1
+                verdict = "duplicate"
+            lo = m + 1
+        return verdict
+
+    def on_receive(self, seq: int, sent_at: float, now: float, spurt: int = 0) -> str:
+        """Classify packet seq, sent at sent_at and arriving at now: receive
+        of one packet sent at 0.0, whose delay ((0.0 + now) + -sent_at) + 0.0
+        - 0.0 is now - sent_at."""
+        return self.receive(seq, (0.0,), 0, 1, now, -sent_at, 0.0, spurt)

@@ -27,6 +27,7 @@ import math
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sink_tap import tap, tapped_scenarios
 
 from vhosim.harness import ScenarioConfig, run_experiment
 from vhosim.ipv6 import IPV6_HEADER_BITS, Address, Packet
@@ -54,16 +55,14 @@ def _send(change, event_world: bool, scheme: str = "hard", **overrides):
     assert scn.ha.cache.lookup(scn.cn.hoa, sim.now) is not None
     change(scn)
     calls = []
-    sink = scn.mn.sinks["voip-dl"]
-    take = sink.on_receive
-    sink.on_receive = lambda seq, sent_at, now, spurt=0: calls.append(
-        (seq, now, take(seq, sent_at, now, spurt)))
+    check = tap(scn.mn.sinks["voip-dl"], calls)
     run = PacketRun("voip-dl", 0, TICKS, BITS)
     scn.flows["voip-dl"].sent += len(TICKS)
     for lo, hi in ([(k, k + 1) for k in range(len(TICKS))] if event_world
                    else [(0, len(TICKS))]):
         sim.schedule_at(TICKS[hi - 1], scn.cn.send_run, run.part(lo, hi), scn.cn.hoa)
     sim.run_until(51.0)
+    check()
     drops = [(float(line.split()[0]), int(line.rsplit("=", 1)[1]))
              for line in log if " traffic drop flow=voip-dl " in line]
     return calls, drops, log, scn
@@ -214,21 +213,12 @@ def _sink_calls(cfg: ScenarioConfig, event_world: bool) -> tuple[dict, list[str]
     dropped seqs) of one run."""
     calls: dict[str, list] = {}
     log: list[str] = []
-    original = Scenario.__init__
 
-    def build(scn, *args, **kwargs):
-        original(scn, *args, **kwargs)
+    def setup(scn):
         if event_world:
             scn.sim.ahead_limit = lambda: -math.inf
-        for sinks in (scn.cn.sinks, scn.mn.sinks):
-            for flow, sink in sinks.items():
-                take = sink.on_receive
-                sink.on_receive = (lambda seq, sent_at, now, spurt=0, take=take, flow=flow:
-                                   calls.setdefault(flow, []).append(
-                                       (seq, now, take(seq, sent_at, now, spurt))))
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Scenario, "__init__", build)
+    with tapped_scenarios(calls, setup):
         result = run_experiment(cfg, trace_sink=log)
     dropped = {}
     for flow, stats in result.scenario.flows.items():

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from collections import Counter
 from typing import NamedTuple
 
 import pytest
@@ -12,8 +13,8 @@ from vhosim.harness import ScenarioConfig, RunResult, run_experiment
 from vhosim.ipv6 import Address, Packet
 from vhosim.llc import VhoController
 from vhosim.radio import BEACON_BITS, AccessPoint, Frame
-from vhosim.scenario import DownlinkRun, Scenario, WirelessInterface
-from vhosim.traffic import PacketRun
+from vhosim.scenario import CorrespondentNode, DownlinkRun, Scenario, WirelessInterface
+from vhosim.traffic import PacketRun, Sink
 
 
 class SpiedRun(NamedTuple):
@@ -148,6 +149,35 @@ def test_voip_ticks_run_ahead_of_the_heap(scheme):
     assert result.scenario.sim.executed / sent <= 0.2
 
 
+@pytest.mark.parametrize("cfg", [
+    ScenarioConfig(scheme="hard", application="video", video_rate_bps=2e6, speed=4.0),
+    ScenarioConfig(scheme="soft", application="voip", speed=4.0),
+], ids=["video-2M-hard-4", "voip-soft-4"])
+def test_sinks_take_a_call_per_segment_not_per_packet(cfg):
+    # the correspondent hands its sink one call per stretch of a run that no
+    # other run's packet interleaves, cut where a commit's bound falls; the
+    # downlink one per slice of its stage-heap merge. The counts are
+    # deterministic: this cannot flake
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name in ((Sink, "on_receive"), (Sink, "receive"),
+                            (CorrespondentNode, "arrive"), (CorrespondentNode, "commit"),
+                            (DownlinkRun, "_receive")):
+            mp.setattr(owner, name, counted(getattr(owner, name)))
+        result = run_experiment(cfg)
+    taken = sum(flow.received + flow.late for flow in result.scenario.flows.values())
+    assert calls["on_receive"] == 0
+    assert 0 < calls["receive"] <= calls["arrive"] + calls["commit"] + calls["_receive"]
+    assert calls["receive"] * 10 <= taken, (calls, taken)
+
+
 def test_each_released_interface_is_cleaned_up_once(soft_voip_run):
     # the old interface is released once per handover, when the candidate
     # is promoted; the promotion itself cleans up nothing more
@@ -176,12 +206,16 @@ def test_ra_landing_after_disassociation_is_ignored_at_the_interface(monkeypatch
 
 @st.composite
 def short_runs(draw) -> ScenarioConfig:
-    """A random short hard or soft run of either application."""
+    """A random short hard or soft run of either application. The node
+    leaves home after about 100 m of travel and is back after about 300 m,
+    so half the runs see a deregistration and a handover back home."""
+    speed = draw(st.floats(1.0, 10.0))
+    travel = draw(st.one_of(st.floats(55.0, 300.0), st.floats(300.0, 450.0)))  # m
     return ScenarioConfig(scheme=draw(st.sampled_from(["hard", "soft"])),
                           application=draw(st.sampled_from(["video", "voip"])),
                           video_rate_bps=draw(st.sampled_from([0.5e6, 2e6])),
-                          speed=draw(st.floats(1.0, 10.0)), seed=draw(st.integers(1, 10_000)),
-                          sim_time=draw(st.floats(5.5, 60.0)),
+                          speed=speed, seed=draw(st.integers(1, 10_000)),
+                          sim_time=travel / speed,
                           foreign_link_delay=draw(st.floats(0.0, 0.1)),
                           expected_handovers=None)
 
@@ -217,8 +251,8 @@ def test_packet_conservation_on_random_short_runs(cfg):
 def test_a_binding_ack_for_the_home_network_finds_no_binding(cfg):
     # HomeAgentNode.forward never tunnels a binding ack: one to a CoA goes
     # where its BU came from, and one to the home address answers the
-    # deregistration that deleted the binding. Few short runs return home;
-    # each example does, once
+    # deregistration that deleted the binding. Half the short runs return
+    # home; each example does, once
     scn = Scenario(cfg)
     forward = scn.ha.forward
 
@@ -311,3 +345,34 @@ def test_uplink_drops_at_its_ticks_until_the_home_address_is_valid(scheme):
     assert all(seq in flow.dropped_seqs for seq in range(26))
     assert flow.lost == len(drops) == len(flow.dropped_seqs)
     assert flow.sent == flow.received + flow.late + flow.lost
+
+
+def test_uplink_drops_while_the_home_address_is_tentative_under_a_foreign_coa():
+    # with the APs swapped the node starts in foreign-only coverage: its
+    # foreign radio serves from 1.000896 s, before it hears a home RA at
+    # 2.100896 s. The home address is tentative until its DAD ends 1 s
+    # later, so MobileNode.send_run drops every packet up to then, although
+    # a care-of address could reverse-tunnel them
+    log: list[str] = []
+    result = run_experiment(ScenarioConfig(scheme="soft", application="video", speed=10.0,
+                                           ap_home_x=200.0, ap_foreign_x=0.0,
+                                           traffic_start=0.5, sim_time=40.0,
+                                           expected_handovers=None), trace_sink=log)
+
+    def at(kind: str, iface: str) -> float:
+        return next(float(line.split()[0]) for line in log
+                    if f" {kind} iface={iface}" in line)
+
+    serving, home_ra, hoa_valid = (at("promote", "mn.wlan1"), at("dad_start", "mn.wlan0"),
+                                   at("dad_done", "mn.wlan0"))
+    assert serving < home_ra < hoa_valid == at("promote", "mn.wlan0")
+    drops = [(float(line.split()[0]), int(line.rsplit("=", 1)[1]))
+             for line in log if " traffic drop flow=video-ul " in line]
+    ticks = [0.5 + 0.02 * k for k in range(200)]
+    dropped = sum(1 for t in ticks if t < hoa_valid)
+    assert drops == [(pytest.approx(t, abs=1e-9), k) for k, t in enumerate(ticks[:dropped])]
+    assert any(home_ra < t for t, _ in drops)  # the tentative address decides these
+    flow = result.scenario.flows["video-ul"]
+    assert flow.lost == len(drops) == len(flow.dropped_seqs)
+    assert flow.sent == flow.received + flow.late + flow.lost
+    assert result.scenario.cn.app_src_matches == result.scenario.cn.app_received == flow.received

@@ -1,7 +1,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vhosim.engine import Simulator
@@ -194,6 +194,78 @@ def test_sink_counts_duplicates_once():
     assert stats.received == 1 and sink.duplicates == 1
 
 
+def _reference(state: dict, kind: str, playout: float, seq: int, delay: float, spurt: int) -> str:
+    """The one-packet classification rule, written out on its own."""
+    if seq in state["seqs"]:
+        state["duplicates"] += 1
+        return "duplicate"
+    state["seqs"].add(seq)
+    if kind == "voip":
+        if spurt == 0:
+            if state["low"] is None or delay < state["low"]:
+                state["low"] = delay
+        else:
+            if state["budget"] is None:
+                state["budget"] = (state["low"] if state["low"] is not None else delay) + playout
+            if delay > state["budget"]:
+                state["late"] += 1
+                return "late"
+    state["received"] += 1
+    state["delay_sum"] += delay
+    return "received"
+
+
+@st.composite
+def sink_segments(draw) -> list[tuple]:
+    """Calls (seq0, times, lo, hi, a, b, c, spurt) of one sink: each
+    segment's first seq follows the last one's, or leaves a gap, or goes
+    back to reorder or repeat seqs; spurts start at 0 or later and grow.
+    Times and offsets are often dyadic, so that delays tie the budget."""
+    value = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 100.0))
+    offset = st.one_of(st.sampled_from([0.0, 0.125, 0.25, 0.5]), st.floats(0.0, 1.0))
+    calls, end, spurt = [], 0, draw(st.integers(0, 1))
+    for _ in range(draw(st.integers(1, 12))):
+        first = max(0, end + draw(st.one_of(st.just(0), st.integers(-8, 4))))
+        lo, n = draw(st.integers(0, 2)), draw(st.integers(1, 8))
+        times = draw(st.lists(value, min_size=lo + n, max_size=lo + n + 2))
+        calls.append((first - lo, times, lo, lo + n, draw(offset), draw(offset), draw(offset),
+                      spurt))
+        end = max(end, first + n)
+        spurt += draw(st.sampled_from([0, 0, 1]))
+    return calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["video", "voip"]), st.sampled_from([0.0, 0.005, 0.25]),
+       sink_segments())
+@example("voip", 0.25, [(0, [1.0], 0, 1, 0.25, 0.0, 0.0, 0),  # budget 0.25 + 0.25
+                        (1, [2.0, 3.0], 0, 2, 0.5, 0.0, 0.0, 1),  # delays at the budget
+                        (3, [4.0], 0, 1, 0.5, 0.125, 0.0, 1)])  # past it: late
+@example("voip", 0.005, [(0, [1.0, 2.0], 0, 2, 0.25, 0.0, 0.0, 1),  # no first spurt
+                         (0, [0.0, 1.0, 2.0], 0, 3, 0.5, 0.0, 0.0, 2)])  # 0, 1 repeat
+def test_sink_batch_counts_as_one_packet_calls(kind, playout, calls):
+    batch, single = Sink(FlowStats("b"), kind, playout), Sink(FlowStats("s"), kind, playout)
+    ref = dict(seqs=set(), duplicates=0, received=0, late=0, delay_sum=0.0, low=None,
+               budget=None)
+    for seq0, times, lo, hi, a, b, c, spurt in calls:
+        verdicts = []
+        for k in range(lo, hi):
+            now = times[k] + a + b + c
+            verdict = single.on_receive(seq0 + k, times[k], now, spurt)
+            assert verdict == _reference(ref, kind, playout, seq0 + k, now - times[k], spurt)
+            verdicts.append(verdict)
+        assert batch.receive(seq0, times, lo, hi, a, b, c, spurt) == verdicts[-1]
+    for sink in (batch, single):
+        stats = sink.stats
+        assert (stats.received, stats.late, sink.duplicates, sink._budget,
+                sink._first_spurt_min, len(stats.received_seqs)) == \
+            (ref["received"], ref["late"], ref["duplicates"], ref["budget"], ref["low"],
+             len(ref["seqs"]))
+        assert stats.delay_sum.hex() == ref["delay_sum"].hex()
+        assert all((seq in stats.received_seqs) == (seq in ref["seqs"])
+                   for seq in range(max(ref["seqs"]) + 2))
+
+
 def _walk(steps):
     """Seqs of a mostly in-order stream: each one is the previous plus a step
     that may be 0 (duplicate), negative (reordered) or above 1 (gap)."""
@@ -211,7 +283,7 @@ seq_streams = st.lists(st.one_of(st.just(1), st.just(1), st.integers(-6, 9)),
 def _fill(stream):
     ours, ref = SeqSet(), set()
     for seq in stream:
-        assert ours.add(seq) == (seq not in ref), seq
+        assert ours.add_new(seq, seq + 1) == (seq if seq in ref else seq + 1), seq
         ref.add(seq)
     return ours, ref
 
@@ -232,19 +304,25 @@ def test_seq_set_agrees_with_builtin_set(stream_a, stream_b):
 @given(st.lists(st.tuples(st.integers(0, 80), st.integers(0, 30)), max_size=30))
 def test_seq_set_range_add_agrees_with_per_seq_add(ranges):
     # ranges overlap, leave gaps and come in any order
-    bulk, single = SeqSet(), SeqSet()
+    bulk, single, prefix, ref = SeqSet(), SeqSet(), SeqSet(), set()
     for lo, n in ranges:
-        added = sum(single.add(seq) for seq in range(lo, lo + n))
+        added = sum(single.add_new(seq, seq + 1) - seq for seq in range(lo, lo + n))
         assert bulk.add_range(lo, lo + n) == added
         assert len(bulk) == len(single)
+        # add_new adds up to the first seq in the set
+        stop = next((seq for seq in range(lo, lo + n) if seq in ref), lo + n)
+        assert prefix.add_new(lo, lo + n) == stop
+        ref.update(range(lo, stop))
+        assert len(prefix) == len(ref)
     probe = range(-2, 114)
     assert [s in bulk for s in probe] == [s in single for s in probe]
+    assert [s in prefix for s in probe] == [s in ref for s in probe]
 
 
 def test_seq_set_rejects_negative_seq():
     seqs = SeqSet()
     with pytest.raises(ValueError):
-        seqs.add(-1)
+        seqs.add_new(-1, 0)
     with pytest.raises(ValueError):
         seqs.add_range(-1, 2)
     assert len(seqs) == 0 and -1 not in seqs and 0 not in seqs

@@ -2,13 +2,15 @@
 
 CSV rows cannot show a wrong delivery order: the counts stay the same, and so
 may the delay sum. This file pins, for each flow of a few runs, the SHA-256
-of that flow's Sink.on_receive calls, one line per call:
-"flow seq repr(now) verdict". The video runs and the first VoIP run use a
-foreign link slower than the packet spacing, so reverse-tunnelled packets
-reach the correspondent after native packets sent later. The VoIP runs pin
-the downlink too, in both schemes; with the slow foreign link a tunnelled
-downlink packet is still on its way when the next ones are sent, and with
-short talk spurts and silences the two flows' spurts interleave densely.
+of the packets that flow's sink took, one line per packet in the order taken:
+"flow seq repr(now) verdict". A sink takes a segment of packets per call;
+tests/sink_tap.py gives each packet its line and checks the sink's counts.
+The video runs and the first VoIP run use a foreign link slower than the
+packet spacing, so reverse-tunnelled packets reach the correspondent after
+native packets sent later. The VoIP runs pin the downlink too, in both
+schemes; with the slow foreign link a tunnelled downlink packet is still on
+its way when the next ones are sent, and with short talk spurts and
+silences the two flows' spurts interleave densely.
 
 Refresh tests/golden/uplink_order.json after an intended change of order
 (say in CHANGES.md why the order changed):
@@ -24,9 +26,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from sink_tap import tapped_scenarios
 
 from vhosim.harness import ScenarioConfig, run_experiment
-from vhosim.traffic import Sink
 
 GOLDEN = Path(__file__).parent / "golden" / "uplink_order.json"
 
@@ -57,21 +59,11 @@ REORDERING = ("video-2M-soft-4-fld0.02", "voip-soft-4-fld0.05")
 
 def record(cfg: ScenarioConfig) -> dict[str, list[tuple[int, str]]]:
     """flow -> [(seq, line)] in the order its sink took the packets."""
-    calls: dict[str, list[tuple[int, str]]] = {}
-    original = Sink.on_receive
-
-    def on_receive(sink, seq, sent_at, now, spurt=0):
-        verdict = original(sink, seq, sent_at, now, spurt)
-        flow = sink.stats.flow_id
-        calls.setdefault(flow, []).append((seq, f"{flow} {seq} {now!r} {verdict}"))
-        return verdict
-
-    Sink.on_receive = on_receive
-    try:
+    calls: dict[str, list] = {}
+    with tapped_scenarios(calls):
         run_experiment(cfg)
-    finally:
-        Sink.on_receive = original
-    return calls
+    return {flow: [(seq, f"{flow} {seq} {now!r} {verdict}") for seq, now, verdict in packets]
+            for flow, packets in calls.items()}
 
 
 def digests(calls: dict[str, list[tuple[int, str]]]) -> dict[str, str]:
