@@ -341,10 +341,11 @@ class Sink:
                     self._first_spurt_min = low
                 else:
                     budget = self._budget
-                    if budget is None:
+                    if budget is None:  # set by the first new packet of a later spurt
                         low, x = self._first_spurt_min, times[lo]
-                        budget = self._budget = (low if low is not None else x + a + b + c - x
-                                                 ) + self.playout_delay
+                        if low is None:
+                            low = x + a + b + c - x
+                        budget = self._budget = low + self.playout_delay
                     for x in times[lo:m]:
                         delay = x + a + b + c - x
                         if delay > budget:
