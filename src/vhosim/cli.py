@@ -64,6 +64,11 @@ def _flag_error(args, cfg: ScenarioConfig) -> Optional[str]:
     return None
 
 
+def _rate(rate: Optional[float]) -> str:
+    """A loss rate, or none for a flow that sent nothing."""
+    return "none" if rate is None else f"{rate:.6f}"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -82,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
             records, errors = sweep(cfg, SWEEP_SPEEDS, ["hard", "soft"], apps)
             for rec in records:
                 print(f"{rec.scheme:4s} {rec.application:5s} speed={rec.speed:<4g} "
-                      f"handovers={rec.handover_count} loss={rec.loss_rate:.6f}"
+                      f"handovers={rec.handover_count} loss={_rate(rec.loss_rate)}"
                       + (f" mos={rec.mos:.3f}" if rec.mos is not None else ""))
             for err in errors:
                 print(f"FAILED: {err}", file=sys.stderr)
@@ -97,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{rec.scheme} {rec.application} speed={rec.speed:g} "
               f"sim_time={rec.sim_time:g}s handovers={rec.handover_count}")
         print(f"  sent={rec.sent} received={rec.received} late={rec.late} "
-              f"lost={rec.lost} loss_rate={rec.loss_rate:.6f}")
+              f"lost={rec.lost} loss_rate={_rate(rec.loss_rate)}")
         if rec.mos is not None:
             print(f"  mean_delay={rec.mean_delay * 1000:.3f}ms "
                   f"R={rec.r_factor:.2f} MOS={rec.mos:.3f}")

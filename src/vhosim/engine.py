@@ -12,6 +12,16 @@ class SchedulingError(Exception):
     """An event was scheduled in the past, or the clock was asked to go backwards."""
 
 
+def first_tick(t: float, step: float, offset: float = 0.0) -> int:
+    """The least k >= 0 with k * step + offset >= t as the floats compare."""
+    k = max(0, math.ceil((t - offset) / step))
+    while k > 0 and (k - 1) * step + offset >= t:
+        k -= 1
+    while k * step + offset < t:
+        k += 1
+    return k
+
+
 # A scheduled event is the bare heap entry [fire_at, seq, callback, args];
 # it doubles as the cancellation handle. callback=None marks it dead.
 EventHandle = list

@@ -74,7 +74,6 @@ class ScenarioConfig:
     foreign_prefix: int = 0x20010DB800020000
     core_prefix: int = 0x20010DB800030000
 
-    ra_interval: float = 1.0
     dad_duration: float = 1.0
     miss_threshold: int = 3
 
@@ -133,13 +132,17 @@ class ScenarioConfig:
                               f"traffic_start = {self.traffic_start!r} s")
         for period_key, period in (
                 ("beacon_interval", self.beacon_interval),
-                ("ra_interval", self.ra_interval),
                 ("voip_packetization", self.voip_packetization),
                 ("video_packet_bits / video_rate_bps",
                  self.video_packet_bits / self.video_rate_bps)):
             if not end / period <= MAX_TICKS:
                 raise ConfigError(f"{period_key}: {end / period:.3g} ticks of its "
                                   f"period in a run, more than {MAX_TICKS:g}")
+        for delay_key in ("cn_link_delay", "foreign_link_delay"):
+            if not self.traffic_start + getattr(self, delay_key) < end:
+                raise ConfigError(f"{delay_key}: no packet sent from traffic_start = "
+                                  f"{self.traffic_start!r} s crosses the link before the "
+                                  f"run ends at {end!r} s")
         if self.ap_home_channel == self.ap_foreign_channel:
             raise ConfigError("ap_foreign_channel: the two APs must use "
                               "distinct channels")
@@ -157,7 +160,7 @@ class ScenarioConfig:
 _POSITIVE = ("speed", "video_rate_bps", "video_packet_bits", "voip_packetization",
              "voip_playout", "voip_spurt_mean", "voip_silence_mean",
              "voip_codec_rate", "row_count", "beacon_interval", "frequency_hz",
-             "bitrate", "ra_interval", "miss_threshold")
+             "bitrate", "miss_threshold")
 _NON_NEGATIVE = ("dad_duration", "cn_link_delay", "foreign_link_delay",
                  "traffic_start")
 
@@ -200,7 +203,6 @@ _KEY_ALIASES = {
     "radio.sensitivity_dbm": "sensitivity_dbm",
     "radio.bitrate": "bitrate",
     "radio.d_ref": "d_ref",
-    "ipv6.ra_interval": "ra_interval",
     "ipv6.dad_duration": "dad_duration",
     "llc.miss_threshold": "miss_threshold",
     "wired.cn_link_delay": "cn_link_delay",
@@ -254,7 +256,7 @@ class MetricsRecord:
     received: int
     late: int
     lost: int
-    loss_rate: float
+    loss_rate: Optional[float]  # None: the flow sent nothing
     mean_delay: float
     r_factor: Optional[float]
     mos: Optional[float]
@@ -318,14 +320,14 @@ def run_experiment(cfg: ScenarioConfig,
             f"{cfg.expected_handovers}\nevent-log tail:\n{tail}")
 
     flow = scenario.primary_flow
-    loss = packet_loss_rate(flow)
+    loss = packet_loss_rate(flow) if flow.sent else None
+    r_factor = mos = dl_loss = None
     if cfg.application == "voip":
-        report = compute_mos(flow)
-        r_factor, mos = report.r_factor, report.mos
+        if flow.sent:
+            report = compute_mos(flow)
+            r_factor, mos = report.r_factor, report.mos
         dl = scenario.flows["voip-dl"]
         dl_loss = packet_loss_rate(dl) if dl.sent else None
-    else:
-        r_factor = mos = dl_loss = None
 
     gaps = [round(b - a, 9) for a, b in llc.gap_intervals]
     metrics = MetricsRecord(

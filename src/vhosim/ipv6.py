@@ -155,25 +155,16 @@ class Ipv6Host:
             self.start_dad(iface_id, addr)
             return
 
-        existing = self._known_global(ra.prefix)
-        if existing is not None:
-            # a previously validated address (the HoA on returning home) is
-            # reusable without a fresh DAD round
-            if existing not in rec.addresses:
-                rec.addresses.append(existing)
+        hoa = self.home_address
+        if hoa is not None and hoa.prefix == ra.prefix and hoa.scope == "global":
+            # the validated home address is reusable on returning home
+            # without a fresh DAD round; an address on any other prefix is
+            # released with its link (release_interface)
+            if hoa not in rec.addresses:
+                rec.addresses.append(hoa)
             self.notify_global(iface_id)
             return
         self.slaac_configure(iface_id, ra.prefix)
-
-    def _known_global(self, prefix: int) -> Optional[Address]:
-        if (self.home_address is not None and self.home_address.prefix == prefix
-                and self.home_address.scope == "global"):
-            return self.home_address
-        for rec in self.records.values():
-            a = rec.address_for_prefix(prefix)
-            if a is not None and a.scope == "global":
-                return a
-        return None
 
     # -- address configuration -------------------------------------------------
 

@@ -6,12 +6,12 @@ the correspondent node always replies through the home network.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .engine import EventHandle, Simulator
 from .ipv6 import IPV6_HEADER_BITS, Address, Packet
+from .traffic import Ticks
 
 BU_BITS = 800
 BA_BITS = 800
@@ -77,10 +77,10 @@ class BindingCache:
 
     def lookup(self, hoa: Address, now: float) -> Optional[Address]:
         """The CoA bound to hoa at now; an expired entry is deleted."""
-        coa, found = self.lookup_run(hoa, [now], 0, 1, lambda t: t)
+        coa, found = self.lookup_run(hoa, Ticks(now, 1.0, 0, 1), 0, 1, float)
         return coa if found else None
 
-    def lookup_run(self, hoa: Address, times: list[float], lo: int, hi: int,
+    def lookup_run(self, hoa: Address, times: Ticks, lo: int, hi: int,
                    at: Callable[[float], float]) -> tuple[Optional[Address], int]:
         """lookup(hoa, at(times[k])) for k = lo..hi-1 in turn, at not
         decreasing: the CoA, and the first k that finds none. An entry
@@ -88,8 +88,8 @@ class BindingCache:
         entry = self.entries.get(hoa)
         if entry is None:
             return None, lo
-        end = bisect_right(times, entry.lifetime, lo, hi,
-                           key=lambda x: at(x) - entry.created_at)
+        end = times.bisect(entry.lifetime, lo, hi, lambda x: at(x) - entry.created_at,
+                           right=True)
         if end < hi:
             del self.entries[hoa]
         return entry.coa, end

@@ -9,11 +9,12 @@ gate only beacons: other frames pass between an AP and its station, tuned to it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .engine import EventHandle, Simulator
+from .engine import EventHandle, Simulator, first_tick
+from .traffic import Ticks
 
 SPEED_OF_LIGHT = 299_792_458.0
 _FSPL_CONST_DB = 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT)
@@ -138,33 +139,25 @@ class Medium:
         """
         hop = ((pkt.size_bits + MAC_OVERHEAD_BITS) / self.bitrate
                + ap.lan_delay + ap.uplink_extra_delay)
-        times = run.times
-        n = len(times)
-        lo = i = 0
-        inside, until, _ = self.in_range_moving(ap, iface, times[0])
-        while True:
-            i = bisect_left(times, until, i + 1)  # first tick the verdict may not cover
-            if i == n:
-                break
-            verdict, until, _ = self.in_range_moving(ap, iface, times[i])
-            if verdict != inside:
-                self._pass_run(ap, pkt, run.part(lo, i), inside, hop)
-                lo, inside = i, verdict
-        self._pass_run(ap, pkt, run if lo == 0 else run.part(lo, n), inside, hop)
+        n = len(run.times)
+        for lo, hi, inside in self.range_cuts(ap, iface, run.times, 0, n, float):
+            part = run if hi - lo == n else run.part(lo, hi)
+            if inside:
+                ap.uplink_run(pkt, part, hop)
+            elif self.drop_hook is not None:
+                self.drop_hook(part)
 
-    def range_cuts(self, ap: "AccessPoint", iface, times: list[float], lo: int, hi: int,
+    def range_cuts(self, ap: "AccessPoint", iface, times: Ticks, lo: int, hi: int,
                    at: Callable[[float], float]) -> list[tuple[int, int, bool]]:
         """Packets lo..hi-1 of a run as (first, end, in range) pieces, cut
         where the range verdict at a packet's time at(times[k]) changes; at
-        must not decrease. As uplink_run cuts a run at its ticks, the memo
-        is queried once per verdict horizon, at the first packet past it,
-        found by bisect. (uplink_run keeps its own loop: through this one,
-        with a list per run, a handover-churn pass runs 1.4% more opcodes.)"""
+        must not decrease. The memo is queried once per verdict horizon, at
+        the first packet past it, found in closed form."""
         inside, until, _ = self.in_range_moving(ap, iface, at(times[lo]))
         pieces = []
         first = i = lo
         while True:
-            i = bisect_left(times, until, i + 1, hi, key=at)  # the first the verdict may not cover
+            i = times.bisect(until, i + 1, hi, at)  # the first the verdict may not cover
             if i == hi:
                 break
             verdict, until, _ = self.in_range_moving(ap, iface, at(times[i]))
@@ -173,12 +166,6 @@ class Medium:
                 first, inside = i, verdict
         pieces.append((first, hi, inside))
         return pieces
-
-    def _pass_run(self, ap: "AccessPoint", pkt, run, inside: bool, hop: float) -> None:
-        if inside:
-            ap.uplink_run(pkt, run, hop)
-        elif self.drop_hook is not None:
-            self.drop_hook(run)
 
 
 class AccessPoint:
@@ -189,20 +176,19 @@ class AccessPoint:
     radio per AP in soft mode), filled when an association request arrives
     and emptied the instant that interface disassociates, heard or not: an
     inactivity timeout of zero. So the station is always tuned to this AP.
-    RAs go to it on association and at each k * ra_interval while it stays.
+    It gets one RA, on association: an unsolicited RA after that (RFC 4861
+    6.2.4) would re-add the routes and prefix it already holds.
     """
 
     def __init__(self, sim: Simulator, cfg: ApConfig, medium: Medium, router,
-                 ra_interval: float = 1.0, lan_delay: float = 0.0005):
+                 lan_delay: float = 0.0005):
         self.sim = sim
         self.cfg = cfg
         self.medium = medium
         self.router = router
-        self.ra_interval = ra_interval
         self.lan_delay = lan_delay
         self.radius2 = medium.coverage_radius2(cfg.tx_power_dbm)
         self.station = None  # the associated interface, if any
-        self._ra_armed = False  # an RA tick is pending
         # static uplink data path (handler, extra wired delay beyond the LAN
         # hop); defaults to the attached router, may be pointed past it when
         # the topology makes the next hop unconditional
@@ -215,26 +201,13 @@ class AccessPoint:
     def start(self) -> None:
         self.medium.beacons.add_ap(self)
 
-    def _ra_tick(self, k: int) -> None:
-        self._ra_armed = self.station is not None  # else the last tick until a join
-        if self._ra_armed:
-            self.send_ra(self.station)
-            self.sim.schedule_at((k + 1) * self.ra_interval, self._ra_tick, k + 1)
-
-    def send_ra(self, iface) -> None:
-        frame = Frame("data", BEACON_BITS, payload=self.router.advertisement())
-        self.medium.ap_to_iface(self, iface, frame)
-
     def on_frame(self, frame: Frame) -> None:
         """An association request, the only frame an AP receives."""
         iface = self.station = frame.payload
         self.sim.trace(self.cfg.ap_id, "radio", "assoc", f"station={iface.iface_id}")
         self.medium.ap_to_iface(self, iface, Frame("assoc_response", ASSOC_BITS, payload=self))
-        self.send_ra(iface)
-        if not self._ra_armed:  # the first grid point after the join
-            self._ra_armed = True
-            k = _first_tick(math.nextafter(self.sim.now, math.inf), self.ra_interval)
-            self.sim.schedule_at(k * self.ra_interval, self._ra_tick, k)
+        self.medium.ap_to_iface(self, iface, Frame("data", BEACON_BITS,
+                                                   payload=self.router.advertisement()))
 
     def leave(self, iface) -> None:
         self.station = None
@@ -245,16 +218,6 @@ class AccessPoint:
         if self.station is not None:
             frame = Frame("data", pkt.size_bits + MAC_OVERHEAD_BITS, payload=pkt)
             self.medium.ap_to_iface(self, self.station, frame)
-
-
-def _first_tick(t: float, step: float, offset: float = 0.0) -> int:
-    """The least k >= 0 with k * step + offset >= t as the floats compare."""
-    k = max(0, math.ceil((t - offset) / step))
-    while k > 0 and (k - 1) * step + offset >= t:
-        k -= 1
-    while k * step + offset < t:
-        k += 1
-    return k
 
 
 class BeaconLedger:
@@ -292,8 +255,8 @@ class BeaconLedger:
 
     def _index(self, ap: "AccessPoint", t: float) -> int:
         """The first beacon of ap arriving after t."""
-        return _first_tick(math.nextafter(t, math.inf), ap.cfg.beacon_interval,
-                           BEACON_BITS / self.medium.bitrate)
+        return first_tick(math.nextafter(t, math.inf), ap.cfg.beacon_interval,
+                          BEACON_BITS / self.medium.bitrate)
 
     def _seek(self, iface, ap: "AccessPoint", k: int, heard: bool = True) -> Optional[int]:
         """The first beacon of ap from index k on that the interface hears
@@ -304,7 +267,7 @@ class BeaconLedger:
         times, channels = self._listening[iface.iface_id]
         while k < math.inf and k * bi <= self.horizon:
             i = bisect_right(times, k * bi)
-            hi = _first_tick(times[i], bi) if i < len(times) else math.inf
+            hi = first_tick(times[i], bi) if i < len(times) else math.inf
             verdict = (iface.allowed_ap in (None, ap.cfg.ap_id)
                        and channels[i - 1] in (None, ap.cfg.channel))
             if verdict:
@@ -314,9 +277,9 @@ class BeaconLedger:
                 reach = abs(math.hypot(pos[0] - ap.cfg.x, pos[1] - ap.cfg.y) - math.sqrt(
                     ap.radius2)) / speed if speed > 0.0 and ap.radius2 > 0.0 else 0.0
                 # a reach past the horizon skips as far as one just past it does;
-                # one near 1e30 s would stall _first_tick
+                # one near 1e30 s would stall first_tick
                 until = min(k * bi + reach, self.horizon + 2 * bi)
-                hi = min(hi, max(k + 1, _first_tick(until, bi) - 1))
+                hi = min(hi, max(k + 1, first_tick(until, bi) - 1))
             if verdict == heard:
                 return k
             k = hi

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Callable, Optional
 
 from .engine import Simulator
@@ -269,9 +269,9 @@ class CorrespondentNode:
             times = run.times
             n = len(times)
             bound = until if until < next_ha else next_ha
-            j = bisect_right(times, bound, i + 1, n, key=hop.__add__)  # x + hop, commuted
+            j = times.bisect(bound, i + 1, n, hop.__add__, right=True)  # x + hop, commuted
             if bound == next_ha and j > i + 1 and times[j - 1] + hop == next_ha:
-                ties = bisect_left(times, next_ha, i + 1, j, key=hop.__add__)
+                ties = times.bisect(next_ha, i + 1, j, hop.__add__)
                 j = max(ties, min(j, i + next_order - order))
             sink.receive(run.seq0, times, i, j, hop, self.link_delay, 0.0, run.spurt)
             self.app_received += j - i
@@ -366,7 +366,7 @@ class DownlinkRun:
         while work:
             stage, lo, hi, coa, iface, upto, fresh = work.pop()
             at = self._clock(stage, coa)
-            m = bisect_right(times, upto, lo, hi, key=at)  # lo..m-1 run now
+            m = times.bisect(upto, lo, hi, at, right=True)  # lo..m-1 run now
             if m < hi:
                 self._pending.append([stage, m, hi, coa, iface])
                 if fresh:
@@ -464,7 +464,7 @@ class Scenario:
         def access_point(ap_id: str, x: float, y: float, channel: int, router) -> AccessPoint:
             return AccessPoint(sim, ApConfig(ap_id, x, y, channel, cfg.tx_power_dbm,
                                              cfg.beacon_interval),
-                               self.medium, router, ra_interval=cfg.ra_interval)
+                               self.medium, router)
 
         self.ap_home = access_point("ap-home", cfg.ap_home_x, cfg.ap_home_y,
                                     cfg.ap_home_channel, self.ha)

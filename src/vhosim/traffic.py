@@ -7,7 +7,56 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .engine import SchedulingError, Simulator
+from .engine import SchedulingError, Simulator, first_tick
+
+
+@dataclass(slots=True)
+class Ticks:
+    """The read-only ticks t0 + k*dt for k = k0..k0+n-1, each computed by
+    that float expression when read; dt > 0, so none is below the one before."""
+    t0: float
+    dt: float
+    k0: int
+    n: int
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            lo, hi, step = i.indices(self.n)
+            if step != 1:
+                raise ValueError("ticks slice with a step")
+            return Ticks(self.t0, self.dt, self.k0 + lo, max(0, hi - lo))
+        if not -self.n <= i < self.n:
+            raise IndexError(f"tick {i} of {self.n}")
+        return self.t0 + (self.k0 + i % self.n) * self.dt
+
+    def __iter__(self):
+        t0, dt = self.t0, self.dt
+        return (t0 + k * dt for k in range(self.k0, self.k0 + self.n))
+
+    def bisect(self, x: float, lo: int, hi: int, key: Callable[[float], float],
+               right: bool = False) -> int:
+        """bisect.bisect_left(self, x, lo, hi, key=key), or bisect_right, in
+        closed form: key must not decrease, and key(t) - t be near constant."""
+        if lo >= hi:
+            return lo
+        t0, dt, k0 = self.t0, self.dt, self.k0
+
+        def past(i: int) -> bool:  # false below the answer, true from it on
+            y = key(t0 + (k0 + i) * dt)
+            return y > x if right else y >= x
+
+        # guess the answer as if key(t) - t kept its value at tick lo, then fix up
+        first = t0 + (k0 + lo) * dt
+        q = (x - (key(first) - first) - t0) / dt - k0
+        g = lo if not q > lo else hi if not q < hi else math.ceil(q)
+        while g > lo and past(g - 1):
+            g -= 1
+        while g < hi and not past(g):
+            g += 1
+        return g
 
 
 @dataclass(slots=True)
@@ -16,7 +65,7 @@ class PacketRun:
     seq seq0 + k and is sent at times[k]."""
     flow_id: str
     seq0: int
-    times: list[float]
+    times: Ticks
     bits: int
     spurt: int = 0  # talk-spurt index, VoIP only
 
@@ -254,15 +303,14 @@ class _Source:
                 self.latest = math.nextafter(min(t + self._length(True), self.stop), -math.inf)
             t0, dt, latest = self.t0, self.interval, self.latest
             end = latest if latest < limit else limit  # a tick up to end is taken
-            times = []
-            while t <= end:
-                times.append(t)
-                k += 1
+            if t <= end:
+                past = first_tick(math.nextafter(end, math.inf), dt, t0)  # the first past end
+                runs.append((t0 + (past - 1) * dt, index, PacketRun(
+                    self.flow_id, self.seq, Ticks(t0, dt, k, past - k), self.packet_bits,
+                    self.spurt)))
+                self.seq += past - k
+                k = past
                 t = t0 + k * dt
-            if times:
-                runs.append((times[-1], index, PacketRun(self.flow_id, self.seq, times,
-                                                         self.packet_bits, self.spurt)))
-                self.seq += len(times)
             if latest < t <= limit:  # the spurt ends; the next starts after a silence
                 t, k = t + self._length(False), -1
         self.next_at, self.k = t, k
@@ -316,24 +364,28 @@ class Sink:
         self._first_spurt_min: Optional[float] = None
         self.duplicates = 0
 
-    def receive(self, seq0: int, times: list[float], lo: int, hi: int,
+    def receive(self, seq0: int, times: Ticks, lo: int, hi: int,
                 a: float, b: float, c: float, spurt: int = 0) -> str:
         """Classify packets lo..hi-1 of a run, in this order: packet k has
         seq seq0 + k, was sent at times[k] and arrives at
         ((times[k] + a) + b) + c. Returns the verdict of the last."""
         stats = self.stats
+        t0, dt, k0 = times.t0, times.dt, times.k0
         verdict = "duplicate"
         while lo < hi:
             m = stats.received_seqs.add_new(seq0 + lo, seq0 + hi) - seq0  # lo..m-1 are new
             if m > lo:
                 # delays are summed one by one, in order: sum() may compensate
                 total, late, verdict = stats.delay_sum, 0, "received"
+                ks = range(k0 + lo, k0 + m)
                 if self.kind != "voip":
-                    for x in times[lo:m]:
+                    for k in ks:
+                        x = t0 + k * dt
                         total += x + a + b + c - x
                 elif spurt == 0:
                     low = self._first_spurt_min
-                    for x in times[lo:m]:
+                    for k in ks:
+                        x = t0 + k * dt
                         delay = x + a + b + c - x
                         if low is None or delay < low:
                             low = delay
@@ -346,7 +398,8 @@ class Sink:
                         if low is None:
                             low = x + a + b + c - x
                         budget = self._budget = low + self.playout_delay
-                    for x in times[lo:m]:
+                    for k in ks:
+                        x = t0 + k * dt
                         delay = x + a + b + c - x
                         if delay > budget:
                             late += 1
@@ -367,4 +420,4 @@ class Sink:
         """Classify packet seq, sent at sent_at and arriving at now: receive
         of one packet sent at 0.0, whose delay ((0.0 + now) + -sent_at) + 0.0
         - 0.0 is now - sent_at."""
-        return self.receive(seq, (0.0,), 0, 1, now, -sent_at, 0.0, spurt)
+        return self.receive(seq, Ticks(0.0, 1.0, 0, 1), 0, 1, now, -sent_at, 0.0, spurt)

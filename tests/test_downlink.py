@@ -34,9 +34,9 @@ from vhosim.ipv6 import IPV6_HEADER_BITS, Address, Packet
 from vhosim.mipv6 import BU_BITS, BindingUpdate
 from vhosim.radio import MAC_OVERHEAD_BITS
 from vhosim.scenario import Scenario
-from vhosim.traffic import PacketRun
+from vhosim.traffic import PacketRun, Ticks
 
-TICKS = [50.0 + k * 0.02 for k in range(10)]
+TICKS = Ticks(50.0, 0.02, 0, 10)  # 50.0 + k * 0.02
 BITS = 1280  # 64 kb/s for 20 ms
 
 

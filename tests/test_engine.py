@@ -181,7 +181,7 @@ def _video_run_program(offset):
     runs = []
 
     def emit(run):
-        runs.append(run.times)
+        runs.append(list(run.times))
         if len(run.times) > 1:
             sim.schedule_at(run.times[0] + offset, lambda: None)
 

@@ -3,15 +3,14 @@
 The CSV rows and the sink order cannot show where control events fall
 relative to each other. The full event log can: a candidate, permit or
 beacon_loss line that moves past an RA, DAD or drop line at the same instant
-changes the digest. The configs cover the ties that the beacon path must keep
-(each found with a probe of on_frame and on_beacon_loss):
-
-- an acting beacon that arrives at the same instant as an RA frame, which it
-  must follow: churn-hard-9 and churn-hard-10 (two each) and churn-soft-8
-  (two), and six in miss1-bi0.5-soft;
-- a beacon loss at a beacon send time (radio.bitrate = 12800, so a beacon
-  takes half an interval to arrive), which must come before that beacon is
-  sent: bitrate12800-hard, five losses.
+changes the digest. One tie that the beacon path must keep remains (found
+with a probe of on_beacon_loss): a beacon loss at a beacon send time
+(radio.bitrate = 12800, so a beacon takes half an interval to arrive), which
+must come before that beacon is sent: bitrate12800-hard, five losses. The
+acting beacons that arrived at the same instant as an RA frame (two in
+churn-soft-8, six in miss1-bi0.5-soft) met periodic RAs, which are gone; a
+probe of every executed event now finds no two control events of different
+kinds at one instant in any config here.
 
 The two VoIP runs with a 50 ms foreign link hold downlink packets still on
 their way over several source ticks, so their drop and intercept lines of

@@ -82,7 +82,7 @@ def test_repeated_ra_does_not_restart_dad_or_duplicate_address():
     host = make_host(sim, notes)
     host.on_router_advertisement("wlan1", fr_ra())
     sim.run_until(0.5)
-    host.on_router_advertisement("wlan1", fr_ra())  # periodic repeat mid-DAD
+    host.on_router_advertisement("wlan1", fr_ra())  # a repeat mid-DAD
     sim.run_until(2.0)
     rec = host.records["wlan1"]
     assert len(rec.addresses) == 1

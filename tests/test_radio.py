@@ -17,7 +17,7 @@ from vhosim.radio import (
     fspl_db,
     rx_power_dbm,
 )
-from vhosim.traffic import PacketRun
+from vhosim.traffic import PacketRun, Ticks
 
 # Frozen expected received powers, computed from the closed-form free-space
 # path loss 20*log10(d) + 20*log10(f) + 20*log10(4*pi/c).
@@ -175,34 +175,25 @@ class Advertiser:
         return "ra"
 
 
-def test_ra_ticks_run_on_the_grid_only_while_a_station_stays(monkeypatch):
-    # joins at 2.5 s, leaves at 4.5 s, rejoins exactly on the 1 s grid at 7 s
+def test_an_ap_sends_one_ra_per_association():
+    # joins at 2.5 s, leaves at 4.5 s, rejoins at 7 s; no RA while it stays
     sim = Simulator()
     med = _medium(sim)
     ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1), med, router=Advertiser())
     ap.start()
     iface = StubIface("i", (10.0, 0.0), 1)
     heard = []
-    iface.on_frame = lambda frame: heard.append((sim.now, frame.kind))
-    ticks = []
-
-    def tick(k):
-        ticks.append((sim.now, ap.station is iface))
-        AccessPoint._ra_tick(ap, k)
-
-    monkeypatch.setattr(ap, "_ra_tick", tick)
+    iface.on_frame = lambda frame: heard.append((sim.now, frame.kind, frame.payload))
     join = Frame("assoc_request", ASSOC_BITS, payload=iface)
     sim.schedule_at(2.5, ap.on_frame, join)
     sim.schedule_at(4.5, ap.leave, iface)
     sim.schedule_at(7.0, ap.on_frame, join)
     sim.run_until(10.5)
-    # one idle tick after the leave, then none until the rejoin; the grid
-    # point at the rejoin instant gets no tick of its own
-    assert ticks == [(3.0, True), (4.0, True), (5.0, False), (8.0, True),
-                     (9.0, True), (10.0, True)]
-    ra_sent = [round(t - BEACON_BITS / 2e6, 9) for t, kind in heard if kind == "data"]
-    assert ra_sent == [2.5, 3.0, 4.0, 7.0, 8.0, 9.0, 10.0]
-    assert [t for t, kind in heard if kind == "assoc_response"] == [
+    assert sim.executed == 3 + 2 * 2  # joins and leave; a response and an RA per join
+    ra_sent = [round(t - BEACON_BITS / 2e6, 9) for t, kind, ra in heard if kind == "data"]
+    assert ra_sent == [2.5, 7.0]
+    assert {ra for _, kind, ra in heard if kind == "data"} == {"ra"}
+    assert [t for t, kind, _ in heard if kind == "assoc_response"] == [
         2.5 + ASSOC_BITS / 2e6, 7.0 + ASSOC_BITS / 2e6]
 
 
@@ -416,7 +407,7 @@ class RunAp:
         self.taken = []
 
     def __call__(self, pkt, run, hop):
-        self.taken.append((pkt, run.seq0, run.times, hop))
+        self.taken.append((pkt, run.seq0, list(run.times), hop))
 
 
 def test_uplink_run_splits_at_the_coverage_edge():
@@ -430,10 +421,11 @@ def test_uplink_run_splits_at_the_coverage_edge():
     ap.uplink_run = RunAp()
     iface = PathIface(sim, TractorPath(0.0, 0.0, 1000.0, 0.0, 1, 1.0))
     times = [175.0, 175.5, 176.0, 176.5, 177.0, 177.5]
-    run = PacketRun("f", 10, times, 10000)
+    run = PacketRun("f", 10, Ticks(175.0, 0.5, 0, len(times)), 10000)
+    assert list(run.times) == times
     pkt = Packet(None, None, "app", 10320)
     med.uplink_run(iface, ap, pkt, run)
     # serialization of the datagram plus MAC overhead, the LAN hop, the extra hop
     hop = (10320 + 272) / 2e6 + 0.0005 + 0.001
     assert ap.uplink_run.taken == [(pkt, 10, times[:4], hop)]
-    assert [(r.seq0, r.times) for r in drops] == [(14, times[4:])]
+    assert [(r.seq0, list(r.times)) for r in drops] == [(14, times[4:])]

@@ -268,9 +268,9 @@ def test_a_binding_ack_for_the_home_network_finds_no_binding(cfg):
 @settings(max_examples=20, deadline=None)
 @given(short_runs())
 def test_an_ap_holds_only_a_station_tuned_to_it(cfg):
-    # checked on entry to and exit from each act of an AP: an RA tick, an
-    # association request, a binding-ack delivery, and a downlink run, whose
-    # stages at an AP read state that changes only in events
+    # checked on entry to and exit from each act of an AP: an association
+    # request, a binding-ack delivery, and a downlink run, whose stages at an
+    # AP read state that changes only in events
     scn = Scenario(cfg)
     aps = (scn.ap_home, scn.ap_foreign)
     acts = []
@@ -294,38 +294,63 @@ def test_an_ap_holds_only_a_station_tuned_to_it(cfg):
         assert all(ap.station is not iface for ap in aps), (scn.sim.now, iface.iface_id)
 
     with pytest.MonkeyPatch.context() as mp:
-        for owner, name in ((AccessPoint, "_ra_tick"), (AccessPoint, "on_frame"),
-                            (AccessPoint, "deliver_packet"), (DownlinkRun, "advance")):
+        for owner, name in ((AccessPoint, "on_frame"), (AccessPoint, "deliver_packet"),
+                            (DownlinkRun, "advance")):
             mp.setattr(owner, name, act(getattr(owner, name)))
         for iface in scn.mn.ifaces.values():
             mp.setattr(iface, "disassociate", disassociate.__get__(iface))
         scn.run()
-    assert "_ra_tick" in acts and "on_frame" in acts
+    assert "on_frame" in acts
 
 
-def test_idle_ra_ticks_are_at_most_the_disassociations(monkeypatch):
-    # an AP ticks only while it has a station, and once more after it
-    # leaves; ticking regardless, the six handover-churn runs made 726
-    # idle ticks for their 60 disassociations
-    idle, leaves = [], []
-    ra_tick, disassociate = AccessPoint._ra_tick, WirelessInterface.disassociate
+@settings(max_examples=20, deadline=None)
+@given(short_runs())
+def test_an_ra_delivered_again_changes_nothing_while_the_station_stays(cfg):
+    # an AP sends its RA on association only. An unsolicited RA (RFC 4861
+    # 6.2.4) after that one, at any event while the station stays, re-adds
+    # the routes and prefix the interface holds, then finds its address
+    # configured, or reports the global home address for an interface that
+    # is no candidate
+    scn = Scenario(cfg)
+    sim, host, llc = scn.sim, scn.mn.host, scn.mn.llc
+    took = {}  # interface id -> the AP whose RA it took since it joined there
+    redelivered = []
 
-    def tick(ap, k):
-        idle.append(ap.station is None)
-        ra_tick(ap, k)
+    def state():
+        return ([(e.prefix, repr(e.next_hop), e.out_iface) for e in host.routes.entries],
+                {i: ([repr(a) for a in rec.addresses], rec.on_link_prefix)
+                 for i, rec in host.records.items()},
+                repr(host.home_address), repr(host.ha_address), dict(host._dad_handles),
+                llc.serving, llc.candidate)
 
-    def leave(iface):
-        leaves.append(iface.ap is not None)
-        disassociate(iface)
+    def again():
+        for ap in (scn.ap_home, scn.ap_foreign):
+            iface = ap.station
+            if iface is not None and took.get(iface.iface_id) is ap:
+                before = state()
+                take_ra(iface.iface_id, ap.router.advertisement())
+                assert state() == before, (sim.now, iface.iface_id)
+                redelivered.append(iface.iface_id)
 
-    monkeypatch.setattr(AccessPoint, "_ra_tick", tick)
-    monkeypatch.setattr(WirelessInterface, "disassociate", leave)
-    for scheme in ("hard", "soft"):
-        for speed in (8.0, 9.0, 10.0):  # the handover-churn benchmark configs
-            run_experiment(ScenarioConfig(scheme=scheme, application="video",
-                                          video_rate_bps=64000.0, speed=speed, seed=1))
-    assert sum(leaves) == 60
-    assert sum(idle) <= sum(leaves)
+    take_ra, schedule_at = host.on_router_advertisement, sim.schedule_at
+
+    def on_ra(iface_id, ra):
+        take_ra(iface_id, ra)
+        took[iface_id] = scn.mn.ifaces[iface_id].ap
+
+    def schedule(fire_at, callback, *args, last=False):
+        def event(*args):
+            callback(*args)
+            again()
+        return schedule_at(fire_at, event, *args, last=last)
+
+    for ap in (scn.ap_home, scn.ap_foreign):
+        ap.leave = lambda iface, leave=ap.leave: (took.pop(iface.iface_id, None),
+                                                  leave(iface))
+    host.on_router_advertisement = on_ra
+    sim.schedule_at = schedule
+    scn.run()
+    assert redelivered
 
 
 @pytest.mark.parametrize("scheme", ["hard", "soft"])

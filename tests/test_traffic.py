@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,9 +12,11 @@ from vhosim.traffic import (
     PacketRun,
     SeqSet,
     Sink,
+    Ticks,
     VideoSource,
     VoipConfig,
     VoipSource,
+    _Source,
     compute_mos,
     packet_loss_rate,
 )
@@ -95,6 +99,71 @@ def test_loss_rate_requires_traffic():
 def packets(runs: list[PacketRun]) -> list[PacketRun]:
     """Every packet of the runs, in emission order, as a run of one."""
     return [run.part(k, k + 1) for run in runs for k in range(len(run.times))]
+
+
+# Large t0 and tiny dt make ticks that round, or that several k share.
+_t0 = st.one_of(st.sampled_from([0.0, 5.0, 1999.98]), st.floats(0.0, 100.0),
+                st.floats(1e5, 1e9))
+_dt = st.one_of(st.sampled_from([0.02, 0.005, 0.1, 1 / 3]), st.floats(1e-9, 2.0))
+_near = st.sampled_from([-1, 0, 0, 1])  # a limit just below, on or just above a tick
+
+
+def _nudge(t: float, way: int) -> float:
+    return t if way == 0 else math.nextafter(t, way * math.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_t0, _dt, st.lists(st.tuples(st.integers(0, 80), _near), min_size=1, max_size=4))
+@example(5.0, 0.02, [(3, 0), (0, 0), (7, 1)])
+@example(0.0, 0.02, [(40, 0), (5, 0)])  # (t0 + 46 dt - (t0 + 41 dt)) / dt is below 5
+@example(0.0, 1 / 3, [(20, 0), (41, 0)])
+@example(1e9, 1e-9, [(50, 0), (40, -1)])  # about 120 ticks share each float
+def test_take_ends_a_window_where_the_append_loop_did(t0, dt, cuts):
+    src = _Source(Simulator(), "f", None, t0, None, dt, 1)
+    k, t, want, got, limit = 0, t0, [], [], -math.inf
+    for ahead, way in cuts:
+        limit = max(limit, _nudge(t0 + (k + ahead) * dt, way))
+        while t <= limit:  # the loop take used to run, one float per tick
+            want.append(t)
+            k += 1
+            t = t0 + k * dt
+        runs = []
+        src.take(limit, 0, runs)
+        got += [x for last, _, run in runs for x in run.times]
+        assert [last for last, _, _ in runs] == [run.times[-1] for _, _, run in runs]
+        assert got == want and src.next_at == t and src.seq == len(want)
+
+
+_keys = st.one_of(st.just(float), st.builds(lambda h: h.__add__, st.floats(0.0, 0.1)),
+                  st.builds(lambda a, b, c: lambda x: x + a + b + c, st.floats(0.0, 1.0),
+                            st.floats(0.0, 0.1), st.floats(0.0, 0.01)),
+                  st.builds(lambda a, e: lambda x: x + a - e, st.floats(0.0, 1.0),
+                            st.floats(0.0, 1e3)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_t0, _dt, st.integers(0, 50), st.integers(1, 120), st.data())
+@example(0.0, 0.1, 0, 10, None)
+def test_ticks_bisect_is_bisect_over_their_list(t0, dt, k0, n, data):
+    ticks = Ticks(t0, dt, k0, n)
+    values = [t0 + k * dt for k in range(k0, k0 + n)]
+    assert list(ticks) == values and len(ticks) == n
+    assert [ticks[i] for i in range(-n, n)] == values + values
+    if data is None:  # a tie at every tick
+        probes = [(float, x, 0, n) for x in values]
+    else:
+        key = data.draw(_keys)
+        lo = data.draw(st.integers(0, n))
+        hi = data.draw(st.integers(lo, n))
+        x = data.draw(st.one_of(
+            st.builds(lambda i, way: _nudge(key(values[i]), way), st.integers(0, n - 1), _near),
+            st.floats(-10.0, 2e9)))
+        probes = [(key, x, lo, hi)]
+        assert list(ticks[lo:hi]) == values[lo:hi]
+    for key, x, lo, hi in probes:
+        assert ticks.bisect(x, lo, hi, key) == bisect_left(values, x, lo, hi, key=key)
+        assert ticks.bisect(x, lo, hi, key, right=True) == bisect_right(values, x, lo, hi,
+                                                                         key=key)
 
 
 def test_video_source_cadence_and_sizes():
@@ -220,14 +289,16 @@ def sink_segments(draw) -> list[tuple]:
     """Calls (seq0, times, lo, hi, a, b, c, spurt) of one sink: each
     segment's first seq follows the last one's, or leaves a gap, or goes
     back to reorder or repeat seqs; spurts start at 0 or later and grow.
-    Times and offsets are often dyadic, so that delays tie the budget."""
+    Ticks and offsets are often dyadic, so that delays tie the budget."""
     value = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 100.0))
+    step = st.one_of(st.sampled_from([0.125, 0.5, 1.0]), st.floats(1e-3, 10.0))
     offset = st.one_of(st.sampled_from([0.0, 0.125, 0.25, 0.5]), st.floats(0.0, 1.0))
     calls, end, spurt = [], 0, draw(st.integers(0, 1))
     for _ in range(draw(st.integers(1, 12))):
         first = max(0, end + draw(st.one_of(st.just(0), st.integers(-8, 4))))
         lo, n = draw(st.integers(0, 2)), draw(st.integers(1, 8))
-        times = draw(st.lists(value, min_size=lo + n, max_size=lo + n + 2))
+        times = Ticks(draw(value), draw(step), draw(st.integers(0, 3)),
+                      lo + n + draw(st.integers(0, 2)))
         calls.append((first - lo, times, lo, lo + n, draw(offset), draw(offset), draw(offset),
                       spurt))
         end = max(end, first + n)
@@ -238,11 +309,11 @@ def sink_segments(draw) -> list[tuple]:
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["video", "voip"]), st.sampled_from([0.0, 0.005, 0.25]),
        sink_segments())
-@example("voip", 0.25, [(0, [1.0], 0, 1, 0.25, 0.0, 0.0, 0),  # budget 0.25 + 0.25
-                        (1, [2.0, 3.0], 0, 2, 0.5, 0.0, 0.0, 1),  # delays at the budget
-                        (3, [4.0], 0, 1, 0.5, 0.125, 0.0, 1)])  # past it: late
-@example("voip", 0.005, [(0, [1.0, 2.0], 0, 2, 0.25, 0.0, 0.0, 1),  # no first spurt
-                         (0, [0.0, 1.0, 2.0], 0, 3, 0.5, 0.0, 0.0, 2)])  # 0, 1 repeat
+@example("voip", 0.25, [(0, Ticks(1.0, 1.0, 0, 1), 0, 1, 0.25, 0.0, 0.0, 0),  # budget 0.5
+                        (1, Ticks(2.0, 1.0, 0, 2), 0, 2, 0.5, 0.0, 0.0, 1),  # delays at it
+                        (3, Ticks(4.0, 1.0, 0, 1), 0, 1, 0.5, 0.125, 0.0, 1)])  # past: late
+@example("voip", 0.005, [(0, Ticks(1.0, 1.0, 0, 2), 0, 2, 0.25, 0.0, 0.0, 1),  # no spurt 0
+                         (0, Ticks(0.0, 1.0, 0, 3), 0, 3, 0.5, 0.0, 0.0, 2)])  # 0, 1 repeat
 def test_sink_batch_counts_as_one_packet_calls(kind, playout, calls):
     batch, single = Sink(FlowStats("b"), kind, playout), Sink(FlowStats("s"), kind, playout)
     ref = dict(seqs=set(), duplicates=0, received=0, late=0, delay_sum=0.0, low=None,
