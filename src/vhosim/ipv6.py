@@ -100,7 +100,7 @@ class InterfaceRecord:
     addresses: list[Address] = field(default_factory=list)
     on_link_prefix: Optional[int] = None
 
-    def address_for_prefix(self, prefix: int) -> Optional[Address]:
+    def address_for_prefix(self, prefix: Optional[int]) -> Optional[Address]:
         for a in self.addresses:
             if a.prefix == prefix:
                 return a
@@ -215,10 +215,6 @@ class Ipv6Host:
 
     def global_address(self, iface_id: str) -> Optional[Address]:
         """The interface's usable address on its current link (the CoA, or HoA at home)."""
-        rec = self.records[iface_id]
-        if rec.on_link_prefix is None:
-            return None
+        rec = self.records[iface_id]  # no address has prefix None
         a = rec.address_for_prefix(rec.on_link_prefix)
-        if a is not None and a.scope == "global":
-            return a
-        return None
+        return a if a is not None and a.scope == "global" else None

@@ -140,7 +140,7 @@ class MobileNode:
 
         No control state changes inside a run, so its fate up to the radio
         is decided once: home address, tunnel wrap, serving interface and
-        route. The medium checks range per packet.
+        route. Medium.range_cuts judges range once per verdict horizon.
         """
         hoa = self.host.home_address
         if hoa is None or hoa.scope != "global":
@@ -231,6 +231,7 @@ class CorrespondentNode:
         self.ha = ha
         self.link_delay = link_delay
         self.hoa = hoa  # the MN's, for the reverse-tunnel check and the downlink
+        self.stages: tuple = ()  # the downlink flow's clocks, set when its traffic is wired
         self.sinks: dict[str, Sink] = {}
         self.app_received = 0
         self.app_src_matches = 0
@@ -285,7 +286,22 @@ class CorrespondentNode:
 
     def send_run(self, run: PacketRun, dst: Address) -> None:
         """The downlink: packet k reaches the HA link_delay after its tick."""
-        DownlinkRun(self.ha, run, dst, self.link_delay).advance()
+        DownlinkRun(self.ha, run, dst, self.stages).advance()
+
+
+def downlink_stages(delay: float, foreign_delay: float, bits: int, bitrate: float) -> tuple:
+    """A downlink flow's stages 0, 1 (tunnelled), 2 native and 2 tunnelled,
+    each (stage, at, before, hops): hops (d, fd, air) take a tick to the
+    stage, 0.0 for a hop it lacks, at(tick) is ((tick + d) + fd) + air as the
+    stage events added them, and before(tick) the time at the stage before."""
+    def stage(n: int, d: float, fd: float, air: float, before: Callable) -> tuple:
+        return n, (lambda x: x + d + fd + air), before, (d, fd, air)
+
+    air = [(bits + MAC_OVERHEAD_BITS + h * IPV6_HEADER_BITS) / bitrate for h in (1, 2)]
+    stage0 = stage(0, delay, 0.0, 0.0, lambda x: x + 0.0 + 0.0 + 0.0)
+    stage1 = stage(1, delay, foreign_delay, 0.0, stage0[1])
+    return (stage0, stage1, stage(2, delay, 0.0, air[0], stage0[1]),
+            stage(2, delay, foreign_delay, air[1], stage1[1]))
 
 
 class DownlinkRun:
@@ -303,72 +319,56 @@ class DownlinkRun:
     all read one binding, station, association and CoA. It decides them per
     segment: consecutive packets at one stage of one path, cut where the
     range verdict changes (Medium.range_cuts) and at the first packet whose
-    HA time finds the binding expired (BindingCache.lookup_run). A stage's
-    time is computed from the tick with the grouping of the stage events:
-    ((tick + delay) + foreign_delay) + size / bitrate. Packets reach the
-    sink, and drop and intercept lines go out, in the order a heap of the
-    stages would pop them: by time, then time of the stage before, packet
-    and stage, as their events would have run. The sink takes one call per
+    HA time finds the binding expired (BindingCache.lookup_run), at stage
+    times from the flow's clocks (downlink_stages). Packets reach the sink,
+    and drop and intercept lines go out, in the order a heap of the stages
+    would pop them: by time, then time of the stage before, packet and
+    stage, as their events would have run. The sink takes one call per
     slice of that order that stays in one segment.
     """
 
-    __slots__ = ("ha", "run", "dst", "delay", "_pending")
+    __slots__ = ("ha", "run", "dst", "stages", "_pending")
 
-    def __init__(self, ha: HomeAgentNode, run: PacketRun, dst: Address, delay: float):
-        self.ha, self.run, self.dst, self.delay = ha, run, dst, delay
-        # segments [stage, first, end, CoA (None: native), interface]: packets
+    def __init__(self, ha: HomeAgentNode, run: PacketRun, dst: Address, stages: tuple):
+        self.ha, self.run, self.dst, self.stages = ha, run, dst, stages
+        # segments [stage, first, end, CoA (None: native), interface] of packets
         # that wait at one stage of one path, each with an event queued
         self._pending: list[list] = []
 
-    def _hops(self, stage: int, coa: Optional[Address]) -> tuple[float, float, float]:
-        """The three delays that take a tick (stage -1) to the stage of the
-        path, added in this order; adding 0.0 keeps a sum exact."""
-        d = self.delay if stage >= 0 else 0.0
-        fd = self.ha.foreign_delay if stage >= 1 and coa is not None else 0.0
-        air = 0.0
-        if stage == 2:
-            bits = self.run.bits + MAC_OVERHEAD_BITS + IPV6_HEADER_BITS * (1 if coa is None else 2)
-            air = bits / self.ha.home_ap.medium.bitrate
-        return d, fd, air
-
-    def _clock(self, stage: int, coa: Optional[Address]) -> Callable[[float], float]:
-        """A packet's time at the stage of its path from its tick."""
-        d, fd, air = self._hops(stage, coa)
-        return lambda x: x + d + fd + air
-
-    def _order(self, stage: int, coa: Optional[Address]) -> Callable[[int], tuple]:
-        """Packet k's place in the stage heap at the stage."""
-        times, at, before = self.run.times, self._clock(stage, coa), self._clock(stage - 1, coa)
-        return lambda k: (at(times[k]), before(times[k]), k, stage)
+    def _place(self, seg: list, k: int) -> tuple:
+        """Packet k's place in the stage heap at the stage of segment seg."""
+        stage, at, before, _ = seg[0]
+        x = self.run.times[k]
+        return at(x), before(x), k, stage
 
     def advance(self, event: bool = False) -> None:
         """Run the stage of this event, if any, and every stage run_ahead
         allows; queue an event for each other stage reached here."""
-        ha, run = self.ha, self.run
+        ha, run, stages = self.ha, self.run, self.stages
         sim, times = ha.sim, run.times
         limit = sim.ahead_limit()
         # work: (stage, first, end, CoA, interface, time bound, events due)
         if not event:  # the emit
-            work = [(0, 0, len(times), None, None, limit, True)]
+            work = [(stages[0], 0, len(times), None, None, limit, True)]
         else:  # the event's stage is the first in heap order
-            seg = min(self._pending, key=lambda s: self._order(s[0], s[3])(s[1]))
-            stage, lo, hi, coa, iface = seg
-            if self._clock(stage, coa)(times[lo]) > limit:  # it alone may run
+            seg = min(self._pending, key=lambda s: self._place(s, s[1]))
+            st, lo, hi, coa, iface = seg
+            if st[1](times[lo]) > limit:  # it alone may run
                 seg[1] += 1
                 if seg[1] == hi:
                     self._pending.remove(seg)
-                work = [(stage, lo, lo + 1, coa, iface, math.inf, False)]
+                work = [(st, lo, lo + 1, coa, iface, math.inf, False)]
             else:
                 work = [(*s, limit, False) for s in self._pending]
                 self._pending = []
-        sinks: list[list] = []  # [stage 2, first, end, CoA, interface]
-        lines: list[list] = []  # [stage, first, end, CoA, "drop" or "intercept"]
+        sinks: list[list] = []  # [stage 2, first, end, interface]
+        lines: list[list] = []  # [stage, first, end, "drop" or "intercept"]
         while work:
-            stage, lo, hi, coa, iface, upto, fresh = work.pop()
-            at = self._clock(stage, coa)
+            st, lo, hi, coa, iface, upto, fresh = work.pop()
+            stage, at = st[0], st[1]
             m = times.bisect(upto, lo, hi, at, right=True)  # lo..m-1 run now
             if m < hi:
-                self._pending.append([stage, m, hi, coa, iface])
+                self._pending.append([st, m, hi, coa, iface])
                 if fresh:
                     for x in times[m:hi]:
                         sim.schedule_at(at(x), ha.handle, self)
@@ -376,63 +376,62 @@ class DownlinkRun:
                 continue
             if stage == 2:  # drops if disassociated or, tunnelled, the CoA is stale
                 if iface.ap is not None and (coa is None or iface.mn.mip.current_coa() == coa):
-                    sinks.append([2, lo, m, coa, iface])
+                    sinks.append([st, lo, m, iface])
                 else:
-                    lines.append([2, lo, m, coa, "drop"])
+                    lines.append([st, lo, m, "drop"])
                 continue
             if stage == 0:
                 coa, e = ha.cache.lookup_run(self.dst, times, lo, m, at)
                 if e > lo:
-                    lines.append([0, lo, e, None, "intercept"])
-                    work.append((1, lo, e, coa, None, limit, True))
-                lo, coa, ap = e, None, ha.home_ap
+                    lines.append([st, lo, e, "intercept"])
+                    work.append((stages[1], lo, e, coa, None, limit, True))
+                lo, coa, ap, nxt = e, None, ha.home_ap, stages[2]
             else:  # delivery at the foreign AP past the router
-                ap = ha.foreign_router.ap
+                ap, nxt = ha.foreign_router.ap, stages[3]
             if lo == m:
                 continue
             iface = ap.station
             for a, b, inside in ([(lo, m, False)] if iface is None else
                                  ap.medium.range_cuts(ap, iface, times, lo, m, at)):
                 if inside:
-                    work.append((2, a, b, coa, iface, limit, True))
+                    work.append((nxt, a, b, coa, iface, limit, True))
                 else:
-                    lines.append([stage, a, b, coa, "drop"])
+                    lines.append([st, a, b, "drop"])
         self._merge(sinks, self._receive)
         if sim.tracing:
             self._merge(lines, self._log)
         else:  # only their count shows
-            for stage, lo, hi, coa, kind in lines:
+            for _, lo, hi, kind in lines:
                 if kind == "drop":
                     ha.drop(run.part(lo, hi))
 
     def _merge(self, streams: list[list], out: Callable[[list, int, int], None]) -> None:
         """Hand out(stream, first, end) the packets of the streams in the
-        order of the stage heap; each stream is in that order already."""
-        heads = [[self._order(s[0], s[3]), s] for s in streams]
-        while heads:
-            if len(heads) > 1:
-                heads.sort(key=lambda h: h[0](h[1][1]))
-            order, s = heads[0]
-            end = s[2] if len(heads) == 1 else bisect_left(
-                range(s[2]), heads[1][0](heads[1][1][1]), s[1], s[2], key=order)
+        order of the stage heap; each stream is in that order already, so
+        places are compared only where two or more streams meet."""
+        while len(streams) > 1:
+            streams.sort(key=lambda s: self._place(s, s[1]))
+            s, head = streams[0], self._place(streams[1], streams[1][1])
+            end = bisect_left(range(s[2]), head, s[1], s[2], key=lambda k: self._place(s, k))
             out(s, s[1], end)
             s[1] = end
             if end == s[2]:
-                heads.pop(0)
+                streams.pop(0)
+        for s in streams:
+            out(s, s[1], s[2])
 
     def _receive(self, stream: list, lo: int, hi: int) -> None:
         run = self.run
-        stream[4].mn.sinks[run.flow_id].receive(run.seq0, run.times, lo, hi,
-                                                *self._hops(2, stream[3]), run.spurt)
+        stream[3].mn.sinks[run.flow_id].receive(run.seq0, run.times, lo, hi,
+                                                *stream[0][3], run.spurt)
 
     def _log(self, stream: list, lo: int, hi: int) -> None:
-        stage, _, _, coa, kind = stream
+        at, kind = stream[0][1], stream[3]
         if kind == "drop":
-            self.ha.drop(self.run.part(lo, hi), self._clock(stage, coa))
+            self.ha.drop(self.run.part(lo, hi), at)
             return
-        sim, at = self.ha.sim, self._clock(0, None)
         for x in self.run.times[lo:hi]:
-            sim.trace("ha", "mipv6", "intercept", f"dst={self.dst}", at=at(x))
+            self.ha.sim.trace("ha", "mipv6", "intercept", f"dst={self.dst}", at=at(x))
 
 
 class Scenario:
@@ -527,6 +526,8 @@ class Scenario:
                                            mn_emit, start=start, stop=stop))
             self.sources.append(VoipSource(sim, "voip-dl", voip, sim.rng("voip-dl"),
                                            cn_emit, start=start, stop=stop))
+            self.cn.stages = downlink_stages(cfg.cn_link_delay, cfg.foreign_link_delay,
+                                             self.sources[-1].packet_bits, cfg.bitrate)
         else:
             raise ValueError(f"unknown application {cfg.application!r}")
 

@@ -39,22 +39,25 @@ class Ticks:
     def bisect(self, x: float, lo: int, hi: int, key: Callable[[float], float],
                right: bool = False) -> int:
         """bisect.bisect_left(self, x, lo, hi, key=key), or bisect_right, in
-        closed form: key must not decrease, and key(t) - t be near constant."""
+        closed form: key must not decrease, and key(t) - t be near constant.
+        The last tick is probed first: hi, the common answer, takes one key call."""
         if lo >= hi:
             return lo
         t0, dt, k0 = self.t0, self.dt, self.k0
+        y = key(last := t0 + (k0 + hi - 1) * dt)  # at the last tick
+        if not (y > x if right else y >= x):  # no tick reaches x
+            return hi
 
         def past(i: int) -> bool:  # false below the answer, true from it on
             y = key(t0 + (k0 + i) * dt)
             return y > x if right else y >= x
 
-        # guess the answer as if key(t) - t kept its value at tick lo, then fix up
-        first = t0 + (k0 + lo) * dt
-        q = (x - (key(first) - first) - t0) / dt - k0
-        g = lo if not q > lo else hi if not q < hi else math.ceil(q)
+        # the answer is below hi; guess it from key(t) - t at the last tick, then fix up
+        q = (x - (y - last) - t0) / dt - k0
+        g = lo if not q > lo else hi - 1 if not q < hi - 1 else math.ceil(q)
         while g > lo and past(g - 1):
             g -= 1
-        while g < hi and not past(g):
+        while g < hi - 1 and not past(g):
             g += 1
         return g
 

@@ -1,0 +1,118 @@
+"""Rebuild the golden outputs with the standard library alone, and compare.
+
+    PYTHONPATH=src python tests/check_goldens.py
+
+The package supports every Python from 3.10 on (pyproject.toml), and an
+interpreter may have no pytest. This script needs none. It rebuilds the
+bytes of tests/golden/grid.csv (the 70-run acceptance grid), the SHA-256
+and line count of each event log in tests/golden/event_logs.json and the
+digest in tests/golden/criterion10_log.sha256, prints one line per golden,
+and exits 1 if any differs (0 if none does). The pytest suite checks the
+same goldens from the definitions here (test_golden_grid_csv,
+test_event_log_matches_golden, test_criterion_10_byte_identical_reruns).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from vhosim.harness import ScenarioConfig, emit_csv, run_experiment
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# the acceptance grid: speeds x hard/soft x video 0.5M/video 2M/VoIP; the CBR
+# video source is deterministic, the on/off VoIP source is sampled, so its
+# curves are means over repeated runs with different seeds
+SPEEDS = [1.0, 2.0, 4.0, 8.0, 10.0]
+APPS = [("video", 0.5e6), ("video", 2e6), ("voip", 64000.0)]
+SEEDS = {"video": [1], "voip": [1, 2, 3, 4, 5]}
+
+CRITERION_10 = ScenarioConfig(scheme="hard", application="voip", speed=10.0, seed=5)
+
+
+def grid_configs():
+    """((app, rate, scheme, speed), config) of each grid run, in grid.csv order."""
+    for app, rate in APPS:
+        for scheme in ("hard", "soft"):
+            for speed in SPEEDS:
+                for seed in SEEDS[app]:
+                    cfg = ScenarioConfig(scheme=scheme, application=app,
+                                         speed=speed, seed=seed)
+                    if app == "video":
+                        cfg.video_rate_bps = rate
+                    yield (app, rate, scheme, speed), cfg
+
+
+def _churn(scheme: str, speed: float) -> ScenarioConfig:
+    # as in the handover-churn benchmark workload at seed 1
+    return ScenarioConfig(scheme=scheme, application="video",
+                          video_rate_bps=64000.0, speed=speed, seed=1)
+
+
+# the configs of event_logs.json; tests/test_event_logs.py says why each is there
+EVENT_LOG_CONFIGS = {
+    **{f"churn-{s}-{v:g}": _churn(s, v)
+       for s in ("hard", "soft") for v in (8.0, 9.0, 10.0)},
+    "voip-hard-2-seed1": ScenarioConfig(scheme="hard", application="voip",
+                                        speed=2.0, seed=1),
+    "voip-soft-2-seed1": ScenarioConfig(scheme="soft", application="voip",
+                                        speed=2.0, seed=1),
+    "voip-hard-4-fld0.05": ScenarioConfig(scheme="hard", application="voip",
+                                          speed=4.0, foreign_link_delay=0.05),
+    "voip-soft-4-fld0.05": ScenarioConfig(scheme="soft", application="voip",
+                                          speed=4.0, foreign_link_delay=0.05),
+    **{f"voip-{s}-4-spurt0.2": ScenarioConfig(scheme=s, application="voip", speed=4.0,
+                                              voip_spurt_mean=0.2, voip_silence_mean=0.3)
+       for s in ("hard", "soft")},
+    "bitrate12800-hard": ScenarioConfig(scheme="hard", bitrate=12800.0),
+    "bitrate12800-soft": ScenarioConfig(scheme="soft", bitrate=12800.0),
+    "miss1-bi0.5-soft": ScenarioConfig(scheme="soft", miss_threshold=1,
+                                       beacon_interval=0.5,
+                                       expected_handovers=None),
+    "foreignx150-hard": ScenarioConfig(scheme="hard", ap_foreign_x=150.0,
+                                       expected_handovers=None),
+}
+
+
+def log_digest(cfg: ScenarioConfig) -> dict[str, object]:
+    """SHA-256 and line count of the event log, as --event-log writes it."""
+    trace: list[str] = []
+    run_experiment(cfg, trace_sink=trace)
+    text = "\n".join(trace) + "\n"
+    return {"lines": len(trace), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def grid_csv() -> bytes:
+    """The bytes emit_csv writes for the grid's rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "grid.csv"
+        emit_csv([run_experiment(cfg).metrics for _, cfg in grid_configs()], out)
+        return out.read_bytes()
+
+
+def main() -> int:
+    differ = []
+
+    def report(name: str, same: bool) -> None:
+        print(f"{'ok     ' if same else 'DIFFERS'} {name}")
+        if not same:
+            differ.append(name)
+
+    report("grid.csv", grid_csv() == (GOLDEN / "grid.csv").read_bytes())
+    want = json.loads((GOLDEN / "event_logs.json").read_text())
+    for name in sorted(set(want) | set(EVENT_LOG_CONFIGS)):
+        cfg = EVENT_LOG_CONFIGS.get(name)
+        report(f"event_logs.json {name}", cfg is not None and log_digest(cfg) == want.get(name))
+    report("criterion10_log.sha256", log_digest(CRITERION_10)["sha256"]
+           == (GOLDEN / "criterion10_log.sha256").read_text().strip())
+    print(f"Python {sys.version.split()[0]}: "
+          + (f"{len(differ)} golden(s) differ" if differ else "every golden matches"))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

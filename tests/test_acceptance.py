@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from check_goldens import APPS, CRITERION_10, SPEEDS, grid_configs
+
 from vhosim.harness import ScenarioConfig, emit_csv, run_experiment
 from vhosim.ipv6 import Address
 from vhosim.mipv6 import BindingCache, BindingUpdate
@@ -17,11 +19,8 @@ from vhosim.radio import rx_power_dbm
 from vhosim.mobility import TractorPath
 from vhosim.traffic import FlowStats, compute_mos
 
-SPEEDS = [1.0, 2.0, 4.0, 8.0, 10.0]
-APPS = [("video", 0.5e6), ("video", 2e6), ("voip", 64000.0)]
-# the CBR video source is deterministic; the on/off VoIP source is sampled,
-# so its curves are means over repeated runs with different seeds
-SEEDS = {"video": [1], "voip": [1, 2, 3, 4, 5]}
+# the grid (SPEEDS, APPS and the configs) comes from tests/check_goldens.py,
+# which also checks the goldens without pytest
 # byte-exact outputs every refactor must preserve; see README.md to refresh
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -34,17 +33,8 @@ def _announce(num, text):
 def grid():
     """(app, rate, scheme, speed) -> [RunResult per seed], the standard sweep."""
     results = {}
-    for app, rate in APPS:
-        for scheme in ("hard", "soft"):
-            for speed in SPEEDS:
-                cell = []
-                for seed in SEEDS[app]:
-                    cfg = ScenarioConfig(scheme=scheme, application=app,
-                                         speed=speed, seed=seed)
-                    if app == "video":
-                        cfg.video_rate_bps = rate
-                    cell.append(run_experiment(cfg))
-                results[(app, rate, scheme, speed)] = cell
+    for key, cfg in grid_configs():
+        results.setdefault(key, []).append(run_experiment(cfg))
     return results
 
 
@@ -244,8 +234,7 @@ def _integrate_position(x1, y1, x2, y2, rows, speed, t):
 def test_criterion_10_byte_identical_reruns(tmp_path):
     def run(tag):
         trace = []
-        cfg = ScenarioConfig(scheme="hard", application="voip", speed=10.0, seed=5)
-        result = run_experiment(cfg, trace_sink=trace)
+        result = run_experiment(CRITERION_10, trace_sink=trace)
         out = tmp_path / f"{tag}.csv"
         emit_csv([result.metrics], out)
         log = tmp_path / f"{tag}.log"

@@ -33,7 +33,7 @@ from vhosim.harness import ScenarioConfig, run_experiment
 from vhosim.ipv6 import IPV6_HEADER_BITS, Address, Packet
 from vhosim.mipv6 import BU_BITS, BindingUpdate
 from vhosim.radio import MAC_OVERHEAD_BITS
-from vhosim.scenario import Scenario
+from vhosim.scenario import Scenario, downlink_stages
 from vhosim.traffic import PacketRun, Ticks
 
 TICKS = Ticks(50.0, 0.02, 0, 10)  # 50.0 + k * 0.02
@@ -175,6 +175,30 @@ def test_tunnels_to_a_coa_the_mn_does_not_hold_drop_at_its_interface():
     assert drops == [(pytest.approx(_at_ha(k, 0.1) + 0.05 + air, abs=1e-9), k)
                      for k in range(5, 10)]
     assert scn.ha.cache.entries[scn.cn.hoa].coa != scn.mn.mip.current_coa()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(0.0, 1e5), st.builds(lambda k, dt: 5.0 + k * dt,
+                                                 st.integers(0, 10**6), st.floats(1e-3, 0.1))),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 10**6), st.floats(1e3, 1e9))
+@example(50.02, 0.002, 0.001, BITS, 2e6)
+def test_stage_clocks_keep_the_grouping_of_the_stage_events(tick, delay, foreign_delay,
+                                                            bits, bitrate):
+    # each clock of the flow is the sum the stage events made, in their order
+    air = (bits + MAC_OVERHEAD_BITS + IPV6_HEADER_BITS) / bitrate
+    air_tunnelled = (bits + MAC_OVERHEAD_BITS + 2 * IPV6_HEADER_BITS) / bitrate
+    want = [  # stage, its hops, the hops of the stage before
+        (0, (delay, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        (1, (delay, foreign_delay, 0.0), (delay, 0.0, 0.0)),
+        (2, (delay, 0.0, air), (delay, 0.0, 0.0)),
+        (2, (delay, foreign_delay, air_tunnelled), (delay, foreign_delay, 0.0)),
+    ]
+    stages = downlink_stages(delay, foreign_delay, bits, bitrate)
+    assert len(stages) == len(want)
+    for (stage, at, before, hops), (n, (d, fd, a), (bd, bfd, ba)) in zip(stages, want):
+        assert (stage, hops) == (n, (d, fd, a))
+        assert at(tick) == ((tick + d) + fd) + a
+        assert before(tick) == ((tick + bd) + bfd) + ba
 
 
 def test_tunnelled_and_native_stages_cross_in_time():

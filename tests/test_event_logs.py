@@ -19,7 +19,8 @@ different packets interleave. The two VoIP runs with 0.2 s talk spurts and
 flows' spurt starts and ticks interleave densely.
 
 miss1-bi0.5-soft makes 14 handovers and foreignx150-hard one, so neither
-asserts the count.
+asserts the count. The configs live in tests/check_goldens.py, which also
+checks this golden without pytest.
 
 Refresh tests/golden/event_logs.json after an intended change of the log
 (say in CHANGES.md which lines changed and why):
@@ -29,54 +30,15 @@ Refresh tests/golden/event_logs.json after an intended change of the log
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from vhosim.harness import ScenarioConfig, run_experiment
+from check_goldens import EVENT_LOG_CONFIGS as CONFIGS, log_digest
 
 GOLDEN = Path(__file__).parent / "golden" / "event_logs.json"
-
-
-def _churn(scheme: str, speed: float) -> ScenarioConfig:
-    # as in the handover-churn benchmark workload at seed 1
-    return ScenarioConfig(scheme=scheme, application="video",
-                          video_rate_bps=64000.0, speed=speed, seed=1)
-
-
-CONFIGS = {
-    **{f"churn-{s}-{v:g}": _churn(s, v)
-       for s in ("hard", "soft") for v in (8.0, 9.0, 10.0)},
-    "voip-hard-2-seed1": ScenarioConfig(scheme="hard", application="voip",
-                                        speed=2.0, seed=1),
-    "voip-soft-2-seed1": ScenarioConfig(scheme="soft", application="voip",
-                                        speed=2.0, seed=1),
-    "voip-hard-4-fld0.05": ScenarioConfig(scheme="hard", application="voip",
-                                          speed=4.0, foreign_link_delay=0.05),
-    "voip-soft-4-fld0.05": ScenarioConfig(scheme="soft", application="voip",
-                                          speed=4.0, foreign_link_delay=0.05),
-    **{f"voip-{s}-4-spurt0.2": ScenarioConfig(scheme=s, application="voip", speed=4.0,
-                                              voip_spurt_mean=0.2, voip_silence_mean=0.3)
-       for s in ("hard", "soft")},
-    "bitrate12800-hard": ScenarioConfig(scheme="hard", bitrate=12800.0),
-    "bitrate12800-soft": ScenarioConfig(scheme="soft", bitrate=12800.0),
-    "miss1-bi0.5-soft": ScenarioConfig(scheme="soft", miss_threshold=1,
-                                       beacon_interval=0.5,
-                                       expected_handovers=None),
-    "foreignx150-hard": ScenarioConfig(scheme="hard", ap_foreign_x=150.0,
-                                       expected_handovers=None),
-}
-
-
-def log_digest(cfg: ScenarioConfig) -> dict[str, object]:
-    """SHA-256 and line count of the event log, as --event-log writes it."""
-    trace: list[str] = []
-    run_experiment(cfg, trace_sink=trace)
-    text = "\n".join(trace) + "\n"
-    return {"lines": len(trace), "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

@@ -166,6 +166,31 @@ def test_ticks_bisect_is_bisect_over_their_list(t0, dt, k0, n, data):
                                                                          key=key)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_t0, _dt, st.integers(0, 50), st.integers(1, 120), _keys,
+       st.one_of(st.just(0.0), st.floats(0.0, 1e3)), st.data())
+@example(5.0, 0.02, 0, 50, float, 0.0, None)
+def test_ticks_bisect_that_answers_hi_calls_its_key_once(t0, dt, k0, n, key, above, data):
+    # the common search: no tick of lo..hi-1 reaches x, so the answer is hi
+    ticks = Ticks(t0, dt, k0, n)
+    if data is None:
+        lo, hi = 0, n
+    else:
+        lo = data.draw(st.integers(0, n - 1))
+        hi = data.draw(st.integers(lo + 1, n))
+    top = key(ticks[hi - 1]) + above  # at or above the key of every tick in lo..hi-1
+    calls = []
+
+    def counted(t: float) -> float:
+        calls.append(t)
+        return key(t)
+
+    for x, right in ((math.nextafter(top, math.inf), False), (top, True)):
+        calls.clear()
+        assert ticks.bisect(x, lo, hi, counted, right=right) == hi
+        assert calls == [ticks[hi - 1]]
+
+
 def test_video_source_cadence_and_sizes():
     sim = Simulator()
     out = []
