@@ -58,10 +58,8 @@ class ScenarioConfig:
 
     ap_home_x: float = 0.0
     ap_home_y: float = 20.0
-    ap_home_channel: int = 1
     ap_foreign_x: float = 200.0
     ap_foreign_y: float = 20.0
-    ap_foreign_channel: int = 6
     tx_power_dbm: float = 0.0
     beacon_interval: float = 0.1
 
@@ -143,9 +141,6 @@ class ScenarioConfig:
                 raise ConfigError(f"{delay_key}: no packet sent from traffic_start = "
                                   f"{self.traffic_start!r} s crosses the link before the "
                                   f"run ends at {end!r} s")
-        if self.ap_home_channel == self.ap_foreign_channel:
-            raise ConfigError("ap_foreign_channel: the two APs must use "
-                              "distinct channels")
         # packets are routed by prefix, so a shared prefix misroutes them
         for a, b in (("home_prefix", "foreign_prefix"), ("home_prefix", "core_prefix"),
                      ("foreign_prefix", "core_prefix")):
@@ -193,10 +188,8 @@ _KEY_ALIASES = {
     "mobility.speed": "speed",
     "ap.home.x": "ap_home_x",
     "ap.home.y": "ap_home_y",
-    "ap.home.channel": "ap_home_channel",
     "ap.foreign.x": "ap_foreign_x",
     "ap.foreign.y": "ap_foreign_y",
-    "ap.foreign.channel": "ap_foreign_channel",
     "radio.tx_power_dbm": "tx_power_dbm",
     "radio.beacon_interval": "beacon_interval",
     "radio.frequency_hz": "frequency_hz",

@@ -1,9 +1,10 @@
 """Free-space propagation, access-point beaconing, range-gated frame delivery.
 
-No MAC contention, fading or interference: the scenario uses orthogonal
-channels in free space, so delivery is a deterministic range check at a fixed
-bitrate, and the beacons an interface hears are known in advance. Channels
-gate only beacons: other frames pass between an AP and its station, tuned to it.
+No MAC contention, fading or interference: the two networks use
+non-overlapping radio channels in free space, so delivery is a deterministic
+range check at a fixed bitrate, and the beacons an interface hears are known
+in advance. An interface hears the beacons of the AP it listens to (of every
+AP while it listens to none); other frames pass between an AP and its station.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class ApConfig:
     ap_id: str
     x: float
     y: float
-    channel: int
     tx_power_dbm: float = 0.0
     beacon_interval: float = 0.1
 
@@ -130,7 +130,7 @@ class Medium:
             self.sim.schedule_in(delay, ap.on_frame, frame)
 
     def uplink_run(self, iface, ap: "AccessPoint", pkt, run) -> None:
-        """Uplink data for a run of app packets on the AP's channel.
+        """Uplink data for a run of app packets to the AP.
 
         pkt is the datagram every packet of the run travels in, so the
         delay to the AP's wired side is the same for all of them, grouped as
@@ -224,16 +224,16 @@ class BeaconLedger:
     """The beacons each interface hears, computed on demand: beacon k of a
     started AP is sent at k * beacon_interval and arrives BEACON_BITS /
     bitrate later at each interface that, at the send time, may associate
-    with the AP, listens on its channel (a change at that instant counts)
-    and is in range. Searches stop at the horizon, the end of the run."""
+    with the AP, listens to it or to every AP (a change at that instant
+    counts) and is in range. Searches stop at the horizon, the end of the run."""
 
     def __init__(self, medium: Medium):
         self.medium = medium
         self.horizon = math.inf
         self.aps: list[AccessPoint] = []  # started, in the order they beacon at one instant
         self.ifaces: dict[str, Any] = {}  # iface_id -> interface, in the order beacons reach them
-        # iface_id -> (times, channel listened to from each on; None: all)
-        self._listening: dict[str, tuple[list[float], list[Optional[int]]]] = {}
+        # iface_id -> (times, AP listened to from each on; None: all)
+        self._listening: dict[str, tuple[list[float], list[Optional[AccessPoint]]]] = {}
         self.on_change: Callable[[], None] = lambda: None  # an AP started
 
     def add_ap(self, ap: "AccessPoint") -> None:
@@ -242,13 +242,13 @@ class BeaconLedger:
 
     def add_iface(self, iface) -> None:
         self.ifaces[iface.iface_id] = iface
-        self._listening[iface.iface_id] = ([-math.inf], [iface.channel])
+        self._listening[iface.iface_id] = ([-math.inf], [None])
 
-    def listen(self, iface) -> None:
-        """Record what the interface listens to from now on."""
-        times, channels = self._listening[iface.iface_id]
+    def listen(self, iface, ap: Optional[AccessPoint]) -> None:
+        """Record the AP the interface listens to from now on (None: all)."""
+        times, aps = self._listening[iface.iface_id]
         times.append(self.medium.sim.now)
-        channels.append(iface.channel)
+        aps.append(ap)
 
     def arrival(self, ap: "AccessPoint", k: int) -> float:
         return k * ap.cfg.beacon_interval + BEACON_BITS / self.medium.bitrate
@@ -264,12 +264,12 @@ class BeaconLedger:
         steps to the next listening change, or past the beacons before the
         node can reach the coverage edge but for the last, judged alone."""
         bi = ap.cfg.beacon_interval
-        times, channels = self._listening[iface.iface_id]
+        times, aps = self._listening[iface.iface_id]
         while k < math.inf and k * bi <= self.horizon:
             i = bisect_right(times, k * bi)
             hi = first_tick(times[i], bi) if i < len(times) else math.inf
             verdict = (iface.allowed_ap in (None, ap.cfg.ap_id)
-                       and channels[i - 1] in (None, ap.cfg.channel))
+                       and aps[i - 1] in (None, ap))
             if verdict:
                 pos = iface.position(k * bi)
                 verdict = self.medium.in_range(ap, pos)
@@ -314,7 +314,10 @@ class BeaconLedger:
 
     def loss_time(self, iface_id: str, check: float, window: float) -> float:
         """When a watchdog looking at check, then window after the last arrival
-        each look found, first finds no arrival (inf if not by the horizon)."""
+        each look found, first finds no arrival (inf if not by the horizon).
+        The window must span at least 1.5 beacon intervals of every AP, as the
+        controller's (miss_threshold + 0.5) intervals do: then the rest of a
+        run of heard beacons comes within it."""
         iface = self.ifaces[iface_id]
         last, t = None, check - 2 * window  # an earlier one leaves check empty
         while True:
@@ -325,8 +328,7 @@ class BeaconLedger:
             if hit is None or not hit[0] < bound:
                 return bound
             _, ap, k = hit  # the rest of ap's run of heard beacons follows within window
-            u = (self._seek(iface, ap, k + 1, False)
-                 if window >= 1.5 * ap.cfg.beacon_interval else k + 1)
+            u = self._seek(iface, ap, k + 1, False)
             if u is None:
                 return math.inf
             last = t = self.arrival(ap, u - 1)

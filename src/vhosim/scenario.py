@@ -1,8 +1,8 @@
 """Topology construction and node wiring for the two-network roaming scenario.
 
 One mobile node sweeps a field between a home network (router doubling as
-home agent) and a foreign network, each fronted by one 802.11 access point on
-its own channel. The correspondent node hangs off the home agent's core link.
+home agent) and a foreign network, each fronted by one 802.11 access point.
+The correspondent node hangs off the home agent's core link.
 """
 
 from __future__ import annotations
@@ -34,29 +34,23 @@ class WirelessInterface:
         self.allowed_ap = allowed_ap  # ap_id this interface may associate with
         self.max_speed = mn.path.speed  # bound used by the range memo and the beacon ledger
         self.ap: Optional[AccessPoint] = None  # set while associated
-        self._target: Optional[AccessPoint] = None
         medium.beacons.add_iface(self)
 
     def position(self, t: float) -> tuple[float, float]:
         return self.mn.position(t)
 
-    @property
-    def channel(self) -> Optional[int]:
-        """The channel the radio listens on; None while it scans them all."""
-        ap = self.ap if self.ap is not None else self._target
-        return None if ap is None else ap.cfg.channel
-
     # -- commands from the controller -----------------------------------------
 
     def begin_association(self, ap: AccessPoint) -> None:
-        self._target = ap
-        self.medium.beacons.listen(self)
+        """Listen to ap alone and ask it to associate."""
+        self.medium.beacons.listen(self, ap)
         self.medium.iface_to_ap(self, ap, Frame("assoc_request", ASSOC_BITS, payload=self))
 
     def disassociate(self) -> None:
-        """Leave the AP at once, whether or not it is in range to hear."""
-        ap, self.ap, self._target = self.ap, None, None
-        self.medium.beacons.listen(self)
+        """Leave the AP at once, whether or not it is in range to hear, and
+        listen to every AP."""
+        ap, self.ap = self.ap, None
+        self.medium.beacons.listen(self, None)
         ap.leave(self)
         self.mn.llc.on_link_down(self.iface_id)
 
@@ -66,10 +60,8 @@ class WirelessInterface:
         if frame.kind == "beacon":
             ap: AccessPoint = frame.payload
             self.mn.llc.on_beacon(self.iface_id, ap.cfg.ap_id, ap)
-        elif frame.kind == "assoc_response":  # to the one request of the candidate
+        elif frame.kind == "assoc_response":  # from the AP listened to, to its request
             self.ap = frame.payload
-            self._target = None
-            self.medium.beacons.listen(self)
             self.mn.llc.on_association_confirmed(self.iface_id)
         elif self.ap is None:  # data that landed after disassociation
             return
@@ -248,10 +240,11 @@ class CorrespondentNode:
         # every packet that reaches the HA before this run's first is in the
         # queue already; commit them so that the queue stays short
         arrivals = self._arrivals
-        if arrivals and arrivals[0][0] <= run.times[0]:
-            self.commit(run.times[0])
+        first = run.times[0]
+        if arrivals and arrivals[0][0] <= first:
+            self.commit(first)
         heapq.heappush(arrivals, [
-            run.times[0] + hop, self._order, 0, run, hop,
+            first + hop, self._order, 0, run, hop,
             self.sinks[run.flow_id],
             src == self.hoa])
         self._order += len(run.times)
@@ -350,17 +343,14 @@ class DownlinkRun:
         # work: (stage, first, end, CoA, interface, time bound, events due)
         if not event:  # the emit
             work = [(stages[0], 0, len(times), None, None, limit, True)]
-        else:  # the event's stage is the first in heap order
+        else:  # the event's packet, the first in heap order, runs alone: every
+            # other pending packet has an event queued, so lies past the limit
             seg = min(self._pending, key=lambda s: self._place(s, s[1]))
             st, lo, hi, coa, iface = seg
-            if st[1](times[lo]) > limit:  # it alone may run
-                seg[1] += 1
-                if seg[1] == hi:
-                    self._pending.remove(seg)
-                work = [(st, lo, lo + 1, coa, iface, math.inf, False)]
-            else:
-                work = [(*s, limit, False) for s in self._pending]
-                self._pending = []
+            seg[1] += 1
+            if seg[1] == hi:
+                self._pending.remove(seg)
+            work = [(st, lo, lo + 1, coa, iface, math.inf, False)]
         sinks: list[list] = []  # [stage 2, first, end, interface]
         lines: list[list] = []  # [stage, first, end, "drop" or "intercept"]
         while work:
@@ -460,15 +450,14 @@ class Scenario:
         self.ha.foreign_router = self.fr
         self.ha.cn = self.cn
 
-        def access_point(ap_id: str, x: float, y: float, channel: int, router) -> AccessPoint:
-            return AccessPoint(sim, ApConfig(ap_id, x, y, channel, cfg.tx_power_dbm,
+        def access_point(ap_id: str, x: float, y: float, router) -> AccessPoint:
+            return AccessPoint(sim, ApConfig(ap_id, x, y, cfg.tx_power_dbm,
                                              cfg.beacon_interval),
                                self.medium, router)
 
-        self.ap_home = access_point("ap-home", cfg.ap_home_x, cfg.ap_home_y,
-                                    cfg.ap_home_channel, self.ha)
+        self.ap_home = access_point("ap-home", cfg.ap_home_x, cfg.ap_home_y, self.ha)
         self.ap_foreign = access_point("ap-foreign", cfg.ap_foreign_x, cfg.ap_foreign_y,
-                                       cfg.ap_foreign_channel, self.fr)
+                                       self.fr)
         self.ha.home_ap = self.ap_home
         self.fr.ap = self.ap_foreign
         # everything bridged up at the foreign AP crosses the foreign-HA link;

@@ -5,11 +5,13 @@
 The package supports every Python from 3.10 on (pyproject.toml), and an
 interpreter may have no pytest. This script needs none. It rebuilds the
 bytes of tests/golden/grid.csv (the 70-run acceptance grid), the SHA-256
-and line count of each event log in tests/golden/event_logs.json and the
-digest in tests/golden/criterion10_log.sha256, prints one line per golden,
+and line count of each event log in tests/golden/event_logs.json, the
+digest in tests/golden/criterion10_log.sha256 and the per-flow digests of
+sink order in tests/golden/uplink_order.json, prints one line per golden,
 and exits 1 if any differs (0 if none does). The pytest suite checks the
 same goldens from the definitions here (test_golden_grid_csv,
-test_event_log_matches_golden, test_criterion_10_byte_identical_reruns).
+test_event_log_matches_golden, test_criterion_10_byte_identical_reruns,
+test_sinks_take_packets_in_golden_order).
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+from sink_tap import tapped_scenarios
 
 from vhosim.harness import ScenarioConfig, emit_csv, run_experiment
 
@@ -78,12 +82,49 @@ EVENT_LOG_CONFIGS = {
 }
 
 
+# the configs of uplink_order.json; tests/test_uplink_order.py says why each is there
+UPLINK_ORDER_CONFIGS = {
+    "video-2M-soft-4-fld0.02": ScenarioConfig(
+        scheme="soft", application="video", video_rate_bps=2e6, speed=4.0,
+        foreign_link_delay=0.02),
+    "video-2M-hard-4-fld0.02": ScenarioConfig(
+        scheme="hard", application="video", video_rate_bps=2e6, speed=4.0,
+        foreign_link_delay=0.02),
+    "voip-soft-4-fld0.05": ScenarioConfig(
+        scheme="soft", application="voip", speed=4.0, foreign_link_delay=0.05),
+    "voip-soft-2-seed1001": ScenarioConfig(
+        scheme="soft", application="voip", speed=2.0, seed=1001),
+    "voip-hard-4-fld0.05": ScenarioConfig(
+        scheme="hard", application="voip", speed=4.0, foreign_link_delay=0.05),
+    "voip-hard-2-seed1001": ScenarioConfig(
+        scheme="hard", application="voip", speed=2.0, seed=1001),
+    **{f"voip-{s}-4-spurt0.2": ScenarioConfig(
+        scheme=s, application="voip", speed=4.0, voip_spurt_mean=0.2,
+        voip_silence_mean=0.3) for s in ("hard", "soft")},
+}
+
+
 def log_digest(cfg: ScenarioConfig) -> dict[str, object]:
     """SHA-256 and line count of the event log, as --event-log writes it."""
     trace: list[str] = []
     run_experiment(cfg, trace_sink=trace)
     text = "\n".join(trace) + "\n"
     return {"lines": len(trace), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def sink_order(cfg: ScenarioConfig) -> dict[str, list[tuple[int, str]]]:
+    """flow -> [(seq, line)] in the order its sink took the packets."""
+    calls: dict[str, list] = {}
+    with tapped_scenarios(calls):
+        run_experiment(cfg)
+    return {flow: [(seq, f"{flow} {seq} {now!r} {verdict}") for seq, now, verdict in packets]
+            for flow, packets in calls.items()}
+
+
+def order_digests(calls: dict[str, list[tuple[int, str]]]) -> dict[str, str]:
+    """flow -> SHA-256 of its lines of sink_order, as uplink_order.json holds them."""
+    return {flow: hashlib.sha256("\n".join(line for _, line in lines).encode())
+            .hexdigest() for flow, lines in sorted(calls.items())}
 
 
 def grid_csv() -> bytes:
@@ -102,11 +143,16 @@ def main() -> int:
         if not same:
             differ.append(name)
 
+    def report_each(golden: str, configs: dict, digest) -> None:
+        want = json.loads((GOLDEN / golden).read_text())
+        for name in sorted(set(want) | set(configs)):
+            cfg = configs.get(name)
+            report(f"{golden} {name}", cfg is not None and digest(cfg) == want.get(name))
+
     report("grid.csv", grid_csv() == (GOLDEN / "grid.csv").read_bytes())
-    want = json.loads((GOLDEN / "event_logs.json").read_text())
-    for name in sorted(set(want) | set(EVENT_LOG_CONFIGS)):
-        cfg = EVENT_LOG_CONFIGS.get(name)
-        report(f"event_logs.json {name}", cfg is not None and log_digest(cfg) == want.get(name))
+    report_each("event_logs.json", EVENT_LOG_CONFIGS, log_digest)
+    report_each("uplink_order.json", UPLINK_ORDER_CONFIGS,
+                lambda cfg: order_digests(sink_order(cfg)))
     report("criterion10_log.sha256", log_digest(CRITERION_10)["sha256"]
            == (GOLDEN / "criterion10_log.sha256").read_text().strip())
     print(f"Python {sys.version.split()[0]}: "

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-import pytest
-
 from vhosim.scenario import Scenario
 from vhosim.traffic import FlowStats, Sink
 
@@ -60,8 +58,10 @@ def tapped_scenarios(calls: dict[str, list], setup=None):
             for flow, sink in sinks.items():
                 checks.append(tap(sink, calls.setdefault(flow, [])))
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Scenario, "__init__", build)
+    Scenario.__init__ = build
+    try:
         yield
+    finally:
+        Scenario.__init__ = original
     for check in checks:
         check()

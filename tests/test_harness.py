@@ -34,7 +34,7 @@ application = video
 seed = 7
 mobility.speed = 4.0
 video.rate_bps = 2e6
-ap.foreign.channel = 11
+wired.cn_link_delay = 0.004
 sim_time = auto
 expected_handovers = 10
 """
@@ -49,7 +49,7 @@ def test_load_scenario_round_trip(tmp_path):
     assert cfg.seed == 7
     assert cfg.speed == 4.0
     assert cfg.video_rate_bps == 2e6
-    assert cfg.ap_foreign_channel == 11
+    assert cfg.cn_link_delay == 0.004
     assert cfg.sim_time is None
     assert cfg.expected_handovers == 10
 
@@ -99,7 +99,7 @@ def test_config_file_round_trips_random_configs(data):
     try:
         cfg.validate()
     except ConfigError:
-        assume(False)  # e.g. both APs drawn on one channel
+        assume(False)  # e.g. a drawn tx_power_dbm that leaves no coverage
     lines = data.draw(st.permutations([_line(data, n, getattr(cfg, n)) for n in names]))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.conf"
@@ -166,9 +166,16 @@ def test_too_many_rows_rejected_before_a_path_is_built():
         ScenarioConfig(row_count=10**9).validate()
 
 
-def test_shared_channel_rejected():
-    with pytest.raises(ConfigError, match="channel"):
-        ScenarioConfig(ap_home_channel=6, ap_foreign_channel=6).validate()
+def test_channel_keys_are_unknown(tmp_path, capsys):
+    # an interface listens to an AP, not to a channel, so no value of these
+    # could change an output
+    for key in ("ap.home.channel", "ap.foreign.channel", "ap_home_channel",
+                "ap_foreign_channel"):
+        conf = tmp_path / "channel.conf"
+        conf.write_text(f"{key} = 6\n")
+        assert main(["--config", str(conf)]) == 2, key
+        err = capsys.readouterr().err
+        assert "config error" in err and f"unknown key {key!r}" in err, err
 
 
 def _record(speed, mos=None):

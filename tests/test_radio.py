@@ -59,10 +59,9 @@ def test_doubling_distance_adds_six_db():
 
 
 class StubIface:
-    def __init__(self, iface_id, pos, channel, allowed_ap=None):
+    def __init__(self, iface_id, pos, allowed_ap=None):
         self.iface_id = iface_id
         self.pos = pos
-        self.channel = channel
         self.allowed_ap = allowed_ap
         self.frames = []
 
@@ -91,36 +90,38 @@ def test_coverage_edge_at_default_budget():
     # 0 dBm tx, -85 dBm sensitivity, 2.4 GHz: edge is just under 176.8 m
     sim = Simulator()
     med = Medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1), med, router=None)
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0), med, router=None)
     assert med.in_range(ap, (176.7, 0.0))
     assert not med.in_range(ap, (176.8, 0.0))
 
 
-def test_broadcast_respects_channel_and_range():
+def test_broadcast_respects_the_ap_listened_to_and_range():
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1), med, router=None)
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0), med, router=None)
+    other = AccessPoint(sim, ApConfig("other", 0.0, 0.0), med, router=None)
     med.beacons.add_ap(ap)
     med.beacons.horizon = 0.0  # the beacon sent at time 0 only
-    near = StubIface("near", (50.0, 0.0), 1)
-    wrong_channel = StubIface("wrong", (50.0, 0.0), 6)
-    far = StubIface("far", (400.0, 0.0), 1)
-    for i in (near, wrong_channel, far):
+    near = StubIface("near", (50.0, 0.0))
+    elsewhere = StubIface("elsewhere", (50.0, 0.0))
+    far = StubIface("far", (400.0, 0.0))
+    for i, listened in ((near, ap), (elsewhere, other), (far, ap)):
         med.beacons.add_iface(i)
+        med.beacons.listen(i, listened)  # from time 0, so for the beacon sent then
         _deliver_heard(med.beacons, i.iface_id)
     sim.run_until(1.0)
     assert len(near.frames) == 1
-    assert wrong_channel.frames == [] and far.frames == []
+    assert elsewhere.frames == [] and far.frames == []
 
 
 def test_broadcast_skips_an_interface_bound_to_another_ap():
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1), med, router=None)
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0), med, router=None)
     med.beacons.add_ap(ap)
     med.beacons.horizon = 0.0
-    bound_here = StubIface("here", (50.0, 0.0), 1, allowed_ap="ap")
-    bound_elsewhere = StubIface("elsewhere", (50.0, 0.0), 1, allowed_ap="other")
+    bound_here = StubIface("here", (50.0, 0.0), allowed_ap="ap")
+    bound_elsewhere = StubIface("elsewhere", (50.0, 0.0), allowed_ap="other")
     for i in (bound_here, bound_elsewhere):
         med.beacons.add_iface(i)
         _deliver_heard(med.beacons, i.iface_id)
@@ -131,8 +132,8 @@ def test_broadcast_skips_an_interface_bound_to_another_ap():
 def test_serialization_delay_at_two_megabits():
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1), med, router=None)
-    iface = StubIface("i", (10.0, 0.0), 1)
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0), med, router=None)
+    iface = StubIface("i", (10.0, 0.0))
     seen_at = []
     iface.on_frame = lambda frame: seen_at.append(sim.now)
     med.ap_to_iface(ap, iface, Frame("data", 2000))
@@ -156,8 +157,8 @@ def _send_control_frame(ap_pos):
     drops = []
     med = _medium(sim, drops)
     router = Router()
-    ap = AccessPoint(sim, ApConfig("ap", ap_pos, 0.0, 1), med, router=router)
-    iface = StubIface("i", (10.0, 0.0), 1)
+    ap = AccessPoint(sim, ApConfig("ap", ap_pos, 0.0), med, router=router)
+    iface = StubIface("i", (10.0, 0.0))
     med.iface_to_ap(iface, ap, Frame("data", 1000, payload="bu"))
     med.ap_to_iface(ap, iface, Frame("data", 1000, payload="ba"))
     sim.run_until(1.0)
@@ -179,9 +180,9 @@ def test_an_ap_sends_one_ra_per_association():
     # joins at 2.5 s, leaves at 4.5 s, rejoins at 7 s; no RA while it stays
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1), med, router=Advertiser())
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0), med, router=Advertiser())
     ap.start()
-    iface = StubIface("i", (10.0, 0.0), 1)
+    iface = StubIface("i", (10.0, 0.0))
     heard = []
     iface.on_frame = lambda frame: heard.append((sim.now, frame.kind, frame.payload))
     join = Frame("assoc_request", ASSOC_BITS, payload=iface)
@@ -200,10 +201,10 @@ def test_an_ap_sends_one_ra_per_association():
 def test_beacons_fire_on_strict_schedule():
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1, beacon_interval=0.1),
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, beacon_interval=0.1),
                      med, router=None)
     med.beacons.add_ap(ap)
-    iface = StubIface("i", (10.0, 0.0), 1)
+    iface = StubIface("i", (10.0, 0.0))
     med.beacons.add_iface(iface)
     heard_at = []
     iface.on_frame = lambda frame: heard_at.append((sim.now, frame.kind))
@@ -218,7 +219,7 @@ class PathIface(StubIface):
     """A listening interface carried along a field sweep at bounded speed."""
 
     def __init__(self, sim, path):
-        super().__init__("i", None, 1)
+        super().__init__("i", None)
         self.sim = sim
         self.path = path
         self.max_speed = path.speed
@@ -234,7 +235,7 @@ class PathIface(StubIface):
 def test_range_memo_agrees_with_uncached_check(speed, ap_xy, steps):
     sim = Simulator()
     med = Medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1], 1), med, router=None)
+    ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1]), med, router=None)
     iface = PathIface(sim, TractorPath(4.0, 0.0, 196.0, 50.0, 5, speed))
     # a beacon-ledger lookahead first: had it gone through the memo, the
     # verdict it left for a late time would answer the earlier queries below
@@ -268,7 +269,7 @@ def test_range_memo_answers_queries_in_any_order(speed, ap_xy, times):
     # that need not increase: one flow's run may reach past the other's
     sim = Simulator()
     med = Medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1], 1), med, router=None)
+    ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1]), med, router=None)
     iface = PathIface(sim, TractorPath(4.0, 0.0, 196.0, 50.0, 5, speed))
     for t in times:
         assert med.in_range_moving(ap, iface, t)[0] == med.in_range(ap, iface.position(t)), \
@@ -278,25 +279,17 @@ def test_range_memo_answers_queries_in_any_order(speed, ap_xy, times):
 R = math.sqrt(Medium(None).coverage_radius2(0.0))  # coverage radius at the default budget
 
 
-class TunedIface(PathIface):
-    """A path-borne interface whose channel (None: all) the test retunes."""
-
-    def __init__(self, sim, path, allowed_ap):
-        super().__init__(sim, path)
-        self.channel = None
-        self.allowed_ap = allowed_ap
-
-
 def _heard(med, ap, iface, changes, horizon):
     """Arrival times of the beacons of ap that the interface hears, by a
-    scan over every beacon sent by the horizon."""
+    scan over every beacon sent by the horizon; changes are (time, id of the
+    AP listened to from then on, None: all)."""
     bi = ap.cfg.beacon_interval
     out = []
     k = 0
     while k * bi <= horizon:
         s = k * bi
-        tuned = [ch for t, ch in changes if t <= s]
-        if (iface.allowed_ap in (None, "ap") and (tuned[-1] if tuned else None) in (None, 1)
+        tuned = [ap_id for t, ap_id in changes if t <= s]
+        if (iface.allowed_ap in (None, "ap") and (tuned[-1] if tuned else None) in (None, "ap")
                 and med.in_range(ap, iface.position(s))):
             out.append(s + 640 / med.bitrate)
         k += 1
@@ -333,7 +326,8 @@ def ledger_cases(draw):
         st.tuples(st.floats(x2 - R - 3.0, x2 - R + 1.0), st.floats(y1, y2))))
     horizon = draw(st.floats(5.0, 120.0))
     changes = sorted(draw(st.lists(st.tuples(st.floats(0.0, horizon),
-                                             st.sampled_from([None, 1, 6])), max_size=6)),
+                                             st.sampled_from([None, "ap", "other"])),
+                                   max_size=6)),
                      key=lambda change: change[0])
     return (path, ap_xy, draw(st.sampled_from([0.05, 0.1, 0.25, 0.5])),
             draw(st.sampled_from([None, "ap", "other"])), changes, horizon,
@@ -349,22 +343,24 @@ def ledger_cases(draw):
           None, [], 30.0, [0.0, 9.0], 3))
 # the first row runs 1e-9 m inside the edge for its whole length
 @example((TractorPath(0.0, 0.0, 200.0, 20.0, 2, 4.0), (100.0, R - 1e-9), 0.1,
-          "ap", [(3.0, 6), (7.5, None)], 60.0, [0.0, 20.0], 1))
+          "ap", [(3.0, "other"), (7.5, None)], 60.0, [0.0, 20.0], 1))
 def test_ledger_matches_a_scan_of_every_beacon(case):
     path, ap_xy, bi, allowed, changes, horizon, starts, m = case
     sim = Simulator()
     med = Medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1], 1, beacon_interval=bi),
+    ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1], beacon_interval=bi),
                      med, router=None)
-    iface = TunedIface(sim, path, allowed)
+    iface = PathIface(sim, path)
+    iface.allowed_ap = allowed
+    listened = {None: None, "ap": ap,
+                "other": AccessPoint(sim, ApConfig("other", 0.0, 0.0), med, router=None)}
     ledger = med.beacons
     ledger.add_ap(ap)
     ledger.add_iface(iface)
     ledger.horizon = horizon
-    for t, ch in changes:
+    for t, ap_id in changes:
         sim.run_until(t)
-        iface.channel = ch
-        ledger.listen(iface)
+        ledger.listen(iface, listened[ap_id])
     arrivals = _heard(med, ap, iface, changes, horizon)
     window = (m + 0.5) * bi
     for start in starts + arrivals[:3] + arrivals[-3:]:
@@ -379,21 +375,21 @@ def test_ledger_matches_a_scan_of_every_beacon(case):
 
 
 def test_ledger_ties_a_listening_change_and_a_loss_check_at_a_beacon_instant():
-    # beacon 1 goes out at the instant the interface tunes away, beacon 2 at
-    # the instant it tunes back: each meets the new state. Arrival 2 lands
+    # beacon 1 goes out at the instant the interface turns to another AP,
+    # beacon 2 at the instant it turns back: each meets the new state. Arrival 2 lands
     # exactly one window after arrival 0 and so comes after the check there.
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1, beacon_interval=0.5), med, router=None)
-    iface = StubIface("i", (10.0, 0.0), None)
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, beacon_interval=0.5), med, router=None)
+    other = AccessPoint(sim, ApConfig("other", 0.0, 0.0), med, router=None)
+    iface = StubIface("i", (10.0, 0.0))
     ledger = med.beacons
     ledger.add_ap(ap)
     ledger.add_iface(iface)
     ledger.horizon = 5.0
-    for t, channel in ((0.5, 6), (1.0, None)):
+    for t, listened in ((0.5, other), (1.0, None)):
         sim.run_until(t)
-        iface.channel = channel
-        ledger.listen(iface)
+        ledger.listen(iface, listened)
     a0, a2 = [k * 0.5 + 640 / 2e6 for k in (0, 2)]
     assert a0 + 1.0 == a2
     assert ledger.next_beacon(["i"], math.nextafter(a0, math.inf), None) == (a2, "i", ap)
@@ -416,7 +412,7 @@ def test_uplink_run_splits_at_the_coverage_edge():
     sim = Simulator()
     drops = []
     med = _medium(sim, drops)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, 1), med, router=None)
+    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0), med, router=None)
     ap.uplink_extra_delay = 0.001
     ap.uplink_run = RunAp()
     iface = PathIface(sim, TractorPath(0.0, 0.0, 1000.0, 0.0, 1, 1.0))

@@ -278,8 +278,10 @@ def test_an_ap_holds_only_a_station_tuned_to_it(cfg):
     def check(what):
         for ap in aps:
             station = ap.station
-            assert station is None or station.channel == ap.cfg.channel, \
-                (what, scn.sim.now, ap.cfg.ap_id, station.iface_id, station.channel)
+            if station is not None:  # the ledger's current record for it
+                listened = scn.medium.beacons._listening[station.iface_id][1][-1]
+                assert listened is ap, (what, scn.sim.now, ap.cfg.ap_id, station.iface_id,
+                                        listened and listened.cfg.ap_id)
 
     def act(fn):
         def wrapper(*args, **kwargs):

@@ -12,63 +12,28 @@ schemes; with the slow foreign link a tunnelled downlink packet is still on
 its way when the next ones are sent, and with short talk spurts and
 silences the two flows' spurts interleave densely.
 
-Refresh tests/golden/uplink_order.json after an intended change of order
-(say in CHANGES.md why the order changed):
+The configs and the digest are defined in tests/check_goldens.py, which
+checks this golden without pytest too. Refresh tests/golden/uplink_order.json
+after an intended change of order (say in CHANGES.md why the order changed):
 
     PYTHONPATH=src python tests/test_uplink_order.py
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from pathlib import Path
 
 import pytest
-from sink_tap import tapped_scenarios
-
-from vhosim.harness import ScenarioConfig, run_experiment
+from check_goldens import UPLINK_ORDER_CONFIGS as CONFIGS, order_digests, sink_order
 
 GOLDEN = Path(__file__).parent / "golden" / "uplink_order.json"
 
-CONFIGS = {
-    "video-2M-soft-4-fld0.02": ScenarioConfig(
-        scheme="soft", application="video", video_rate_bps=2e6, speed=4.0,
-        foreign_link_delay=0.02),
-    "video-2M-hard-4-fld0.02": ScenarioConfig(
-        scheme="hard", application="video", video_rate_bps=2e6, speed=4.0,
-        foreign_link_delay=0.02),
-    "voip-soft-4-fld0.05": ScenarioConfig(
-        scheme="soft", application="voip", speed=4.0, foreign_link_delay=0.05),
-    "voip-soft-2-seed1001": ScenarioConfig(
-        scheme="soft", application="voip", speed=2.0, seed=1001),
-    "voip-hard-4-fld0.05": ScenarioConfig(
-        scheme="hard", application="voip", speed=4.0, foreign_link_delay=0.05),
-    "voip-hard-2-seed1001": ScenarioConfig(
-        scheme="hard", application="voip", speed=2.0, seed=1001),
-    **{f"voip-{s}-4-spurt0.2": ScenarioConfig(
-        scheme=s, application="voip", speed=4.0, voip_spurt_mean=0.2,
-        voip_silence_mean=0.3) for s in ("hard", "soft")},
-}
 # runs whose uplink must be committed out of sending order, or the golden
 # would not tell arrival order from sending order
 # (the hard scheme has one interface, so one uplink path and no reordering)
 REORDERING = ("video-2M-soft-4-fld0.02", "voip-soft-4-fld0.05")
-
-
-def record(cfg: ScenarioConfig) -> dict[str, list[tuple[int, str]]]:
-    """flow -> [(seq, line)] in the order its sink took the packets."""
-    calls: dict[str, list] = {}
-    with tapped_scenarios(calls):
-        run_experiment(cfg)
-    return {flow: [(seq, f"{flow} {seq} {now!r} {verdict}") for seq, now, verdict in packets]
-            for flow, packets in calls.items()}
-
-
-def digests(calls: dict[str, list[tuple[int, str]]]) -> dict[str, str]:
-    return {flow: hashlib.sha256("\n".join(line for _, line in lines).encode())
-            .hexdigest() for flow, lines in sorted(calls.items())}
 
 
 def reorders(lines: list[tuple[int, str]]) -> int:
@@ -83,20 +48,20 @@ def reorders(lines: list[tuple[int, str]]) -> int:
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_sinks_take_packets_in_golden_order(name):
-    calls = record(CONFIGS[name])
+    calls = sink_order(CONFIGS[name])
     if name in REORDERING:
         ul = next(flow for flow in calls if flow.endswith("-ul"))
         assert reorders(calls[ul]) > 0, f"{name}: uplink arrived in sending order"
     want = json.loads(GOLDEN.read_text())[name]
-    assert digests(calls) == want, \
-        f"{name}: sink order differs from {GOLDEN.name}: {digests(calls)}"
+    got = order_digests(calls)
+    assert got == want, f"{name}: sink order differs from {GOLDEN.name}: {got}"
 
 
 if __name__ == "__main__":
     out = {}
     for name, cfg in sorted(CONFIGS.items()):
-        calls = record(cfg)
-        out[name] = digests(calls)
+        calls = sink_order(cfg)
+        out[name] = order_digests(calls)
         counts = {flow: reorders(lines) for flow, lines in calls.items()}
         print(f"{name}: reordered {counts}", file=sys.stderr)
     GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
