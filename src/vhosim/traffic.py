@@ -158,7 +158,9 @@ class FlowStats:
     received: int = 0
     late: int = 0
     lost: int = 0
-    delay_sum: float = 0.0  # one-way delays of the received packets, added in order
+    # the float that adding each received packet's one-way delay in order
+    # leaves; Sink.receive adds a piece of equal delays with repeat_add
+    delay_sum: float = 0.0
     received_seqs: SeqSet = field(default_factory=SeqSet)  # received or late
     dropped_seqs: SeqSet = field(default_factory=SeqSet)
 
@@ -351,6 +353,79 @@ class VoipSource(_Source):
         self.sim.ticker.run(self)
 
 
+_HUGE = 2.0 ** 1023  # the least float whose binade ends in an overflow
+_TOP = 2.0 ** 53  # a binade holds the multiples k * ulp with k below this
+
+
+def delay_pieces(times: Ticks, lo: int, hi: int, a: float, b: float,
+                 c: float) -> list[tuple[float, int]]:
+    """The delays ((x + a) + b) + c - x of ticks x = times[lo..hi-1], in
+    order, as (delay, count) pieces: each is a run of ticks of one delay.
+
+    Let a, b, c >= 0 and x > 0 lie in the binade [2**(e-1), 2**e), of ulp
+    u = 2**(e-53) (below 2**-1021: [0, 2**-1021), of ulp 2**-1074), and
+    none of a, b, c be an odd multiple of u/2, which would make a rounding
+    tie. While x + delay stays below 2**e, each partial sum is x plus a
+    multiple of u that does not depend on x, and the final - x is exact:
+    every such tick has the delay of the first. Any other tick (0, one
+    whose sum reaches the next binade, a tie) is a piece of its own.
+    """
+    t0, dt = times.t0, times.dt
+    k, end = times.k0 + lo, times.k0 + hi
+    binade_rule = a >= 0.0 and b >= 0.0 and c >= 0.0
+    pieces = []
+    while k < end:
+        x = t0 + k * dt
+        s = x + a + b + c
+        d, n = s - x, 1
+        if binade_rule and 0.0 < x < _HUGE:
+            u = math.ulp(x)
+            top = u * _TOP  # 2**e
+            if s < top and (a / u) % 1.0 != 0.5 and (b / u) % 1.0 != 0.5 \
+                    and (c / u) % 1.0 != 0.5:
+                # the last tick first: a segment is almost always one piece;
+                # else the piece ends at the first tick x with x + d >= 2**e
+                last = t0 + (end - 1) * dt
+                n = (end if last + a + b + c < top else first_tick(top - d, dt, t0)) - k
+        pieces.append((d, n))
+        k += n
+    return pieces
+
+
+def repeat_add(total: float, d: float, n: int) -> float:
+    """The float that n times `total += d` leaves.
+
+    While the sum stays in total's binade, of ulp v, an add moves the
+    integer t = total / v by d / v rounded to the nearest integer; on a tie,
+    an add makes t even, and from an even t it moves by m + (m & 1), where
+    m = floor(d / v). So the adds that stay in the binade are taken at once
+    in integers, and the one that leaves it as a float: for d >= 0 and
+    total + d > 0, a few steps per binade crossed. Any other total or d
+    takes one add a step.
+    """
+    while n > 0:
+        total += d  # as a float: the first add, an add to an even t or across a binade
+        n -= 1
+        if n == 0:
+            break
+        v = math.ulp(total)
+        q = d / v
+        if 0.0 < total < _HUGE and 0.0 <= q < _TOP:
+            # t, m, r, k and the sums below are integers up to 2**53, on
+            # which float arithmetic is exact
+            t, f = total / v, q % 1.0
+            m = q - f
+            if f != 0.5 or t % 2.0 == 0.0:  # else the next add makes t even
+                r = m + (f > 0.5 if f != 0.5 else m % 2.0)
+                # the adds from t + i*r, i < k, sum below 2**53 * v; m <= r, so k >= 0
+                k = (_TOP - 1.0 - m - t) // r + 1.0 if r else n
+                if k > n:
+                    k = n
+                total = (t + k * r) * v
+                n -= int(k)
+    return total
+
+
 class Sink:
     """Receiver-side classification into received / late / duplicate.
 
@@ -373,42 +448,35 @@ class Sink:
         seq seq0 + k, was sent at times[k] and arrives at
         ((times[k] + a) + b) + c. Returns the verdict of the last."""
         stats = self.stats
-        t0, dt, k0 = times.t0, times.dt, times.k0
         verdict = "duplicate"
         while lo < hi:
             m = stats.received_seqs.add_new(seq0 + lo, seq0 + hi) - seq0  # lo..m-1 are new
             if m > lo:
-                # delays are summed one by one, in order: sum() may compensate
                 total, late, verdict = stats.delay_sum, 0, "received"
-                ks = range(k0 + lo, k0 + m)
+                pieces = delay_pieces(times, lo, m, a, b, c)
                 if self.kind != "voip":
-                    for k in ks:
-                        x = t0 + k * dt
-                        total += x + a + b + c - x
+                    for d, n in pieces:
+                        total = repeat_add(total, d, n)
                 elif spurt == 0:
                     low = self._first_spurt_min
-                    for k in ks:
-                        x = t0 + k * dt
-                        delay = x + a + b + c - x
-                        if low is None or delay < low:
-                            low = delay
-                        total += delay
+                    for d, n in pieces:
+                        if low is None or d < low:
+                            low = d
+                        total = repeat_add(total, d, n)
                     self._first_spurt_min = low
                 else:
                     budget = self._budget
                     if budget is None:  # set by the first new packet of a later spurt
-                        low, x = self._first_spurt_min, times[lo]
+                        low = self._first_spurt_min
                         if low is None:
-                            low = x + a + b + c - x
+                            low = pieces[0][0]
                         budget = self._budget = low + self.playout_delay
-                    for k in ks:
-                        x = t0 + k * dt
-                        delay = x + a + b + c - x
-                        if delay > budget:
-                            late += 1
+                    for d, n in pieces:
+                        if d > budget:
+                            late += n
                         else:
-                            total += delay
-                    if delay > budget:
+                            total = repeat_add(total, d, n)
+                    if d > budget:
                         verdict = "late"
                 stats.delay_sum = total
                 stats.received += m - lo - late

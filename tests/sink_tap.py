@@ -1,10 +1,12 @@
 """Per-packet view of batched sink calls, for tests that pin delivery order.
 
 A Sink takes packets a segment at a time (Sink.receive). A tapped sink also
-hands each packet of a segment, in order, to a shadow Sink's on_receive,
-which gives the (seq, now, verdict) of that packet, then passes the segment
-on to itself. The shadow takes the packets one by one, so a tap also checks
-that the batch path counts what a run of one-packet calls counts.
+hands each packet of a segment, in order, to a shadow: the one-packet
+classification rule written out on its own (classify), with each delay
+computed and added to the delay sum packet by packet. That gives the (seq,
+now, verdict) of each packet; then the sink takes the segment itself. So a
+tap also checks that the batch path counts what the rule counts packet by
+packet.
 """
 
 from __future__ import annotations
@@ -12,7 +14,35 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from vhosim.scenario import Scenario
-from vhosim.traffic import FlowStats, Sink
+from vhosim.traffic import Sink
+
+
+def reference_state() -> dict:
+    """The state of a shadow that has taken no packet."""
+    return dict(seqs=set(), duplicates=0, received=0, late=0, delay_sum=0.0, low=None,
+                budget=None)
+
+
+def classify(state: dict, kind: str, playout: float, seq: int, delay: float,
+             spurt: int) -> str:
+    """The one-packet classification rule, written out on its own."""
+    if seq in state["seqs"]:
+        state["duplicates"] += 1
+        return "duplicate"
+    state["seqs"].add(seq)
+    if kind == "voip":
+        if spurt == 0:
+            if state["low"] is None or delay < state["low"]:
+                state["low"] = delay
+        else:
+            if state["budget"] is None:
+                state["budget"] = (state["low"] if state["low"] is not None else delay) + playout
+            if delay > state["budget"]:
+                state["late"] += 1
+                return "late"
+    state["received"] += 1
+    state["delay_sum"] += delay
+    return "received"
 
 
 def _state(sink: Sink) -> tuple:
@@ -21,23 +51,28 @@ def _state(sink: Sink) -> tuple:
             sink.duplicates, sink._budget, sink._first_spurt_min)
 
 
+def _shadow_state(ref: dict) -> tuple:
+    return (ref["received"], ref["late"], ref["delay_sum"].hex(), len(ref["seqs"]),
+            ref["duplicates"], ref["budget"], ref["low"])
+
+
 def tap(sink: Sink, out: list):
     """Append (seq, now, verdict) to out for each packet sink takes from now
     on; returns a check that the shadow and the sink agree."""
-    shadow = Sink(FlowStats(sink.stats.flow_id), sink.kind, sink.playout_delay)
-    assert _state(shadow) == _state(sink), "tap a sink before it takes packets"
-    receive = sink.receive
+    ref = reference_state()
+    assert _shadow_state(ref) == _state(sink), "tap a sink before it takes packets"
+    receive, kind, playout = sink.receive, sink.kind, sink.playout_delay
 
     def batch(seq0, times, lo, hi, a, b, c, spurt=0):
         for k in range(lo, hi):
             now = times[k] + a + b + c
-            out.append((seq0 + k, now, shadow.on_receive(seq0 + k, times[k], now, spurt)))
+            out.append((seq0 + k, now, classify(ref, kind, playout, seq0 + k, now - times[k],
+                                                spurt)))
         return receive(seq0, times, lo, hi, a, b, c, spurt)
 
     def check():
-        assert _state(shadow) == _state(sink), sink.stats.flow_id
-        assert len(shadow.stats.received_seqs & sink.stats.received_seqs) == \
-            len(sink.stats.received_seqs)
+        assert _shadow_state(ref) == _state(sink), sink.stats.flow_id
+        assert all(seq in sink.stats.received_seqs for seq in ref["seqs"])
 
     sink.receive = batch
     return check

@@ -18,8 +18,12 @@ from vhosim.traffic import (
     VoipSource,
     _Source,
     compute_mos,
+    delay_pieces,
     packet_loss_rate,
+    repeat_add,
 )
+
+from sink_tap import classify, reference_state
 
 # Frozen expectations for the simplified E-model, computed independently from
 # R = 93.2 - Id(d) - Ie_eff(loss) and the cubic R-to-MOS mapping.
@@ -288,42 +292,27 @@ def test_sink_counts_duplicates_once():
     assert stats.received == 1 and sink.duplicates == 1
 
 
-def _reference(state: dict, kind: str, playout: float, seq: int, delay: float, spurt: int) -> str:
-    """The one-packet classification rule, written out on its own."""
-    if seq in state["seqs"]:
-        state["duplicates"] += 1
-        return "duplicate"
-    state["seqs"].add(seq)
-    if kind == "voip":
-        if spurt == 0:
-            if state["low"] is None or delay < state["low"]:
-                state["low"] = delay
-        else:
-            if state["budget"] is None:
-                state["budget"] = (state["low"] if state["low"] is not None else delay) + playout
-            if delay > state["budget"]:
-                state["late"] += 1
-                return "late"
-    state["received"] += 1
-    state["delay_sum"] += delay
-    return "received"
-
-
 @st.composite
 def sink_segments(draw) -> list[tuple]:
     """Calls (seq0, times, lo, hi, a, b, c, spurt) of one sink: each
     segment's first seq follows the last one's, or leaves a gap, or goes
     back to reorder or repeat seqs; spurts start at 0 or later and grow.
-    Ticks and offsets are often dyadic, so that delays tie the budget."""
+    Ticks and offsets are often dyadic, so that delays tie the budget; some
+    segments are long and cross a power of two."""
     value = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 100.0))
     step = st.one_of(st.sampled_from([0.125, 0.5, 1.0]), st.floats(1e-3, 10.0))
     offset = st.one_of(st.sampled_from([0.0, 0.125, 0.25, 0.5]), st.floats(0.0, 1.0))
     calls, end, spurt = [], 0, draw(st.integers(0, 1))
     for _ in range(draw(st.integers(1, 12))):
         first = max(0, end + draw(st.one_of(st.just(0), st.integers(-8, 4))))
-        lo, n = draw(st.integers(0, 2)), draw(st.integers(1, 8))
-        times = Ticks(draw(value), draw(step), draw(st.integers(0, 3)),
-                      lo + n + draw(st.integers(0, 2)))
+        lo = draw(st.integers(0, 2))
+        if draw(st.integers(0, 3)):
+            n, k0 = draw(st.integers(1, 8)), draw(st.integers(0, 3))
+            times = Ticks(draw(value), draw(step), k0, lo + n + draw(st.integers(0, 2)))
+        else:  # long, from just below a power of two
+            n, dt = draw(st.integers(9, 400)), draw(st.floats(1e-3, 0.1))
+            t0 = 2.0 ** draw(st.integers(-1, 11)) - dt * draw(st.integers(0, 40))
+            times = Ticks(t0, dt, 0, lo + n + draw(st.integers(0, 2)))
         calls.append((first - lo, times, lo, lo + n, draw(offset), draw(offset), draw(offset),
                       spurt))
         end = max(end, first + n)
@@ -339,16 +328,21 @@ def sink_segments(draw) -> list[tuple]:
                         (3, Ticks(4.0, 1.0, 0, 1), 0, 1, 0.5, 0.125, 0.0, 1)])  # past: late
 @example("voip", 0.005, [(0, Ticks(1.0, 1.0, 0, 2), 0, 2, 0.25, 0.0, 0.0, 1),  # no spurt 0
                          (0, Ticks(0.0, 1.0, 0, 3), 0, 3, 0.5, 0.0, 0.0, 2)])  # 0, 1 repeat
+# x + 0.25 + 2**-53 ties in [1, 2): its rounding follows the parity of x
+@example("video", 0.0, [(0, Ticks(1.0, 3 * 2.0 ** -52, 0, 64), 0, 64, 0.25 + 2.0 ** -53, 0.0,
+                         0.0, 0)])
+# the ticks cross 1.0, the sum of the tick 0.98 first; then they cross 2.0
+@example("voip", 0.005, [(0, Ticks(0.0, 0.02, 40, 30), 0, 30, 0.03, 0.001, 0.0, 0),
+                         (30, Ticks(1.5, 0.02, 0, 40), 0, 40, 0.03, 0.001, 0.0, 1)])
 def test_sink_batch_counts_as_one_packet_calls(kind, playout, calls):
     batch, single = Sink(FlowStats("b"), kind, playout), Sink(FlowStats("s"), kind, playout)
-    ref = dict(seqs=set(), duplicates=0, received=0, late=0, delay_sum=0.0, low=None,
-               budget=None)
+    ref = reference_state()
     for seq0, times, lo, hi, a, b, c, spurt in calls:
         verdicts = []
         for k in range(lo, hi):
             now = times[k] + a + b + c
             verdict = single.on_receive(seq0 + k, times[k], now, spurt)
-            assert verdict == _reference(ref, kind, playout, seq0 + k, now - times[k], spurt)
+            assert verdict == classify(ref, kind, playout, seq0 + k, now - times[k], spurt)
             verdicts.append(verdict)
         assert batch.receive(seq0, times, lo, hi, a, b, c, spurt) == verdicts[-1]
     for sink in (batch, single):
@@ -360,6 +354,89 @@ def test_sink_batch_counts_as_one_packet_calls(kind, playout, calls):
         assert stats.delay_sum.hex() == ref["delay_sum"].hex()
         assert all((seq in stats.received_seqs) == (seq in ref["seqs"])
                    for seq in range(max(ref["seqs"]) + 2))
+
+
+def _added(total: float, d: float, n: int) -> float:
+    for _ in range(n):
+        total += d
+    return total
+
+
+@st.composite
+def additions(draw) -> tuple[float, float, int]:
+    """(total, d, n) of repeat_add: total 0, tiny or large; d 0, an odd
+    multiple of half total's ulp (a tie) or any; n up to 10**5, so that the
+    sum often crosses several binades."""
+    total = draw(st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-300, 2.0 ** -1022]),
+                           st.floats(0.0, 1e3), st.floats(1e12, 1e300)))
+    half_ulp = math.ulp(total) / 2
+    d = draw(st.one_of(st.just(0.0), st.integers(0, 2 ** 20).map(lambda i: (2 * i + 1) * half_ulp),
+                       st.floats(0.0, 10.0), st.floats(0.0, 1e-9)))
+    return total, d, draw(st.integers(0, 10 ** 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(additions())
+@example((0.0, 0.1, 10 ** 5))  # from 0 across 14 binades
+@example((1.0, 2.0 ** -53, 10 ** 5))  # a tie, m = 0: t goes even, then stays
+@example((1.0 + 2.0 ** -52, 3 * 2.0 ** -53, 10 ** 5))  # a tie from an odd t, m = 1
+@example((2.0 ** 53 - 2.0, 1.0, 10))  # ties once the ulp is 2
+@example((2.0 ** 53 - 1.0, 3.0, 10))  # ties once the ulp is 2, from an odd t
+@example((5e-324, 5e-324, 10 ** 5))  # subnormal
+@example((1e300, 1e290, 10 ** 5))
+@example((0.5, 0.0, 7))
+@example((-0.0, -0.0, 3))  # stays -0.0
+@example((1.0, -0.001, 5000))  # d < 0: one add a step
+@example((-1.0, 0.001, 5000))  # total < 0: one add a step
+def test_repeat_add_equals_the_loop(case):
+    total, d, n = case
+    assert repeat_add(total, d, n).hex() == _added(total, d, n).hex()
+
+
+@st.composite
+def tick_segments(draw) -> tuple:
+    """(times, lo, hi, a, b, c) of delay_pieces: ticks from just below 0.5,
+    1, 1024 or 2048, from t0 = 0 with k0 = 0, or from anywhere; offsets any,
+    or an odd multiple of half the ulp of the first tick, which ties."""
+    dt = draw(st.one_of(st.sampled_from([0.02, 0.125, 3 * 2.0 ** -52]), st.floats(1e-4, 0.5)))
+    start = draw(st.sampled_from(["below", "zero", "any"]))
+    if start == "below":
+        power = draw(st.sampled_from([0.5, 1.0, 1024.0, 2048.0]))
+        t0, k0 = power - dt * draw(st.integers(0, 30)), 0
+    elif start == "zero":
+        t0, k0 = 0.0, 0
+    else:
+        t0, k0 = draw(st.floats(0.0, 3000.0)), draw(st.integers(0, 5))
+    n = draw(st.integers(1, 300))
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo + 1, n))
+    half_ulp = math.ulp(t0 + (k0 + lo) * dt) / 2
+    offset = st.one_of(st.just(0.0), st.floats(0.0, 0.1),
+                       st.integers(0, 10 ** 6).map(lambda i: (2 * i + 1) * half_ulp))
+    return Ticks(t0, dt, k0, n), lo, hi, draw(offset), draw(offset), draw(offset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tick_segments())
+@example((Ticks(0.0, 0.02, 0, 60), 0, 60, 0.03, 0.001, 0.0))  # from 0, across 0.5 and 1
+@example((Ticks(1.0, 3 * 2.0 ** -52, 0, 9), 0, 9, 2.0 ** -53, 0.0, 0.0))  # ties
+@example((Ticks(-1.0, 0.5, 0, 9), 0, 9, 0.25, 0.0, 0.0))  # ticks below 0
+@example((Ticks(0.0, 5e-324, 0, 9), 0, 9, 1.5e-323, 0.0, 0.0))  # subnormal ticks
+@example((Ticks(1.0, 0.125, 0, 6), 0, 6, -0.5, -0.1, 0.0))  # sums below the binade
+def test_delay_pieces_give_each_ticks_delay(case):
+    times, lo, hi, a, b, c = case
+    pieces = delay_pieces(times, lo, hi, a, b, c)
+    assert all(n >= 1 for _, n in pieces) and sum(n for _, n in pieces) == hi - lo
+    each = [d.hex() for d, n in pieces for _ in range(n)]
+    assert each == [(x + a + b + c - x).hex() for x in times[lo:hi]]
+
+
+def test_delay_pieces_cut_a_segment_only_near_a_power_of_two():
+    (d, n), = delay_pieces(Ticks(10.0, 0.02, 0, 200), 0, 200, 0.003, 0.001, 0.0)
+    assert n == 200 and d == 10.0 + 0.003 + 0.001 - 10.0
+    # across 16.0: the ticks below it, the one whose sum reaches it, those past it
+    assert [n for _, n in delay_pieces(Ticks(15.0, 0.02, 0, 100), 0, 100, 0.03, 0.0, 0.0)] == \
+        [49, 1, 50]
 
 
 def _walk(steps):
