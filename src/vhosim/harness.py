@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional, get_args, get_origin, get_type_hints
 
 from .radio import Medium
-from .scenario import Scenario
+from .scenario import CORE_PREFIX, Scenario
 from .traffic import compute_mos, packet_loss_rate
 
 STANDARD_PATH_METERS = 2000.0
@@ -70,7 +70,6 @@ class ScenarioConfig:
 
     home_prefix: int = 0x20010DB800010000
     foreign_prefix: int = 0x20010DB800020000
-    core_prefix: int = 0x20010DB800030000
 
     dad_duration: float = 1.0
     miss_threshold: int = 3
@@ -142,10 +141,12 @@ class ScenarioConfig:
                                   f"{self.traffic_start!r} s crosses the link before the "
                                   f"run ends at {end!r} s")
         # packets are routed by prefix, so a shared prefix misroutes them
-        for a, b in (("home_prefix", "foreign_prefix"), ("home_prefix", "core_prefix"),
-                     ("foreign_prefix", "core_prefix")):
-            if getattr(self, a) == getattr(self, b):
-                raise ConfigError(f"{b}: must differ from {a}")
+        if self.home_prefix == self.foreign_prefix:
+            raise ConfigError("foreign_prefix: must differ from home_prefix")
+        for name in ("home_prefix", "foreign_prefix"):
+            if getattr(self, name) == CORE_PREFIX:
+                raise ConfigError(f"{name}: must differ from the correspondent's "
+                                  f"prefix {CORE_PREFIX:#x}")
         return self
 
 

@@ -45,7 +45,6 @@ class Address:
 class Packet:
     src: Address
     dst: Address
-    kind: str  # app | bu | ba | tunnel
     size_bits: int
     payload: Any = None
     inner: Optional["Packet"] = None

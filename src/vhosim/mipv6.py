@@ -47,8 +47,7 @@ class BindingCacheEntry:
 
 
 def encapsulate(pkt: Packet, outer_src: Address, outer_dst: Address) -> Packet:
-    return Packet(outer_src, outer_dst, "tunnel",
-                  pkt.size_bits + IPV6_HEADER_BITS, inner=pkt)
+    return Packet(outer_src, outer_dst, pkt.size_bits + IPV6_HEADER_BITS, inner=pkt)
 
 
 def decapsulate(pkt: Packet) -> Packet:
@@ -149,8 +148,7 @@ class MnBindingManager:
             self._awaiting = None
             return
         self._attempts += 1
-        pkt = Packet(bu.coa, self.host.ha_address, "bu", BU_BITS + IPV6_HEADER_BITS,
-                     payload=bu)
+        pkt = Packet(bu.coa, self.host.ha_address, BU_BITS + IPV6_HEADER_BITS, payload=bu)
         self.bu_log.append((self.sim.now, bu.seq, bu.coa, bu.lifetime))
         if self.sim.tracing:
             self.sim.trace(self.node_id, "mipv6", "bu_send",

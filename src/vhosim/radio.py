@@ -23,6 +23,7 @@ _FSPL_CONST_DB = 20.0 * math.log10(4.0 * math.pi / SPEED_OF_LIGHT)
 BEACON_BITS = 640
 ASSOC_BITS = 512
 MAC_OVERHEAD_BITS = 272
+LAN_DELAY = 0.0005  # an AP's wired hop to its router
 
 
 def fspl_db(distance_m: float, frequency_hz: float) -> float:
@@ -123,7 +124,7 @@ class Medium:
         if frame.kind == "data":
             # bridging is the AP's only action on uplink data; hand the packet
             # down its wired path directly after serialization plus the hops
-            at = self.sim.now + (delay + ap.lan_delay + ap.uplink_extra_delay)
+            at = self.sim.now + (delay + LAN_DELAY + ap.uplink_extra_delay)
             self.sim.schedule_at(at, ap.uplink_handler or ap.router.handle,
                                  frame.payload)
         else:
@@ -138,7 +139,7 @@ class Medium:
         ap.uplink_run; the others drop, in tick order.
         """
         hop = ((pkt.size_bits + MAC_OVERHEAD_BITS) / self.bitrate
-               + ap.lan_delay + ap.uplink_extra_delay)
+               + LAN_DELAY + ap.uplink_extra_delay)
         n = len(run.times)
         for lo, hi, inside in self.range_cuts(ap, iface, run.times, 0, n, float):
             part = run if hi - lo == n else run.part(lo, hi)
@@ -180,13 +181,11 @@ class AccessPoint:
     6.2.4) would re-add the routes and prefix it already holds.
     """
 
-    def __init__(self, sim: Simulator, cfg: ApConfig, medium: Medium, router,
-                 lan_delay: float = 0.0005):
+    def __init__(self, sim: Simulator, cfg: ApConfig, medium: Medium, router):
         self.sim = sim
         self.cfg = cfg
         self.medium = medium
         self.router = router
-        self.lan_delay = lan_delay
         self.radius2 = medium.coverage_radius2(cfg.tx_power_dbm)
         self.station = None  # the associated interface, if any
         # static uplink data path (handler, extra wired delay beyond the LAN

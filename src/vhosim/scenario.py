@@ -19,8 +19,9 @@ from .llc import VhoController
 from .mipv6 import BA_BITS, BindingCache, MnBindingManager, decapsulate
 from .mobility import TractorPath
 from .radio import MAC_OVERHEAD_BITS, AccessPoint, ApConfig, ASSOC_BITS, Frame, Medium
-from .traffic import (FlowStats, PacketRun, Sink, VideoSource, VoipConfig,
-                      VoipSource)
+from .traffic import FlowStats, PacketRun, Sink, VideoSource, VoipSource
+
+CORE_PREFIX = 0x20010DB800030000  # the correspondent's network, behind the home agent
 
 
 class WirelessInterface:
@@ -138,8 +139,7 @@ class MobileNode:
         if hoa is None or hoa.scope != "global":
             self.drop(run)
             return
-        pkt = self.mip.wrap_outgoing(Packet(hoa, dst, "app",
-                                            run.bits + IPV6_HEADER_BITS))
+        pkt = self.mip.wrap_outgoing(Packet(hoa, dst, run.bits + IPV6_HEADER_BITS))
         iface = None if pkt is None else self._uplink_iface(pkt.dst)
         if iface is None:
             self.drop(run)
@@ -176,8 +176,7 @@ class HomeAgentNode:
             return
         ba = self.cache.process(pkt.payload, self.sim.now)
         self.sim.trace("ha", "mipv6", "bu_processed", f"seq={ba.seq} {ba.status}")
-        self.forward(Packet(self.address, pkt.src, "ba",
-                            BA_BITS + IPV6_HEADER_BITS, payload=ba))
+        self.forward(Packet(self.address, pkt.src, BA_BITS + IPV6_HEADER_BITS, payload=ba))
 
     def forward_run(self, pkt: Packet, run: PacketRun, hop: float) -> None:
         """Take a run of uplink app packets for the CN, native or
@@ -343,8 +342,11 @@ class DownlinkRun:
         # work: (stage, first, end, CoA, interface, time bound, events due)
         if not event:  # the emit
             work = [(stages[0], 0, len(times), None, None, limit, True)]
-        else:  # the event's packet, the first in heap order, runs alone: every
-            # other pending packet has an event queued, so lies past the limit
+        else:  # the first pending packet in stage-place order runs alone: one
+            # emit queues its stage events in work-list order, not in the order
+            # the event world would queue them, so this need not be the packet
+            # the event was queued for; every other pending packet has an event
+            # queued, so lies past the limit
             seg = min(self._pending, key=lambda s: self._place(s, s[1]))
             st, lo, hi, coa, iface = seg
             seg[1] += 1
@@ -441,7 +443,7 @@ class Scenario:
 
         ha_addr = Address(cfg.home_prefix, derive_iid("ha", 0))
         fr_addr = Address(cfg.foreign_prefix, derive_iid("fr", 0))
-        cn_addr = Address(cfg.core_prefix, derive_iid("cn", 0))
+        cn_addr = Address(CORE_PREFIX, derive_iid("cn", 0))
         self.ha = HomeAgentNode(sim, ha_addr, cfg.home_prefix, cfg.foreign_prefix,
                                 cfg.foreign_link_delay, self._on_drop)
         self.fr = ForeignRouterNode(fr_addr, cfg.foreign_prefix)
@@ -497,24 +499,22 @@ class Scenario:
         if cfg.application == "video":
             stats = FlowStats("video-ul")
             self.flows["video-ul"] = stats
-            self.cn.sinks["video-ul"] = Sink(stats, "video")
+            self.cn.sinks["video-ul"] = Sink(stats)
             self.sources.append(VideoSource(sim, "video-ul", cfg.video_rate_bps,
                                             cfg.video_packet_bits, mn_emit,
                                             start=start, stop=stop))
         elif cfg.application == "voip":
-            voip = VoipConfig(cfg.voip_packetization, cfg.voip_playout,
-                              cfg.voip_spurt_mean, cfg.voip_silence_mean,
-                              cfg.voip_codec_rate)
             ul = FlowStats("voip-ul")
             dl = FlowStats("voip-dl")
             self.flows["voip-ul"] = ul
             self.flows["voip-dl"] = dl
-            self.cn.sinks["voip-ul"] = Sink(ul, "voip", voip.playout_delay)
-            self.mn.sinks["voip-dl"] = Sink(dl, "voip", voip.playout_delay)
-            self.sources.append(VoipSource(sim, "voip-ul", voip, sim.rng("voip-ul"),
-                                           mn_emit, start=start, stop=stop))
-            self.sources.append(VoipSource(sim, "voip-dl", voip, sim.rng("voip-dl"),
-                                           cn_emit, start=start, stop=stop))
+            self.cn.sinks["voip-ul"] = Sink(ul, cfg.voip_playout)
+            self.mn.sinks["voip-dl"] = Sink(dl, cfg.voip_playout)
+            for flow_id, emit in (("voip-ul", mn_emit), ("voip-dl", cn_emit)):
+                self.sources.append(VoipSource(
+                    sim, flow_id, cfg.voip_packetization, cfg.voip_codec_rate,
+                    cfg.voip_spurt_mean, cfg.voip_silence_mean, sim.rng(flow_id), emit,
+                    start=start, stop=stop))
             self.cn.stages = downlink_stages(cfg.cn_link_delay, cfg.foreign_link_delay,
                                              self.sources[-1].packet_bits, cfg.bitrate)
         else:

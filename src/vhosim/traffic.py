@@ -78,21 +78,6 @@ class PacketRun:
                          self.bits, self.spurt)
 
 
-@dataclass
-class VoipConfig:
-    packetization_interval: float = 0.020
-    playout_delay: float = 0.005
-    spurt_mean: float = 1.0
-    silence_mean: float = 1.35
-    codec_rate: float = 64000.0
-
-    def __post_init__(self):
-        for name in ("packetization_interval", "playout_delay", "spurt_mean",
-                     "silence_mean", "codec_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
 class SeqSet:
     """Set of a flow's sequence numbers, one flag byte per seq.
 
@@ -177,8 +162,6 @@ class FlowStats:
 class MosReport:
     r_factor: float
     mos: float
-    mean_delay: float
-    effective_loss: float
 
 
 def packet_loss_rate(stats: FlowStats) -> float:
@@ -192,8 +175,7 @@ def compute_mos(stats: FlowStats) -> MosReport:
     """Simplified ITU-T G.107 E-model with G.711 impairment defaults; R
     maps to MOS as in G.107 Annex B."""
     loss = packet_loss_rate(stats)
-    mean_delay = stats.mean_delay
-    d_ms = mean_delay * 1000.0
+    d_ms = stats.mean_delay * 1000.0
     i_d = 0.024 * d_ms
     if d_ms > 177.3:
         i_d += 0.11 * (d_ms - 177.3)
@@ -207,7 +189,7 @@ def compute_mos(stats: FlowStats) -> MosReport:
         mos = 4.5
     else:
         mos = min(4.5, max(1.0, 1.0 + 0.035 * r + 7e-6 * r * (r - 60.0) * (100.0 - r)))
-    return MosReport(r, mos, mean_delay, loss)
+    return MosReport(r, mos)
 
 
 class Ticker:
@@ -336,18 +318,24 @@ class VideoSource(_Source):
 
 
 class VoipSource(_Source):
-    """On/off voice: exponentially distributed talk spurts and silences."""
+    """On/off voice: a packet of codec_rate * interval bits every interval
+    during talk spurts; spurts and silences are exponentially distributed."""
 
-    def __init__(self, sim: Simulator, flow_id: str, cfg: VoipConfig,
-                 rng: random.Random, emit: Callable[[PacketRun], None],
-                 start: float = 0.0, stop: Optional[float] = None):
-        super().__init__(sim, flow_id, emit, start, stop, cfg.packetization_interval,
-                         int(cfg.codec_rate * cfg.packetization_interval))
-        self.cfg = cfg
+    def __init__(self, sim: Simulator, flow_id: str, interval: float, codec_rate: float,
+                 spurt_mean: float, silence_mean: float, rng: random.Random,
+                 emit: Callable[[PacketRun], None], start: float = 0.0,
+                 stop: Optional[float] = None):
+        for name, value in (("interval", interval), ("codec_rate", codec_rate),
+                            ("spurt_mean", spurt_mean), ("silence_mean", silence_mean)):
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0")
+        super().__init__(sim, flow_id, emit, start, stop, interval, int(codec_rate * interval))
+        self.spurt_mean = spurt_mean
+        self.silence_mean = silence_mean
         self.rng = rng
 
     def _length(self, talk: bool) -> float:
-        return self.rng.expovariate(1.0 / (self.cfg.spurt_mean if talk else self.cfg.silence_mean))
+        return self.rng.expovariate(1.0 / (self.spurt_mean if talk else self.silence_mean))
 
     def _tick(self) -> None:
         self.sim.ticker.run(self)
@@ -429,14 +417,14 @@ def repeat_add(total: float, d: float, n: int) -> float:
 class Sink:
     """Receiver-side classification into received / late / duplicate.
 
-    VoIP packets are late when their one-way delay exceeds the playout budget:
-    the minimum delay observed over the flow's first talk spurt plus the fixed
-    playout delay. Video has no deadline.
+    A packet of a later talk spurt than the first is late when its one-way
+    delay exceeds the playout budget: the minimum delay observed over the
+    flow's first spurt (spurt 0) plus the fixed playout delay. A video flow
+    is one spurt, so it has no deadline.
     """
 
-    def __init__(self, stats: FlowStats, kind: str, playout_delay: float = 0.005):
+    def __init__(self, stats: FlowStats, playout_delay: float = 0.005):
         self.stats = stats
-        self.kind = kind
         self.playout_delay = playout_delay
         self._budget: Optional[float] = None
         self._first_spurt_min: Optional[float] = None
@@ -454,10 +442,7 @@ class Sink:
             if m > lo:
                 total, late, verdict = stats.delay_sum, 0, "received"
                 pieces = delay_pieces(times, lo, m, a, b, c)
-                if self.kind != "voip":
-                    for d, n in pieces:
-                        total = repeat_add(total, d, n)
-                elif spurt == 0:
+                if spurt == 0:
                     low = self._first_spurt_min
                     for d, n in pieces:
                         if low is None or d < low:

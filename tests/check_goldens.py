@@ -1,6 +1,6 @@
 """Rebuild the golden outputs with the standard library alone, and compare.
 
-    PYTHONPATH=src python tests/check_goldens.py
+    PYTHONPATH=src python tests/check_goldens.py [--write]
 
 The package supports every Python from 3.10 on (pyproject.toml), and an
 interpreter may have no pytest. This script needs none. It rebuilds the
@@ -12,6 +12,10 @@ and exits 1 if any differs (0 if none does). The pytest suite checks the
 same goldens from the definitions here (test_golden_grid_csv,
 test_event_log_matches_golden, test_criterion_10_byte_identical_reruns,
 test_sinks_take_packets_in_golden_order).
+
+With --write it rewrites every golden file from the rebuilt outputs
+instead, after an intended change of output; say in CHANGES.md which bytes
+changed and why.
 """
 
 from __future__ import annotations
@@ -135,30 +139,66 @@ def grid_csv() -> bytes:
         return out.read_bytes()
 
 
-def main() -> int:
+def rebuild() -> dict[str, object]:
+    """Golden file name -> what this tree gives it: bytes, a digest, or a
+    dict of the JSON golden's entries."""
+    return {
+        "grid.csv": grid_csv(),
+        "event_logs.json": {name: log_digest(cfg) for name, cfg in EVENT_LOG_CONFIGS.items()},
+        "uplink_order.json": {name: order_digests(sink_order(cfg))
+                              for name, cfg in UPLINK_ORDER_CONFIGS.items()},
+        "criterion10_log.sha256": log_digest(CRITERION_10)["sha256"],
+    }
+
+
+def write(got: dict[str, object]) -> None:
+    """Rewrite every golden file from rebuild()'s outputs."""
+    for golden, value in got.items():
+        path = GOLDEN / golden
+        if isinstance(value, bytes):
+            path.write_bytes(value)
+        elif isinstance(value, dict):
+            path.write_text(json.dumps(value, indent=1, sort_keys=True) + "\n")
+        else:
+            path.write_text(value + "\n")
+        print(f"wrote {path}")
+
+
+def compare(got: dict[str, object]) -> list[str]:
+    """Print one line per golden, or per entry of a JSON golden; the names
+    of those that differ from the files."""
     differ = []
+    for golden, value in got.items():
+        path = GOLDEN / golden
+        if isinstance(value, bytes):
+            pairs = [(golden, value, path.read_bytes())]
+        elif isinstance(value, dict):
+            want = json.loads(path.read_text())
+            pairs = [(f"{golden} {name}", value.get(name), want.get(name))
+                     for name in sorted(set(want) | set(value))]
+        else:
+            pairs = [(golden, value, path.read_text().strip())]
+        for name, have, want in pairs:
+            same = have is not None and have == want
+            print(f"{'ok     ' if same else 'DIFFERS'} {name}")
+            if not same:
+                differ.append(name)
+    return differ
 
-    def report(name: str, same: bool) -> None:
-        print(f"{'ok     ' if same else 'DIFFERS'} {name}")
-        if not same:
-            differ.append(name)
 
-    def report_each(golden: str, configs: dict, digest) -> None:
-        want = json.loads((GOLDEN / golden).read_text())
-        for name in sorted(set(want) | set(configs)):
-            cfg = configs.get(name)
-            report(f"{golden} {name}", cfg is not None and digest(cfg) == want.get(name))
-
-    report("grid.csv", grid_csv() == (GOLDEN / "grid.csv").read_bytes())
-    report_each("event_logs.json", EVENT_LOG_CONFIGS, log_digest)
-    report_each("uplink_order.json", UPLINK_ORDER_CONFIGS,
-                lambda cfg: order_digests(sink_order(cfg)))
-    report("criterion10_log.sha256", log_digest(CRITERION_10)["sha256"]
-           == (GOLDEN / "criterion10_log.sha256").read_text().strip())
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--write"]):
+        print("usage: check_goldens.py [--write]", file=sys.stderr)
+        return 2
+    got = rebuild()
+    if argv:
+        write(got)
+        return 0
+    differ = compare(got)
     print(f"Python {sys.version.split()[0]}: "
           + (f"{len(differ)} golden(s) differ" if differ else "every golden matches"))
     return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

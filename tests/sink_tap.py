@@ -23,23 +23,21 @@ def reference_state() -> dict:
                 budget=None)
 
 
-def classify(state: dict, kind: str, playout: float, seq: int, delay: float,
-             spurt: int) -> str:
+def classify(state: dict, playout: float, seq: int, delay: float, spurt: int) -> str:
     """The one-packet classification rule, written out on its own."""
     if seq in state["seqs"]:
         state["duplicates"] += 1
         return "duplicate"
     state["seqs"].add(seq)
-    if kind == "voip":
-        if spurt == 0:
-            if state["low"] is None or delay < state["low"]:
-                state["low"] = delay
-        else:
-            if state["budget"] is None:
-                state["budget"] = (state["low"] if state["low"] is not None else delay) + playout
-            if delay > state["budget"]:
-                state["late"] += 1
-                return "late"
+    if spurt == 0:
+        if state["low"] is None or delay < state["low"]:
+            state["low"] = delay
+    else:
+        if state["budget"] is None:
+            state["budget"] = (state["low"] if state["low"] is not None else delay) + playout
+        if delay > state["budget"]:
+            state["late"] += 1
+            return "late"
     state["received"] += 1
     state["delay_sum"] += delay
     return "received"
@@ -61,13 +59,12 @@ def tap(sink: Sink, out: list):
     on; returns a check that the shadow and the sink agree."""
     ref = reference_state()
     assert _shadow_state(ref) == _state(sink), "tap a sink before it takes packets"
-    receive, kind, playout = sink.receive, sink.kind, sink.playout_delay
+    receive, playout = sink.receive, sink.playout_delay
 
     def batch(seq0, times, lo, hi, a, b, c, spurt=0):
         for k in range(lo, hi):
             now = times[k] + a + b + c
-            out.append((seq0 + k, now, classify(ref, kind, playout, seq0 + k, now - times[k],
-                                                spurt)))
+            out.append((seq0 + k, now, classify(ref, playout, seq0 + k, now - times[k], spurt)))
         return receive(seq0, times, lo, hi, a, b, c, spurt)
 
     def check():

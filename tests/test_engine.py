@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vhosim.engine import SchedulingError, Simulator
-from vhosim.traffic import VideoSource, VoipConfig, VoipSource
+from vhosim.traffic import VideoSource, VoipSource
 
 
 def test_schedule_at_clock_boundary_fires_first():
@@ -281,8 +281,8 @@ def _run_schedule(shots, tombstones, sources, ends, heap_ticks=None):
         if kind == "video":  # step quarters per packet
             src = VideoSource(sim, f"v{i}", 4.0, step, emit, start=start, stop=5.5)
         else:
-            src = VoipSource(sim, f"a{i}", VoipConfig(packetization_interval=step / 4),
-                             sim.rng(f"a{i}"), emit, start=start, stop=5.5)
+            src = VoipSource(sim, f"a{i}", step / 4, 64000.0, 1.0, 1.35, sim.rng(f"a{i}"),
+                             emit, start=start, stop=5.5)
         src.start()
     run_window = sim.ticker.run
 

@@ -20,18 +20,13 @@ flows' spurt starts and ticks interleave densely.
 
 miss1-bi0.5-soft makes 14 handovers and foreignx150-hard one, so neither
 asserts the count. The configs live in tests/check_goldens.py, which also
-checks this golden without pytest.
-
-Refresh tests/golden/event_logs.json after an intended change of the log
-(say in CHANGES.md which lines changed and why):
-
-    PYTHONPATH=src python tests/test_event_logs.py
+checks this golden without pytest and, with --write, refreshes it after an
+intended change of the log (say in CHANGES.md which lines changed and why).
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -46,9 +41,3 @@ def test_event_log_matches_golden(name):
     want = json.loads(GOLDEN.read_text())[name]
     got = log_digest(CONFIGS[name])
     assert got == want, f"{name}: event log differs from {GOLDEN.name}: {got}"
-
-
-if __name__ == "__main__":
-    out = {name: log_digest(cfg) for name, cfg in sorted(CONFIGS.items())}
-    GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -166,12 +166,12 @@ def test_too_many_rows_rejected_before_a_path_is_built():
         ScenarioConfig(row_count=10**9).validate()
 
 
-def test_channel_keys_are_unknown(tmp_path, capsys):
-    # an interface listens to an AP, not to a channel, so no value of these
-    # could change an output
+def test_removed_keys_are_unknown(tmp_path, capsys):
+    # no value of these could change an output: an interface listens to an
+    # AP, not to a channel, and no output shows the correspondent's address
     for key in ("ap.home.channel", "ap.foreign.channel", "ap_home_channel",
-                "ap_foreign_channel"):
-        conf = tmp_path / "channel.conf"
+                "ap_foreign_channel", "core_prefix"):
+        conf = tmp_path / "removed.conf"
         conf.write_text(f"{key} = 6\n")
         assert main(["--config", str(conf)]) == 2, key
         err = capsys.readouterr().err
@@ -309,7 +309,8 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("expected_handovers = -1", "expected_handovers"),
     # used to exit 0 with no binding update sent
     ("home_prefix = 0x20010DB800020000", "foreign_prefix"),
-    ("core_prefix = 0x20010DB800010000", "core_prefix"),
+    ("home_prefix = 0x20010DB800030000", "home_prefix"),  # the correspondent's
+    ("foreign_prefix = 0x20010DB800030000", "foreign_prefix"),
     # a budget whose coverage radius overflows used to exit 1 with a traceback
     ("radio.tx_power_dbm = 1e4", "tx_power_dbm"),
     ("radio.tx_power_dbm = 7000", "tx_power_dbm"),

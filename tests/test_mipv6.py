@@ -97,9 +97,9 @@ def test_sequence_monotonicity_survives_deregistration():
 
 
 def test_encapsulate_decapsulate_round_trip():
-    inner = Packet(HOA, CN, "app", 10000, payload="x")
+    inner = Packet(HOA, CN, 10000, payload="x")
     outer = encapsulate(inner, COA_A, HA)
-    assert outer.kind == "tunnel"
+    assert outer.inner is inner
     assert outer.size_bits == 10000 + IPV6_HEADER_BITS
     assert outer.src == COA_A and outer.dst == HA
     assert decapsulate(outer) is inner
@@ -198,9 +198,9 @@ def test_stale_ack_is_ignored():
 def test_reverse_tunnel_keeps_home_address_as_inner_source():
     rig = MnRig()
     rig.move_to("wlan1", COA_A)
-    inner = Packet(HOA, CN, "app", 10000)
+    inner = Packet(HOA, CN, 10000)
     outer = rig.mip.wrap_outgoing(inner)
-    assert outer.kind == "tunnel"
+    assert outer.inner is inner
     assert outer.src == COA_A and outer.dst == HA
     assert outer.inner.src == HOA
     # at home the packet goes out natively, untouched

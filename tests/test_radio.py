@@ -419,7 +419,7 @@ def test_uplink_run_splits_at_the_coverage_edge():
     times = [175.0, 175.5, 176.0, 176.5, 177.0, 177.5]
     run = PacketRun("f", 10, Ticks(175.0, 0.5, 0, len(times)), 10000)
     assert list(run.times) == times
-    pkt = Packet(None, None, "app", 10320)
+    pkt = Packet(None, None, 10320)
     med.uplink_run(iface, ap, pkt, run)
     # serialization of the datagram plus MAC overhead, the LAN hop, the extra hop
     hop = (10320 + 272) / 2e6 + 0.0005 + 0.001

@@ -14,7 +14,6 @@ from vhosim.traffic import (
     Sink,
     Ticks,
     VideoSource,
-    VoipConfig,
     VoipSource,
     _Source,
     compute_mos,
@@ -24,6 +23,9 @@ from vhosim.traffic import (
 )
 
 from sink_tap import classify, reference_state
+
+# VoipSource's interval, codec rate and spurt and silence means: ScenarioConfig's defaults
+VOIP = (0.020, 64000.0, 1.0, 1.35)
 
 # Frozen expectations for the simplified E-model, computed independently from
 # R = 93.2 - Id(d) - Ie_eff(loss) and the cubic R-to-MOS mapping.
@@ -55,7 +57,6 @@ def stats_for(loss, delay, sent=1000):
 def test_mos_reference_grid(loss, delay, want):
     report = compute_mos(stats_for(loss, delay))
     assert abs(report.mos - want) < 0.01
-    assert report.effective_loss == pytest.approx(loss)
 
 
 def test_mos_clamps_at_total_loss():
@@ -223,7 +224,7 @@ def test_video_source_stop_time():
 def test_voip_packets_carry_spurt_index_and_fixed_size():
     sim = Simulator()
     out = []
-    src = VoipSource(sim, "voip", VoipConfig(), sim.rng("voip"), out.append)
+    src = VoipSource(sim, "voip", *VOIP, sim.rng("voip"), out.append)
     src.start()
     sim.run_until(60.0)
     pkts = packets(out)
@@ -239,7 +240,7 @@ def test_voip_packets_carry_spurt_index_and_fixed_size():
 def test_voip_long_run_talk_fraction():
     sim = Simulator(seed=11)
     out = []
-    VoipSource(sim, "voip", VoipConfig(), sim.rng("voip"), out.append).start()
+    VoipSource(sim, "voip", *VOIP, sim.rng("voip"), out.append).start()
     sim.run_until(2000.0)
     talk_fraction = len(packets(out)) * 0.020 / 2000.0
     # exponential on/off with means 1.0 / 1.35 -> duty cycle 1/2.35
@@ -250,7 +251,7 @@ def test_voip_source_reproducible_per_seed():
     def run(seed):
         sim = Simulator(seed=seed)
         out = []
-        VoipSource(sim, "voip", VoipConfig(), sim.rng("voip"), out.append).start()
+        VoipSource(sim, "voip", *VOIP, sim.rng("voip"), out.append).start()
         sim.run_until(50.0)
         return [(p.seq0, p.times[0]) for p in packets(out)]
 
@@ -258,16 +259,19 @@ def test_voip_source_reproducible_per_seed():
     assert run(3) != run(4)
 
 
-def test_voip_config_validation():
-    with pytest.raises(ValueError):
-        VoipConfig(packetization_interval=0.0)
-    with pytest.raises(ValueError):
-        VoipConfig(silence_mean=-1.0)
+def test_voip_source_validation():
+    sim = Simulator()
+    for i, name in enumerate(("interval", "codec_rate", "spurt_mean", "silence_mean")):
+        for bad in (0.0, -1.0):
+            args = list(VOIP)
+            args[i] = bad
+            with pytest.raises(ValueError, match=name):
+                VoipSource(sim, "voip", *args, sim.rng("voip"), [].append)
 
 
 def test_sink_late_classification_uses_first_spurt_budget():
     stats = FlowStats("voip")
-    sink = Sink(stats, "voip", playout_delay=0.005)
+    sink = Sink(stats, playout_delay=0.005)
     # first spurt establishes the 10 ms floor -> budget 15 ms
     for seq, delay in enumerate((0.012, 0.010, 0.011)):
         sink.on_receive(seq, sent_at=0.0, now=delay, spurt=0)
@@ -278,15 +282,17 @@ def test_sink_late_classification_uses_first_spurt_budget():
 
 
 def test_sink_video_has_no_deadline():
+    # a video flow is one spurt, spurt 0, which sets the budget and meets none
     stats = FlowStats("v")
-    sink = Sink(stats, "video")
-    assert sink.on_receive(0, 0.0, now=9.0) == "received"
-    assert stats.late == 0
+    sink = Sink(stats)
+    assert sink.on_receive(0, 0.0, now=0.001) == "received"
+    assert sink.on_receive(1, 1.0, now=10.0) == "received"
+    assert stats.received == 2 and stats.late == 0
 
 
 def test_sink_counts_duplicates_once():
     stats = FlowStats("v")
-    sink = Sink(stats, "video")
+    sink = Sink(stats)
     assert sink.on_receive(0, 0.0, 0.01) == "received"
     assert sink.on_receive(0, 0.0, 0.02) == "duplicate"
     assert stats.received == 1 and sink.duplicates == 1
@@ -321,28 +327,27 @@ def sink_segments(draw) -> list[tuple]:
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(["video", "voip"]), st.sampled_from([0.0, 0.005, 0.25]),
-       sink_segments())
-@example("voip", 0.25, [(0, Ticks(1.0, 1.0, 0, 1), 0, 1, 0.25, 0.0, 0.0, 0),  # budget 0.5
+@given(st.sampled_from([0.0, 0.005, 0.25]), sink_segments())
+@example(0.25, [(0, Ticks(1.0, 1.0, 0, 1), 0, 1, 0.25, 0.0, 0.0, 0),  # budget 0.5
                         (1, Ticks(2.0, 1.0, 0, 2), 0, 2, 0.5, 0.0, 0.0, 1),  # delays at it
                         (3, Ticks(4.0, 1.0, 0, 1), 0, 1, 0.5, 0.125, 0.0, 1)])  # past: late
-@example("voip", 0.005, [(0, Ticks(1.0, 1.0, 0, 2), 0, 2, 0.25, 0.0, 0.0, 1),  # no spurt 0
+@example(0.005, [(0, Ticks(1.0, 1.0, 0, 2), 0, 2, 0.25, 0.0, 0.0, 1),  # no spurt 0
                          (0, Ticks(0.0, 1.0, 0, 3), 0, 3, 0.5, 0.0, 0.0, 2)])  # 0, 1 repeat
 # x + 0.25 + 2**-53 ties in [1, 2): its rounding follows the parity of x
-@example("video", 0.0, [(0, Ticks(1.0, 3 * 2.0 ** -52, 0, 64), 0, 64, 0.25 + 2.0 ** -53, 0.0,
+@example(0.0, [(0, Ticks(1.0, 3 * 2.0 ** -52, 0, 64), 0, 64, 0.25 + 2.0 ** -53, 0.0,
                          0.0, 0)])
 # the ticks cross 1.0, the sum of the tick 0.98 first; then they cross 2.0
-@example("voip", 0.005, [(0, Ticks(0.0, 0.02, 40, 30), 0, 30, 0.03, 0.001, 0.0, 0),
+@example(0.005, [(0, Ticks(0.0, 0.02, 40, 30), 0, 30, 0.03, 0.001, 0.0, 0),
                          (30, Ticks(1.5, 0.02, 0, 40), 0, 40, 0.03, 0.001, 0.0, 1)])
-def test_sink_batch_counts_as_one_packet_calls(kind, playout, calls):
-    batch, single = Sink(FlowStats("b"), kind, playout), Sink(FlowStats("s"), kind, playout)
+def test_sink_batch_counts_as_one_packet_calls(playout, calls):
+    batch, single = Sink(FlowStats("b"), playout), Sink(FlowStats("s"), playout)
     ref = reference_state()
     for seq0, times, lo, hi, a, b, c, spurt in calls:
         verdicts = []
         for k in range(lo, hi):
             now = times[k] + a + b + c
             verdict = single.on_receive(seq0 + k, times[k], now, spurt)
-            assert verdict == classify(ref, kind, playout, seq0 + k, now - times[k], spurt)
+            assert verdict == classify(ref, playout, seq0 + k, now - times[k], spurt)
             verdicts.append(verdict)
         assert batch.receive(seq0, times, lo, hi, a, b, c, spurt) == verdicts[-1]
     for sink in (batch, single):
@@ -501,19 +506,20 @@ def test_seq_set_rejects_negative_seq():
     assert len(seqs) == 0 and -1 not in seqs and 0 not in seqs
 
 
-@pytest.mark.parametrize("kind", ["video", "voip"])
-def test_sink_memory_does_not_grow_per_packet(kind):
+@pytest.mark.parametrize("flow", ["video", "voip"])
+def test_sink_memory_does_not_grow_per_packet(flow):
     """A delivered packet costs the sink one flag byte, not a set entry, an
-    int and a float."""
+    int and a float. A video flow is one spurt; VoIP spurts are 50 packets."""
     n = 100_000
+    per_spurt = n if flow == "video" else 50
     stats = FlowStats("f")
-    sink = Sink(stats, kind)
+    sink = Sink(stats)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for seq in range(n):
             sent_at = seq * 0.02
-            sink.on_receive(seq, sent_at, sent_at + 0.003, spurt=seq // 50)
+            sink.on_receive(seq, sent_at, sent_at + 0.003, spurt=seq // per_spurt)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -13,16 +13,13 @@ its way when the next ones are sent, and with short talk spurts and
 silences the two flows' spurts interleave densely.
 
 The configs and the digest are defined in tests/check_goldens.py, which
-checks this golden without pytest too. Refresh tests/golden/uplink_order.json
-after an intended change of order (say in CHANGES.md why the order changed):
-
-    PYTHONPATH=src python tests/test_uplink_order.py
+checks this golden without pytest too and, with --write, refreshes it after
+an intended change of order (say in CHANGES.md why the order changed).
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -55,14 +52,3 @@ def test_sinks_take_packets_in_golden_order(name):
     want = json.loads(GOLDEN.read_text())[name]
     got = order_digests(calls)
     assert got == want, f"{name}: sink order differs from {GOLDEN.name}: {got}"
-
-
-if __name__ == "__main__":
-    out = {}
-    for name, cfg in sorted(CONFIGS.items()):
-        calls = sink_order(cfg)
-        out[name] = order_digests(calls)
-        counts = {flow: reorders(lines) for flow, lines in calls.items()}
-        print(f"{name}: reordered {counts}", file=sys.stderr)
-    GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}", file=sys.stderr)
