@@ -24,6 +24,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from sink_tap import tapped_scenarios
@@ -83,6 +84,13 @@ EVENT_LOG_CONFIGS = {
                                        expected_handovers=None),
     "foreignx150-hard": ScenarioConfig(scheme="hard", ap_foreign_x=150.0,
                                        expected_handovers=None),
+    "foreignx150-soft": ScenarioConfig(scheme="soft", ap_foreign_x=150.0,
+                                       expected_handovers=None),
+    "foreignx185-soft": ScenarioConfig(scheme="soft", application="video",
+                                       video_rate_bps=0.5e6, speed=10.0,
+                                       ap_foreign_x=185.0, expected_handovers=None),
+    "churn-hard-10-520s": replace(_churn("hard", 10.0), sim_time=520.0,
+                                  expected_handovers=None),
 }
 
 

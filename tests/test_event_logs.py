@@ -18,8 +18,14 @@ different packets interleave. The two VoIP runs with 0.2 s talk spurts and
 0.3 s silences start a spurt in one flow every 0.25 s on average, so the two
 flows' spurt starts and ticks interleave densely.
 
-miss1-bi0.5-soft makes 14 handovers and foreignx150-hard one, so neither
-asserts the count. The configs live in tests/check_goldens.py, which also
+foreignx150-soft (VoIP at 1 m/s, 231 packets lost) and foreignx185-soft
+(0.5 Mb/s video at 10 m/s, 67 lost) pin soft runs whose cells overlap, where
+the foreign AP is heard from the start of the path or long before the home
+AP is lost; churn-hard-10-520s retraces the path 2.6 times, so beacons are
+heard on the way back and on the second sweep as well as the first.
+
+miss1-bi0.5-soft makes 14 handovers, foreignx150-hard one and
+churn-hard-10-520s 26, so none asserts the count. The configs live in tests/check_goldens.py, which also
 checks this golden without pytest and, with --write, refreshes it after an
 intended change of the log (say in CHANGES.md which lines changed and why).
 """
