@@ -105,9 +105,8 @@ class Medium:
         dy = pos[1] - ap.cfg.y
         d2 = dx * dx + dy * dy
         r2 = ap.radius2
-        speed = getattr(iface, "max_speed", 0.0)
-        if speed > 0.0 and r2 > 0.0:
-            reach = abs(math.sqrt(d2) - math.sqrt(r2)) / speed
+        if iface.path is not None and r2 > 0.0:
+            reach = abs(math.sqrt(d2) - math.sqrt(r2)) / iface.path.speed
             cached = self._range_verdicts[key] = (d2 <= r2, t + reach, t - reach)
             return cached
         return (d2 <= r2, t, t)
@@ -234,6 +233,7 @@ class BeaconLedger:
         # iface_id -> (times, AP listened to from each on; None: all)
         self._listening: dict[str, tuple[list[float], list[Optional[AccessPoint]]]] = {}
         self.on_change: Callable[[], None] = lambda: None  # an AP started
+        self._tables: dict[tuple, list[int]] = {}  # (ap, id of the path) -> coverage table
 
     def add_ap(self, ap: "AccessPoint") -> None:
         self.aps.append(ap)
@@ -257,29 +257,45 @@ class BeaconLedger:
         return first_tick(math.nextafter(t, math.inf), ap.cfg.beacon_interval,
                           BEACON_BITS / self.medium.bitrate)
 
+    def _table(self, iface, ap: "AccessPoint") -> list[int]:
+        """The indices of the beacons of ap up to the horizon where the in-range
+        verdict at the interface flips, from out. Medium.in_range decides beacon
+        0, each sent while the path's geometry, solved once, puts the node within
+        a margin far beyond rounding of the coverage edge, and the next one."""
+        path, bi, h = iface.path, ap.cfg.beacon_interval, self.horizon
+        if path is None or path.length == 0.0:  # stationary
+            return [0] if self.medium.in_range(ap, iface.position(0.0)) else []
+        if (ap, id(path)) in self._tables:  # the interfaces of one node share its path
+            return self._tables[ap, id(path)]
+        self._tables[ap, id(path)] = flips = []
+        r = math.sqrt(max(ap.radius2, 0.0))
+        m = 1e-9 * (r + abs(ap.cfg.x) + abs(ap.cfg.y) + abs(path.x1) + abs(path.x2)
+                    + abs(path.y1) + abs(path.y2) + path.speed * h)
+        ring = ([(0.0, h)] if path.speed * bi >= path.length  # retraced between two beacons
+                else path.ring_times(ap.cfg.x, ap.cfg.y, r - m, r + m, h))
+        k = 0
+        for a, b in [(0.0, 0.0)] + ring:  # beacon 0, then those of each ring interval
+            for k in range(max(k, first_tick(a, bi)), first_tick(b, bi) + 1):
+                if self.medium.in_range(ap, iface.position(k * bi)) != len(flips) % 2:
+                    flips.append(k)
+        return flips
+
     def _seek(self, iface, ap: "AccessPoint", k: int, heard: bool = True) -> Optional[int]:
         """The first beacon of ap from index k on that the interface hears
         (misses, if not heard), or None if none is sent by the horizon. It
-        steps to the next listening change, or past the beacons before the
-        node can reach the coverage edge but for the last, judged alone."""
-        bi = ap.cfg.beacon_interval
+        steps from one listening change or flip of the coverage table to the next."""
+        bi, flips = ap.cfg.beacon_interval, self._table(iface, ap)
         times, aps = self._listening[iface.iface_id]
         while k < math.inf and k * bi <= self.horizon:
             i = bisect_right(times, k * bi)
             hi = first_tick(times[i], bi) if i < len(times) else math.inf
-            verdict = (iface.allowed_ap in (None, ap.cfg.ap_id)
-                       and aps[i - 1] in (None, ap))
-            if verdict:
-                pos = iface.position(k * bi)
-                verdict = self.medium.in_range(ap, pos)
-                speed = getattr(iface, "max_speed", 0.0)
-                reach = abs(math.hypot(pos[0] - ap.cfg.x, pos[1] - ap.cfg.y) - math.sqrt(
-                    ap.radius2)) / speed if speed > 0.0 and ap.radius2 > 0.0 else 0.0
-                # a reach past the horizon skips as far as one just past it does;
-                # one near 1e30 s would stall first_tick
-                until = min(k * bi + reach, self.horizon + 2 * bi)
-                hi = min(hi, max(k + 1, first_tick(until, bi) - 1))
-            if verdict == heard:
+            if iface.allowed_ap in (None, ap.cfg.ap_id) and aps[i - 1] in (None, ap):
+                j = bisect_right(flips, k)
+                if j % 2 == heard:
+                    return k
+                if j < len(flips):
+                    hi = min(hi, flips[j])
+            elif not heard:
                 return k
             k = hi
         return None

@@ -33,7 +33,7 @@ class WirelessInterface:
         self.iface_id = iface_id
         self.medium = medium
         self.allowed_ap = allowed_ap  # ap_id this interface may associate with
-        self.max_speed = mn.path.speed  # bound used by the range memo and the beacon ledger
+        self.path = mn.path  # read by the range memo and the beacon ledger
         self.ap: Optional[AccessPoint] = None  # set while associated
         medium.beacons.add_iface(self)
 

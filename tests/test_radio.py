@@ -59,6 +59,8 @@ def test_doubling_distance_adds_six_db():
 
 
 class StubIface:
+    path = None  # stationary
+
     def __init__(self, iface_id, pos, allowed_ap=None):
         self.iface_id = iface_id
         self.pos = pos
@@ -222,7 +224,6 @@ class PathIface(StubIface):
         super().__init__("i", None)
         self.sim = sim
         self.path = path
-        self.max_speed = path.speed
 
     def position(self, t):
         return self.path.position(t)
@@ -344,13 +345,31 @@ def ledger_cases(draw):
 # the first row runs 1e-9 m inside the edge for its whole length
 @example((TractorPath(0.0, 0.0, 200.0, 20.0, 2, 4.0), (100.0, R - 1e-9), 0.1,
           "ap", [(3.0, "other"), (7.5, None)], 60.0, [0.0, 20.0], 1))
+# the whole path lies inside the disc
+@example((TractorPath(0.0, 0.0, 100.0, 20.0, 2, 5.0), (50.0, 10.0), 0.1,
+          None, [(4.0, "other"), (9.0, None)], 60.0, [0.0, 30.0], 2))
+# the start vertex lies inside the disc and the far end outside: the node
+# turns around in coverage at every period boundary (a period is 124 s)
+@example((TractorPath(0.0, 0.0, 300.0, 20.0, 2, 10.0), (-100.0, 0.0), 0.1,
+          None, [], 300.0, [0.0, 100.0, 240.0], 3))
+# the first row passes through the AP
+@example((TractorPath(0.0, 0.0, 400.0, 50.0, 2, 8.0), (200.0, 0.0), 0.05,
+          None, [(20.0, "ap")], 120.0, [0.0, 60.0], 1))
+# 4.5 periods of 10 s, entering and leaving coverage once in each
+@example((TractorPath(0.0, 0.0, 100.0, 10.0, 1, 20.0), (250.0, 5.0), 0.1,
+          "ap", [(12.0, None)], 45.0, [0.0, 10.0, 33.0], 3))
+# a stationary interface, which has no path, and a path of no length
+@example(((100.0, 0.0), (0.0, 0.0), 0.25, None, [(2.0, "other"), (6.0, "ap")],
+          20.0, [0.0, 5.0], 2))
+@example((TractorPath(10.0, 10.0, 10.0, 10.0, 1, 5.0), (0.0, 0.0), 0.25,
+          None, [(2.0, "other"), (6.0, None)], 20.0, [0.0, 5.0], 2))
 def test_ledger_matches_a_scan_of_every_beacon(case):
     path, ap_xy, bi, allowed, changes, horizon, starts, m = case
     sim = Simulator()
     med = Medium(sim)
     ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1], beacon_interval=bi),
                      med, router=None)
-    iface = PathIface(sim, path)
+    iface = PathIface(sim, path) if isinstance(path, TractorPath) else StubIface("i", path)
     iface.allowed_ap = allowed
     listened = {None: None, "ap": ap,
                 "other": AccessPoint(sim, ApConfig("other", 0.0, 0.0), med, router=None)}
