@@ -1,6 +1,6 @@
 """Rebuild the golden outputs with the standard library alone, and compare.
 
-    PYTHONPATH=src python tests/check_goldens.py [--write]
+    PYTHONPATH=src python tests/check_goldens.py [--write | --random N]
 
 The package supports every Python from 3.10 on (pyproject.toml), and an
 interpreter may have no pytest. This script needs none. It rebuilds the
@@ -16,12 +16,22 @@ test_sinks_take_packets_in_golden_order).
 With --write it rewrites every golden file from the rebuilt outputs
 instead, after an intended change of output; say in CHANGES.md which bytes
 changed and why.
+
+With --random N it checks no golden: it prints, for each of N random
+configs drawn from fixed seeds (AP positions, speeds, fields, beacon
+intervals, miss thresholds, both schemes and applications), the event log's
+SHA-256 and the CSV row. Two trees give the same lines if and only if their
+outputs agree on every one of those configs, so a diff of the two printouts
+checks a refactor that should change no byte beyond the goldens:
+
+    PYTHONPATH=src python tests/check_goldens.py --random 500 > new.txt
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 import tempfile
 from dataclasses import replace
@@ -116,6 +126,22 @@ UPLINK_ORDER_CONFIGS = {
 }
 
 
+def random_config(i: int) -> ScenarioConfig:
+    """Config number i of --random: the same for every tree and Python."""
+    rng = random.Random(i)
+    x1, y1 = rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)
+    x2, y2 = x1 + rng.uniform(1.0, 400.0), y1 + rng.uniform(0.0, 100.0)
+    return ScenarioConfig(
+        scheme=rng.choice(["hard", "soft"]), application=rng.choice(["video", "voip"]),
+        video_rate_bps=rng.choice([64000.0, 0.5e6, 2e6]), speed=rng.uniform(1.0, 20.0),
+        sim_time=rng.choice([None, rng.uniform(10.0, 400.0)]), seed=rng.randint(1, 1000),
+        field_x1=x1, field_y1=y1, field_x2=x2, field_y2=y2, row_count=rng.randint(1, 8),
+        ap_home_x=rng.uniform(-200.0, 400.0), ap_home_y=rng.uniform(-150.0, 200.0),
+        ap_foreign_x=rng.uniform(-200.0, 400.0), ap_foreign_y=rng.uniform(-150.0, 200.0),
+        beacon_interval=rng.uniform(0.02, 0.6), miss_threshold=rng.randint(1, 5),
+        foreign_link_delay=rng.uniform(0.0, 0.05), expected_handovers=None)
+
+
 def log_digest(cfg: ScenarioConfig) -> dict[str, object]:
     """SHA-256 and line count of the event log, as --event-log writes it."""
     trace: list[str] = []
@@ -195,8 +221,15 @@ def compare(got: dict[str, object]) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--random" and argv[1].isdigit():
+        for i in range(int(argv[1])):
+            trace: list[str] = []
+            row = run_experiment(random_config(i), trace_sink=trace).metrics.to_row()
+            text = "\n".join(trace) + "\n"
+            print(i, hashlib.sha256(text.encode()).hexdigest(), ",".join(row), flush=True)
+        return 0
     if argv not in ([], ["--write"]):
-        print("usage: check_goldens.py [--write]", file=sys.stderr)
+        print("usage: check_goldens.py [--write | --random N]", file=sys.stderr)
         return 2
     got = rebuild()
     if argv:
