@@ -70,10 +70,9 @@ class Medium:
         self.bitrate = bitrate
         self.d_ref = d_ref
         self.drop_hook = drop_hook  # takes the runs of app packets lost out of range
+        self.horizon = math.inf  # the end of the run
         self.beacons = BeaconLedger(self)
-        # (ap, iface) -> (verdict, valid_until, valid_since): a range verdict cannot
-        # flip within the time the node needs to cover its margin to the coverage edge
-        self._range_verdicts: dict[tuple, tuple[bool, float, float]] = {}
+        self._coverage: dict[tuple, tuple[list[float], list]] = {}  # (ap, iface) -> table
 
     def coverage_radius2(self, tx_power_dbm: float) -> float:
         """Squared closed-form coverage radius: cheaper to compare against on
@@ -90,26 +89,44 @@ class Medium:
         dy = pos[1] - ap.cfg.y
         return dx * dx + dy * dy <= ap.radius2
 
-    def in_range_moving(self, ap: "AccessPoint", iface, t: float) -> tuple[bool, float, float]:
-        """Range verdict at time t for a node of bounded speed, and the times
-        until and since which it holds: the node cannot cross the coverage
-        edge before it has covered its distance to it. Memoized per (ap,
-        iface): a verdict judged at t_c answers every query with |t - t_c| <
-        margin / speed, in whatever order the queries come."""
-        key = (ap, iface)
-        cached = self._range_verdicts.get(key)
-        if cached is not None and cached[2] < t < cached[1]:
-            return cached
-        pos = iface.position(t)
-        dx = pos[0] - ap.cfg.x
-        dy = pos[1] - ap.cfg.y
-        d2 = dx * dx + dy * dy
-        r2 = ap.radius2
-        if iface.path is not None and r2 > 0.0:
-            reach = abs(math.sqrt(d2) - math.sqrt(r2)) / iface.path.speed
-            cached = self._range_verdicts[key] = (d2 <= r2, t + reach, t - reach)
-            return cached
-        return (d2 <= r2, t, t)
+    def coverage(self, ap: "AccessPoint", iface) -> tuple[list[float], list]:
+        """Where the interface hears ap up to the horizon, solved once per run:
+        the ends of the rings, the intervals in which the node is within a
+        margin of the coverage edge, in order and then the horizon; and the
+        verdict of each gap before, between and after them (None if empty),
+        Medium.in_range at its midpoint. The margin, 1e-9 of the sum of the
+        radius, the distance travelled and the absolute AP and field-corner
+        coordinates, lies far beyond rounding: in a gap the verdict cannot flip.
+        A stationary node has no ring. A path retraced between two beacons
+        (speed times beacon_interval at least its length), or any path with no
+        horizon, is one ring: its periods are too many to unfold."""
+        if (ap, iface) in self._coverage:
+            return self._coverage[ap, iface]
+        path, h = iface.path, self.horizon
+        if path is None or path.length == 0.0:
+            rings = []
+        elif h == math.inf or path.speed * ap.cfg.beacon_interval >= path.length:
+            rings = [(0.0, h)]
+        else:
+            r = math.sqrt(max(ap.radius2, 0.0))
+            m = 1e-9 * (r + abs(ap.cfg.x) + abs(ap.cfg.y) + abs(path.x1) + abs(path.x2)
+                        + abs(path.y1) + abs(path.y2) + path.speed * h)
+            rings = path.ring_times(ap.cfg.x, ap.cfg.y, r - m, r + m, h)
+        ends = [t for ring in rings for t in ring] + [h]
+        verdicts = [self.in_range(ap, iface.position((a + b) / 2)) if a < b else None
+                    for a, b in zip([0.0] + ends[1::2], ends[::2])]
+        self._coverage[ap, iface] = ends, verdicts
+        return ends, verdicts
+
+    def in_range_moving(self, ap: "AccessPoint", iface, t: float) -> tuple[bool, float]:
+        """Range verdict at time t and the time until which it holds, read
+        from the coverage table: in a gap, the gap's verdict until its end; in
+        a ring or from the horizon on, Medium.in_range judged at t, until t."""
+        ends, verdicts = self.coverage(ap, iface)
+        i = bisect_right(ends, t)
+        if i % 2:
+            return self.in_range(ap, iface.position(t)), t
+        return verdicts[i // 2], ends[i]
 
     def ap_to_iface(self, ap: "AccessPoint", iface, frame: Frame) -> None:
         if self.in_range_moving(ap, iface, self.sim.now)[0]:
@@ -151,16 +168,17 @@ class Medium:
                    at: Callable[[float], float]) -> list[tuple[int, int, bool]]:
         """Packets lo..hi-1 of a run as (first, end, in range) pieces, cut
         where the range verdict at a packet's time at(times[k]) changes; at
-        must not decrease. The memo is queried once per verdict horizon, at
-        the first packet past it, found in closed form."""
-        inside, until, _ = self.in_range_moving(ap, iface, at(times[lo]))
+        must not decrease. The coverage table is read once per gap, at the
+        first packet past the one before, found in closed form, and once per
+        packet in a ring."""
+        inside, until = self.in_range_moving(ap, iface, at(times[lo]))
         pieces = []
         first = i = lo
         while True:
             i = times.bisect(until, i + 1, hi, at)  # the first the verdict may not cover
             if i == hi:
                 break
-            verdict, until, _ = self.in_range_moving(ap, iface, at(times[i]))
+            verdict, until = self.in_range_moving(ap, iface, at(times[i]))
             if verdict != inside:
                 pieces.append((first, i, inside))
                 first, inside = i, verdict
@@ -223,17 +241,16 @@ class BeaconLedger:
     started AP is sent at k * beacon_interval and arrives BEACON_BITS /
     bitrate later at each interface that, at the send time, may associate
     with the AP, listens to it or to every AP (a change at that instant
-    counts) and is in range. Searches stop at the horizon, the end of the run."""
+    counts) and is in range, as the medium's coverage table says. Searches
+    stop at the medium's horizon, the end of the run."""
 
     def __init__(self, medium: Medium):
         self.medium = medium
-        self.horizon = math.inf
         self.aps: list[AccessPoint] = []  # started, in the order they beacon at one instant
         self.ifaces: dict[str, Any] = {}  # iface_id -> interface, in the order beacons reach them
         # iface_id -> (times, AP listened to from each on; None: all)
         self._listening: dict[str, tuple[list[float], list[Optional[AccessPoint]]]] = {}
         self.on_change: Callable[[], None] = lambda: None  # an AP started
-        self._tables: dict[tuple, list[int]] = {}  # (ap, id of the path) -> coverage table
 
     def add_ap(self, ap: "AccessPoint") -> None:
         self.aps.append(ap)
@@ -257,44 +274,21 @@ class BeaconLedger:
         return first_tick(math.nextafter(t, math.inf), ap.cfg.beacon_interval,
                           BEACON_BITS / self.medium.bitrate)
 
-    def _table(self, iface, ap: "AccessPoint") -> list[int]:
-        """The indices of the beacons of ap up to the horizon where the in-range
-        verdict at the interface flips, from out. Medium.in_range decides beacon
-        0, each sent while the path's geometry, solved once, puts the node within
-        a margin far beyond rounding of the coverage edge, and the next one."""
-        path, bi, h = iface.path, ap.cfg.beacon_interval, self.horizon
-        if path is None or path.length == 0.0:  # stationary
-            return [0] if self.medium.in_range(ap, iface.position(0.0)) else []
-        if (ap, id(path)) in self._tables:  # the interfaces of one node share its path
-            return self._tables[ap, id(path)]
-        self._tables[ap, id(path)] = flips = []
-        r = math.sqrt(max(ap.radius2, 0.0))
-        m = 1e-9 * (r + abs(ap.cfg.x) + abs(ap.cfg.y) + abs(path.x1) + abs(path.x2)
-                    + abs(path.y1) + abs(path.y2) + path.speed * h)
-        ring = ([(0.0, h)] if path.speed * bi >= path.length  # retraced between two beacons
-                else path.ring_times(ap.cfg.x, ap.cfg.y, r - m, r + m, h))
-        k = 0
-        for a, b in [(0.0, 0.0)] + ring:  # beacon 0, then those of each ring interval
-            for k in range(max(k, first_tick(a, bi)), first_tick(b, bi) + 1):
-                if self.medium.in_range(ap, iface.position(k * bi)) != len(flips) % 2:
-                    flips.append(k)
-        return flips
-
     def _seek(self, iface, ap: "AccessPoint", k: int, heard: bool = True) -> Optional[int]:
         """The first beacon of ap from index k on that the interface hears
         (misses, if not heard), or None if none is sent by the horizon. It
-        steps from one listening change or flip of the coverage table to the next."""
-        bi, flips = ap.cfg.beacon_interval, self._table(iface, ap)
+        steps from one listening change or gap of the coverage table to the next."""
+        bi = ap.cfg.beacon_interval
         times, aps = self._listening[iface.iface_id]
-        while k < math.inf and k * bi <= self.horizon:
+        while k < math.inf and k * bi <= self.medium.horizon:
             i = bisect_right(times, k * bi)
             hi = first_tick(times[i], bi) if i < len(times) else math.inf
             if iface.allowed_ap in (None, ap.cfg.ap_id) and aps[i - 1] in (None, ap):
-                j = bisect_right(flips, k)
-                if j % 2 == heard:
+                inside, until = self.medium.in_range_moving(ap, iface, k * bi)
+                if inside == heard:
                     return k
-                if j < len(flips):
-                    hi = min(hi, flips[j])
+                if until < hi * bi:  # the first beacon from until on, past k
+                    hi = max(k + 1, first_tick(until, bi))
             elif not heard:
                 return k
             k = hi

@@ -33,7 +33,7 @@ class WirelessInterface:
         self.iface_id = iface_id
         self.medium = medium
         self.allowed_ap = allowed_ap  # ap_id this interface may associate with
-        self.path = mn.path  # read by the range memo and the beacon ledger
+        self.path = mn.path  # read by the medium's coverage table
         self.ap: Optional[AccessPoint] = None  # set while associated
         medium.beacons.add_iface(self)
 
@@ -133,7 +133,7 @@ class MobileNode:
 
         No control state changes inside a run, so its fate up to the radio
         is decided once: home address, tunnel wrap, serving interface and
-        route. Medium.range_cuts judges range once per verdict horizon.
+        route. Medium.range_cuts judges range once per gap of the coverage table.
         """
         hoa = self.host.home_address
         if hoa is None or hoa.scope != "global":
@@ -439,7 +439,7 @@ class Scenario:
                              sensitivity_dbm=cfg.sensitivity_dbm,
                              bitrate=cfg.bitrate, d_ref=cfg.d_ref,
                              drop_hook=self._on_drop)
-        self.medium.beacons.horizon = cfg.sim_time_resolved
+        self.medium.horizon = cfg.sim_time_resolved
 
         ha_addr = Address(cfg.home_prefix, derive_iid("ha", 0))
         fr_addr = Address(cfg.foreign_prefix, derive_iid("fr", 0))

@@ -103,7 +103,7 @@ def test_broadcast_respects_the_ap_listened_to_and_range():
     ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0), med, router=None)
     other = AccessPoint(sim, ApConfig("other", 0.0, 0.0), med, router=None)
     med.beacons.add_ap(ap)
-    med.beacons.horizon = 0.0  # the beacon sent at time 0 only
+    med.horizon = 0.0  # the beacon sent at time 0 only
     near = StubIface("near", (50.0, 0.0))
     elsewhere = StubIface("elsewhere", (50.0, 0.0))
     far = StubIface("far", (400.0, 0.0))
@@ -121,7 +121,7 @@ def test_broadcast_skips_an_interface_bound_to_another_ap():
     med = _medium(sim)
     ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0), med, router=None)
     med.beacons.add_ap(ap)
-    med.beacons.horizon = 0.0
+    med.horizon = 0.0
     bound_here = StubIface("here", (50.0, 0.0), allowed_ap="ap")
     bound_elsewhere = StubIface("elsewhere", (50.0, 0.0), allowed_ap="other")
     for i in (bound_here, bound_elsewhere):
@@ -238,19 +238,19 @@ def test_range_memo_agrees_with_uncached_check(speed, ap_xy, steps):
     med = Medium(sim)
     ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1]), med, router=None)
     iface = PathIface(sim, TractorPath(4.0, 0.0, 196.0, 50.0, 5, speed))
-    # a beacon-ledger lookahead first: had it gone through the memo, the
-    # verdict it left for a late time would answer the earlier queries below
+    # a beacon-ledger lookahead first: it reads the same coverage table, and
+    # must leave nothing there that answers the earlier queries below
     ledger = med.beacons
     ledger.add_ap(ap)
     ledger.add_iface(iface)
-    ledger.horizon = sum(steps) + 60.0
+    med.horizon = sum(steps) + 60.0
     ledger.next_beacon(["i"], sum(steps), None)
     ledger.next_beacon(["i"], sum(steps), 0.3)
     ledger.loss_time("i", sum(steps), 0.35)
     t = 0.0
     for dt in steps:
         t += dt
-        verdict, until, _ = med.in_range_moving(ap, iface, t)
+        verdict, until = med.in_range_moving(ap, iface, t)
         assert verdict == med.in_range(ap, iface.position(t)), \
             f"t={t} pos={iface.position(t)}"
         # the verdict is claimed to hold until `until`
@@ -272,6 +272,7 @@ def test_range_memo_answers_queries_in_any_order(speed, ap_xy, times):
     med = Medium(sim)
     ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1]), med, router=None)
     iface = PathIface(sim, TractorPath(4.0, 0.0, 196.0, 50.0, 5, speed))
+    med.horizon = 150.0  # with none, every query is judged on its own
     for t in times:
         assert med.in_range_moving(ap, iface, t)[0] == med.in_range(ap, iface.position(t)), \
             f"t={t} pos={iface.position(t)}"
@@ -363,6 +364,9 @@ def ledger_cases(draw):
           20.0, [0.0, 5.0], 2))
 @example((TractorPath(10.0, 10.0, 10.0, 10.0, 1, 5.0), (0.0, 0.0), 0.25,
           None, [(2.0, "other"), (6.0, None)], 20.0, [0.0, 5.0], 2))
+# a path retraced between two beacons, across the coverage edge
+@example((TractorPath(0.0, 0.0, 1.0, 0.0, 1, 20.0), (R + 0.5, 0.0), 0.1,
+          None, [(3.0, "other"), (4.0, None)], 30.0, [0.0, 10.0], 2))
 def test_ledger_matches_a_scan_of_every_beacon(case):
     path, ap_xy, bi, allowed, changes, horizon, starts, m = case
     sim = Simulator()
@@ -376,7 +380,7 @@ def test_ledger_matches_a_scan_of_every_beacon(case):
     ledger = med.beacons
     ledger.add_ap(ap)
     ledger.add_iface(iface)
-    ledger.horizon = horizon
+    med.horizon = horizon
     for t, ap_id in changes:
         sim.run_until(t)
         ledger.listen(iface, listened[ap_id])
@@ -393,6 +397,42 @@ def test_ledger_matches_a_scan_of_every_beacon(case):
         assert got == want or (got > horizon and want > horizon), start
 
 
+@settings(max_examples=300, deadline=None)
+@given(ledger_cases(), st.lists(st.floats(0.0, 2.0), min_size=1, max_size=20))
+# a path retraced between two beacons (2 m per interval over a 1 m field)
+# that crosses the coverage edge at x = 0.5: one ring, every query judged alone
+@example((TractorPath(0.0, 0.0, 1.0, 0.0, 1, 20.0), (R + 0.5, 0.0), 0.1,
+          None, [], 30.0, [0.0], 1), [0.0, 0.01, 0.0125, 0.3, 1.0, 1.5])
+# a stationary interface, which has no path, and a path of no length
+@example(((100.0, 0.0), (0.0, 0.0), 0.25, None, [], 20.0, [0.0], 1), [0.0, 0.5, 1.5])
+@example((TractorPath(10.0, 10.0, 10.0, 10.0, 1, 5.0), (R + 10.0, 10.0), 0.25,
+          None, [], 20.0, [0.0], 1), [0.0, 1.0, 2.0])
+def test_coverage_table_matches_exact_checks(case, fractions):
+    # every range verdict the table gives, in a gap, in a ring or past the
+    # horizon, is the exact check's at its time and at the middle of the
+    # span it is said to hold over; so is each gap's, from end to end
+    path, ap_xy, bi, _, _, horizon, _, _ = case
+    sim = Simulator()
+    med = Medium(sim)
+    med.horizon = horizon
+    ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1], beacon_interval=bi),
+                     med, router=None)
+    iface = PathIface(sim, path) if isinstance(path, TractorPath) else StubIface("i", path)
+
+    def exact(t):
+        return med.in_range(ap, iface.position(t))
+
+    ends, verdicts = med.coverage(ap, iface)
+    assert ends == sorted(ends) and ends[-1] == horizon
+    for t in [f * horizon for f in fractions] + ends:
+        verdict, until = med.in_range_moving(ap, iface, t)
+        assert until >= t and verdict == exact(t) == exact((t + until) / 2), t
+    for a, b, verdict in zip([0.0] + ends[1::2], ends[::2], verdicts):
+        if a < b:
+            assert all(exact(a + f * (b - a)) == verdict
+                       for f in [0.0, 0.5, 1.0] + [f for f in fractions if f < 1.0]), (a, b)
+
+
 def test_ledger_ties_a_listening_change_and_a_loss_check_at_a_beacon_instant():
     # beacon 1 goes out at the instant the interface turns to another AP,
     # beacon 2 at the instant it turns back: each meets the new state. Arrival 2 lands
@@ -405,7 +445,7 @@ def test_ledger_ties_a_listening_change_and_a_loss_check_at_a_beacon_instant():
     ledger = med.beacons
     ledger.add_ap(ap)
     ledger.add_iface(iface)
-    ledger.horizon = 5.0
+    med.horizon = 5.0
     for t, listened in ((0.5, other), (1.0, None)):
         sim.run_until(t)
         ledger.listen(iface, listened)
