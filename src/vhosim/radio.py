@@ -295,30 +295,27 @@ class BeaconLedger:
         return None
 
     def _appearance(self, iface, ap: "AccessPoint", start: float,
-                    gap: Optional[float]) -> Optional[int]:
-        """The first beacon of ap heard at or after start whose previous
-        heard beacon arrived more than gap before it (or none did)."""
+                    misses: Optional[int]) -> Optional[int]:
+        """The first beacon of ap heard at or after start over misses beacon
+        intervals after the previous heard beacon (or with none before it)."""
         k0 = self._index(ap, math.nextafter(start, -math.inf))
-        bi = ap.cfg.beacon_interval
-        # a beacon heard over gap + 2 intervals before k0 leaves every later one fresh
-        p, k = None, self._seek(iface, ap, k0 if gap is None else max(0, k0 - int(gap / bi) - 2))
-        while k is not None and (k < k0 or gap is not None and p is not None
-                                 and not self.arrival(ap, k) - self.arrival(ap, p) > gap):
-            if gap >= 2 * bi:  # in a run of heard beacons only the first may be fresh
-                u = self._seek(iface, ap, k + 1, heard=False)
-                p, k = (k, None) if u is None else (u - 1, self._seek(iface, ap, u))
-            else:
-                p, k = k, self._seek(iface, ap, k + 1)
+        # only a beacon heard at most misses intervals before k0 leaves one stale
+        p, k = None, self._seek(iface, ap, k0 if misses is None else max(0, k0 - misses))
+        while k is not None and (k < k0 or misses is not None and p is not None
+                                 and not k - p > misses):
+            # a run of heard beacons is one interval apart: only its first may be fresh
+            u = self._seek(iface, ap, k + 1, heard=False)
+            p, k = (k, None) if u is None else (u - 1, self._seek(iface, ap, u))
         return k
 
-    def next_beacon(self, iface_ids, start: float, gap: Optional[float]):
+    def next_beacon(self, iface_ids, start: float, misses: Optional[int]):
         """(arrival, iface_id, ap) of the first beacon arriving at or after
-        start on one of the interfaces whose AP that interface last heard more
-        than gap before (or never; any if gap is None), or None. Beacons
-        arriving together go in AP order, then interface order."""
+        start on one of the interfaces that heard its AP last over misses
+        beacon intervals before (or never; any if misses is None), or None.
+        Beacons arriving together go in AP order, then interface order."""
         return min(((self.arrival(ap, k), iface_id, ap) for ap in self.aps
                     for iface_id, iface in self.ifaces.items() if iface_id in iface_ids
-                    and (k := self._appearance(iface, ap, start, gap)) is not None),
+                    and (k := self._appearance(iface, ap, start, misses)) is not None),
                    default=None, key=lambda hit: hit[0])
 
     def loss_time(self, iface_id: str, check: float, window: float) -> float:

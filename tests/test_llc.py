@@ -8,7 +8,8 @@ from vhosim.llc import VhoController
 
 class ScriptedBeacons:
     """A beacon ledger whose arrivals the test writes down as it goes; it
-    answers the controller's queries by scanning them."""
+    answers the controller's queries by scanning them. They come on the
+    controller's grid of 0.1 s beacon intervals."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -22,12 +23,12 @@ class ScriptedBeacons:
         self.heard.append((self.sim.now, iface, (ap_id, ap)))
         self.on_change()
 
-    def next_beacon(self, iface_ids, start, gap):
+    def next_beacon(self, iface_ids, start, misses):
         for t, iface, ap in self.heard:
             if t < start or iface not in iface_ids:
                 continue
             before = [u for u, i, a in self.heard if i == iface and a == ap and u < t]
-            if gap is None or not before or t - before[-1] > gap:
+            if misses is None or not before or round((t - before[-1]) / 0.1) > misses:
                 return (t, iface, ap)
         return None
 

@@ -245,7 +245,7 @@ def test_range_memo_agrees_with_uncached_check(speed, ap_xy, steps):
     ledger.add_iface(iface)
     med.horizon = sum(steps) + 60.0
     ledger.next_beacon(["i"], sum(steps), None)
-    ledger.next_beacon(["i"], sum(steps), 0.3)
+    ledger.next_beacon(["i"], sum(steps), 3)
     ledger.loss_time("i", sum(steps), 0.35)
     t = 0.0
     for dt in steps:
@@ -282,9 +282,9 @@ R = math.sqrt(Medium(None).coverage_radius2(0.0))  # coverage radius at the defa
 
 
 def _heard(med, ap, iface, changes, horizon):
-    """Arrival times of the beacons of ap that the interface hears, by a
-    scan over every beacon sent by the horizon; changes are (time, id of the
-    AP listened to from then on, None: all)."""
+    """Indices of the beacons of ap that the interface hears, by a scan over
+    every beacon sent by the horizon; changes are (time, id of the AP
+    listened to from then on, None: all)."""
     bi = ap.cfg.beacon_interval
     out = []
     k = 0
@@ -293,14 +293,16 @@ def _heard(med, ap, iface, changes, horizon):
         tuned = [ap_id for t, ap_id in changes if t <= s]
         if (iface.allowed_ap in (None, "ap") and (tuned[-1] if tuned else None) in (None, "ap")
                 and med.in_range(ap, iface.position(s))):
-            out.append(s + 640 / med.bitrate)
+            out.append(k)
         k += 1
     return out
 
 
-def _fresh(arrivals, start, gap):
-    for i, a in enumerate(arrivals):
-        if a >= start and (gap is None or i == 0 or a - arrivals[i - 1] > gap):
+def _fresh(heard, arrivals, start, misses):
+    """The arrival of the first heard beacon arriving at or after start over
+    misses beacon intervals after the heard one before it, if any."""
+    for i, (k, a) in enumerate(zip(heard, arrivals)):
+        if a >= start and (misses is None or i == 0 or k - heard[i - 1] > misses):
             return a
     return None
 
@@ -384,13 +386,14 @@ def test_ledger_matches_a_scan_of_every_beacon(case):
     for t, ap_id in changes:
         sim.run_until(t)
         ledger.listen(iface, listened[ap_id])
-    arrivals = _heard(med, ap, iface, changes, horizon)
+    heard = _heard(med, ap, iface, changes, horizon)
+    arrivals = [k * bi + 640 / med.bitrate for k in heard]
     window = (m + 0.5) * bi
     for start in starts + arrivals[:3] + arrivals[-3:]:
-        for gap in (None, m * bi):
-            want = _fresh(arrivals, start, gap)
-            got = ledger.next_beacon(["i"], start, gap)
-            assert got == (None if want is None else (want, "i", ap)), (start, gap)
+        for misses in (None, m):
+            want = _fresh(heard, arrivals, start, misses)
+            got = ledger.next_beacon(["i"], start, misses)
+            assert got == (None if want is None else (want, "i", ap)), (start, misses)
         want = _loss(arrivals, start + window, window)
         got = ledger.loss_time("i", start + window, window)
         # past the horizon the ledger need not know when the loss comes

@@ -69,6 +69,17 @@ def test_soft_run_has_ten_handovers_and_no_gap(soft_voip):
     assert llc.gap_intervals == []
 
 
+@pytest.mark.parametrize("beacon_interval", [0.1, 0.5])
+def test_one_missed_beacon_counts_whole_intervals(beacon_interval):
+    # with miss_threshold = 1 a network is fresh after one missed beacon:
+    # two heard beacons one interval apart never are, however the difference
+    # of their arrival times rounds (it once gave 2,158 handovers at 0.1 s)
+    cfg = ScenarioConfig(scheme="soft", miss_threshold=1, beacon_interval=beacon_interval)
+    llc = run_experiment(cfg).scenario.mn.llc
+    assert llc.handover_count == 10
+    assert llc.gap_intervals == []
+
+
 def test_soft_uplink_sees_no_loss(soft_voip):
     flow = soft_voip.scenario.flows["voip-ul"]
     assert flow.sent > 1000
