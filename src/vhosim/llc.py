@@ -76,9 +76,9 @@ class VhoController:
         flight, if nothing serves or its network appears fresh."""
         plan = None
         if self.candidate is None:
-            misses = None if self.serving is None else self.miss_threshold
             plan = self.beacons.next_beacon(
-                [i for i in self.beacons.ifaces if i not in self._associated], self.sim.now, misses)
+                [i for i in self.beacons.ifaces if i not in self._associated], self.sim.now,
+                None if self.serving is None else self.miss_threshold)
         if self._next_beacon is not None:
             self.sim.cancel(self._next_beacon)
         self._next_beacon = None if plan is None else self.beacons.deliver(*plan)

@@ -24,12 +24,13 @@ the foreign AP is heard from the start of the path or long before the home
 AP is lost; churn-hard-10-520s retraces the path 2.6 times, so beacons are
 heard on the way back and on the second sweep as well as the first.
 
-miss1-bi0.5-soft makes 10 handovers, as a fresh network is one heard over
-one whole beacon interval after the last; it made 14 while arrival times
-were compared as floats. foreignx150-hard makes one handover and
-churn-hard-10-520s 26, so neither asserts the count. The configs live in tests/check_goldens.py, which also
-checks this golden without pytest and, with --write, refreshes it after an
-intended change of the log (say in CHANGES.md which lines changed and why).
+miss1-bi0.5-soft makes 10 handovers: a network is fresh when heard over one
+whole beacon interval after the last heard beacon (it made 14 while arrival
+times were compared as floats). foreignx150-hard makes one handover and
+churn-hard-10-520s 26, so none of the three asserts the count. The configs
+live in tests/check_goldens.py, which also checks this golden without pytest
+and, with --write, refreshes it after an intended change of the log (say in
+CHANGES.md which lines changed and why).
 """
 
 from __future__ import annotations
