@@ -20,9 +20,9 @@ changed and why.
 With --random N it checks no golden: it prints, for each of N random
 configs drawn from fixed seeds (AP positions, speeds, fields, beacon
 intervals, miss thresholds, both schemes and applications), the event log's
-SHA-256 and the CSV row. Two trees give the same lines if and only if their
-outputs agree on every one of those configs, so a diff of the two printouts
-checks a refactor that should change no byte beyond the goldens:
+SHA-256 and the CSV row. Two trees print the same lines when their outputs
+agree on every one of those configs, so a diff of the two printouts checks
+a refactor that should change no byte beyond the goldens:
 
     PYTHONPATH=src python tests/check_goldens.py --random 500 > new.txt
 """
