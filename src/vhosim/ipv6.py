@@ -1,14 +1,15 @@
 """Minimal IPv6 host plane: router advertisements, SLAAC, DAD, routing table.
 
-Addresses are a 64-bit prefix plus a 64-bit interface identifier with a
-tentative/global scope tag. DAD is a pure delay followed by the
-tentative-to-global transition; no duplicate ever exists at this scale.
+An address is a 64-bit prefix plus a 64-bit interface identifier and
+carries nothing else: whether DAD validated it is the host's to know
+(Ipv6Host.validated). DAD is a pure delay; no duplicate ever exists at
+this scale.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .engine import EventHandle, Simulator
@@ -22,18 +23,10 @@ def derive_iid(node_id: str, iface_index: int) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Address:
     prefix: int
     iid: int
-    scope: str = "global"  # tentative | global
-
-    def __eq__(self, other):
-        return (isinstance(other, Address)
-                and self.prefix == other.prefix and self.iid == other.iid)
-
-    def __hash__(self):
-        return hash((self.prefix, self.iid))
 
     def __str__(self):
         val = (self.prefix << 64) | self.iid
@@ -94,24 +87,19 @@ class RoutingTable:
         return default
 
 
-@dataclass
-class InterfaceRecord:
-    addresses: list[Address] = field(default_factory=list)
-    on_link_prefix: Optional[int] = None
-
-    def address_for_prefix(self, prefix: Optional[int]) -> Optional[Address]:
-        for a in self.addresses:
-            if a.prefix == prefix:
-                return a
-        return None
-
-
 class Ipv6Host:
-    """Host-side IPv6 for the mobile node.
+    """Host-side IPv6 for the mobile node, and the one owner of address
+    validity.
+
+    Each interface holds at most one address, on its current link: the home
+    address on the home prefix, else the RA's prefix plus the interface's
+    identifier. `validated` holds the addresses DAD validated. An
+    interface's own address leaves it when its link is released; the home
+    address stays in it for good, so a return home reuses it without DAD.
 
     on_address_global(iface_id) is invoked whenever an interface gains a
-    usable global address for its on-link prefix (after DAD, or immediately
-    when a previously validated address is reused on returning home).
+    validated address on its link (after DAD, or at once when the validated
+    home address is reused on returning home).
     """
 
     def __init__(self, sim: Simulator, node_id: str,
@@ -121,7 +109,8 @@ class Ipv6Host:
         self.node_id = node_id
         self.dad_duration = dad_duration
         self.notify_global = on_address_global
-        self.records: dict[str, InterfaceRecord] = {}
+        self.addresses: dict[str, Optional[Address]] = {}
+        self.validated: set[Address] = set()
         self.routes = RoutingTable()
         self.home_address: Optional[Address] = None
         self.ha_address: Optional[Address] = None
@@ -130,63 +119,47 @@ class Ipv6Host:
         self.dad_log: list[tuple[float, str, Address]] = []
 
     def add_interface(self, iface_id: str, index: int) -> None:
-        self.records[iface_id] = InterfaceRecord()
+        self.addresses[iface_id] = None
         self._iface_index[iface_id] = index
 
     def iid(self, iface_id: str) -> int:
         return derive_iid(self.node_id, self._iface_index[iface_id])
 
-    # -- neighbor discovery --------------------------------------------------
+    # -- neighbor discovery and address configuration ---------------------------
 
     def on_router_advertisement(self, iface_id: str, ra: RouterAdvertisement) -> None:
-        rec = self.records[iface_id]
-        rec.on_link_prefix = ra.prefix
         self.routes.add(ra.prefix, ra.router, iface_id)
         self.routes.add(None, ra.router, iface_id)
         self.sim.trace(self.node_id, "ipv6", "ra", f"iface={iface_id} prefix={ra.prefix:#x}")
 
-        if ra.is_home_agent and self.home_address is None:
-            # first home RA: learn home network and form the home address (tentative)
-            self.ha_address = ra.router
-            addr = Address(ra.prefix, self.iid(iface_id), "tentative")
-            self.home_address = addr
-            rec.addresses.append(addr)
-            self.start_dad(iface_id, addr)
-            return
-
         hoa = self.home_address
-        if hoa is not None and hoa.prefix == ra.prefix and hoa.scope == "global":
-            # the validated home address is reusable on returning home
-            # without a fresh DAD round; an address on any other prefix is
-            # released with its link (release_interface)
-            if hoa not in rec.addresses:
-                rec.addresses.append(hoa)
+        first = ra.is_home_agent and hoa is None
+        if first:
+            # the first home RA: learn the home network and form the home address
+            self.ha_address = ra.router
+            hoa = self.home_address = Address(ra.prefix, self.iid(iface_id))
+        addr = (hoa if hoa is not None and hoa.prefix == ra.prefix
+                else Address(ra.prefix, self.iid(iface_id)))
+        if addr == hoa and addr in self.validated:
+            # a return home reuses the validated home address without DAD
+            self.addresses[iface_id] = addr
             self.notify_global(iface_id)
-            return
-        self.slaac_configure(iface_id, ra.prefix)
-
-    # -- address configuration -------------------------------------------------
-
-    def slaac_configure(self, iface_id: str, prefix: int) -> None:
-        rec = self.records[iface_id]
-        if rec.address_for_prefix(prefix) is not None:
-            return  # global: no DAD; tentative: DAD already running
-        addr = Address(prefix, self.iid(iface_id), "tentative")
-        rec.addresses.append(addr)
-        if self.sim.tracing:
-            self.sim.trace(self.node_id, "ipv6", "slaac", f"iface={iface_id} addr={addr}")
-        self.start_dad(iface_id, addr)
+        elif self.addresses[iface_id] != addr:  # else validated, or its DAD is running
+            self.addresses[iface_id] = addr
+            if self.sim.tracing and not first:
+                self.sim.trace(self.node_id, "ipv6", "slaac", f"iface={iface_id} addr={addr}")
+            self.start_dad(iface_id, addr)
 
     def start_dad(self, iface_id: str, addr: Address) -> None:
-        if addr.scope != "tentative":
-            raise ValueError("DAD requires a tentative address")
+        if addr in self.validated:
+            raise ValueError("DAD requires an address not yet validated")
         if self.sim.tracing:
             self.sim.trace(self.node_id, "ipv6", "dad_start", f"iface={iface_id} addr={addr}")
         self._dad_handles[iface_id] = self.sim.schedule_in(
             self.dad_duration, self._dad_done, iface_id, addr)
 
     def _dad_done(self, iface_id: str, addr: Address) -> None:
-        addr.scope = "global"
+        self.validated.add(addr)
         self._dad_handles.pop(iface_id, None)
         self.dad_log.append((self.sim.now, iface_id, addr))
         if self.sim.tracing:
@@ -195,17 +168,16 @@ class Ipv6Host:
 
     # -- interface release -------------------------------------------------------
 
-    def release_interface(self, iface_id: str, serving: Optional[str]) -> int:
+    def release_interface(self, iface_id: str) -> int:
         """Link loss or disassociation: cancel DAD and drop the interface's
-        routes and addresses. The global home address stays on it while no
-        other interface serves."""
+        routes and address. Only the home address stays validated."""
         handle = self._dad_handles.pop(iface_id, None)
         if handle is not None:
             self.sim.cancel(handle)
         removed = self.routes.remove_for_iface(iface_id)
-        keep = self.home_address if serving in (None, iface_id) else None
-        rec = self.records[iface_id]
-        rec.addresses = [a for a in rec.addresses if a == keep and a.scope == "global"]
+        addr, self.addresses[iface_id] = self.addresses[iface_id], None
+        if addr != self.home_address:
+            self.validated.discard(addr)
         self.sim.trace(self.node_id, "ipv6", "route_cleanup",
                        f"iface={iface_id} removed={removed}")
         return removed
@@ -213,7 +185,7 @@ class Ipv6Host:
     # -- forwarding helpers --------------------------------------------------------
 
     def global_address(self, iface_id: str) -> Optional[Address]:
-        """The interface's usable address on its current link (the CoA, or HoA at home)."""
-        rec = self.records[iface_id]  # no address has prefix None
-        a = rec.address_for_prefix(rec.on_link_prefix)
-        return a if a is not None and a.scope == "global" else None
+        """The interface's validated address on its current link (the CoA, or
+        HoA at home)."""
+        addr = self.addresses[iface_id]
+        return addr if addr in self.validated else None

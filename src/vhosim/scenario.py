@@ -108,7 +108,7 @@ class MobileNode:
 
     def _teardown_iface(self, iface_id: str) -> None:
         self.ifaces[iface_id].disassociate()
-        self.host.release_interface(iface_id, self.llc.serving)
+        self.host.release_interface(iface_id)
 
     # -- data plane ----------------------------------------------------------------
 
@@ -136,7 +136,7 @@ class MobileNode:
         route. Medium.range_cuts judges range once per gap of the coverage table.
         """
         hoa = self.host.home_address
-        if hoa is None or hoa.scope != "global":
+        if hoa not in self.host.validated:
             self.drop(run)
             return
         pkt = self.mip.wrap_outgoing(Packet(hoa, dst, run.bits + IPV6_HEADER_BITS))
@@ -447,7 +447,7 @@ class Scenario:
         self.ha = HomeAgentNode(sim, ha_addr, cfg.home_prefix, cfg.foreign_prefix,
                                 cfg.foreign_link_delay, self._on_drop)
         self.fr = ForeignRouterNode(fr_addr, cfg.foreign_prefix)
-        hoa = Address(cfg.home_prefix, derive_iid("mn", 0), "global")  # as the CN knows it
+        hoa = Address(cfg.home_prefix, derive_iid("mn", 0))  # as the CN knows it
         self.cn = CorrespondentNode(cn_addr, self.ha, cfg.cn_link_delay, hoa)
         self.ha.foreign_router = self.fr
         self.ha.cn = self.cn

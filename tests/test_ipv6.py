@@ -1,3 +1,7 @@
+from dataclasses import FrozenInstanceError
+
+import pytest
+
 from vhosim.engine import Simulator
 from vhosim.ipv6 import (
     Address,
@@ -38,9 +42,11 @@ def test_address_text_form():
     assert str(a) == "2001:db8:1:0:0:0:0:1"
 
 
-def test_address_equality_ignores_scope():
-    assert Address(HOME, 5, "tentative") == Address(HOME, 5, "global")
-    assert len({Address(HOME, 5, "tentative"), Address(HOME, 5, "global")}) == 1
+def test_address_is_a_frozen_value():
+    a = Address(HOME, 5)
+    assert a == Address(HOME, 5) and len({a, Address(HOME, 5)}) == 1
+    with pytest.raises(FrozenInstanceError):
+        a.iid = 6
 
 
 def test_home_ra_forms_tentative_home_address_and_starts_dad():
@@ -49,14 +55,16 @@ def test_home_ra_forms_tentative_home_address_and_starts_dad():
     host = make_host(sim, notes)
     sim.run_until(2.0)
     host.on_router_advertisement("wlan0", ha_ra())
-    assert host.home_address.prefix == HOME
-    assert host.home_address.scope == "tentative"
+    assert host.home_address == Address(HOME, derive_iid("mn", 0))
+    assert host.addresses["wlan0"] == host.home_address
+    assert host.home_address not in host.validated
     assert host.global_address("wlan0") is None
     assert notes == []
     sim.run_until(2.9)
     assert notes == []  # DAD still pending
     sim.run_until(3.0)  # exactly dad_duration later
-    assert host.home_address.scope == "global"
+    assert host.validated == {host.home_address}
+    assert host.global_address("wlan0") == host.home_address
     assert notes == ["wlan0"]
     assert host.dad_log == [(3.0, "wlan0", host.home_address)]
 
@@ -66,11 +74,9 @@ def test_foreign_ra_triggers_slaac_with_fresh_dad():
     notes = []
     host = make_host(sim, notes)
     host.on_router_advertisement("wlan1", fr_ra())
-    rec = host.records["wlan1"]
-    assert rec.on_link_prefix == FOREIGN
-    addr = rec.address_for_prefix(FOREIGN)
-    assert addr.iid == derive_iid("mn", 1)
-    assert addr.scope == "tentative"
+    addr = host.addresses["wlan1"]
+    assert addr == Address(FOREIGN, derive_iid("mn", 1))
+    assert addr not in host.validated
     sim.run_until(1.0)
     assert notes == ["wlan1"]
     assert host.global_address("wlan1") == addr
@@ -84,8 +90,10 @@ def test_repeated_ra_does_not_restart_dad_or_duplicate_address():
     sim.run_until(0.5)
     host.on_router_advertisement("wlan1", fr_ra())  # a repeat mid-DAD
     sim.run_until(2.0)
-    rec = host.records["wlan1"]
-    assert len(rec.addresses) == 1
+    host.on_router_advertisement("wlan1", fr_ra())  # a repeat once validated
+    sim.run_until(4.0)
+    assert host.validated == {host.addresses["wlan1"]}
+    assert len(host.dad_log) == 1
     assert notes == ["wlan1"]  # exactly one DAD completion
 
 
@@ -95,10 +103,11 @@ def test_interface_down_cancels_dad_and_drops_tentative():
     host = make_host(sim, notes)
     host.on_router_advertisement("wlan1", fr_ra())
     sim.run_until(0.5)
-    host.release_interface("wlan1", None)
+    host.release_interface("wlan1")
     sim.run_until(5.0)
     assert notes == []
-    assert host.records["wlan1"].addresses == []
+    assert host.addresses["wlan1"] is None
+    assert host.validated == set()
 
 
 def test_returning_to_known_prefix_skips_dad():
@@ -109,10 +118,36 @@ def test_returning_to_known_prefix_skips_dad():
     sim.run_until(1.0)
     assert notes == ["wlan0"]
     # leave home, come back: the validated address is reused immediately
+    host.release_interface("wlan0")
     host.on_router_advertisement("wlan0", ha_ra())
     assert notes == ["wlan0", "wlan0"]
-    assert host.home_address.scope == "global"
-    assert len(host.records["wlan0"].addresses) == 1
+    assert host.global_address("wlan0") == host.home_address
+    assert host.validated == {host.home_address}
+    assert len(host.dad_log) == 1
+
+
+def test_home_address_survives_a_first_dad_cut_short():
+    # the link drops while the home address's first DAD runs; the next home
+    # visit validates the home address itself, and a later one reuses it
+    sim = Simulator()
+    notes = []
+    host = make_host(sim, notes)
+    host.on_router_advertisement("wlan0", ha_ra())
+    sim.run_until(0.5)
+    host.release_interface("wlan0")
+    hoa = host.home_address
+    assert hoa not in host.validated
+    host.on_router_advertisement("wlan0", ha_ra())
+    assert host.addresses["wlan0"] == hoa
+    sim.run_until(1.5)
+    assert notes == ["wlan0"]
+    assert host.home_address in host.validated
+    assert host.global_address("wlan0") == host.home_address
+    host.release_interface("wlan0")
+    host.on_router_advertisement("wlan0", ha_ra())
+    assert notes == ["wlan0", "wlan0"]  # at once, with no new DAD
+    assert host.dad_log == [(1.5, "wlan0", hoa)]
+    assert not host._dad_handles
 
 
 def test_route_cleanup_after_handover():
@@ -123,22 +158,33 @@ def test_route_cleanup_after_handover():
     sim.run_until(1.0)
     host.on_router_advertisement("wlan1", fr_ra())
     sim.run_until(2.0)
-    removed = host.release_interface("wlan0", "wlan1")
+    coa = host.addresses["wlan1"]
+    removed = host.release_interface("wlan0")
     assert removed == 2  # on-link /64 plus default route
     assert host.routes.lookup(Address(CORE, 7)) == (Address(FOREIGN, 1), "wlan1")
-    # another interface serves: the old one keeps no address, and the home
-    # address stays with the host
-    assert host.records["wlan0"].addresses == []
-    assert host.home_address.scope == "global"
+    # the old interface keeps no address, and the home address stays
+    # validated with the host
+    assert host.addresses["wlan0"] is None
+    assert host.validated == {host.home_address, coa}
+    host.release_interface("wlan1")  # a care-of address goes with its link
+    assert host.validated == {host.home_address}
 
 
 def test_home_address_stays_on_the_old_interface_while_none_serves():
+    # beacon loss: nothing serves. The interface's link and address go, but
+    # the home address stays validated, so the interface takes it back on
+    # its next home RA with no DAD
     sim = Simulator()
-    host = make_host(sim, [])
+    notes = []
+    host = make_host(sim, notes)
     host.on_router_advertisement("wlan0", ha_ra())
     sim.run_until(1.0)
-    host.release_interface("wlan0", None)  # beacon loss: nothing serves
-    assert host.records["wlan0"].addresses == [host.home_address]
+    host.release_interface("wlan0")
+    assert host.addresses["wlan0"] is None and host.global_address("wlan0") is None
+    assert host.validated == {host.home_address}
+    host.on_router_advertisement("wlan0", ha_ra())
+    assert host.global_address("wlan0") == host.home_address
+    assert notes == ["wlan0", "wlan0"] and len(host.dad_log) == 1
 
 
 def test_route_lookup_prefers_on_link_then_default():

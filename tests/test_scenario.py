@@ -331,8 +331,7 @@ def test_an_ra_delivered_again_changes_nothing_while_the_station_stays(cfg):
 
     def state():
         return ([(e.prefix, repr(e.next_hop), e.out_iface) for e in host.routes.entries],
-                {i: ([repr(a) for a in rec.addresses], rec.on_link_prefix)
-                 for i, rec in host.records.items()},
+                dict(host.addresses), set(host.validated),
                 repr(host.home_address), repr(host.ha_address), dict(host._dad_handles),
                 llc.serving, llc.candidate)
 
@@ -414,3 +413,19 @@ def test_uplink_drops_while_the_home_address_is_tentative_under_a_foreign_coa():
     assert flow.lost == len(drops) == len(flow.dropped_seqs)
     assert flow.sent == flow.received + flow.late + flow.lost
     assert result.scenario.cn.app_src_matches == result.scenario.cn.app_received == flow.received
+
+
+def test_a_home_address_whose_first_dad_is_cut_short_is_validated_on_a_later_visit():
+    # at 40 m/s the single radio leaves the home AP 0.85 s into the home
+    # address's first DAD. The next home visit validates the home address
+    # itself, so the uplink flows, and no later visit runs DAD on it again
+    log: list[str] = []
+    result = run_experiment(ScenarioConfig(scheme="hard", application="video", speed=40.0,
+                                           ap_home_x=-150.0, ap_home_y=0.0,
+                                           expected_handovers=None), trace_sink=log)
+    hoa = f"addr={result.scenario.mn.host.home_address}"
+    dad = [line.split()[3] for line in log if " ipv6 dad_" in line and line.endswith(hoa)]
+    assert dad[:3] == ["dad_start", "dad_start", "dad_done"]  # the first was cut short
+    assert dad.count("dad_start") == 2 and dad.count("dad_done") == 1
+    flow = result.scenario.flows["video-ul"]
+    assert flow.received > 0 and result.metrics.loss_rate < 1
