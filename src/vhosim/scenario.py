@@ -339,9 +339,9 @@ class DownlinkRun:
         ha, run, stages = self.ha, self.run, self.stages
         sim, times = ha.sim, run.times
         limit = sim.ahead_limit()
-        # work: (stage, first, end, CoA, interface, time bound, events due)
+        # work: (stage, first, end, CoA, interface, time bound)
         if not event:  # the emit
-            work = [(stages[0], 0, len(times), None, None, limit, True)]
+            work = [(stages[0], 0, len(times), None, None, limit)]
         else:  # the first pending packet in stage-place order runs alone: one
             # emit queues its stage events in work-list order, not in the order
             # the event world would queue them, so this need not be the packet
@@ -352,18 +352,17 @@ class DownlinkRun:
             seg[1] += 1
             if seg[1] == hi:
                 self._pending.remove(seg)
-            work = [(st, lo, lo + 1, coa, iface, math.inf, False)]
+            work = [(st, lo, lo + 1, coa, iface, math.inf)]  # runs now, unbounded
         sinks: list[list] = []  # [stage 2, first, end, interface]
         lines: list[list] = []  # [stage, first, end, "drop" or "intercept"]
         while work:
-            st, lo, hi, coa, iface, upto, fresh = work.pop()
+            st, lo, hi, coa, iface, upto = work.pop()
             stage, at = st[0], st[1]
             m = times.bisect(upto, lo, hi, at, right=True)  # lo..m-1 run now
             if m < hi:
                 self._pending.append([st, m, hi, coa, iface])
-                if fresh:
-                    for x in times[m:hi]:
-                        sim.schedule_at(at(x), ha.handle, self)
+                for x in times[m:hi]:
+                    sim.schedule_at(at(x), ha.handle, self)
             if m == lo:
                 continue
             if stage == 2:  # drops if disassociated or, tunnelled, the CoA is stale
@@ -376,7 +375,7 @@ class DownlinkRun:
                 coa, e = ha.cache.lookup_run(self.dst, times, lo, m, at)
                 if e > lo:
                     lines.append([st, lo, e, "intercept"])
-                    work.append((stages[1], lo, e, coa, None, limit, True))
+                    work.append((stages[1], lo, e, coa, None, limit))
                 lo, coa, ap, nxt = e, None, ha.home_ap, stages[2]
             else:  # delivery at the foreign AP past the router
                 ap, nxt = ha.foreign_router.ap, stages[3]
@@ -386,7 +385,7 @@ class DownlinkRun:
             for a, b, inside in ([(lo, m, False)] if iface is None else
                                  ap.medium.range_cuts(ap, iface, times, lo, m, at)):
                 if inside:
-                    work.append((nxt, a, b, coa, iface, limit, True))
+                    work.append((nxt, a, b, coa, iface, limit))
                 else:
                     lines.append([st, a, b, "drop"])
         self._merge(sinks, self._receive)
