@@ -97,21 +97,32 @@ class Medium:
         Medium.in_range at its midpoint. The margin, 1e-9 of the sum of the
         radius, the distance travelled and the absolute AP and field-corner
         coordinates, lies far beyond rounding: in a gap the verdict cannot flip.
-        A stationary node has no ring. A path retraced between two beacons
-        (speed times beacon_interval at least its length), or any path with no
-        horizon, is one ring: its periods are too many to unfold."""
+        A stationary node has no ring, nor has a node whose field's bounding
+        box lies inside the margin's inner circle or outside its outer one.
+        Any other path retraced between two beacons (speed times
+        beacon_interval at least its length), or with no horizon, is one
+        ring: its periods are too many to unfold."""
         if (ap, iface) in self._coverage:
             return self._coverage[ap, iface]
         path, h = iface.path, self.horizon
         if path is None or path.length == 0.0:
             rings = []
-        elif h == math.inf or path.speed * ap.cfg.beacon_interval >= path.length:
-            rings = [(0.0, h)]
         else:
+            x, y = ap.cfg.x, ap.cfg.y
             r = math.sqrt(max(ap.radius2, 0.0))
-            m = 1e-9 * (r + abs(ap.cfg.x) + abs(ap.cfg.y) + abs(path.x1) + abs(path.x2)
+            m = 1e-9 * (r + abs(x) + abs(y) + abs(path.x1) + abs(path.x2)
                         + abs(path.y1) + abs(path.y2) + path.speed * h)
-            rings = path.ring_times(ap.cfg.x, ap.cfg.y, r - m, r + m, h)
+            # the field's bounding box as offsets from the AP, per axis
+            xa, xb = sorted((path.x1 - x, path.x2 - x))
+            ya, yb = sorted((path.y1 - y, path.y2 - y))
+            near = math.hypot(max(xa, -xb, 0.0), max(ya, -yb, 0.0))
+            far = math.hypot(max(-xa, xb), max(-ya, yb))
+            if far < r - m or near > r + m:
+                rings = []
+            elif h == math.inf or path.speed * ap.cfg.beacon_interval >= path.length:
+                rings = [(0.0, h)]
+            else:
+                rings = path.ring_times(x, y, r - m, r + m, h)
         ends = [t for ring in rings for t in ring] + [h]
         verdicts = [self.in_range(ap, iface.position((a + b) / 2)) if a < b else None
                     for a, b in zip([0.0] + ends[1::2], ends[::2])]

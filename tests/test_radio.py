@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vhosim.engine import Simulator
+from vhosim.harness import ScenarioConfig
 from vhosim.ipv6 import Packet
 from vhosim.mobility import TractorPath
 from vhosim.radio import (
@@ -17,6 +18,7 @@ from vhosim.radio import (
     fspl_db,
     rx_power_dbm,
 )
+from vhosim.scenario import Scenario
 from vhosim.traffic import PacketRun, Ticks
 
 # Frozen expected received powers, computed from the closed-form free-space
@@ -450,6 +452,20 @@ def test_range_cuts_agree_with_the_exact_check_on_a_retraced_path():
     pieces = med.range_cuts(ap, iface, times, 0, len(times), float)
     assert [k for a, b, inside in pieces for k in range(a, b)
             if med.in_range(ap, iface.position(times[k])) != inside] == []
+
+
+def test_a_retraced_path_far_from_the_edge_has_no_ring():
+    # a 1 m field retraced ten times a second, 1 m at most from the home AP
+    # and 199 m at least from the foreign one: the field's bounding box lies
+    # far inside the one coverage edge and far outside the other, so each
+    # table is one gap whose verdict holds for the whole run
+    scn = Scenario(ScenarioConfig(scheme="hard", application="video", video_rate_bps=2e6,
+                                  field_x1=0.0, field_x2=1.0, field_y1=20.0, field_y2=20.0,
+                                  row_count=1, speed=20.0, sim_time=300.0,
+                                  expected_handovers=None))
+    (iface,) = scn.mn.ifaces.values()
+    assert scn.medium.coverage(scn.ap_home, iface) == ([300.0], [True])
+    assert scn.medium.coverage(scn.ap_foreign, iface) == ([300.0], [False])
 
 
 def test_ledger_ties_a_listening_change_and_a_loss_check_at_a_beacon_instant():
