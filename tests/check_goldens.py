@@ -101,6 +101,9 @@ EVENT_LOG_CONFIGS = {
                                        ap_foreign_x=185.0, expected_handovers=None),
     "churn-hard-10-520s": replace(_churn("hard", 10.0), sim_time=520.0,
                                   expected_handovers=None),
+    "homex-150-hard-40": ScenarioConfig(scheme="hard", application="video", speed=40.0,
+                                        ap_home_x=-150.0, ap_home_y=0.0,
+                                        expected_handovers=None),
 }
 
 
