@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import NamedTuple, Optional, get_args, get_origin, get_type_hints
 
 from .radio import Medium
 from .scenario import CORE_PREFIX, Scenario
@@ -163,12 +163,10 @@ _NON_NEGATIVE = ("dad_duration", "cn_link_delay", "foreign_link_delay",
 
 def _field_types(cls) -> dict[str, tuple[type, bool]]:
     """Field name -> (declared type without Optional, whether None is allowed)."""
-    hints = get_type_hints(cls)
     out = {}
-    for f in fields(cls):
-        tp = hints[f.name]
+    for name, tp in get_type_hints(cls).items():
         optional = type(None) in get_args(tp)
-        out[f.name] = (get_args(tp)[0] if optional else tp, optional)
+        out[name] = (get_args(tp)[0] if optional else tp, optional)
     return out
 
 
@@ -237,8 +235,7 @@ def _parse(name: str, value: str):
 _CONFIG_TYPES = _field_types(ScenarioConfig)
 
 
-@dataclass
-class MetricsRecord:
+class MetricsRecord(NamedTuple):
     scheme: str
     application: str
     rate_bps: float
@@ -255,14 +252,13 @@ class MetricsRecord:
     r_factor: Optional[float]
     mos: Optional[float]
     dl_loss_rate: Optional[float]
-    gaps: list[float] = field(default_factory=list)
+    gaps: list[float]
 
     def to_row(self) -> list[str]:
         """One CSV cell per field: None is empty, a list is ';'-joined, numbers
         are repr() so that floats round-trip exactly."""
         row = []
-        for name in MetricsRecord.COLUMNS:
-            v = getattr(self, name)
+        for v in self:
             if v is None:
                 row.append("")
             elif isinstance(v, str):
@@ -287,11 +283,9 @@ class MetricsRecord:
 
 
 _METRIC_TYPES = _field_types(MetricsRecord)
-MetricsRecord.COLUMNS = tuple(_METRIC_TYPES)
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     metrics: MetricsRecord
     scenario: Scenario
     wall_time: float
@@ -358,7 +352,7 @@ def sweep(base_cfg: ScenarioConfig, speeds: list[float], schemes: list[str],
 
 def emit_csv(records: list[MetricsRecord], path: str | Path,
              metadata: Optional[dict] = None) -> None:
-    lines = [",".join(MetricsRecord.COLUMNS)]
+    lines = [",".join(MetricsRecord._fields)]
     for rec in records:
         lines.append(",".join(rec.to_row()))
     Path(path).write_text("\n".join(lines) + "\n")

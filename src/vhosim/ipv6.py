@@ -8,9 +8,8 @@ this scale.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from _blake2 import blake2b  # the standard blake2b, imported without loading OpenSSL
+from typing import Any, Callable, NamedTuple, Optional
 
 from .engine import EventHandle, Simulator
 
@@ -19,12 +18,11 @@ IPV6_HEADER_BITS = 320
 
 def derive_iid(node_id: str, iface_index: int) -> int:
     """Stable per-interface identifier, collision-free at scenario scale."""
-    digest = hashlib.blake2b(f"{node_id}/{iface_index}".encode(), digest_size=8)
+    digest = blake2b(f"{node_id}/{iface_index}".encode(), digest_size=8)
     return int.from_bytes(digest.digest(), "big")
 
 
-@dataclass(frozen=True)
-class Address:
+class Address(NamedTuple):
     prefix: int
     iid: int
 
@@ -34,24 +32,21 @@ class Address:
         return ":".join(groups)
 
 
-@dataclass
-class Packet:
+class Packet(NamedTuple):
     src: Address
     dst: Address
     size_bits: int
     payload: Any = None
-    inner: Optional["Packet"] = None
+    inner: Optional[Packet] = None
 
 
-@dataclass
-class RouterAdvertisement:
+class RouterAdvertisement(NamedTuple):
     prefix: int
     router: Address
     is_home_agent: bool = False
 
 
-@dataclass
-class RouteEntry:
+class RouteEntry(NamedTuple):
     prefix: Optional[int]  # None = default route
     next_hop: Address
     out_iface: str
@@ -62,11 +57,12 @@ class RoutingTable:
         self.entries: list[RouteEntry] = []
 
     def add(self, prefix: Optional[int], next_hop: Address, out_iface: str) -> None:
-        for e in self.entries:
+        entry = RouteEntry(prefix, next_hop, out_iface)
+        for i, e in enumerate(self.entries):
             if e.prefix == prefix and e.out_iface == out_iface:
-                e.next_hop = next_hop
+                self.entries[i] = entry
                 return
-        self.entries.append(RouteEntry(prefix, next_hop, out_iface))
+        self.entries.append(entry)
 
     def remove_for_iface(self, iface_id: str) -> int:
         before = len(self.entries)

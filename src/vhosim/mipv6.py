@@ -6,8 +6,7 @@ the correspondent node always replies through the home network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .engine import EventHandle, Simulator
 from .ipv6 import IPV6_HEADER_BITS, Address, Packet
@@ -24,26 +23,24 @@ class TunnelError(Exception):
     pass
 
 
-@dataclass
-class BindingUpdate:
+class BindingUpdate(NamedTuple):
     hoa: Address
     coa: Address
     seq: int
     lifetime: float  # 0 = deregistration
 
 
-@dataclass
-class BindingAck:
+class BindingAck(NamedTuple):
     hoa: Address
     seq: int
     status: str  # accepted | rejected-stale
 
 
-@dataclass
 class BindingCacheEntry:
-    coa: Address
-    lifetime: float
-    created_at: float
+    def __init__(self, coa: Address, lifetime: float, created_at: float):
+        self.coa = coa
+        self.lifetime = lifetime
+        self.created_at = created_at
 
 
 def encapsulate(pkt: Packet, outer_src: Address, outer_dst: Address) -> Packet:

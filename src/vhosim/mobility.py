@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Optional
 
 
-@dataclass
 class TractorPath:
     """Piecewise-linear path over a rectangular field.
 
@@ -18,35 +16,29 @@ class TractorPath:
     arbitrarily long runs.
     """
 
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-    row_count: int
-    speed: float
-    _vertices: list[tuple[float, float]] = field(init=False, repr=False)
-    _cum: list[float] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.row_count < 1:
+    def __init__(self, x1: float, y1: float, x2: float, y2: float, row_count: int,
+                 speed: float):
+        if row_count < 1:
             raise ValueError("row_count must be >= 1")
-        if self.speed <= 0:
+        if speed <= 0:
             raise ValueError("speed must be > 0")
-        dy = (self.y2 - self.y1) / self.row_count
-        pts = [(self.x1, self.y1)]
-        xa, xb = self.x1, self.x2
-        y = self.y1
-        for r in range(self.row_count):
+        self.x1, self.y1, self.x2, self.y2 = x1, y1, x2, y2
+        self.row_count, self.speed = row_count, speed
+        dy = (y2 - y1) / row_count
+        pts = [(x1, y1)]
+        xa, xb = x1, x2
+        y = y1
+        for r in range(row_count):
             pts.append((xb, y))
-            if r < self.row_count - 1:
+            if r < row_count - 1:
                 y += dy
                 pts.append((xb, y))
             xa, xb = xb, xa
-        self._vertices = pts
+        self._vertices: list[tuple[float, float]] = pts
         cum = [0.0]
         for (ax, ay), (bx, by) in zip(pts, pts[1:]):
             cum.append(cum[-1] + math.hypot(bx - ax, by - ay))
-        self._cum = cum
+        self._cum: list[float] = cum
 
     @property
     def length(self) -> float:

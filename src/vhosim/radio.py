@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .engine import EventHandle, Simulator, first_tick
 from .traffic import Ticks
@@ -41,8 +40,7 @@ def rx_power_dbm(tx_power_dbm: float, distance_m: float, frequency_hz: float,
     return tx_power_dbm - fspl_db(max(distance_m, d_ref), frequency_hz)
 
 
-@dataclass
-class ApConfig:
+class ApConfig(NamedTuple):
     ap_id: str
     x: float
     y: float
@@ -50,8 +48,7 @@ class ApConfig:
     beacon_interval: float = 0.1
 
 
-@dataclass
-class Frame:
+class Frame(NamedTuple):
     kind: str  # beacon | assoc_request | assoc_response | data
     size_bits: int
     payload: Any = None  # the AP (beacon, response), the interface (request), a datagram or an RA

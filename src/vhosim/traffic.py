@@ -4,20 +4,22 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .engine import SchedulingError, Simulator, first_tick
 
 
-@dataclass(slots=True)
 class Ticks:
     """The read-only ticks t0 + k*dt for k = k0..k0+n-1, each computed by
     that float expression when read; dt > 0, so none is below the one before."""
-    t0: float
-    dt: float
-    k0: int
-    n: int
+
+    __slots__ = ("t0", "dt", "k0", "n")
+
+    def __init__(self, t0: float, dt: float, k0: int, n: int):
+        self.t0 = t0
+        self.dt = dt
+        self.k0 = k0
+        self.n = n
 
     def __len__(self) -> int:
         return self.n
@@ -62,15 +64,18 @@ class Ticks:
         return g
 
 
-@dataclass(slots=True)
 class PacketRun:
     """Consecutive packets of one flow, one per source tick: packet k has
     seq seq0 + k and is sent at times[k]."""
-    flow_id: str
-    seq0: int
-    times: Ticks
-    bits: int
-    spurt: int = 0  # talk-spurt index, VoIP only
+
+    __slots__ = ("flow_id", "seq0", "times", "bits", "spurt")
+
+    def __init__(self, flow_id: str, seq0: int, times: Ticks, bits: int, spurt: int = 0):
+        self.flow_id = flow_id
+        self.seq0 = seq0
+        self.times = times
+        self.bits = bits
+        self.spurt = spurt  # talk-spurt index, VoIP only
 
     def part(self, lo: int, hi: int) -> "PacketRun":
         """Packets lo..hi-1 as a run of their own."""
@@ -136,18 +141,19 @@ class SeqSet:
                 if a and b}
 
 
-@dataclass
 class FlowStats:
-    flow_id: str
-    sent: int = 0
-    received: int = 0
-    late: int = 0
-    lost: int = 0
-    # the float that adding each received packet's one-way delay in order
-    # leaves; Sink.receive adds a piece of equal delays with repeat_add
-    delay_sum: float = 0.0
-    received_seqs: SeqSet = field(default_factory=SeqSet)  # received or late
-    dropped_seqs: SeqSet = field(default_factory=SeqSet)
+    def __init__(self, flow_id: str, sent: int = 0, received: int = 0, late: int = 0,
+                 lost: int = 0, delay_sum: float = 0.0):
+        self.flow_id = flow_id
+        self.sent = sent
+        self.received = received
+        self.late = late
+        self.lost = lost
+        # the float that adding each received packet's one-way delay in order
+        # leaves; Sink.receive adds a piece of equal delays with repeat_add
+        self.delay_sum = delay_sum
+        self.received_seqs = SeqSet()  # received or late
+        self.dropped_seqs = SeqSet()
 
     @property
     def in_flight(self) -> int:
@@ -158,8 +164,7 @@ class FlowStats:
         return self.delay_sum / self.received if self.received else 0.0
 
 
-@dataclass
-class MosReport:
+class MosReport(NamedTuple):
     r_factor: float
     mos: float
 

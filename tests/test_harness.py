@@ -195,7 +195,7 @@ def test_emit_csv_shape_and_round_trip(tmp_path):
     emit_csv(records, out)
     lines = out.read_text().splitlines()
     assert len(lines) == 11  # header + one row per record
-    assert lines[0] == ",".join(MetricsRecord.COLUMNS)
+    assert lines[0] == ",".join(MetricsRecord._fields)
     parsed = parse_csv(out)
     assert parsed == records
 

@@ -1,12 +1,21 @@
-"""The package keeps zero runtime dependencies and reads every config key."""
+"""The package keeps zero runtime dependencies, reads every config key and
+keeps its import cheap."""
 
 import ast
+import hashlib
+import importlib
+import inspect
+import pkgutil
+import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+
+import pytest
 
 import vhosim
 from vhosim.harness import ScenarioConfig
+from vhosim.ipv6 import derive_iid
 
 
 def _sources() -> list[tuple[Path, ast.Module]]:
@@ -28,6 +37,36 @@ def test_src_imports_only_the_standard_library():
             outside += [f"{path.name}:{node.lineno}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_import_loads_no_openssl():
+    """Importing vhosim leaves hashlib's OpenSSL backend unloaded."""
+    src = Path(vhosim.__file__).resolve().parent.parent
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import vhosim; "
+            "assert vhosim.__file__.startswith(sys.path[0]), vhosim.__file__; "
+            "print('_hashlib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("node_id,index", [("ha", 0), ("fr", 0), ("cn", 0), ("mn", 0),
+                                           ("mn", 1)])
+def test_iid_is_hashlibs_blake2b(node_id, index):
+    digest = hashlib.blake2b(f"{node_id}/{index}".encode(), digest_size=8).digest()
+    assert derive_iid(node_id, index) == int.from_bytes(digest, "big")
+
+
+def test_scenario_config_is_the_only_dataclass():
+    """Every other record is a NamedTuple or a plain class: building a
+    dataclass costs import time."""
+    found = set()
+    for info in pkgutil.iter_modules(vhosim.__path__):
+        module = importlib.import_module(f"vhosim.{info.name}")
+        found |= {obj for obj in vars(module).values()
+                  if inspect.isclass(obj) and obj.__module__ == module.__name__
+                  and is_dataclass(obj)}
+    assert found == {ScenarioConfig}
 
 
 def _is_name(node: ast.AST, name: str) -> bool:
