@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, get_args, get_origin, get_type_hints
 
-from .radio import Medium
+from .radio import coverage_radius2
 from .scenario import CORE_PREFIX, Scenario
 from .traffic import compute_mos, packet_loss_rate
 
@@ -106,8 +106,8 @@ class ScenarioConfig:
             raise ConfigError(f"row_count: {self.row_count} rows, more than {MAX_ROWS}; "
                               "the path holds two vertices a row in memory")
         try:
-            radius2 = Medium(None, self.frequency_hz, self.sensitivity_dbm,
-                             d_ref=self.d_ref).coverage_radius2(self.tx_power_dbm)
+            radius2 = coverage_radius2(self.tx_power_dbm, self.sensitivity_dbm,
+                                       self.frequency_hz, self.d_ref)
         except OverflowError:
             radius2 = math.inf
         if not (math.isfinite(radius2) and radius2 > 0):  # no coverage, or no bound to it

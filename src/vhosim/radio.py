@@ -40,6 +40,17 @@ def rx_power_dbm(tx_power_dbm: float, distance_m: float, frequency_hz: float,
     return tx_power_dbm - fspl_db(max(distance_m, d_ref), frequency_hz)
 
 
+def coverage_radius2(tx_power_dbm: float, sensitivity_dbm: float, frequency_hz: float,
+                     d_ref: float) -> float:
+    """Squared closed-form coverage radius of a radio budget: cheaper to
+    compare against on every packet than a full path-loss evaluation."""
+    budget = tx_power_dbm - sensitivity_dbm
+    d_max = 10.0 ** ((budget - 20.0 * math.log10(frequency_hz) - _FSPL_CONST_DB) / 20.0)
+    # inside d_ref the received power clamps; below-sensitivity there
+    # means below-sensitivity everywhere
+    return d_max * d_max if d_max >= d_ref else -1.0
+
+
 class ApConfig(NamedTuple):
     ap_id: str
     x: float
@@ -57,10 +68,9 @@ class Frame(NamedTuple):
 class Medium:
     """Shared wireless medium: range checks and serialization-delayed delivery."""
 
-    def __init__(self, sim: Simulator, frequency_hz: float = 2.4e9,
-                 sensitivity_dbm: float = -85.0, bitrate: float = 2e6,
-                 d_ref: float = 1.0,
-                 drop_hook: Optional[Callable[[Any], None]] = None):
+    def __init__(self, sim: Simulator, drop_hook: Callable[[Any], None],
+                 frequency_hz: float = 2.4e9, sensitivity_dbm: float = -85.0,
+                 bitrate: float = 2e6, d_ref: float = 1.0):
         self.sim = sim
         self.frequency_hz = frequency_hz
         self.sensitivity_dbm = sensitivity_dbm
@@ -70,16 +80,6 @@ class Medium:
         self.horizon = math.inf  # the end of the run
         self.beacons = BeaconLedger(self)
         self._coverage: dict[tuple, tuple[list[float], list]] = {}  # (ap, iface) -> table
-
-    def coverage_radius2(self, tx_power_dbm: float) -> float:
-        """Squared closed-form coverage radius: cheaper to compare against on
-        every packet than a full path-loss evaluation."""
-        budget = tx_power_dbm - self.sensitivity_dbm
-        d_max = 10.0 ** ((budget - 20.0 * math.log10(self.frequency_hz)
-                          - _FSPL_CONST_DB) / 20.0)
-        # inside d_ref the received power clamps; below-sensitivity there
-        # means below-sensitivity everywhere
-        return d_max * d_max if d_max >= self.d_ref else -1.0
 
     def in_range(self, ap: "AccessPoint", pos: tuple[float, float]) -> bool:
         dx = pos[0] - ap.cfg.x
@@ -169,7 +169,7 @@ class Medium:
             part = run if hi - lo == n else run.part(lo, hi)
             if inside:
                 ap.uplink_run(pkt, part, hop)
-            elif self.drop_hook is not None:
+            else:
                 self.drop_hook(part)
 
     def range_cuts(self, ap: "AccessPoint", iface, times: Ticks, lo: int, hi: int,
@@ -211,7 +211,8 @@ class AccessPoint:
         self.cfg = cfg
         self.medium = medium
         self.router = router
-        self.radius2 = medium.coverage_radius2(cfg.tx_power_dbm)
+        self.radius2 = coverage_radius2(cfg.tx_power_dbm, medium.sensitivity_dbm,
+                                        medium.frequency_hz, medium.d_ref)
         self.station = None  # the associated interface, if any
         # static uplink data path (handler, extra wired delay beyond the LAN
         # hop); defaults to the attached router, may be pointed past it when

@@ -434,10 +434,9 @@ class Scenario:
         self.sim = sim
         self.flows: dict[str, FlowStats] = {}
 
-        self.medium = Medium(sim, frequency_hz=cfg.frequency_hz,
+        self.medium = Medium(sim, self._on_drop, frequency_hz=cfg.frequency_hz,
                              sensitivity_dbm=cfg.sensitivity_dbm,
-                             bitrate=cfg.bitrate, d_ref=cfg.d_ref,
-                             drop_hook=self._on_drop)
+                             bitrate=cfg.bitrate, d_ref=cfg.d_ref)
         self.medium.horizon = cfg.sim_time_resolved
 
         ha_addr = Address(cfg.home_prefix, derive_iid("ha", 0))
@@ -521,11 +520,12 @@ class Scenario:
 
     def _on_drop(self, run: PacketRun, at: Optional[Callable[[float], float]] = None) -> None:
         """Count the app packets of run as lost and log each at its drop
-        time: its send time, or at(send time)."""
+        time: its send time, or at(send time). A packet drops once: one
+        dropped already raises ValueError (SeqSet.add)."""
         stats = self.flows[run.flow_id]
         n = len(run.times)
+        stats.dropped_seqs.add(run.seq0, run.seq0 + n)
         stats.lost += n
-        stats.dropped_seqs.add_range(run.seq0, run.seq0 + n)
         if self.sim.tracing:
             for seq, t in enumerate(run.times, run.seq0):
                 self.sim.trace("net", "traffic", "drop", f"flow={run.flow_id} seq={seq}",

@@ -97,37 +97,24 @@ class SeqSet:
         self._flags = bytearray()
         self._len = 0
 
-    def add_new(self, lo: int, hi: int) -> int:
-        """Add lo, lo + 1, ... up to hi or the first seq in the set already,
-        whichever comes first; return where it stopped."""
+    def add(self, lo: int, hi: int) -> None:
+        """Add lo..hi-1, 0 <= lo < hi, none of which may be in the set: a
+        seq that is raises ValueError, and leaves the set as it was."""
         flags = self._flags
         end = len(flags)
         if lo == end < hi:  # in-order arrival
             flags += b"\x01" * (hi - lo)
             self._len += hi - lo
-            return hi
-        if lo < 0:
-            raise ValueError(f"seq must be >= 0, got {lo}")
-        if hi <= lo:
-            return lo
+            return
+        if not 0 <= lo < hi:
+            raise ValueError(f"seqs [{lo}, {hi}): must be a non-empty range from 0 up")
         m = flags.find(1, lo, hi)
-        if m < 0:
-            m = hi
-        if m > end:
-            flags.extend(bytes(m - end))
-        flags[lo:m] = b"\x01" * (m - lo)
-        self._len += m - lo
-        return m
-
-    def add_range(self, lo: int, hi: int) -> int:
-        """Add lo..hi-1; the number of them not in the set yet."""
-        added = 0
-        while True:
-            m = self.add_new(lo, hi)
-            added += m - lo
-            if m >= hi:
-                return added
-            lo = m + 1  # past a seq in the set
+        if m >= 0:
+            raise ValueError(f"seq {m} is in the set already")
+        if hi > end:
+            flags.extend(bytes(hi - end))
+        flags[lo:hi] = b"\x01" * (hi - lo)
+        self._len += hi - lo
 
     def __contains__(self, seq: int) -> bool:
         return 0 <= seq < len(self._flags) and self._flags[seq] == 1
@@ -420,12 +407,13 @@ def repeat_add(total: float, d: float, n: int) -> float:
 
 
 class Sink:
-    """Receiver-side classification into received / late / duplicate.
+    """Receiver-side classification into received / late.
 
     A packet of a later talk spurt than the first is late when its one-way
     delay exceeds the playout budget: the minimum delay observed over the
     flow's first spurt (spurt 0) plus the fixed playout delay. A video flow
-    is one spurt, so it has no deadline.
+    is one spurt, so it has no deadline. A packet takes one path, so a sink
+    takes it once: a repeated seq raises ValueError (SeqSet.add).
     """
 
     def __init__(self, stats: FlowStats, playout_delay: float = 0.005):
@@ -433,52 +421,43 @@ class Sink:
         self.playout_delay = playout_delay
         self._budget: Optional[float] = None
         self._first_spurt_min: Optional[float] = None
-        self.duplicates = 0
 
     def receive(self, seq0: int, times: Ticks, lo: int, hi: int,
-                a: float, b: float, c: float, spurt: int = 0) -> str:
-        """Classify packets lo..hi-1 of a run, in this order: packet k has
-        seq seq0 + k, was sent at times[k] and arrives at
-        ((times[k] + a) + b) + c. Returns the verdict of the last."""
+                a: float, b: float, c: float, spurt: int = 0) -> None:
+        """Classify packets lo..hi-1 of a run, lo < hi, in this order: packet
+        k has seq seq0 + k, was sent at times[k] and arrives at
+        ((times[k] + a) + b) + c."""
         stats = self.stats
-        verdict = "duplicate"
-        while lo < hi:
-            m = stats.received_seqs.add_new(seq0 + lo, seq0 + hi) - seq0  # lo..m-1 are new
-            if m > lo:
-                total, late, verdict = stats.delay_sum, 0, "received"
-                pieces = delay_pieces(times, lo, m, a, b, c)
-                if spurt == 0:
-                    low = self._first_spurt_min
-                    for d, n in pieces:
-                        if low is None or d < low:
-                            low = d
-                        total = repeat_add(total, d, n)
-                    self._first_spurt_min = low
+        stats.received_seqs.add(seq0 + lo, seq0 + hi)
+        total, late = stats.delay_sum, 0
+        pieces = delay_pieces(times, lo, hi, a, b, c)
+        if spurt == 0:
+            low = self._first_spurt_min
+            for d, n in pieces:
+                if low is None or d < low:
+                    low = d
+                total = repeat_add(total, d, n)
+            self._first_spurt_min = low
+        else:
+            budget = self._budget
+            if budget is None:  # set by the first packet of a later spurt
+                low = self._first_spurt_min
+                if low is None:
+                    low = pieces[0][0]
+                budget = self._budget = low + self.playout_delay
+            for d, n in pieces:
+                if d > budget:
+                    late += n
                 else:
-                    budget = self._budget
-                    if budget is None:  # set by the first new packet of a later spurt
-                        low = self._first_spurt_min
-                        if low is None:
-                            low = pieces[0][0]
-                        budget = self._budget = low + self.playout_delay
-                    for d, n in pieces:
-                        if d > budget:
-                            late += n
-                        else:
-                            total = repeat_add(total, d, n)
-                    if d > budget:
-                        verdict = "late"
-                stats.delay_sum = total
-                stats.received += m - lo - late
-                stats.late += late
-            if m < hi:  # packet m is in the set already
-                self.duplicates += 1
-                verdict = "duplicate"
-            lo = m + 1
-        return verdict
+                    total = repeat_add(total, d, n)
+        stats.delay_sum = total
+        stats.received += hi - lo - late
+        stats.late += late
 
     def on_receive(self, seq: int, sent_at: float, now: float, spurt: int = 0) -> str:
         """Classify packet seq, sent at sent_at and arriving at now: receive
         of one packet sent at 0.0, whose delay ((0.0 + now) + -sent_at) + 0.0
-        - 0.0 is now - sent_at."""
-        return self.receive(seq, Ticks(0.0, 1.0, 0, 1), 0, 1, now, -sent_at, 0.0, spurt)
+        - 0.0 is now - sent_at. Returns "received" or "late"."""
+        late = self.stats.late
+        self.receive(seq, Ticks(0.0, 1.0, 0, 1), 0, 1, now, -sent_at, 0.0, spurt)
+        return "late" if self.stats.late > late else "received"

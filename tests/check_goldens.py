@@ -20,9 +20,12 @@ changed and why.
 With --random N it checks no golden: it prints, for each of N random
 configs drawn from fixed seeds (AP positions, speeds, fields, beacon
 intervals, miss thresholds, both schemes and applications), the event log's
-SHA-256 and the CSV row. Two trees print the same lines when their outputs
-agree on every one of those configs, so a diff of the two printouts checks
-a refactor that should change no byte beyond the goldens:
+SHA-256 and the CSV row. It runs each config untraced too, and exits 1,
+naming the config, if that CSV row or any flow's counts differ from the
+traced run's. Two trees print the same lines when their outputs agree on
+every one of those configs, so a diff of the two printouts checks a
+refactor that should change no byte beyond the goldens, on the traced and
+the untraced path alike:
 
     PYTHONPATH=src python tests/check_goldens.py --random 500 > new.txt
 """
@@ -115,6 +118,11 @@ UPLINK_ORDER_CONFIGS = {
     "video-2M-hard-4-fld0.02": ScenarioConfig(
         scheme="hard", application="video", video_rate_bps=2e6, speed=4.0,
         foreign_link_delay=0.02),
+    # a foreign link one 5 ms tick less the tunnel header's airtime: a
+    # tunnelled packet reaches the HA at the very time of a native one
+    "video-2M-soft-4-fld0.00484": ScenarioConfig(
+        scheme="soft", application="video", video_rate_bps=2e6, speed=4.0,
+        foreign_link_delay=0.00484),
     "voip-soft-4-fld0.05": ScenarioConfig(
         scheme="soft", application="voip", speed=4.0, foreign_link_delay=0.05),
     "voip-soft-2-seed1001": ScenarioConfig(
@@ -223,13 +231,25 @@ def compare(got: dict[str, object]) -> list[str]:
     return differ
 
 
+def outcome(result) -> tuple:
+    """The CSV row of a run, and each flow's counts and delay sum: the row
+    shows the downlink's losses only as a rate, not its drops."""
+    return result.metrics.to_row(), [
+        (f.flow_id, f.sent, f.received, f.late, f.lost, f.delay_sum.hex())
+        for f in result.scenario.flows.values()]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--random" and argv[1].isdigit():
         for i in range(int(argv[1])):
             trace: list[str] = []
-            row = run_experiment(random_config(i), trace_sink=trace).metrics.to_row()
+            traced = outcome(run_experiment(random_config(i), trace_sink=trace))
             text = "\n".join(trace) + "\n"
-            print(i, hashlib.sha256(text.encode()).hexdigest(), ",".join(row), flush=True)
+            print(i, hashlib.sha256(text.encode()).hexdigest(), ",".join(traced[0]), flush=True)
+            if outcome(run_experiment(random_config(i))) != traced:
+                print(f"random config {i}: the untraced run's CSV row or flow counts "
+                      "differ from the traced run's", file=sys.stderr)
+                return 1
         return 0
     if argv not in ([], ["--write"]):
         print("usage: check_goldens.py [--write | --random N]", file=sys.stderr)

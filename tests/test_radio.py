@@ -15,6 +15,7 @@ from vhosim.radio import (
     ApConfig,
     Frame,
     Medium,
+    coverage_radius2,
     fspl_db,
     rx_power_dbm,
 )
@@ -77,8 +78,7 @@ class StubIface:
 
 
 def _medium(sim, drops=None):
-    hook = drops.append if drops is not None else None
-    return Medium(sim, drop_hook=hook)
+    return Medium(sim, ([] if drops is None else drops).append)
 
 
 def _deliver_heard(ledger, iface_id, until=math.inf):
@@ -93,7 +93,7 @@ def _deliver_heard(ledger, iface_id, until=math.inf):
 def test_coverage_edge_at_default_budget():
     # 0 dBm tx, -85 dBm sensitivity, 2.4 GHz: edge is just under 176.8 m
     sim = Simulator()
-    med = Medium(sim)
+    med = _medium(sim)
     ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0), med, router=None)
     assert med.in_range(ap, (176.7, 0.0))
     assert not med.in_range(ap, (176.8, 0.0))
@@ -237,7 +237,7 @@ class PathIface(StubIface):
        steps=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=80))
 def test_range_memo_agrees_with_uncached_check(speed, ap_xy, steps):
     sim = Simulator()
-    med = Medium(sim)
+    med = _medium(sim)
     ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1]), med, router=None)
     iface = PathIface(sim, TractorPath(4.0, 0.0, 196.0, 50.0, 5, speed))
     # a beacon-ledger lookahead first: it reads the same coverage table, and
@@ -271,7 +271,7 @@ def test_range_memo_answers_queries_in_any_order(speed, ap_xy, times):
     # the two directions of a VoIP call query one (ap, iface) pair at times
     # that need not increase: one flow's run may reach past the other's
     sim = Simulator()
-    med = Medium(sim)
+    med = _medium(sim)
     ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1]), med, router=None)
     iface = PathIface(sim, TractorPath(4.0, 0.0, 196.0, 50.0, 5, speed))
     med.horizon = 150.0  # with none, every query is judged on its own
@@ -280,7 +280,7 @@ def test_range_memo_answers_queries_in_any_order(speed, ap_xy, times):
             f"t={t} pos={iface.position(t)}"
 
 
-R = math.sqrt(Medium(None).coverage_radius2(0.0))  # coverage radius at the default budget
+R = math.sqrt(coverage_radius2(0.0, -85.0, 2.4e9, 1.0))  # coverage radius at the default budget
 
 
 def _heard(med, ap, iface, changes, horizon):
@@ -374,7 +374,7 @@ def ledger_cases(draw):
 def test_ledger_matches_a_scan_of_every_beacon(case):
     path, ap_xy, bi, allowed, changes, horizon, starts, m = case
     sim = Simulator()
-    med = Medium(sim)
+    med = _medium(sim)
     ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1], beacon_interval=bi),
                      med, router=None)
     iface = PathIface(sim, path) if isinstance(path, TractorPath) else StubIface("i", path)
@@ -418,7 +418,7 @@ def test_coverage_table_matches_exact_checks(case, fractions):
     # span it is said to hold over; so is each gap's, from end to end
     path, ap_xy, bi, _, _, horizon, _, _ = case
     sim = Simulator()
-    med = Medium(sim)
+    med = _medium(sim)
     med.horizon = horizon
     ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1], beacon_interval=bi),
                      med, router=None)
@@ -444,7 +444,7 @@ def test_range_cuts_agree_with_the_exact_check_on_a_retraced_path():
     # exactly (a verdict held for the node's distance to the edge over its
     # speed, as a range memo did, is wrong for 233 of these 59,000 packets)
     sim = Simulator()
-    med = Medium(sim)
+    med = _medium(sim)
     med.horizon = 300.0
     ap = AccessPoint(sim, ApConfig("ap", 0.0, 20.0), med, router=None)
     iface = PathIface(sim, TractorPath(R - 0.5, 20.0, R + 0.5, 20.0, 1, 20.0))

@@ -14,7 +14,7 @@ from vhosim.ipv6 import Address, Packet
 from vhosim.llc import VhoController
 from vhosim.radio import BEACON_BITS, AccessPoint, Frame
 from vhosim.scenario import CorrespondentNode, DownlinkRun, Scenario, WirelessInterface
-from vhosim.traffic import PacketRun, Sink
+from vhosim.traffic import PacketRun, Sink, Ticks
 
 
 class SpiedRun(NamedTuple):
@@ -120,13 +120,6 @@ def test_binding_signaling_happened(soft_voip):
     assert len(dereg) >= 5  # one per return home
     acks = [a for a in mip.ba_log if a[2] == "accepted"]
     assert acks
-
-
-def test_no_duplicate_deliveries(soft_voip, hard_video):
-    for result in (soft_voip, hard_video):
-        scn = result.scenario
-        for sink in list(scn.cn.sinks.values()) + list(scn.mn.sinks.values()):
-            assert sink.duplicates == 0
 
 
 def test_controller_stays_out_of_the_data_plane(soft_voip_run, hard_video_run):
@@ -382,6 +375,20 @@ def test_uplink_drops_at_its_ticks_until_the_home_address_is_valid(scheme):
     assert all(seq in flow.dropped_seqs for seq in range(26))
     assert flow.lost == len(drops) == len(flow.dropped_seqs)
     assert flow.sent == flow.received + flow.late + flow.lost
+
+
+def test_a_run_dropped_twice_raises():
+    # a packet meets one fate: a second drop of any packet of a run is a
+    # fault, and leaves the flow's loss count and dropped set as they were
+    scn = Scenario(ScenarioConfig(scheme="hard", application="video"))
+    flow = scn.flows["video-ul"]
+    scn._on_drop(PacketRun("video-ul", 10, Ticks(1.0, 0.02, 0, 5), 10000))  # seqs 10..14
+    with pytest.raises(ValueError, match="seq 10 "):
+        scn._on_drop(PacketRun("video-ul", 10, Ticks(1.0, 0.02, 0, 5), 10000))
+    with pytest.raises(ValueError, match="seq 10 "):  # seqs 7..10: only the last repeats
+        scn._on_drop(PacketRun("video-ul", 7, Ticks(0.94, 0.02, 0, 4), 10000))
+    assert flow.lost == len(flow.dropped_seqs) == 5
+    assert [seq for seq in range(30) if seq in flow.dropped_seqs] == list(range(10, 15))
 
 
 def test_uplink_drops_while_the_home_address_is_tentative_under_a_foreign_coa():

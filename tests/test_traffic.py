@@ -290,27 +290,39 @@ def test_sink_video_has_no_deadline():
     assert stats.received == 2 and stats.late == 0
 
 
-def test_sink_counts_duplicates_once():
-    stats = FlowStats("v")
+def test_sink_rejects_a_repeated_seq():
+    # a packet takes one path, so a sink that takes it twice is a fault
+    stats = FlowStats("voip")
     sink = Sink(stats)
     assert sink.on_receive(0, 0.0, 0.01) == "received"
-    assert sink.on_receive(0, 0.0, 0.02) == "duplicate"
-    assert stats.received == 1 and sink.duplicates == 1
+    sink.receive(3, Ticks(1.0, 0.02, 0, 4), 0, 4, 0.01, 0.0, 0.0, spurt=0)  # seqs 3..6
+
+    def state():
+        return (stats.received, stats.late, stats.delay_sum.hex(), len(stats.received_seqs),
+                sink._budget, sink._first_spurt_min, [s in stats.received_seqs for s in range(9)])
+
+    before = state()
+    with pytest.raises(ValueError, match="seq 0 "):
+        sink.on_receive(0, 0.0, 0.02)
+    # a later spurt's segment whose last seq repeats: its first packet would set the budget
+    with pytest.raises(ValueError, match="seq 3 "):
+        sink.receive(1, Ticks(3.0, 0.02, 0, 3), 0, 3, 0.5, 0.0, 0.0, spurt=1)  # seqs 1..3
+    assert state() == before
 
 
 @st.composite
 def sink_segments(draw) -> list[tuple]:
-    """Calls (seq0, times, lo, hi, a, b, c, spurt) of one sink: each
-    segment's first seq follows the last one's, or leaves a gap, or goes
-    back to reorder or repeat seqs; spurts start at 0 or later and grow.
-    Ticks and offsets are often dyadic, so that delays tie the budget; some
-    segments are long and cross a power of two."""
+    """Calls (seq0, times, lo, hi, a, b, c, spurt) of one sink: segments of
+    disjoint seqs, which may leave gaps, taken in seq order or reordered;
+    spurts start at 0 or later and grow from call to call. Ticks and offsets
+    are often dyadic, so that delays tie the budget; some segments are long
+    and cross a power of two."""
     value = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 100.0))
     step = st.one_of(st.sampled_from([0.125, 0.5, 1.0]), st.floats(1e-3, 10.0))
     offset = st.one_of(st.sampled_from([0.0, 0.125, 0.25, 0.5]), st.floats(0.0, 1.0))
-    calls, end, spurt = [], 0, draw(st.integers(0, 1))
+    segments, end = [], 0
     for _ in range(draw(st.integers(1, 12))):
-        first = max(0, end + draw(st.one_of(st.just(0), st.integers(-8, 4))))
+        first = end + draw(st.one_of(st.just(0), st.integers(0, 4)))
         lo = draw(st.integers(0, 2))
         if draw(st.integers(0, 3)):
             n, k0 = draw(st.integers(1, 8)), draw(st.integers(0, 3))
@@ -319,9 +331,14 @@ def sink_segments(draw) -> list[tuple]:
             n, dt = draw(st.integers(9, 400)), draw(st.floats(1e-3, 0.1))
             t0 = 2.0 ** draw(st.integers(-1, 11)) - dt * draw(st.integers(0, 40))
             times = Ticks(t0, dt, 0, lo + n + draw(st.integers(0, 2)))
-        calls.append((first - lo, times, lo, lo + n, draw(offset), draw(offset), draw(offset),
-                      spurt))
-        end = max(end, first + n)
+        segments.append((first - lo, times, lo, lo + n, draw(offset), draw(offset),
+                         draw(offset)))
+        end = first + n
+    order = draw(st.one_of(st.just(range(len(segments))),
+                           st.permutations(range(len(segments)))))
+    calls, spurt = [], draw(st.integers(0, 1))
+    for i in order:
+        calls.append((*segments[i], spurt))
         spurt += draw(st.sampled_from([0, 0, 1]))
     return calls
 
@@ -331,8 +348,8 @@ def sink_segments(draw) -> list[tuple]:
 @example(0.25, [(0, Ticks(1.0, 1.0, 0, 1), 0, 1, 0.25, 0.0, 0.0, 0),  # budget 0.5
                         (1, Ticks(2.0, 1.0, 0, 2), 0, 2, 0.5, 0.0, 0.0, 1),  # delays at it
                         (3, Ticks(4.0, 1.0, 0, 1), 0, 1, 0.5, 0.125, 0.0, 1)])  # past: late
-@example(0.005, [(0, Ticks(1.0, 1.0, 0, 2), 0, 2, 0.25, 0.0, 0.0, 1),  # no spurt 0
-                         (0, Ticks(0.0, 1.0, 0, 3), 0, 3, 0.5, 0.0, 0.0, 2)])  # 0, 1 repeat
+@example(0.005, [(2, Ticks(1.0, 1.0, 0, 2), 0, 2, 0.25, 0.0, 0.0, 1),  # no spurt 0
+                         (0, Ticks(0.0, 1.0, 0, 2), 0, 2, 0.5, 0.0, 0.0, 2)])  # 0, 1 after 2, 3
 # x + 0.25 + 2**-53 ties in [1, 2): its rounding follows the parity of x
 @example(0.0, [(0, Ticks(1.0, 3 * 2.0 ** -52, 0, 64), 0, 64, 0.25 + 2.0 ** -53, 0.0,
                          0.0, 0)])
@@ -343,19 +360,20 @@ def test_sink_batch_counts_as_one_packet_calls(playout, calls):
     batch, single = Sink(FlowStats("b"), playout), Sink(FlowStats("s"), playout)
     ref = reference_state()
     for seq0, times, lo, hi, a, b, c, spurt in calls:
-        verdicts = []
+        late = 0
         for k in range(lo, hi):
             now = times[k] + a + b + c
             verdict = single.on_receive(seq0 + k, times[k], now, spurt)
             assert verdict == classify(ref, playout, seq0 + k, now - times[k], spurt)
-            verdicts.append(verdict)
-        assert batch.receive(seq0, times, lo, hi, a, b, c, spurt) == verdicts[-1]
+            late += verdict == "late"
+        before = batch.stats.late
+        batch.receive(seq0, times, lo, hi, a, b, c, spurt)
+        assert batch.stats.late - before == late
     for sink in (batch, single):
         stats = sink.stats
-        assert (stats.received, stats.late, sink.duplicates, sink._budget,
-                sink._first_spurt_min, len(stats.received_seqs)) == \
-            (ref["received"], ref["late"], ref["duplicates"], ref["budget"], ref["low"],
-             len(ref["seqs"]))
+        assert (stats.received, stats.late, sink._budget, sink._first_spurt_min,
+                len(stats.received_seqs)) == \
+            (ref["received"], ref["late"], ref["budget"], ref["low"], len(ref["seqs"]))
         assert stats.delay_sum.hex() == ref["delay_sum"].hex()
         assert all((seq in stats.received_seqs) == (seq in ref["seqs"])
                    for seq in range(max(ref["seqs"]) + 2))
@@ -444,65 +462,70 @@ def test_delay_pieces_cut_a_segment_only_near_a_power_of_two():
         [49, 1, 50]
 
 
-def _walk(steps):
-    """Seqs of a mostly in-order stream: each one is the previous plus a step
-    that may be 0 (duplicate), negative (reordered) or above 1 (gap)."""
-    seq, out = -1, []
-    for step in steps:
-        seq = max(0, seq + step)
-        out.append(seq)
-    return out
+@st.composite
+def disjoint_ranges(draw) -> list[tuple[int, int]]:
+    """(lo, hi) ranges of seqs that share none: runs of 1 to 30 seqs with
+    gaps of up to 9 between them, in seq order or reordered."""
+    ranges, end = [], 0
+    for _ in range(draw(st.integers(0, 20))):
+        lo = end + draw(st.one_of(st.just(0), st.integers(0, 9)))
+        end = lo + draw(st.integers(1, 30))
+        ranges.append((lo, end))
+    return draw(st.one_of(st.just(ranges), st.permutations(ranges)))
 
 
-seq_streams = st.lists(st.one_of(st.just(1), st.just(1), st.integers(-6, 9)),
-                       max_size=300).map(_walk)
-
-
-def _fill(stream):
+def _fill(ranges):
     ours, ref = SeqSet(), set()
-    for seq in stream:
-        assert ours.add_new(seq, seq + 1) == (seq if seq in ref else seq + 1), seq
-        ref.add(seq)
+    for lo, hi in ranges:
+        ours.add(lo, hi)
+        ref.update(range(lo, hi))
     return ours, ref
 
 
 @settings(max_examples=300, deadline=None)
-@given(seq_streams, seq_streams)
-def test_seq_set_agrees_with_builtin_set(stream_a, stream_b):
-    ours_a, ref_a = _fill(stream_a)
-    ours_b, ref_b = _fill(stream_b)
+@given(disjoint_ranges(), disjoint_ranges())
+def test_seq_set_agrees_with_builtin_set(ranges_a, ranges_b):
+    ours_a, ref_a = _fill(ranges_a)
+    ours_b, ref_b = _fill(ranges_b)
     assert len(ours_a) == len(ref_a) and len(ours_b) == len(ref_b)
-    probe = range(-2, max(stream_a + stream_b, default=0) + 3)
+    probe = range(-2, max(ref_a | ref_b, default=0) + 3)
     assert [s in ours_a for s in probe] == [s in ref_a for s in probe]
     assert (ours_a & ours_b) == (ref_a & ref_b)
     assert (ours_b & ours_a) == (ref_a & ref_b)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 80), st.integers(0, 30)), max_size=30))
-def test_seq_set_range_add_agrees_with_per_seq_add(ranges):
-    # ranges overlap, leave gaps and come in any order
-    bulk, single, prefix, ref = SeqSet(), SeqSet(), SeqSet(), set()
-    for lo, n in ranges:
-        added = sum(single.add_new(seq, seq + 1) - seq for seq in range(lo, lo + n))
-        assert bulk.add_range(lo, lo + n) == added
+@given(disjoint_ranges(), st.lists(st.tuples(st.integers(0, 80), st.integers(1, 30)),
+                                   max_size=30))
+def test_seq_set_range_add_agrees_with_per_seq_add(ranges, tries):
+    bulk, single = SeqSet(), SeqSet()
+    for lo, hi in ranges:
+        bulk.add(lo, hi)
+        for seq in range(lo, hi):
+            single.add(seq, seq + 1)
         assert len(bulk) == len(single)
-        # add_new adds up to the first seq in the set
-        stop = next((seq for seq in range(lo, lo + n) if seq in ref), lo + n)
-        assert prefix.add_new(lo, lo + n) == stop
-        ref.update(range(lo, stop))
-        assert len(prefix) == len(ref)
-    probe = range(-2, 114)
+    probe = range(-2, 800)  # past every range drawn
     assert [s in bulk for s in probe] == [s in single for s in probe]
-    assert [s in prefix for s in probe] == [s in ref for s in probe]
+    # then ranges that may overlap the set: an overlap raises, naming the
+    # first seq in the set, and changes nothing
+    ref = {s for s in probe if s in bulk}
+    for lo, n in tries:
+        overlap = ref.intersection(range(lo, lo + n))
+        if overlap:
+            with pytest.raises(ValueError, match=f"seq {min(overlap)} "):
+                bulk.add(lo, lo + n)
+        else:
+            bulk.add(lo, lo + n)
+            ref.update(range(lo, lo + n))
+        assert len(bulk) == len(ref)
+        assert [s in bulk for s in probe] == [s in ref for s in probe]
 
 
 def test_seq_set_rejects_negative_seq():
     seqs = SeqSet()
-    with pytest.raises(ValueError):
-        seqs.add_new(-1, 0)
-    with pytest.raises(ValueError):
-        seqs.add_range(-1, 2)
+    for lo, hi in ((-1, 0), (-1, 2), (0, 0), (3, 1)):  # negative, or empty
+        with pytest.raises(ValueError, match=rf"seqs \[{lo}, {hi}\): must be a non-empty"):
+            seqs.add(lo, hi)
     assert len(seqs) == 0 and -1 not in seqs and 0 not in seqs
 
 
