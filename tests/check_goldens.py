@@ -6,11 +6,13 @@ The package supports every Python from 3.10 on (pyproject.toml), and an
 interpreter may have no pytest. This script needs none. It rebuilds the
 bytes of tests/golden/grid.csv (the 70-run acceptance grid), the SHA-256
 and line count of each event log in tests/golden/event_logs.json, the
-digest in tests/golden/criterion10_log.sha256 and the per-flow digests of
-sink order in tests/golden/uplink_order.json, prints one line per golden,
-and exits 1 if any differs (0 if none does). The pytest suite checks the
-same goldens from the definitions here (test_golden_grid_csv,
-test_event_log_matches_golden, test_criterion_10_byte_identical_reruns,
+digest in tests/golden/criterion10_log.sha256, the per-flow digests of
+sink order in tests/golden/uplink_order.json and the --random 100
+printout in tests/golden/random.json, prints one line per golden, and
+exits 1 if any differs (0 if none does). The pytest suite checks the same
+goldens from the definitions here (test_golden_grid_csv,
+test_golden_random_configs, test_event_log_matches_golden,
+test_criterion_10_byte_identical_reruns,
 test_sinks_take_packets_in_golden_order).
 
 With --write it rewrites every golden file from the rebuilt outputs
@@ -28,6 +30,10 @@ refactor that should change no byte beyond the goldens, on the traced and
 the untraced path alike:
 
     PYTHONPATH=src python tests/check_goldens.py --random 500 > new.txt
+
+The first RANDOM_GOLDEN of those configs are a golden too: random.json
+maps each config's number to its line, or to an error if its untraced
+run differs.
 """
 
 from __future__ import annotations
@@ -153,6 +159,42 @@ def random_config(i: int) -> ScenarioConfig:
         foreign_link_delay=rng.uniform(0.0, 0.05), expected_handovers=None)
 
 
+def outcome(result) -> tuple:
+    """The CSV row of a run, and each flow's counts and delay sum: the row
+    shows the downlink's losses only as a rate, not its drops."""
+    return result.metrics.to_row(), [
+        (f.flow_id, f.sent, f.received, f.late, f.lost, f.delay_sum.hex())
+        for f in result.scenario.flows.values()]
+
+
+RANDOM_GOLDEN = 100  # the configs of random.json
+
+
+def random_line(i: int) -> str:
+    """Config i's line of --random: its number, the event log's SHA-256 and
+    the CSV row. Raises ValueError if the untraced run's CSV row or flow
+    counts differ from the traced run's."""
+    trace: list[str] = []
+    traced = outcome(run_experiment(random_config(i), trace_sink=trace))
+    if outcome(run_experiment(random_config(i))) != traced:
+        raise ValueError(f"random config {i}: the untraced run's CSV row or flow "
+                         "counts differ from the traced run's")
+    text = "\n".join(trace) + "\n"
+    return f"{i} {hashlib.sha256(text.encode()).hexdigest()} {','.join(traced[0])}"
+
+
+def random_golden() -> dict[str, str]:
+    """random.json's entries: config number -> its --random line, or the
+    error that the untraced run differs."""
+    got = {}
+    for i in range(RANDOM_GOLDEN):
+        try:
+            got[f"{i:03d}"] = random_line(i)
+        except ValueError as err:
+            got[f"{i:03d}"] = str(err)
+    return got
+
+
 def log_digest(cfg: ScenarioConfig) -> dict[str, object]:
     """SHA-256 and line count of the event log, as --event-log writes it."""
     trace: list[str] = []
@@ -193,6 +235,7 @@ def rebuild() -> dict[str, object]:
         "uplink_order.json": {name: order_digests(sink_order(cfg))
                               for name, cfg in UPLINK_ORDER_CONFIGS.items()},
         "criterion10_log.sha256": log_digest(CRITERION_10)["sha256"],
+        "random.json": random_golden(),
     }
 
 
@@ -231,24 +274,13 @@ def compare(got: dict[str, object]) -> list[str]:
     return differ
 
 
-def outcome(result) -> tuple:
-    """The CSV row of a run, and each flow's counts and delay sum: the row
-    shows the downlink's losses only as a rate, not its drops."""
-    return result.metrics.to_row(), [
-        (f.flow_id, f.sent, f.received, f.late, f.lost, f.delay_sum.hex())
-        for f in result.scenario.flows.values()]
-
-
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--random" and argv[1].isdigit():
         for i in range(int(argv[1])):
-            trace: list[str] = []
-            traced = outcome(run_experiment(random_config(i), trace_sink=trace))
-            text = "\n".join(trace) + "\n"
-            print(i, hashlib.sha256(text.encode()).hexdigest(), ",".join(traced[0]), flush=True)
-            if outcome(run_experiment(random_config(i))) != traced:
-                print(f"random config {i}: the untraced run's CSV row or flow counts "
-                      "differ from the traced run's", file=sys.stderr)
+            try:
+                print(random_line(i), flush=True)
+            except ValueError as err:
+                print(err, file=sys.stderr)
                 return 1
         return 0
     if argv not in ([], ["--write"]):

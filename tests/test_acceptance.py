@@ -5,12 +5,13 @@ is simulated once per session and shared across the criteria.
 """
 
 import hashlib
+import json
 import math
 from pathlib import Path
 
 import pytest
 
-from check_goldens import APPS, CRITERION_10, SPEEDS, grid_configs
+from check_goldens import APPS, CRITERION_10, SPEEDS, grid_configs, random_golden
 
 from vhosim.harness import ScenarioConfig, emit_csv, run_experiment
 from vhosim.ipv6 import Address
@@ -257,3 +258,11 @@ def test_golden_grid_csv(grid, tmp_path):
     emit_csv([result.metrics for _key, result in _runs(grid)], out)
     assert out.read_bytes() == (GOLDEN / "grid.csv").read_bytes(), \
         f"grid CSV differs from tests/golden/grid.csv; this run's CSV: {out}"
+
+
+def test_golden_random_configs():
+    # AP positions, fields, speeds and beacon settings the grid never varies;
+    # each entry is a config's event-log digest and CSV row, traced and untraced
+    want = json.loads((GOLDEN / "random.json").read_text())
+    got = random_golden()
+    assert got == want, [k for k in sorted(want) if got.get(k) != want[k]]
