@@ -140,6 +140,10 @@ class ScenarioConfig:
                 raise ConfigError(f"{delay_key}: no packet sent from traffic_start = "
                                   f"{self.traffic_start!r} s crosses the link before the "
                                   f"run ends at {end!r} s")
+        for name in ("home_prefix", "foreign_prefix"):  # an address is prefix << 64 | iid
+            if not 0 <= getattr(self, name) < 1 << 64:
+                raise ConfigError(f"{name}: must be a 64-bit prefix, in [0, 2**64), "
+                                  f"got {getattr(self, name):#x}")
         # packets are routed by prefix, so a shared prefix misroutes them
         if self.home_prefix == self.foreign_prefix:
             raise ConfigError("foreign_prefix: must differ from home_prefix")

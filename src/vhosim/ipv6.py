@@ -87,9 +87,11 @@ class Ipv6Host:
     """Host-side IPv6 for the mobile node, and the one owner of address
     validity.
 
-    Each interface holds at most one address, on its current link: the home
-    address on the home prefix, else the RA's prefix plus the interface's
-    identifier. `validated` holds the addresses DAD validated. An
+    The home address is configured (RFC 6275 assumes it); the first home RA
+    teaches the home agent's address. Each interface holds at most one
+    address, on its current link: the home address on the home prefix, else
+    the RA's prefix plus the interface's identifier. `validated` holds the
+    addresses DAD validated, the home address too, on the home link. An
     interface's own address leaves it when its link is released; the home
     address stays in it for good, so a return home reuses it without DAD.
 
@@ -98,7 +100,7 @@ class Ipv6Host:
     home address is reused on returning home).
     """
 
-    def __init__(self, sim: Simulator, node_id: str,
+    def __init__(self, sim: Simulator, node_id: str, home_address: Address,
                  on_address_global: Callable[[str], None],
                  dad_duration: float = 1.0):
         self.sim = sim
@@ -108,7 +110,7 @@ class Ipv6Host:
         self.addresses: dict[str, Optional[Address]] = {}
         self.validated: set[Address] = set()
         self.routes = RoutingTable()
-        self.home_address: Optional[Address] = None
+        self.home_address = home_address
         self.ha_address: Optional[Address] = None
         self._iface_index: dict[str, int] = {}
         self._dad_handles: dict[str, EventHandle] = {}
@@ -129,13 +131,10 @@ class Ipv6Host:
         self.sim.trace(self.node_id, "ipv6", "ra", f"iface={iface_id} prefix={ra.prefix:#x}")
 
         hoa = self.home_address
-        first = ra.is_home_agent and hoa is None
-        if first:
-            # the first home RA: learn the home network and form the home address
+        first = ra.is_home_agent and self.ha_address is None
+        if first:  # the first home RA: learn the home agent
             self.ha_address = ra.router
-            hoa = self.home_address = Address(ra.prefix, self.iid(iface_id))
-        addr = (hoa if hoa is not None and hoa.prefix == ra.prefix
-                else Address(ra.prefix, self.iid(iface_id)))
+        addr = hoa if hoa.prefix == ra.prefix else Address(ra.prefix, self.iid(iface_id))
         if addr == hoa and addr in self.validated:
             # a return home reuses the validated home address without DAD
             self.addresses[iface_id] = addr

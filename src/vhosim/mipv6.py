@@ -122,10 +122,9 @@ class MnBindingManager:
     def on_serving_changed(self) -> None:
         """Called after a promotion; registers or deregisters as needed."""
         coa = self.current_coa()
-        hoa = self.host.home_address
-        if coa is None or hoa is None or self.host.ha_address is None:
+        if coa is None or self.host.ha_address is None:
             return  # deferred until the next promotion provides an address
-        if coa.prefix == hoa.prefix:
+        if coa.prefix == self.host.home_address.prefix:
             if self.binding_active or self._awaiting is not None:
                 self._send_bu(coa, 0.0)
         else:

@@ -141,34 +141,35 @@ class Medium:
             self.sim.schedule_in(frame.size_bits / self.bitrate, iface.on_frame, frame)
 
     def iface_to_ap(self, iface, ap: "AccessPoint", frame: Frame) -> None:
+        """An association request, the only frame an AP receives."""
         # symmetric link budget: the AP hears the node iff the node hears the AP
-        if not self.in_range_moving(ap, iface, self.sim.now)[0]:
-            return
-        delay = frame.size_bits / self.bitrate
-        if frame.kind == "data":
-            # bridging is the AP's only action on uplink data; hand the packet
-            # down its wired path directly after serialization plus the hops
-            at = self.sim.now + (delay + LAN_DELAY + ap.uplink_extra_delay)
-            self.sim.schedule_at(at, ap.uplink_handler or ap.router.handle,
-                                 frame.payload)
-        else:
-            self.sim.schedule_in(delay, ap.on_frame, frame)
+        if self.in_range_moving(ap, iface, self.sim.now)[0]:
+            self.sim.schedule_in(frame.size_bits / self.bitrate, ap.on_frame, frame)
+
+    def _hop(self, ap: "AccessPoint", pkt) -> float:
+        """Serialization, the LAN hop and the AP's wired delay on to the HA."""
+        return (pkt.size_bits + MAC_OVERHEAD_BITS) / self.bitrate + LAN_DELAY + ap.ha_delay
+
+    def uplink(self, iface, ap: "AccessPoint", pkt) -> None:
+        """A binding update: bridging is the AP's only action on uplink
+        data, so it goes straight on to the HA, if the AP hears it."""
+        if self.in_range_moving(ap, iface, self.sim.now)[0]:
+            self.sim.schedule_at(self.sim.now + self._hop(ap, pkt), ap.ha.handle, pkt)
 
     def uplink_run(self, iface, ap: "AccessPoint", pkt, run) -> None:
         """Uplink data for a run of app packets to the AP.
 
         pkt is the datagram every packet of the run travels in, so the
-        delay to the AP's wired side is the same for all of them, grouped as
-        iface_to_ap groups it. Each packet in range at its tick goes on to
-        ap.uplink_run; the others drop, in tick order.
+        delay to the HA is the same for all of them, grouped as uplink
+        groups it. Each packet in range at its tick goes on to
+        ap.ha.forward_run; the others drop, in tick order.
         """
-        hop = ((pkt.size_bits + MAC_OVERHEAD_BITS) / self.bitrate
-               + LAN_DELAY + ap.uplink_extra_delay)
+        hop = self._hop(ap, pkt)
         n = len(run.times)
         for lo, hi, inside in self.range_cuts(ap, iface, run.times, 0, n, float):
             part = run if hi - lo == n else run.part(lo, hi)
             if inside:
-                ap.uplink_run(pkt, part, hop)
+                ap.ha.forward_run(pkt, part, hop)
             else:
                 self.drop_hook(part)
 
@@ -195,44 +196,36 @@ class Medium:
 
 
 class AccessPoint:
-    """802.11-style AP: periodic beacons, association handling, station delivery.
+    """802.11-style AP: beacons, association handling, station delivery.
 
-    The AP bridges its radio side to a router object exposing handle(pkt) and
-    advertisement(). It has one station slot (one radio in hard mode, one
-    radio per AP in soft mode), filled when an association request arrives
-    and emptied the instant that interface disassociates, heard or not: an
-    inactivity timeout of zero. So the station is always tuned to this AP.
-    It gets one RA, on association: an unsolicited RA after that (RFC 4861
-    6.2.4) would re-add the routes and prefix it already holds.
+    Every uplink datagram ends at the home agent ha, ha_delay of wired delay
+    past the LAN hop (Medium.uplink, Medium.uplink_run). The AP has one
+    station slot (one radio in hard mode, one radio per AP in soft mode),
+    filled when an association request arrives and emptied the instant that
+    interface disassociates, heard or not: an inactivity timeout of zero. So
+    the station is always tuned to this AP. It gets one RA, ra, on
+    association: an unsolicited RA after that (RFC 4861 6.2.4) would re-add
+    the routes and prefix it already holds.
     """
 
-    def __init__(self, sim: Simulator, cfg: ApConfig, medium: Medium, router):
+    def __init__(self, sim: Simulator, cfg: ApConfig, medium: Medium, ra, ha,
+                 ha_delay: float):
         self.sim = sim
         self.cfg = cfg
         self.medium = medium
-        self.router = router
+        self.ra = ra
+        self.ha = ha
+        self.ha_delay = ha_delay
         self.radius2 = coverage_radius2(cfg.tx_power_dbm, medium.sensitivity_dbm,
                                         medium.frequency_hz, medium.d_ref)
         self.station = None  # the associated interface, if any
-        # static uplink data path (handler, extra wired delay beyond the LAN
-        # hop); defaults to the attached router, may be pointed past it when
-        # the topology makes the next hop unconditional
-        self.uplink_handler: Optional[Callable[[Any], None]] = None
-        self.uplink_extra_delay: float = 0.0
-        # (datagram, run, hop) -> None: takes the packets of a run of app
-        # packets, packet k reaching the wired side at times[k] + hop
-        self.uplink_run: Optional[Callable[[Any, Any, float], None]] = None
-
-    def start(self) -> None:
-        self.medium.beacons.add_ap(self)
 
     def on_frame(self, frame: Frame) -> None:
         """An association request, the only frame an AP receives."""
         iface = self.station = frame.payload
         self.sim.trace(self.cfg.ap_id, "radio", "assoc", f"station={iface.iface_id}")
         self.medium.ap_to_iface(self, iface, Frame("assoc_response", ASSOC_BITS, payload=self))
-        self.medium.ap_to_iface(self, iface, Frame("data", BEACON_BITS,
-                                                   payload=self.router.advertisement()))
+        self.medium.ap_to_iface(self, iface, Frame("data", BEACON_BITS, payload=self.ra))
 
     def leave(self, iface) -> None:
         self.station = None
@@ -246,8 +239,8 @@ class AccessPoint:
 
 
 class BeaconLedger:
-    """The beacons each interface hears, computed on demand: beacon k of a
-    started AP is sent at k * beacon_interval and arrives BEACON_BITS /
+    """The beacons each interface hears, computed on demand: beacon k of an
+    added AP is sent at k * beacon_interval and arrives BEACON_BITS /
     bitrate later at each interface that, at the send time, may associate
     with the AP, listens to it or to every AP (a change at that instant
     counts) and is in range, as the medium's coverage table says. Searches
@@ -255,15 +248,13 @@ class BeaconLedger:
 
     def __init__(self, medium: Medium):
         self.medium = medium
-        self.aps: list[AccessPoint] = []  # started, in the order they beacon at one instant
+        self.aps: list[AccessPoint] = []  # in the order they beacon at one instant
         self.ifaces: dict[str, Any] = {}  # iface_id -> interface, in the order beacons reach them
         # iface_id -> (times, AP listened to from each on; None: all)
         self._listening: dict[str, tuple[list[float], list[Optional[AccessPoint]]]] = {}
-        self.on_change: Callable[[], None] = lambda: None  # an AP started
 
     def add_ap(self, ap: "AccessPoint") -> None:
         self.aps.append(ap)
-        self.on_change()
 
     def add_iface(self, iface) -> None:
         self.ifaces[iface.iface_id] = iface

@@ -74,7 +74,7 @@ class WirelessInterface:
 
 class MobileNode:
     def __init__(self, sim: Simulator, path: TractorPath, medium: Medium,
-                 iface_specs: list[Optional[str]],
+                 iface_specs: list[Optional[str]], home_address: Address,
                  dad_duration: float, beacon_interval: float, miss_threshold: int,
                  drop_hook, node_id: str = "mn"):
         self.path = path
@@ -85,7 +85,7 @@ class MobileNode:
         self.llc = VhoController(sim, node_id,
                                  beacon_interval=beacon_interval,
                                  miss_threshold=miss_threshold)
-        self.host = Ipv6Host(sim, node_id, self.llc.on_address_global,
+        self.host = Ipv6Host(sim, node_id, home_address, self.llc.on_address_global,
                              dad_duration=dad_duration)
         self.mip = MnBindingManager(sim, self.host, self.llc, self.send_routed,
                                     node_id=node_id)
@@ -96,7 +96,6 @@ class MobileNode:
             self.host.add_interface(iface_id, idx)
 
         self.llc.beacons = medium.beacons
-        medium.beacons.on_change = self.llc.replan
         self.llc.command_associate = lambda i, ap: self.ifaces[i].begin_association(ap)
         self.llc.command_disassociate = self._teardown_iface
         self.llc.on_promoted = lambda i, p: self.mip.on_serving_changed()
@@ -125,8 +124,7 @@ class MobileNode:
         iface = self._uplink_iface(pkt.dst)
         if iface is None:
             return
-        frame = Frame("data", pkt.size_bits + MAC_OVERHEAD_BITS, payload=pkt)
-        self.medium.iface_to_ap(iface, iface.ap, frame)
+        self.medium.uplink(iface, iface.ap, pkt)
 
     def send_run(self, run: PacketRun, dst: Address) -> None:
         """The uplink: send a run of app packets to dst.
@@ -150,22 +148,17 @@ class MobileNode:
 class HomeAgentNode:
     """Home-network router and MIPv6 home agent with static core forwarding."""
 
-    def __init__(self, sim: Simulator, address: Address, home_prefix: int,
-                 foreign_prefix: int, foreign_delay: float, drop_hook):
+    def __init__(self, sim: Simulator, address: Address, foreign_prefix: int,
+                 foreign_delay: float, drop_hook):
         self.sim = sim
         self.address = address
         self.cache = BindingCache()
-        self.home_prefix = home_prefix
         self.foreign_prefix = foreign_prefix
         self.foreign_delay = foreign_delay
         self.drop = drop_hook
         self.home_ap: Optional[AccessPoint] = None
         self.foreign_router: Optional["ForeignRouterNode"] = None
         self.cn: Optional["CorrespondentNode"] = None
-
-    def advertisement(self) -> RouterAdvertisement:
-        return RouterAdvertisement(self.home_prefix, self.address,
-                                   is_home_agent=True)
 
     def handle(self, pkt) -> None:
         """A binding update, the only packet addressed to the HA, or a
@@ -201,15 +194,10 @@ class HomeAgentNode:
 
 class ForeignRouterNode:
     """Foreign-network router: downlink only, since the foreign AP sends its
-    uplink straight on to the HA (AccessPoint.uplink_handler)."""
+    uplink straight on to the HA (AccessPoint.ha)."""
 
-    def __init__(self, address: Address, prefix: int):
-        self.address = address
-        self.prefix = prefix
+    def __init__(self):
         self.ap: Optional[AccessPoint] = None
-
-    def advertisement(self) -> RouterAdvertisement:
-        return RouterAdvertisement(self.prefix, self.address)
 
     def handle(self, pkt: Packet) -> None:
         self.ap.deliver_packet(pkt)
@@ -442,39 +430,38 @@ class Scenario:
         ha_addr = Address(cfg.home_prefix, derive_iid("ha", 0))
         fr_addr = Address(cfg.foreign_prefix, derive_iid("fr", 0))
         cn_addr = Address(CORE_PREFIX, derive_iid("cn", 0))
-        self.ha = HomeAgentNode(sim, ha_addr, cfg.home_prefix, cfg.foreign_prefix,
+        self.ha = HomeAgentNode(sim, ha_addr, cfg.foreign_prefix,
                                 cfg.foreign_link_delay, self._on_drop)
-        self.fr = ForeignRouterNode(fr_addr, cfg.foreign_prefix)
-        hoa = Address(cfg.home_prefix, derive_iid("mn", 0))  # as the CN knows it
+        self.fr = ForeignRouterNode()
+        hoa = Address(cfg.home_prefix, derive_iid("mn", 0))  # the MN's, configured
         self.cn = CorrespondentNode(cn_addr, self.ha, cfg.cn_link_delay, hoa)
         self.ha.foreign_router = self.fr
         self.ha.cn = self.cn
 
-        def access_point(ap_id: str, x: float, y: float, router) -> AccessPoint:
-            return AccessPoint(sim, ApConfig(ap_id, x, y, cfg.tx_power_dbm,
-                                             cfg.beacon_interval),
-                               self.medium, router)
+        def access_point(ap_id: str, x: float, y: float, ra: RouterAdvertisement,
+                         ha_delay: float) -> AccessPoint:
+            ap = AccessPoint(sim, ApConfig(ap_id, x, y, cfg.tx_power_dbm, cfg.beacon_interval),
+                             self.medium, ra, self.ha, ha_delay)
+            self.medium.beacons.add_ap(ap)
+            return ap
 
-        self.ap_home = access_point("ap-home", cfg.ap_home_x, cfg.ap_home_y, self.ha)
+        # both uplink paths end at the HA: the foreign AP's crosses the
+        # foreign link, with no event at the foreign router
+        self.ap_home = access_point("ap-home", cfg.ap_home_x, cfg.ap_home_y,
+                                    RouterAdvertisement(cfg.home_prefix, ha_addr, True), 0.0)
         self.ap_foreign = access_point("ap-foreign", cfg.ap_foreign_x, cfg.ap_foreign_y,
-                                       self.fr)
+                                       RouterAdvertisement(cfg.foreign_prefix, fr_addr),
+                                       cfg.foreign_link_delay)
         self.ha.home_ap = self.ap_home
         self.fr.ap = self.ap_foreign
-        # everything bridged up at the foreign AP crosses the foreign-HA link;
-        # skipping the intermediate router event keeps the timing identical
-        self.ap_foreign.uplink_handler = self.ha.handle
-        self.ap_foreign.uplink_extra_delay = cfg.foreign_link_delay
-        # both uplink paths end at the HA, which passes app packets for the
-        # CN on without an event
-        self.ap_home.uplink_run = self.ha.forward_run
-        self.ap_foreign.uplink_run = self.ha.forward_run
 
         path = TractorPath(cfg.field_x1, cfg.field_y1, cfg.field_x2, cfg.field_y2,
                            cfg.row_count, cfg.speed)
         iface_specs = ["ap-home", "ap-foreign"] if cfg.scheme == "soft" else [None]
-        self.mn = MobileNode(sim, path, self.medium, iface_specs,
+        self.mn = MobileNode(sim, path, self.medium, iface_specs, hoa,
                              cfg.dad_duration, cfg.beacon_interval,
                              cfg.miss_threshold, self._on_drop)
+        self.mn.llc.replan()
 
         self._build_traffic()
 
@@ -534,8 +521,6 @@ class Scenario:
     # -- execution ---------------------------------------------------------------
 
     def run(self) -> None:
-        self.ap_home.start()
-        self.ap_foreign.start()
         for src in self.sources:
             src.start()
         self.sim.run_until(self.cfg.sim_time_resolved)

@@ -49,8 +49,6 @@ def _send(change, event_world: bool, scheme: str = "hard", **overrides):
     sim = scn.sim
     if event_world:
         sim.ahead_limit = lambda: -math.inf
-    scn.ap_home.start()
-    scn.ap_foreign.start()
     sim.run_until(49.0)
     assert scn.ha.cache.lookup(scn.cn.hoa, sim.now) is not None
     change(scn)

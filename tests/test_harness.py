@@ -312,6 +312,11 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("home_prefix = 0x20010DB800020000", "foreign_prefix"),
     ("home_prefix = 0x20010DB800030000", "home_prefix"),  # the correspondent's
     ("foreign_prefix = 0x20010DB800030000", "foreign_prefix"),
+    # not a 64-bit prefix: used to exit 0, printing wrong addresses in the log
+    ("home_prefix = -1", "home_prefix"),
+    ("home_prefix = 0x1ffffffffffffffffff", "home_prefix"),
+    ("foreign_prefix = -1", "foreign_prefix"),
+    ("foreign_prefix = 0x1ffffffffffffffffff", "foreign_prefix"),
     # a budget whose coverage radius overflows used to exit 1 with a traceback
     ("radio.tx_power_dbm = 1e4", "tx_power_dbm"),
     ("radio.tx_power_dbm = 7000", "tx_power_dbm"),

@@ -12,6 +12,7 @@ from vhosim.ipv6 import (
 HOME = 0x20010DB800010000
 FOREIGN = 0x20010DB800020000
 CORE = 0x20010DB800030000
+HOA = Address(HOME, derive_iid("mn", 0))  # configured, as Scenario does
 
 
 def ha_ra():
@@ -23,7 +24,7 @@ def fr_ra():
 
 
 def make_host(sim, notifications):
-    host = Ipv6Host(sim, "mn", notifications.append)
+    host = Ipv6Host(sim, "mn", HOA, notifications.append)
     host.add_interface("wlan0", 0)
     host.add_interface("wlan1", 1)
     return host
@@ -49,12 +50,15 @@ def test_address_is_a_frozen_value():
 
 
 def test_home_ra_forms_tentative_home_address_and_starts_dad():
+    # the home address is configured; the first home RA teaches the HA's
+    # address and puts the home address, tentative, on the interface
     sim = Simulator()
     notes = []
     host = make_host(sim, notes)
+    assert host.home_address == HOA and host.ha_address is None
     sim.run_until(2.0)
     host.on_router_advertisement("wlan0", ha_ra())
-    assert host.home_address == Address(HOME, derive_iid("mn", 0))
+    assert host.home_address == HOA and host.ha_address == Address(HOME, 1)
     assert host.addresses["wlan0"] == host.home_address
     assert host.home_address not in host.validated
     assert host.global_address("wlan0") is None
@@ -76,6 +80,7 @@ def test_foreign_ra_triggers_slaac_with_fresh_dad():
     addr = host.addresses["wlan1"]
     assert addr == Address(FOREIGN, derive_iid("mn", 1))
     assert addr not in host.validated
+    assert host.ha_address is None and host.home_address == HOA  # a foreign RA teaches neither
     sim.run_until(1.0)
     assert notes == ["wlan1"]
     assert host.global_address("wlan1") == addr

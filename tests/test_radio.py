@@ -11,6 +11,8 @@ from vhosim.mobility import TractorPath
 from vhosim.radio import (
     ASSOC_BITS,
     BEACON_BITS,
+    LAN_DELAY,
+    MAC_OVERHEAD_BITS,
     AccessPoint,
     ApConfig,
     Frame,
@@ -81,6 +83,25 @@ def _medium(sim, drops=None):
     return Medium(sim, ([] if drops is None else drops).append)
 
 
+class StubHa:
+    """Records what an AP's uplink hands the home agent, and when."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.handled = []  # (time, binding update)
+        self.runs = []  # (datagram, first seq, send times, hop)
+
+    def handle(self, pkt):
+        self.handled.append((self.sim.now, pkt))
+
+    def forward_run(self, pkt, run, hop):
+        self.runs.append((pkt, run.seq0, list(run.times), hop))
+
+
+def _ap(sim, med, cfg, ha=None, ha_delay=0.0):
+    return AccessPoint(sim, cfg, med, "ra", ha, ha_delay)
+
+
 def _deliver_heard(ledger, iface_id, until=math.inf):
     """Schedule the arrival of every beacon the ledger says the interface
     hears, up to the ledger's horizon or the arrival time until."""
@@ -94,7 +115,7 @@ def test_coverage_edge_at_default_budget():
     # 0 dBm tx, -85 dBm sensitivity, 2.4 GHz: edge is just under 176.8 m
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0), med, router=None)
+    ap = _ap(sim, med, ApConfig("ap", 0.0, 0.0))
     assert med.in_range(ap, (176.7, 0.0))
     assert not med.in_range(ap, (176.8, 0.0))
 
@@ -102,8 +123,8 @@ def test_coverage_edge_at_default_budget():
 def test_broadcast_respects_the_ap_listened_to_and_range():
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0), med, router=None)
-    other = AccessPoint(sim, ApConfig("other", 0.0, 0.0), med, router=None)
+    ap = _ap(sim, med, ApConfig("ap", 0.0, 0.0))
+    other = _ap(sim, med, ApConfig("other", 0.0, 0.0))
     med.beacons.add_ap(ap)
     med.horizon = 0.0  # the beacon sent at time 0 only
     near = StubIface("near", (50.0, 0.0))
@@ -121,7 +142,7 @@ def test_broadcast_respects_the_ap_listened_to_and_range():
 def test_broadcast_skips_an_interface_bound_to_another_ap():
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0), med, router=None)
+    ap = _ap(sim, med, ApConfig("ap", 0.0, 0.0))
     med.beacons.add_ap(ap)
     med.horizon = 0.0
     bound_here = StubIface("here", (50.0, 0.0), allowed_ap="ap")
@@ -136,7 +157,7 @@ def test_broadcast_skips_an_interface_bound_to_another_ap():
 def test_serialization_delay_at_two_megabits():
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0), med, router=None)
+    ap = _ap(sim, med, ApConfig("ap", 0.0, 0.0))
     iface = StubIface("i", (10.0, 0.0))
     seen_at = []
     iface.on_frame = lambda frame: seen_at.append(sim.now)
@@ -145,47 +166,44 @@ def test_serialization_delay_at_two_megabits():
     assert seen_at == [2000 / 2e6]  # 1 ms
 
 
-class Router:
-    def __init__(self):
-        self.handled = []
-
-    def handle(self, pkt):
-        self.handled.append(pkt)
+BU = Packet(None, None, 1120)  # a binding update's datagram
 
 
-def _send_control_frame(ap_pos):
-    """(packets the AP's router got, frames the interface got, drop hook
-    calls) for one control frame sent up from an interface at (10, 0), and
-    one sent down."""
+def _send_control_packets(ap_pos, ha_delay=0.0):
+    """(binding updates the HA got with their arrival times, frames the
+    interface got, drop hook calls) for one binding update sent up at 0.25 s
+    from an interface at (10, 0), and one binding ack sent down."""
     sim = Simulator()
     drops = []
     med = _medium(sim, drops)
-    router = Router()
-    ap = AccessPoint(sim, ApConfig("ap", ap_pos, 0.0), med, router=router)
+    ha = StubHa(sim)
+    ap = _ap(sim, med, ApConfig("ap", ap_pos, 0.0), ha, ha_delay)
     iface = StubIface("i", (10.0, 0.0))
-    med.iface_to_ap(iface, ap, Frame("data", 1000, payload="bu"))
-    med.ap_to_iface(ap, iface, Frame("data", 1000, payload="ba"))
+    sim.schedule_at(0.25, med.uplink, iface, ap, BU)
+    sim.schedule_at(0.25, med.ap_to_iface, ap, iface, Frame("data", 1000, payload="ba"))
     sim.run_until(1.0)
-    return router.handled, iface.frames, drops
+    return ha.handled, iface.frames, drops
 
 
 def test_uplink_out_of_range_drops_payload():
-    # a lost control frame is not an app packet: the drop hook gets nothing
-    assert _send_control_frame(500.0) == ([], [], [])
-    assert _send_control_frame(0.0)[:2] == (["bu"], [Frame("data", 1000, "ba")])
+    # a lost binding update is not an app packet: the drop hook gets nothing
+    assert _send_control_packets(500.0) == ([], [], [])
 
 
-class Advertiser:
-    def advertisement(self):
-        return "ra"
+@pytest.mark.parametrize("ha_delay", [0.0, 0.001])
+def test_binding_update_reaches_the_ha_after_one_uplink_hop(ha_delay):
+    # serialization with MAC overhead, the LAN hop and the AP's wired delay
+    # to the HA, added as the app packets' hop is (Medium.uplink_run)
+    at = 0.25 + ((1120 + MAC_OVERHEAD_BITS) / 2e6 + LAN_DELAY + ha_delay)
+    assert _send_control_packets(0.0, ha_delay) == (
+        [(at, BU)], [Frame("data", 1000, "ba")], [])
 
 
 def test_an_ap_sends_one_ra_per_association():
     # joins at 2.5 s, leaves at 4.5 s, rejoins at 7 s; no RA while it stays
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0), med, router=Advertiser())
-    ap.start()
+    ap = _ap(sim, med, ApConfig("ap", 0.0, 0.0))
     iface = StubIface("i", (10.0, 0.0))
     heard = []
     iface.on_frame = lambda frame: heard.append((sim.now, frame.kind, frame.payload))
@@ -205,8 +223,7 @@ def test_an_ap_sends_one_ra_per_association():
 def test_beacons_fire_on_strict_schedule():
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, beacon_interval=0.1),
-                     med, router=None)
+    ap = _ap(sim, med, ApConfig("ap", 0.0, 0.0, beacon_interval=0.1))
     med.beacons.add_ap(ap)
     iface = StubIface("i", (10.0, 0.0))
     med.beacons.add_iface(iface)
@@ -238,7 +255,7 @@ class PathIface(StubIface):
 def test_range_memo_agrees_with_uncached_check(speed, ap_xy, steps):
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1]), med, router=None)
+    ap = _ap(sim, med, ApConfig("ap", ap_xy[0], ap_xy[1]))
     iface = PathIface(sim, TractorPath(4.0, 0.0, 196.0, 50.0, 5, speed))
     # a beacon-ledger lookahead first: it reads the same coverage table, and
     # must leave nothing there that answers the earlier queries below
@@ -272,7 +289,7 @@ def test_range_memo_answers_queries_in_any_order(speed, ap_xy, times):
     # that need not increase: one flow's run may reach past the other's
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1]), med, router=None)
+    ap = _ap(sim, med, ApConfig("ap", ap_xy[0], ap_xy[1]))
     iface = PathIface(sim, TractorPath(4.0, 0.0, 196.0, 50.0, 5, speed))
     med.horizon = 150.0  # with none, every query is judged on its own
     for t in times:
@@ -375,12 +392,11 @@ def test_ledger_matches_a_scan_of_every_beacon(case):
     path, ap_xy, bi, allowed, changes, horizon, starts, m = case
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1], beacon_interval=bi),
-                     med, router=None)
+    ap = _ap(sim, med, ApConfig("ap", ap_xy[0], ap_xy[1], beacon_interval=bi))
     iface = PathIface(sim, path) if isinstance(path, TractorPath) else StubIface("i", path)
     iface.allowed_ap = allowed
     listened = {None: None, "ap": ap,
-                "other": AccessPoint(sim, ApConfig("other", 0.0, 0.0), med, router=None)}
+                "other": _ap(sim, med, ApConfig("other", 0.0, 0.0))}
     ledger = med.beacons
     ledger.add_ap(ap)
     ledger.add_iface(iface)
@@ -420,8 +436,7 @@ def test_coverage_table_matches_exact_checks(case, fractions):
     sim = Simulator()
     med = _medium(sim)
     med.horizon = horizon
-    ap = AccessPoint(sim, ApConfig("ap", ap_xy[0], ap_xy[1], beacon_interval=bi),
-                     med, router=None)
+    ap = _ap(sim, med, ApConfig("ap", ap_xy[0], ap_xy[1], beacon_interval=bi))
     iface = PathIface(sim, path) if isinstance(path, TractorPath) else StubIface("i", path)
 
     def exact(t):
@@ -446,7 +461,7 @@ def test_range_cuts_agree_with_the_exact_check_on_a_retraced_path():
     sim = Simulator()
     med = _medium(sim)
     med.horizon = 300.0
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 20.0), med, router=None)
+    ap = _ap(sim, med, ApConfig("ap", 0.0, 20.0))
     iface = PathIface(sim, TractorPath(R - 0.5, 20.0, R + 0.5, 20.0, 1, 20.0))
     times = Ticks(5.0, 0.005, 0, 59000)
     pieces = med.range_cuts(ap, iface, times, 0, len(times), float)
@@ -474,8 +489,8 @@ def test_ledger_ties_a_listening_change_and_a_loss_check_at_a_beacon_instant():
     # exactly one window after arrival 0 and so comes after the check there.
     sim = Simulator()
     med = _medium(sim)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0, beacon_interval=0.5), med, router=None)
-    other = AccessPoint(sim, ApConfig("other", 0.0, 0.0), med, router=None)
+    ap = _ap(sim, med, ApConfig("ap", 0.0, 0.0, beacon_interval=0.5))
+    other = _ap(sim, med, ApConfig("other", 0.0, 0.0))
     iface = StubIface("i", (10.0, 0.0))
     ledger = med.beacons
     ledger.add_ap(ap)
@@ -490,32 +505,21 @@ def test_ledger_ties_a_listening_change_and_a_loss_check_at_a_beacon_instant():
     assert ledger.loss_time("i", a0 + 1.0, 1.0) == a0 + 1.0
 
 
-class RunAp:
-    """Records what the AP's uplink takes from a run."""
-
-    def __init__(self):
-        self.taken = []
-
-    def __call__(self, pkt, run, hop):
-        self.taken.append((pkt, run.seq0, list(run.times), hop))
-
-
 def test_uplink_run_splits_at_the_coverage_edge():
     # 1 m/s along x from the AP: the edge (just under 176.8 m) is crossed
     # between t = 176.5 and t = 177.0, so the run's last two packets drop
     sim = Simulator()
     drops = []
     med = _medium(sim, drops)
-    ap = AccessPoint(sim, ApConfig("ap", 0.0, 0.0), med, router=None)
-    ap.uplink_extra_delay = 0.001
-    ap.uplink_run = RunAp()
+    ha = StubHa(sim)
+    ap = _ap(sim, med, ApConfig("ap", 0.0, 0.0), ha, 0.001)
     iface = PathIface(sim, TractorPath(0.0, 0.0, 1000.0, 0.0, 1, 1.0))
     times = [175.0, 175.5, 176.0, 176.5, 177.0, 177.5]
     run = PacketRun("f", 10, Ticks(175.0, 0.5, 0, len(times)), 10000)
     assert list(run.times) == times
     pkt = Packet(None, None, 10320)
     med.uplink_run(iface, ap, pkt, run)
-    # serialization of the datagram plus MAC overhead, the LAN hop, the extra hop
+    # serialization of the datagram plus MAC overhead, the LAN hop, the HA hop
     hop = (10320 + 272) / 2e6 + 0.0005 + 0.001
-    assert ap.uplink_run.taken == [(pkt, 10, times[:4], hop)]
+    assert ha.runs == [(pkt, 10, times[:4], hop)]
     assert [(r.seq0, list(r.times)) for r in drops] == [(14, times[4:])]

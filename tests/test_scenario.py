@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vhosim.harness import ScenarioConfig, RunResult, run_experiment
-from vhosim.ipv6 import Address, Packet
+from vhosim.ipv6 import Address, Packet, RouterAdvertisement, derive_iid
 from vhosim.llc import VhoController
 from vhosim.radio import BEACON_BITS, AccessPoint, Frame
 from vhosim.scenario import CorrespondentNode, DownlinkRun, Scenario, WirelessInterface
@@ -190,16 +190,33 @@ def test_each_released_interface_is_cleaned_up_once(soft_voip_run):
     assert len(cleanups) == 10
 
 
+def test_the_topology_is_built_with_the_facts_the_config_fixes():
+    # the home address is configured, as the CN knows it; each AP holds the
+    # RA of its router, and its uplink ends at the HA past its wired delay
+    cfg = ScenarioConfig(scheme="soft", foreign_link_delay=0.02)
+    scn = Scenario(cfg)
+    host = scn.mn.host
+    assert host.home_address == scn.cn.hoa == Address(cfg.home_prefix, derive_iid("mn", 0))
+    assert host.ha_address is None and scn.sim.now == 0.0
+    ha_addr = Address(cfg.home_prefix, derive_iid("ha", 0))
+    assert scn.ha.address == ha_addr
+    assert scn.ap_home.ra == RouterAdvertisement(cfg.home_prefix, ha_addr, is_home_agent=True)
+    assert scn.ap_foreign.ra == RouterAdvertisement(
+        cfg.foreign_prefix, Address(cfg.foreign_prefix, derive_iid("fr", 0)))
+    assert (scn.ap_home.ha, scn.ap_home.ha_delay) == (scn.ha, 0.0)
+    assert (scn.ap_foreign.ha, scn.ap_foreign.ha_delay) == (scn.ha, 0.02)
+    assert scn.medium.beacons.aps == [scn.ap_home, scn.ap_foreign]
+
+
 def test_ra_landing_after_disassociation_is_ignored_at_the_interface(monkeypatch):
     scn = Scenario(ScenarioConfig(scheme="hard", application="video", speed=10.0))
-    scn.ap_home.start()
     scn.sim.run_until(0.5)
     mn = scn.mn
     iface = mn.ifaces["mn.wlan0"]
     assert iface.ap is scn.ap_home
     ras = []
     monkeypatch.setattr(mn.host, "on_router_advertisement", lambda *a: ras.append(a))
-    frame = Frame("data", BEACON_BITS, payload=scn.ha.advertisement())
+    frame = Frame("data", BEACON_BITS, payload=scn.ap_home.ra)
     iface.on_frame(frame)
     assert len(ras) == 1
     mn.llc.command_disassociate(iface.iface_id)
@@ -333,7 +350,7 @@ def test_an_ra_delivered_again_changes_nothing_while_the_station_stays(cfg):
             iface = ap.station
             if iface is not None and took.get(iface.iface_id) is ap:
                 before = state()
-                take_ra(iface.iface_id, ap.router.advertisement())
+                take_ra(iface.iface_id, ap.ra)
                 assert state() == before, (sim.now, iface.iface_id)
                 redelivered.append(iface.iface_id)
 
