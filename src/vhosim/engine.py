@@ -49,7 +49,6 @@ class Simulator:
         self._trace = trace_sink
         self.tracing = trace_sink is not None  # check before building a trace detail
         self.held: list[tuple[float, str]] | None = None  # set: trace() keeps lines here
-        self.ticker = None  # the sources' clock (traffic.Ticker), made by the first source
 
     # -- random streams ----------------------------------------------------
 

@@ -102,6 +102,10 @@ class ScenarioConfig:
         for name in _NON_NEGATIVE:
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name}: must be >= 0, got {getattr(self, name)!r}")
+        bits = self.voip_codec_rate * self.voip_packetization  # a VoIP packet holds int(bits)
+        if not 1 <= bits < math.inf:
+            raise ConfigError(f"voip_codec_rate: times voip_packetization gives {bits!r} "
+                              "bits a packet; must be at least 1 and finite")
         if self.row_count > MAX_ROWS:
             raise ConfigError(f"row_count: {self.row_count} rows, more than {MAX_ROWS}; "
                               "the path holds two vertices a row in memory")
@@ -208,9 +212,15 @@ _KEY_ALIASES = {
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Parse a flat key = value config file with dotted section keys."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text, byte {exc.start}") from exc
     cfg = ScenarioConfig()
     set_on: dict[str, int] = {}  # field -> line that set it
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

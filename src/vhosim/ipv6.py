@@ -101,8 +101,7 @@ class Ipv6Host:
     """
 
     def __init__(self, sim: Simulator, node_id: str, home_address: Address,
-                 on_address_global: Callable[[str], None],
-                 dad_duration: float = 1.0):
+                 on_address_global: Callable[[str], None], dad_duration: float):
         self.sim = sim
         self.node_id = node_id
         self.dad_duration = dad_duration

@@ -29,21 +29,22 @@ class VhoController:
     only after beacon loss has torn the old link down.
     """
 
-    def __init__(self, sim: Simulator, node_id: str = "mn",
-                 beacon_interval: float = 0.1, miss_threshold: int = 3):
+    def __init__(self, sim: Simulator, node_id: str, beacon_interval: float,
+                 miss_threshold: int, beacons,
+                 command_associate: Callable[[str, object], None],
+                 command_disassociate: Callable[[str], None],
+                 on_promoted: Callable[[str, Optional[str]], None]):
         self.sim = sim
         self.node_id = node_id
         self.beacon_interval = beacon_interval
         self.miss_threshold = miss_threshold
+        self.beacons = beacons  # ledger of the beacons the interfaces hear
+        self.command_associate = command_associate
+        self.command_disassociate = command_disassociate
+        self.on_promoted = on_promoted
 
         self.serving: Optional[str] = None
         self.candidate: Optional[str] = None
-
-        # wiring set by the scenario builder
-        self.beacons = None  # ledger of the beacons the interfaces hear
-        self.command_associate: Callable[[str, object], None] = lambda i, ap: None
-        self.command_disassociate: Callable[[str], None] = lambda i: None
-        self.on_promoted: Callable[[str, Optional[str]], None] = lambda i, p: None
 
         self._associated: set[str] = set()
         self._gap_open: Optional[float] = None

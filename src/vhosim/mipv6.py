@@ -14,7 +14,7 @@ from .traffic import Ticks
 
 BU_BITS = 800
 BA_BITS = 800
-DEFAULT_BINDING_LIFETIME = 420.0
+BINDING_LIFETIME = 420.0
 BU_RETRANSMIT_INTERVAL = 1.0
 BU_MAX_ATTEMPTS = 3
 
@@ -94,14 +94,13 @@ class BindingCache:
 class MnBindingManager:
     """MN-side registration: BU emission with retransmission, reverse-tunnel wrap."""
 
-    def __init__(self, sim: Simulator, host, llc, send_packet: Callable[[Packet], None],
-                 node_id: str = "mn", lifetime: float = DEFAULT_BINDING_LIFETIME):
+    def __init__(self, sim: Simulator, node_id: str, host, llc,
+                 send_packet: Callable[[Packet], None]):
         self.sim = sim
+        self.node_id = node_id
         self.host = host  # Ipv6Host: home/HA knowledge, addresses
         self.llc = llc
         self.send_packet = send_packet
-        self.node_id = node_id
-        self.lifetime = lifetime
         self.seq = 0
         self.binding_active = False
         self._awaiting: Optional[BindingUpdate] = None
@@ -128,7 +127,7 @@ class MnBindingManager:
             if self.binding_active or self._awaiting is not None:
                 self._send_bu(coa, 0.0)
         else:
-            self._send_bu(coa, self.lifetime)
+            self._send_bu(coa, BINDING_LIFETIME)
 
     def _send_bu(self, coa: Address, lifetime: float) -> None:
         self._cancel_timers()
@@ -168,7 +167,7 @@ class MnBindingManager:
         self._refresh = None
         coa = self.current_coa()
         if self.binding_active and coa is not None:
-            self._send_bu(coa, self.lifetime)
+            self._send_bu(coa, BINDING_LIFETIME)
 
     def _cancel_timers(self) -> None:
         if self._retransmit is not None:

@@ -35,7 +35,7 @@ def fspl_db(distance_m: float, frequency_hz: float) -> float:
 
 
 def rx_power_dbm(tx_power_dbm: float, distance_m: float, frequency_hz: float,
-                 d_ref: float = 1.0) -> float:
+                 d_ref: float) -> float:
     """Received power; distances below d_ref clamp to d_ref (near field)."""
     return tx_power_dbm - fspl_db(max(distance_m, d_ref), frequency_hz)
 
@@ -55,8 +55,8 @@ class ApConfig(NamedTuple):
     ap_id: str
     x: float
     y: float
-    tx_power_dbm: float = 0.0
-    beacon_interval: float = 0.1
+    tx_power_dbm: float
+    beacon_interval: float
 
 
 class Frame(NamedTuple):
@@ -69,15 +69,15 @@ class Medium:
     """Shared wireless medium: range checks and serialization-delayed delivery."""
 
     def __init__(self, sim: Simulator, drop_hook: Callable[[Any], None],
-                 frequency_hz: float = 2.4e9, sensitivity_dbm: float = -85.0,
-                 bitrate: float = 2e6, d_ref: float = 1.0):
+                 frequency_hz: float, sensitivity_dbm: float, bitrate: float,
+                 d_ref: float, horizon: float):
         self.sim = sim
         self.frequency_hz = frequency_hz
         self.sensitivity_dbm = sensitivity_dbm
         self.bitrate = bitrate
         self.d_ref = d_ref
         self.drop_hook = drop_hook  # takes the runs of app packets lost out of range
-        self.horizon = math.inf  # the end of the run
+        self.horizon = horizon  # the end of the run
         self.beacons = BeaconLedger(self)
         self._coverage: dict[tuple, tuple[list[float], list]] = {}  # (ap, iface) -> table
 

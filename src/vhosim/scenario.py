@@ -19,7 +19,7 @@ from .llc import VhoController
 from .mipv6 import BA_BITS, BindingCache, MnBindingManager, decapsulate
 from .mobility import TractorPath
 from .radio import MAC_OVERHEAD_BITS, AccessPoint, ApConfig, ASSOC_BITS, Frame, Medium
-from .traffic import FlowStats, PacketRun, Sink, VideoSource, VoipSource
+from .traffic import FlowStats, PacketRun, Sink, Ticker, VideoSource, VoipSource
 
 CORE_PREFIX = 0x20010DB800030000  # the correspondent's network, behind the home agent
 
@@ -28,7 +28,7 @@ class WirelessInterface:
     """One MN radio: association state machine driven by the handover controller."""
 
     def __init__(self, mn: "MobileNode", iface_id: str, medium: Medium,
-                 allowed_ap: Optional[str] = None):
+                 allowed_ap: Optional[str]):
         self.mn = mn
         self.iface_id = iface_id
         self.medium = medium
@@ -73,32 +73,28 @@ class WirelessInterface:
 
 
 class MobileNode:
-    def __init__(self, sim: Simulator, path: TractorPath, medium: Medium,
+    def __init__(self, sim: Simulator, node_id: str, path: TractorPath, medium: Medium,
                  iface_specs: list[Optional[str]], home_address: Address,
                  dad_duration: float, beacon_interval: float, miss_threshold: int,
-                 drop_hook, node_id: str = "mn"):
+                 drop_hook):
         self.path = path
         self.drop = drop_hook
         self.medium = medium
         self.sinks: dict[str, Sink] = {}
 
-        self.llc = VhoController(sim, node_id,
-                                 beacon_interval=beacon_interval,
-                                 miss_threshold=miss_threshold)
+        self.llc = VhoController(sim, node_id, beacon_interval, miss_threshold,
+                                 medium.beacons,
+                                 lambda i, ap: self.ifaces[i].begin_association(ap),
+                                 self._teardown_iface,
+                                 lambda i, p: self.mip.on_serving_changed())
         self.host = Ipv6Host(sim, node_id, home_address, self.llc.on_address_global,
-                             dad_duration=dad_duration)
-        self.mip = MnBindingManager(sim, self.host, self.llc, self.send_routed,
-                                    node_id=node_id)
+                             dad_duration)
+        self.mip = MnBindingManager(sim, node_id, self.host, self.llc, self.send_routed)
         self.ifaces: dict[str, WirelessInterface] = {}
         for idx, allowed in enumerate(iface_specs):
             iface_id = f"{node_id}.wlan{idx}"
             self.ifaces[iface_id] = WirelessInterface(self, iface_id, medium, allowed)
             self.host.add_interface(iface_id, idx)
-
-        self.llc.beacons = medium.beacons
-        self.llc.command_associate = lambda i, ap: self.ifaces[i].begin_association(ap)
-        self.llc.command_disassociate = self._teardown_iface
-        self.llc.on_promoted = lambda i, p: self.mip.on_serving_changed()
 
     def position(self, t: float) -> tuple[float, float]:
         return self.path.position(t)
@@ -422,10 +418,8 @@ class Scenario:
         self.sim = sim
         self.flows: dict[str, FlowStats] = {}
 
-        self.medium = Medium(sim, self._on_drop, frequency_hz=cfg.frequency_hz,
-                             sensitivity_dbm=cfg.sensitivity_dbm,
-                             bitrate=cfg.bitrate, d_ref=cfg.d_ref)
-        self.medium.horizon = cfg.sim_time_resolved
+        self.medium = Medium(sim, self._on_drop, cfg.frequency_hz, cfg.sensitivity_dbm,
+                             cfg.bitrate, cfg.d_ref, cfg.sim_time_resolved)
 
         ha_addr = Address(cfg.home_prefix, derive_iid("ha", 0))
         fr_addr = Address(cfg.foreign_prefix, derive_iid("fr", 0))
@@ -433,7 +427,8 @@ class Scenario:
         self.ha = HomeAgentNode(sim, ha_addr, cfg.foreign_prefix,
                                 cfg.foreign_link_delay, self._on_drop)
         self.fr = ForeignRouterNode()
-        hoa = Address(cfg.home_prefix, derive_iid("mn", 0))  # the MN's, configured
+        mn_id = "mn"
+        hoa = Address(cfg.home_prefix, derive_iid(mn_id, 0))  # the MN's, configured
         self.cn = CorrespondentNode(cn_addr, self.ha, cfg.cn_link_delay, hoa)
         self.ha.foreign_router = self.fr
         self.ha.cn = self.cn
@@ -458,7 +453,7 @@ class Scenario:
         path = TractorPath(cfg.field_x1, cfg.field_y1, cfg.field_x2, cfg.field_y2,
                            cfg.row_count, cfg.speed)
         iface_specs = ["ap-home", "ap-foreign"] if cfg.scheme == "soft" else [None]
-        self.mn = MobileNode(sim, path, self.medium, iface_specs, hoa,
+        self.mn = MobileNode(sim, mn_id, path, self.medium, iface_specs, hoa,
                              cfg.dad_duration, cfg.beacon_interval,
                              cfg.miss_threshold, self._on_drop)
         self.mn.llc.replan()
@@ -470,6 +465,7 @@ class Scenario:
     def _build_traffic(self) -> None:
         cfg = self.cfg
         sim = self.sim
+        ticker = self.ticker = Ticker(sim)
         start, stop = cfg.traffic_start, cfg.sim_time_resolved
 
         def mn_emit(run: PacketRun) -> None:
@@ -480,14 +476,12 @@ class Scenario:
             self.flows[run.flow_id].sent += len(run.times)
             self.cn.send_run(run, self.cn.hoa)
 
-        self.sources = []
         if cfg.application == "video":
             stats = FlowStats("video-ul")
             self.flows["video-ul"] = stats
-            self.cn.sinks["video-ul"] = Sink(stats)
-            self.sources.append(VideoSource(sim, "video-ul", cfg.video_rate_bps,
-                                            cfg.video_packet_bits, mn_emit,
-                                            start=start, stop=stop))
+            self.cn.sinks["video-ul"] = Sink(stats, cfg.voip_playout)
+            VideoSource(ticker, "video-ul", cfg.video_rate_bps, cfg.video_packet_bits,
+                        mn_emit, start, stop)
         elif cfg.application == "voip":
             ul = FlowStats("voip-ul")
             dl = FlowStats("voip-dl")
@@ -496,12 +490,12 @@ class Scenario:
             self.cn.sinks["voip-ul"] = Sink(ul, cfg.voip_playout)
             self.mn.sinks["voip-dl"] = Sink(dl, cfg.voip_playout)
             for flow_id, emit in (("voip-ul", mn_emit), ("voip-dl", cn_emit)):
-                self.sources.append(VoipSource(
-                    sim, flow_id, cfg.voip_packetization, cfg.voip_codec_rate,
-                    cfg.voip_spurt_mean, cfg.voip_silence_mean, sim.rng(flow_id), emit,
-                    start=start, stop=stop))
+                src = VoipSource(ticker, flow_id, cfg.voip_packetization, cfg.voip_codec_rate,
+                                 cfg.voip_spurt_mean, cfg.voip_silence_mean,
+                                 sim.rng(flow_id), emit, start, stop)
+            # src is the downlink's, built last
             self.cn.stages = downlink_stages(cfg.cn_link_delay, cfg.foreign_link_delay,
-                                             self.sources[-1].packet_bits, cfg.bitrate)
+                                             src.packet_bits, cfg.bitrate)
         else:
             raise ValueError(f"unknown application {cfg.application!r}")
 
@@ -521,8 +515,7 @@ class Scenario:
     # -- execution ---------------------------------------------------------------
 
     def run(self) -> None:
-        for src in self.sources:
-            src.start()
+        self.ticker.start()
         self.sim.run_until(self.cfg.sim_time_resolved)
         self.cn.commit(self.cfg.sim_time_resolved)
         self.mn.llc.close_gaps(self.cfg.sim_time_resolved)

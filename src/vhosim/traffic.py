@@ -185,23 +185,21 @@ def compute_mos(stats: FlowStats) -> MosReport:
 
 
 class Ticker:
-    """The one clock of a simulator's sources (Simulator.ticker): one heap
-    entry, at the earliest next action of any source, scheduled as that
-    source's _tick. When it fires, each source takes its actions up to the
-    ahead limit, the due source's next one in any case, and the runs go to
-    the emits in the order of their last ticks (README "Determinism")."""
+    """The one clock of a run's sources, each registered at its construction:
+    one heap entry, at the earliest next action of any source, scheduled as
+    that source's _tick. When it fires, each source takes its actions up to
+    the ahead limit, the due source's next one in any case, and the runs go
+    to the emits in the order of their last ticks (README "Determinism")."""
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         self.sources: list[_Source] = []
-        self._entry = None  # the pending heap entry, if any
 
-    def add(self, src: "_Source") -> None:
-        self.sources.append(src)
-        if self._entry is None or src.next_at < self._entry[0]:
-            if self._entry is not None:
-                self.sim.cancel(self._entry)
-            self._entry = self.sim.schedule_at(src.next_at, src._tick)
+    def start(self) -> None:
+        """Queue the first entry: at the earliest first action, the first
+        source's on ties."""
+        due = min(self.sources, key=lambda src: src.next_at)
+        self.sim.schedule_at(due.next_at, due._tick)
 
     def run(self, due: "_Source") -> None:
         """Emit every source's actions up to the ahead limit."""
@@ -239,19 +237,20 @@ class Ticker:
                     writer = i
             if held is not None:
                 sim.release_trace(held)
-        self._entry = sim.schedule_at(nxt.next_at, nxt._tick) if nxt.next_at < math.inf else None
+        if nxt.next_at < math.inf:
+            sim.schedule_at(nxt.next_at, nxt._tick)
 
 
 class _Source:
     """A flow's ticks, in spurts: a spurt starting at t0 ticks at t0 + k*dt
     while before its end, and ends at the first tick past that."""
 
-    def __init__(self, sim: Simulator, flow_id: str, emit: Callable[[PacketRun], None],
-                 start: float, stop: Optional[float], interval: float, packet_bits: int):
-        self.sim = sim
+    def __init__(self, ticker: Ticker, flow_id: str, emit: Callable[[PacketRun], None],
+                 start: float, stop: float, interval: float, packet_bits: int):
+        self.ticker = ticker
         self.flow_id = flow_id
         self.emit = emit
-        self.stop = math.inf if stop is None else stop
+        self.stop = stop
         self.interval = interval
         self.packet_bits = packet_bits
         self.seq = 0
@@ -259,11 +258,7 @@ class _Source:
         self.t0 = self.latest = start  # the spurt's first tick; the last float before its end
         self.k = -1  # the next tick's index in the spurt; -1: a spurt starts next
         self.next_at = start  # time of the next action
-
-    def start(self) -> None:
-        if self.sim.ticker is None:
-            self.sim.ticker = Ticker(self.sim)
-        self.sim.ticker.add(self)
+        ticker.sources.append(self)
 
     def _length(self, talk: bool) -> float:
         """Duration of the next talk spurt, or silence: one spurt by default."""
@@ -298,30 +293,30 @@ class _Source:
 class VideoSource(_Source):
     """Constant-bit-rate stream: one packet of packet_bits every packet_bits/rate."""
 
-    def __init__(self, sim: Simulator, flow_id: str, rate_bps: float, packet_bits: int,
-                 emit: Callable[[PacketRun], None], start: float = 0.0,
-                 stop: Optional[float] = None):
+    def __init__(self, ticker: Ticker, flow_id: str, rate_bps: float, packet_bits: int,
+                 emit: Callable[[PacketRun], None], start: float, stop: float):
         if rate_bps <= 0:
             raise ValueError("rate must be > 0")
-        super().__init__(sim, flow_id, emit, start, stop, packet_bits / rate_bps, packet_bits)
+        super().__init__(ticker, flow_id, emit, start, stop, packet_bits / rate_bps,
+                         packet_bits)
 
     def _tick(self) -> None:
-        self.sim.ticker.run(self)
+        self.ticker.run(self)
 
 
 class VoipSource(_Source):
     """On/off voice: a packet of codec_rate * interval bits every interval
     during talk spurts; spurts and silences are exponentially distributed."""
 
-    def __init__(self, sim: Simulator, flow_id: str, interval: float, codec_rate: float,
+    def __init__(self, ticker: Ticker, flow_id: str, interval: float, codec_rate: float,
                  spurt_mean: float, silence_mean: float, rng: random.Random,
-                 emit: Callable[[PacketRun], None], start: float = 0.0,
-                 stop: Optional[float] = None):
+                 emit: Callable[[PacketRun], None], start: float, stop: float):
         for name, value in (("interval", interval), ("codec_rate", codec_rate),
                             ("spurt_mean", spurt_mean), ("silence_mean", silence_mean)):
             if value <= 0:
                 raise ValueError(f"{name} must be > 0")
-        super().__init__(sim, flow_id, emit, start, stop, interval, int(codec_rate * interval))
+        super().__init__(ticker, flow_id, emit, start, stop, interval,
+                         int(codec_rate * interval))
         self.spurt_mean = spurt_mean
         self.silence_mean = silence_mean
         self.rng = rng
@@ -330,7 +325,7 @@ class VoipSource(_Source):
         return self.rng.expovariate(1.0 / (self.spurt_mean if talk else self.silence_mean))
 
     def _tick(self) -> None:
-        self.sim.ticker.run(self)
+        self.ticker.run(self)
 
 
 _HUGE = 2.0 ** 1023  # the least float whose binade ends in an overflow
@@ -416,7 +411,7 @@ class Sink:
     takes it once: a repeated seq raises ValueError (SeqSet.add).
     """
 
-    def __init__(self, stats: FlowStats, playout_delay: float = 0.005):
+    def __init__(self, stats: FlowStats, playout_delay: float):
         self.stats = stats
         self.playout_delay = playout_delay
         self._budget: Optional[float] = None

@@ -81,6 +81,22 @@ def _churn(scheme: str, speed: float) -> ScenarioConfig:
                           video_rate_bps=64000.0, speed=speed, seed=1)
 
 
+def random_config(i: int) -> ScenarioConfig:
+    """Config number i of --random: the same for every tree and Python."""
+    rng = random.Random(i)
+    x1, y1 = rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)
+    x2, y2 = x1 + rng.uniform(1.0, 400.0), y1 + rng.uniform(0.0, 100.0)
+    return ScenarioConfig(
+        scheme=rng.choice(["hard", "soft"]), application=rng.choice(["video", "voip"]),
+        video_rate_bps=rng.choice([64000.0, 0.5e6, 2e6]), speed=rng.uniform(1.0, 20.0),
+        sim_time=rng.choice([None, rng.uniform(10.0, 400.0)]), seed=rng.randint(1, 1000),
+        field_x1=x1, field_y1=y1, field_x2=x2, field_y2=y2, row_count=rng.randint(1, 8),
+        ap_home_x=rng.uniform(-200.0, 400.0), ap_home_y=rng.uniform(-150.0, 200.0),
+        ap_foreign_x=rng.uniform(-200.0, 400.0), ap_foreign_y=rng.uniform(-150.0, 200.0),
+        beacon_interval=rng.uniform(0.02, 0.6), miss_threshold=rng.randint(1, 5),
+        foreign_link_delay=rng.uniform(0.0, 0.05), expected_handovers=None)
+
+
 # the configs of event_logs.json; tests/test_event_logs.py says why each is there
 EVENT_LOG_CONFIGS = {
     **{f"churn-{s}-{v:g}": _churn(s, v)
@@ -113,6 +129,7 @@ EVENT_LOG_CONFIGS = {
     "homex-150-hard-40": ScenarioConfig(scheme="hard", application="video", speed=40.0,
                                         ap_home_x=-150.0, ap_home_y=0.0,
                                         expected_handovers=None),
+    "random-1024": random_config(1024),
 }
 
 
@@ -141,22 +158,6 @@ UPLINK_ORDER_CONFIGS = {
         scheme=s, application="voip", speed=4.0, voip_spurt_mean=0.2,
         voip_silence_mean=0.3) for s in ("hard", "soft")},
 }
-
-
-def random_config(i: int) -> ScenarioConfig:
-    """Config number i of --random: the same for every tree and Python."""
-    rng = random.Random(i)
-    x1, y1 = rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)
-    x2, y2 = x1 + rng.uniform(1.0, 400.0), y1 + rng.uniform(0.0, 100.0)
-    return ScenarioConfig(
-        scheme=rng.choice(["hard", "soft"]), application=rng.choice(["video", "voip"]),
-        video_rate_bps=rng.choice([64000.0, 0.5e6, 2e6]), speed=rng.uniform(1.0, 20.0),
-        sim_time=rng.choice([None, rng.uniform(10.0, 400.0)]), seed=rng.randint(1, 1000),
-        field_x1=x1, field_y1=y1, field_x2=x2, field_y2=y2, row_count=rng.randint(1, 8),
-        ap_home_x=rng.uniform(-200.0, 400.0), ap_home_y=rng.uniform(-150.0, 200.0),
-        ap_foreign_x=rng.uniform(-200.0, 400.0), ap_foreign_y=rng.uniform(-150.0, 200.0),
-        beacon_interval=rng.uniform(0.02, 0.6), miss_threshold=rng.randint(1, 5),
-        foreign_link_delay=rng.uniform(0.0, 0.05), expected_handovers=None)
 
 
 def outcome(result) -> tuple:

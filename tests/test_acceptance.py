@@ -179,7 +179,7 @@ def test_criterion_9_unit_oracles():
         (20.0, 10000.0, 2.4e9, -100.05200805611548),
         (14.0, 50.0, 5.8e9, -67.69574317986246),
     ]:
-        assert abs(rx_power_dbm(tx, d, f) - want) < 0.1
+        assert abs(rx_power_dbm(tx, d, f, 1.0) - want) < 0.1
 
     # mobility: brute-force integrator at 20 sampled times, 1 mm tolerance
     path = TractorPath(4.0, 0.0, 196.0, 50.0, 5, 3.0)

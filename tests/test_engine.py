@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vhosim.engine import SchedulingError, Simulator
-from vhosim.traffic import VideoSource, VoipSource
+from vhosim.traffic import Ticker, VideoSource, VoipSource
 
 
 def test_schedule_at_clock_boundary_fires_first():
@@ -185,7 +185,9 @@ def _video_run_program(offset):
         if len(run.times) > 1:
             sim.schedule_at(run.times[0] + offset, lambda: None)
 
-    VideoSource(sim, "v", 1.0, 1, emit, start=0.0).start()
+    ticker = Ticker(sim)
+    VideoSource(ticker, "v", 1.0, 1, emit, 0.0, math.inf)
+    ticker.start()
     sim.schedule_at(5.5, lambda: None)
     return sim, runs
 
@@ -260,6 +262,7 @@ def _run_schedule(shots, tombstones, sources, ends, heap_ticks=None):
     for j in tombstones:
         if handles:
             sim.cancel(handles[j % len(handles)])
+    ticker = Ticker(sim)
     for i, (kind, start, step, every, action) in enumerate(sources):
         own = []  # the events this source's emits spawned
 
@@ -279,12 +282,11 @@ def _run_schedule(shots, tombstones, sources, ends, heap_ticks=None):
                         if len(spawners[-1]) > 1:
                             into_own_run.append(span)
         if kind == "video":  # step quarters per packet
-            src = VideoSource(sim, f"v{i}", 4.0, step, emit, start=start, stop=5.5)
+            VideoSource(ticker, f"v{i}", 4.0, step, emit, start, 5.5)
         else:
-            src = VoipSource(sim, f"a{i}", step / 4, 64000.0, 1.0, 1.35, sim.rng(f"a{i}"),
-                             emit, start=start, stop=5.5)
-        src.start()
-    run_window = sim.ticker.run
+            VoipSource(ticker, f"a{i}", step / 4, 64000.0, 1.0, 1.35, sim.rng(f"a{i}"),
+                       emit, start, 5.5)
+    run_window = ticker.run
 
     def window(due):
         """Run one window of ticks; a spawn at or before its last tick, if it
@@ -305,7 +307,8 @@ def _run_schedule(shots, tombstones, sources, ends, heap_ticks=None):
             run_window(due)
         finally:  # also when the window raised
             into_own_run.extend(span for t, span in spawns if t <= bound)
-    sim.ticker.run = window
+    ticker.run = window
+    ticker.start()
     try:
         for end in sorted(ends):
             sim.run_until(end)

@@ -31,6 +31,15 @@ visit runs DAD on it; the uplink flows from then on (1,624 of 2,250 packets
 received, 9 handovers). When a cut DAD left the home address tentative for
 good, this run received none.
 
+random-1024 (config 1024 of check_goldens.py --random, hard VoIP at
+7.95 m/s) pins a handover that never completes. The foreign AP hears the
+association request at 164.03 s, but its response is lost, so the candidate
+is never confirmed. The beacon-loss watchdog is armed only at confirmation,
+so nothing clears the candidate, and no later beacon can act: the run ends
+with a 161.14 s gap and a loss rate of 0.80. A fix that times such a
+candidate out changes this digest on purpose; its timeout event must use a
+callback listed in bench/tracer.py HANDLERS.
+
 miss1-bi0.5-soft makes 10 handovers: a network is fresh when heard over one
 whole beacon interval after the last heard beacon (it made 14 while arrival
 times were compared as floats). foreignx150-hard makes one handover and

@@ -281,6 +281,22 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,content", [
+    ("missing.conf", None),  # used to exit 1 with FileNotFoundError
+    ("dir.conf", "directory"),  # IsADirectoryError
+    ("latin1.conf", "seed = 1  # caf\xe9\n".encode("latin-1")),  # UnicodeDecodeError
+])
+def test_cli_rejects_an_unreadable_config_file_naming_it(tmp_path, capsys, name, content):
+    conf = tmp_path / name
+    if content == "directory":
+        conf.mkdir()
+    elif content is not None:
+        conf.write_bytes(content)
+    assert main(["--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(conf) in err
+
+
 @pytest.mark.parametrize("line,key", [
     ("video.packet_bits = 0", "video_packet_bits"),  # used to hang video runs
     ("ipv6.ra_interval = 0", "ra_interval"),  # no such key: an AP sends no periodic RAs
@@ -288,6 +304,9 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ("video.rate_bps = -1", "video_rate_bps"),
     ("video.rate_bps = nan", "video_rate_bps"),
     ("voip.codec_rate = 0", "voip_codec_rate"),
+    ("voip.codec_rate = 10", "voip_codec_rate"),  # 0 bits a packet; used to exit 0
+    # inf bits a packet: a VoIP run raised OverflowError
+    ("voip.codec_rate = 1e300\nvoip.packetization_interval = 1e10", "voip_codec_rate"),
     ("voip.spurt_mean = 0", "voip_spurt_mean"),
     ("radio.bitrate = 0", "bitrate"),
     ("radio.frequency_hz = 0", "frequency_hz"),

@@ -12,6 +12,7 @@ from vhosim.ipv6 import (
 HOME = 0x20010DB800010000
 FOREIGN = 0x20010DB800020000
 CORE = 0x20010DB800030000
+DAD_DURATION = 1.0  # ScenarioConfig's default
 HOA = Address(HOME, derive_iid("mn", 0))  # configured, as Scenario does
 
 
@@ -24,7 +25,7 @@ def fr_ra():
 
 
 def make_host(sim, notifications):
-    host = Ipv6Host(sim, "mn", HOA, notifications.append)
+    host = Ipv6Host(sim, "mn", HOA, notifications.append, DAD_DURATION)
     host.add_interface("wlan0", 0)
     host.add_interface("wlan1", 1)
     return host

@@ -49,14 +49,16 @@ class Rig:
 
     def __init__(self):
         self.sim = Simulator()
-        self.llc = VhoController(self.sim)
-        self.llc.beacons = ScriptedBeacons(self.sim)
-        self.llc.beacons.on_change = self.llc.replan
-        self.llc.beacons.on_beacon = self.llc.on_beacon
         self.commands = []
-        self.llc.command_associate = lambda i, ap: self.commands.append(("assoc", i, ap))
-        self.llc.command_disassociate = lambda i: self.commands.append(("disassoc", i))
-        self.llc.on_promoted = lambda i, p: self.commands.append(("promoted", i, p))
+        beacons = ScriptedBeacons(self.sim)
+        # ScenarioConfig's beacon interval and miss threshold
+        self.llc = VhoController(
+            self.sim, "mn", 0.1, 3, beacons,
+            lambda i, ap: self.commands.append(("assoc", i, ap)),
+            lambda i: self.commands.append(("disassoc", i)),
+            lambda i, p: self.commands.append(("promoted", i, p)))
+        beacons.on_change = self.llc.replan
+        beacons.on_beacon = self.llc.on_beacon
 
     def beacon(self, iface, ap_id, ap="AP"):
         """A beacon of ap_id reaches iface now: the ledger learns of it, and

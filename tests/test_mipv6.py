@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from vhosim.engine import Simulator
 from vhosim.ipv6 import IPV6_HEADER_BITS, Address, Packet
-from vhosim.llc import VhoController
 from vhosim.mipv6 import (
     BindingAck,
     BindingCache,
@@ -113,14 +112,20 @@ class MnRig:
     def __init__(self):
         self.sim = Simulator()
         self.sent = []
-        self.llc = VhoController(self.sim)
+        self.llc = _StubLlc()
         host = _StubHost()
         self.host = host
-        self.mip = MnBindingManager(self.sim, host, self.llc, self.sent.append)
+        self.mip = MnBindingManager(self.sim, "mn", host, self.llc, self.sent.append)
 
     def move_to(self, iface, addr):
         self.llc.serving = iface
         self.host.addrs[iface] = addr
+
+
+class _StubLlc:
+    """The one thing the binding manager reads of the controller."""
+
+    serving = None
 
 
 class _StubHost:

@@ -114,6 +114,53 @@ def test_every_config_field_is_read():
     assert unread == []
 
 
+# (function or record, name): the defaults a src signature may give to the
+# name of a ScenarioConfig field. Tests build bare engines with Simulator(),
+# and its seed only names the RNG streams.
+_SECOND_DEFAULTS_ALLOWED = {("Simulator.__init__", "seed")}
+
+
+def _defaults(tree: ast.Module):
+    """(qualified owner, name, line) of each parameter or class-body field
+    that is given a default, in functions and classes at any depth."""
+    todo = [("", node) for node in tree.body]
+    while todo:
+        prefix, node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            given = positional[len(positional) - len(args.defaults):] + [
+                arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+            yield from ((prefix + node.name, arg.arg, node.lineno) for arg in given)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and item.value is not None:
+                    targets = [item.target]
+                elif isinstance(item, ast.Assign):
+                    targets = item.targets
+                else:
+                    continue
+                yield from ((prefix + node.name, target.id, item.lineno)
+                            for target in targets if isinstance(target, ast.Name))
+        else:
+            continue
+        todo.extend((f"{prefix}{node.name}.", child) for child in node.body)
+
+
+def test_no_second_default_for_a_config_field():
+    """ScenarioConfig alone sets a run: no src function or record outside it
+    gives a default to a parameter or field named like one of its fields,
+    where a caller that forgets to pass the config's value would run on
+    another."""
+    names = {f.name for f in fields(ScenarioConfig)}
+    second = [f"{path.name}:{line}: {owner}({name}=...)"
+              for path, tree in _sources() for owner, name, line in _defaults(tree)
+              if name in names and owner.split(".")[0] != "ScenarioConfig"
+              and (owner, name) not in _SECOND_DEFAULTS_ALLOWED]
+    assert second == []
+
+
 def _handlers() -> set[str]:
     """bench/tracer.py HANDLERS: the event callbacks the benchmark counts."""
     path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"

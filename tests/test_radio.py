@@ -38,11 +38,11 @@ RX_CASES = [
 
 @pytest.mark.parametrize("tx,d,f,want", RX_CASES)
 def test_received_power_reference_points(tx, d, f, want):
-    assert abs(rx_power_dbm(tx, d, f) - want) < 0.1
+    assert abs(rx_power_dbm(tx, d, f, 1.0) - want) < 0.1
 
 
 def test_near_field_clamps_to_reference_distance():
-    assert rx_power_dbm(0.0, 0.01, 2.4e9) == rx_power_dbm(0.0, 1.0, 2.4e9)
+    assert rx_power_dbm(0.0, 0.01, 2.4e9, 1.0) == rx_power_dbm(0.0, 1.0, 2.4e9, 1.0)
 
 
 def test_path_loss_monotone_in_distance_and_frequency():
@@ -79,8 +79,15 @@ class StubIface:
         self.frames.append(frame)
 
 
-def _medium(sim, drops=None):
-    return Medium(sim, ([] if drops is None else drops).append)
+def _medium(sim, drops=None, horizon=math.inf):
+    """A medium of ScenarioConfig's radio defaults, with no horizon by default."""
+    return Medium(sim, ([] if drops is None else drops).append, 2.4e9, -85.0, 2e6, 1.0,
+                  horizon)
+
+
+def _cfg(ap_id, x, y, beacon_interval=0.1):
+    """An AP at ScenarioConfig's tx power and, by default, beacon interval."""
+    return ApConfig(ap_id, x, y, 0.0, beacon_interval)
 
 
 class StubHa:
@@ -115,18 +122,17 @@ def test_coverage_edge_at_default_budget():
     # 0 dBm tx, -85 dBm sensitivity, 2.4 GHz: edge is just under 176.8 m
     sim = Simulator()
     med = _medium(sim)
-    ap = _ap(sim, med, ApConfig("ap", 0.0, 0.0))
+    ap = _ap(sim, med, _cfg("ap", 0.0, 0.0))
     assert med.in_range(ap, (176.7, 0.0))
     assert not med.in_range(ap, (176.8, 0.0))
 
 
 def test_broadcast_respects_the_ap_listened_to_and_range():
     sim = Simulator()
-    med = _medium(sim)
-    ap = _ap(sim, med, ApConfig("ap", 0.0, 0.0))
-    other = _ap(sim, med, ApConfig("other", 0.0, 0.0))
+    med = _medium(sim, horizon=0.0)  # the beacon sent at time 0 only
+    ap = _ap(sim, med, _cfg("ap", 0.0, 0.0))
+    other = _ap(sim, med, _cfg("other", 0.0, 0.0))
     med.beacons.add_ap(ap)
-    med.horizon = 0.0  # the beacon sent at time 0 only
     near = StubIface("near", (50.0, 0.0))
     elsewhere = StubIface("elsewhere", (50.0, 0.0))
     far = StubIface("far", (400.0, 0.0))
@@ -141,10 +147,9 @@ def test_broadcast_respects_the_ap_listened_to_and_range():
 
 def test_broadcast_skips_an_interface_bound_to_another_ap():
     sim = Simulator()
-    med = _medium(sim)
-    ap = _ap(sim, med, ApConfig("ap", 0.0, 0.0))
+    med = _medium(sim, horizon=0.0)
+    ap = _ap(sim, med, _cfg("ap", 0.0, 0.0))
     med.beacons.add_ap(ap)
-    med.horizon = 0.0
     bound_here = StubIface("here", (50.0, 0.0), allowed_ap="ap")
     bound_elsewhere = StubIface("elsewhere", (50.0, 0.0), allowed_ap="other")
     for i in (bound_here, bound_elsewhere):
@@ -157,7 +162,7 @@ def test_broadcast_skips_an_interface_bound_to_another_ap():
 def test_serialization_delay_at_two_megabits():
     sim = Simulator()
     med = _medium(sim)
-    ap = _ap(sim, med, ApConfig("ap", 0.0, 0.0))
+    ap = _ap(sim, med, _cfg("ap", 0.0, 0.0))
     iface = StubIface("i", (10.0, 0.0))
     seen_at = []
     iface.on_frame = lambda frame: seen_at.append(sim.now)
@@ -177,7 +182,7 @@ def _send_control_packets(ap_pos, ha_delay=0.0):
     drops = []
     med = _medium(sim, drops)
     ha = StubHa(sim)
-    ap = _ap(sim, med, ApConfig("ap", ap_pos, 0.0), ha, ha_delay)
+    ap = _ap(sim, med, _cfg("ap", ap_pos, 0.0), ha, ha_delay)
     iface = StubIface("i", (10.0, 0.0))
     sim.schedule_at(0.25, med.uplink, iface, ap, BU)
     sim.schedule_at(0.25, med.ap_to_iface, ap, iface, Frame("data", 1000, payload="ba"))
@@ -203,7 +208,7 @@ def test_an_ap_sends_one_ra_per_association():
     # joins at 2.5 s, leaves at 4.5 s, rejoins at 7 s; no RA while it stays
     sim = Simulator()
     med = _medium(sim)
-    ap = _ap(sim, med, ApConfig("ap", 0.0, 0.0))
+    ap = _ap(sim, med, _cfg("ap", 0.0, 0.0))
     iface = StubIface("i", (10.0, 0.0))
     heard = []
     iface.on_frame = lambda frame: heard.append((sim.now, frame.kind, frame.payload))
@@ -223,7 +228,7 @@ def test_an_ap_sends_one_ra_per_association():
 def test_beacons_fire_on_strict_schedule():
     sim = Simulator()
     med = _medium(sim)
-    ap = _ap(sim, med, ApConfig("ap", 0.0, 0.0, beacon_interval=0.1))
+    ap = _ap(sim, med, _cfg("ap", 0.0, 0.0, beacon_interval=0.1))
     med.beacons.add_ap(ap)
     iface = StubIface("i", (10.0, 0.0))
     med.beacons.add_iface(iface)
@@ -254,15 +259,14 @@ class PathIface(StubIface):
        steps=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=80))
 def test_range_memo_agrees_with_uncached_check(speed, ap_xy, steps):
     sim = Simulator()
-    med = _medium(sim)
-    ap = _ap(sim, med, ApConfig("ap", ap_xy[0], ap_xy[1]))
+    med = _medium(sim, horizon=sum(steps) + 60.0)
+    ap = _ap(sim, med, _cfg("ap", ap_xy[0], ap_xy[1]))
     iface = PathIface(sim, TractorPath(4.0, 0.0, 196.0, 50.0, 5, speed))
     # a beacon-ledger lookahead first: it reads the same coverage table, and
     # must leave nothing there that answers the earlier queries below
     ledger = med.beacons
     ledger.add_ap(ap)
     ledger.add_iface(iface)
-    med.horizon = sum(steps) + 60.0
     ledger.next_beacon(["i"], sum(steps), None)
     ledger.next_beacon(["i"], sum(steps), 3)
     ledger.loss_time("i", sum(steps), 0.35)
@@ -288,10 +292,9 @@ def test_range_memo_answers_queries_in_any_order(speed, ap_xy, times):
     # the two directions of a VoIP call query one (ap, iface) pair at times
     # that need not increase: one flow's run may reach past the other's
     sim = Simulator()
-    med = _medium(sim)
-    ap = _ap(sim, med, ApConfig("ap", ap_xy[0], ap_xy[1]))
+    med = _medium(sim, horizon=150.0)  # with none, every query is judged on its own
+    ap = _ap(sim, med, _cfg("ap", ap_xy[0], ap_xy[1]))
     iface = PathIface(sim, TractorPath(4.0, 0.0, 196.0, 50.0, 5, speed))
-    med.horizon = 150.0  # with none, every query is judged on its own
     for t in times:
         assert med.in_range_moving(ap, iface, t)[0] == med.in_range(ap, iface.position(t)), \
             f"t={t} pos={iface.position(t)}"
@@ -391,16 +394,15 @@ def ledger_cases(draw):
 def test_ledger_matches_a_scan_of_every_beacon(case):
     path, ap_xy, bi, allowed, changes, horizon, starts, m = case
     sim = Simulator()
-    med = _medium(sim)
-    ap = _ap(sim, med, ApConfig("ap", ap_xy[0], ap_xy[1], beacon_interval=bi))
+    med = _medium(sim, horizon=horizon)
+    ap = _ap(sim, med, _cfg("ap", ap_xy[0], ap_xy[1], beacon_interval=bi))
     iface = PathIface(sim, path) if isinstance(path, TractorPath) else StubIface("i", path)
     iface.allowed_ap = allowed
     listened = {None: None, "ap": ap,
-                "other": _ap(sim, med, ApConfig("other", 0.0, 0.0))}
+                "other": _ap(sim, med, _cfg("other", 0.0, 0.0))}
     ledger = med.beacons
     ledger.add_ap(ap)
     ledger.add_iface(iface)
-    med.horizon = horizon
     for t, ap_id in changes:
         sim.run_until(t)
         ledger.listen(iface, listened[ap_id])
@@ -434,9 +436,8 @@ def test_coverage_table_matches_exact_checks(case, fractions):
     # span it is said to hold over; so is each gap's, from end to end
     path, ap_xy, bi, _, _, horizon, _, _ = case
     sim = Simulator()
-    med = _medium(sim)
-    med.horizon = horizon
-    ap = _ap(sim, med, ApConfig("ap", ap_xy[0], ap_xy[1], beacon_interval=bi))
+    med = _medium(sim, horizon=horizon)
+    ap = _ap(sim, med, _cfg("ap", ap_xy[0], ap_xy[1], beacon_interval=bi))
     iface = PathIface(sim, path) if isinstance(path, TractorPath) else StubIface("i", path)
 
     def exact(t):
@@ -459,9 +460,8 @@ def test_range_cuts_agree_with_the_exact_check_on_a_retraced_path():
     # exactly (a verdict held for the node's distance to the edge over its
     # speed, as a range memo did, is wrong for 233 of these 59,000 packets)
     sim = Simulator()
-    med = _medium(sim)
-    med.horizon = 300.0
-    ap = _ap(sim, med, ApConfig("ap", 0.0, 20.0))
+    med = _medium(sim, horizon=300.0)
+    ap = _ap(sim, med, _cfg("ap", 0.0, 20.0))
     iface = PathIface(sim, TractorPath(R - 0.5, 20.0, R + 0.5, 20.0, 1, 20.0))
     times = Ticks(5.0, 0.005, 0, 59000)
     pieces = med.range_cuts(ap, iface, times, 0, len(times), float)
@@ -488,14 +488,13 @@ def test_ledger_ties_a_listening_change_and_a_loss_check_at_a_beacon_instant():
     # beacon 2 at the instant it turns back: each meets the new state. Arrival 2 lands
     # exactly one window after arrival 0 and so comes after the check there.
     sim = Simulator()
-    med = _medium(sim)
-    ap = _ap(sim, med, ApConfig("ap", 0.0, 0.0, beacon_interval=0.5))
-    other = _ap(sim, med, ApConfig("other", 0.0, 0.0))
+    med = _medium(sim, horizon=5.0)
+    ap = _ap(sim, med, _cfg("ap", 0.0, 0.0, beacon_interval=0.5))
+    other = _ap(sim, med, _cfg("other", 0.0, 0.0))
     iface = StubIface("i", (10.0, 0.0))
     ledger = med.beacons
     ledger.add_ap(ap)
     ledger.add_iface(iface)
-    med.horizon = 5.0
     for t, listened in ((0.5, other), (1.0, None)):
         sim.run_until(t)
         ledger.listen(iface, listened)
@@ -512,7 +511,7 @@ def test_uplink_run_splits_at_the_coverage_edge():
     drops = []
     med = _medium(sim, drops)
     ha = StubHa(sim)
-    ap = _ap(sim, med, ApConfig("ap", 0.0, 0.0), ha, 0.001)
+    ap = _ap(sim, med, _cfg("ap", 0.0, 0.0), ha, 0.001)
     iface = PathIface(sim, TractorPath(0.0, 0.0, 1000.0, 0.0, 1, 1.0))
     times = [175.0, 175.5, 176.0, 176.5, 177.0, 177.5]
     run = PacketRun("f", 10, Ticks(175.0, 0.5, 0, len(times)), 10000)

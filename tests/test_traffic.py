@@ -12,6 +12,7 @@ from vhosim.traffic import (
     PacketRun,
     SeqSet,
     Sink,
+    Ticker,
     Ticks,
     VideoSource,
     VoipSource,
@@ -26,6 +27,15 @@ from sink_tap import classify, reference_state
 
 # VoipSource's interval, codec rate and spurt and silence means: ScenarioConfig's defaults
 VOIP = (0.020, 64000.0, 1.0, 1.35)
+PLAYOUT = 0.005  # ScenarioConfig's voip_playout
+
+
+def _voip(sim, emit):
+    """A VoIP source from time 0 on, started on a ticker of its own."""
+    ticker = Ticker(sim)
+    VoipSource(ticker, "voip", *VOIP, sim.rng("voip"), emit, 0.0, math.inf)
+    ticker.start()
+
 
 # Frozen expectations for the simplified E-model, computed independently from
 # R = 93.2 - Id(d) - Ie_eff(loss) and the cubic R-to-MOS mapping.
@@ -124,7 +134,7 @@ def _nudge(t: float, way: int) -> float:
 @example(0.0, 1 / 3, [(20, 0), (41, 0)])
 @example(1e9, 1e-9, [(50, 0), (40, -1)])  # about 120 ticks share each float
 def test_take_ends_a_window_where_the_append_loop_did(t0, dt, cuts):
-    src = _Source(Simulator(), "f", None, t0, None, dt, 1)
+    src = _Source(Ticker(Simulator()), "f", None, t0, math.inf, dt, 1)
     k, t, want, got, limit = 0, t0, [], [], -math.inf
     for ahead, way in cuts:
         limit = max(limit, _nudge(t0 + (k + ahead) * dt, way))
@@ -198,10 +208,11 @@ def test_ticks_bisect_that_answers_hi_calls_its_key_once(t0, dt, k0, n, key, abo
 
 def test_video_source_cadence_and_sizes():
     sim = Simulator()
+    ticker = Ticker(sim)
     out = []
-    src = VideoSource(sim, "v", rate_bps=0.5e6, packet_bits=10000,
-                      emit=out.append, start=5.0)
-    src.start()
+    VideoSource(ticker, "v", rate_bps=0.5e6, packet_bits=10000, emit=out.append,
+                start=5.0, stop=math.inf)
+    ticker.start()
     sim.run_until(5.99)
     # 10000 bits at 0.5 Mbps: one packet every 20 ms, 50 packets in [5, 5.99]
     pkts = packets(out)
@@ -215,8 +226,10 @@ def test_video_source_cadence_and_sizes():
 
 def test_video_source_stop_time():
     sim = Simulator()
+    ticker = Ticker(sim)
     out = []
-    VideoSource(sim, "v", 2e6, 10000, out.append, start=0.0, stop=0.1).start()
+    VideoSource(ticker, "v", 2e6, 10000, out.append, start=0.0, stop=0.1)
+    ticker.start()
     sim.run_until(1.0)
     assert len(packets(out)) == 20  # 5 ms interval, [0, 0.1)
 
@@ -224,8 +237,7 @@ def test_video_source_stop_time():
 def test_voip_packets_carry_spurt_index_and_fixed_size():
     sim = Simulator()
     out = []
-    src = VoipSource(sim, "voip", *VOIP, sim.rng("voip"), out.append)
-    src.start()
+    _voip(sim, out.append)
     sim.run_until(60.0)
     pkts = packets(out)
     assert all(p.bits == 1280 for p in pkts)  # 64 kbps * 20 ms
@@ -240,7 +252,7 @@ def test_voip_packets_carry_spurt_index_and_fixed_size():
 def test_voip_long_run_talk_fraction():
     sim = Simulator(seed=11)
     out = []
-    VoipSource(sim, "voip", *VOIP, sim.rng("voip"), out.append).start()
+    _voip(sim, out.append)
     sim.run_until(2000.0)
     talk_fraction = len(packets(out)) * 0.020 / 2000.0
     # exponential on/off with means 1.0 / 1.35 -> duty cycle 1/2.35
@@ -251,7 +263,7 @@ def test_voip_source_reproducible_per_seed():
     def run(seed):
         sim = Simulator(seed=seed)
         out = []
-        VoipSource(sim, "voip", *VOIP, sim.rng("voip"), out.append).start()
+        _voip(sim, out.append)
         sim.run_until(50.0)
         return [(p.seq0, p.times[0]) for p in packets(out)]
 
@@ -266,12 +278,13 @@ def test_voip_source_validation():
             args = list(VOIP)
             args[i] = bad
             with pytest.raises(ValueError, match=name):
-                VoipSource(sim, "voip", *args, sim.rng("voip"), [].append)
+                VoipSource(Ticker(sim), "voip", *args, sim.rng("voip"), [].append, 0.0,
+                           math.inf)
 
 
 def test_sink_late_classification_uses_first_spurt_budget():
     stats = FlowStats("voip")
-    sink = Sink(stats, playout_delay=0.005)
+    sink = Sink(stats, PLAYOUT)
     # first spurt establishes the 10 ms floor -> budget 15 ms
     for seq, delay in enumerate((0.012, 0.010, 0.011)):
         sink.on_receive(seq, sent_at=0.0, now=delay, spurt=0)
@@ -284,7 +297,7 @@ def test_sink_late_classification_uses_first_spurt_budget():
 def test_sink_video_has_no_deadline():
     # a video flow is one spurt, spurt 0, which sets the budget and meets none
     stats = FlowStats("v")
-    sink = Sink(stats)
+    sink = Sink(stats, PLAYOUT)
     assert sink.on_receive(0, 0.0, now=0.001) == "received"
     assert sink.on_receive(1, 1.0, now=10.0) == "received"
     assert stats.received == 2 and stats.late == 0
@@ -293,7 +306,7 @@ def test_sink_video_has_no_deadline():
 def test_sink_rejects_a_repeated_seq():
     # a packet takes one path, so a sink that takes it twice is a fault
     stats = FlowStats("voip")
-    sink = Sink(stats)
+    sink = Sink(stats, PLAYOUT)
     assert sink.on_receive(0, 0.0, 0.01) == "received"
     sink.receive(3, Ticks(1.0, 0.02, 0, 4), 0, 4, 0.01, 0.0, 0.0, spurt=0)  # seqs 3..6
 
@@ -536,7 +549,7 @@ def test_sink_memory_does_not_grow_per_packet(flow):
     n = 100_000
     per_spurt = n if flow == "video" else 50
     stats = FlowStats("f")
-    sink = Sink(stats)
+    sink = Sink(stats, PLAYOUT)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
