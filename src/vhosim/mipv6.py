@@ -73,7 +73,7 @@ class BindingCache:
 
     def lookup(self, hoa: Address, now: float) -> Optional[Address]:
         """The CoA bound to hoa at now; an expired entry is deleted."""
-        coa, found = self.lookup_run(hoa, Ticks(now, 1.0, 0, 1), 0, 1, float)
+        coa, found = self.lookup_run(hoa, Ticks(1.0, [(now, 0, 1)]), 0, 1, float)
         return coa if found else None
 
     def lookup_run(self, hoa: Address, times: Ticks, lo: int, hi: int,

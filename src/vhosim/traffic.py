@@ -4,51 +4,101 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from typing import Callable, NamedTuple, Optional
 
 from .engine import SchedulingError, Simulator, first_tick
 
 
+_FIRST = (0,)  # Ticks._starts of one part
+
+
 class Ticks:
-    """The read-only ticks t0 + k*dt for k = k0..k0+n-1, each computed by
-    that float expression when read; dt > 0, so none is below the one before."""
+    """The read-only ticks of parts (t0, k0, n), n >= 1, in part order:
+    t0 + k*dt for k = k0..k0+n-1, each computed by that float expression
+    when read. dt > 0, and no part starts below the last tick of the part
+    before, so no tick is below the one before. A source's run holds a
+    part per talk spurt of its window (_Source.take). The first part is
+    also kept in t0, k0 and n0, so that a read inside it needs no search
+    over the parts: most runs, and every video run, are one part."""
 
-    __slots__ = ("t0", "dt", "k0", "n")
+    __slots__ = ("dt", "parts", "t0", "k0", "n0", "_starts", "_n")
 
-    def __init__(self, t0: float, dt: float, k0: int, n: int):
-        self.t0 = t0
+    def __init__(self, dt: float, parts: list[tuple[float, int, int]]):
         self.dt = dt
-        self.k0 = k0
-        self.n = n
+        self.parts = parts
+        self.t0, self.k0, n = parts[0] if parts else (0.0, 0, 0)
+        self.n0 = n
+        self._starts = _FIRST  # the index of each part's first tick
+        if len(parts) > 1:
+            self._starts = starts = []
+            n = 0
+            for _, _, m in parts:
+                starts.append(n)
+                n += m
+        self._n = n
 
     def __len__(self) -> int:
-        return self.n
+        return self._n
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            lo, hi, step = i.indices(self.n)
+            lo, hi, step = i.indices(self._n)
             if step != 1:
                 raise ValueError("ticks slice with a step")
-            return Ticks(self.t0, self.dt, self.k0 + lo, max(0, hi - lo))
-        if not -self.n <= i < self.n:
-            raise IndexError(f"tick {i} of {self.n}")
-        return self.t0 + (self.k0 + i % self.n) * self.dt
+            if lo < hi <= self.n0:
+                return Ticks(self.dt, [(self.t0, self.k0 + lo, hi - lo)])
+            return Ticks(self.dt, [(t0, k0 + a - s, b - a)
+                                   for (t0, k0, m), s in zip(self.parts, self._starts)
+                                   if (a := max(lo, s)) < (b := min(hi, s + m))])
+        if 0 <= i < self.n0:
+            return self.t0 + (self.k0 + i) * self.dt
+        n = self._n
+        if not -n <= i < n:
+            raise IndexError(f"tick {i} of {n}")
+        i %= n
+        starts = self._starts
+        j = bisect_right(starts, i) - 1
+        t0, k0, _ = self.parts[j]
+        return t0 + (k0 + i - starts[j]) * self.dt
 
     def __iter__(self):
-        t0, dt = self.t0, self.dt
-        return (t0 + k * dt for k in range(self.k0, self.k0 + self.n))
+        dt = self.dt
+        return (t0 + k * dt for t0, k0, m in self.parts for k in range(k0, k0 + m))
 
     def bisect(self, x: float, lo: int, hi: int, key: Callable[[float], float],
                right: bool = False) -> int:
-        """bisect.bisect_left(self, x, lo, hi, key=key), or bisect_right, in
-        closed form: key must not decrease, and key(t) - t be near constant.
-        The last tick is probed first: hi, the common answer, takes one key call."""
+        """bisect.bisect_left(self, x, lo, hi, key=key), or bisect_right: key
+        must not decrease, and key(t) - t be near constant. The last tick is
+        probed first: hi, the common answer, takes one key call. Else a
+        bisect over the parts by their last ticks finds the first part that
+        reaches x, and a closed form the answer inside it."""
         if lo >= hi:
             return lo
-        t0, dt, k0 = self.t0, self.dt, self.k0
-        y = key(last := t0 + (k0 + hi - 1) * dt)  # at the last tick
+        dt, starts = self.dt, self._starts
+        j = bisect_right(starts, hi - 1) - 1  # the part of the last tick
+        t0, k0, _ = self.parts[j]
+        s = starts[j]
+        k0 -= s  # tick i of the part, from index s on, is t0 + (k0 + i) * dt
+        y = key(last := t0 + (k0 + hi - 1) * dt)
         if not (y > x if right else y >= x):  # no tick reaches x
             return hi
+        if lo < s:  # the first part whose last tick reaches x holds the answer
+            parts = self.parts
+
+            def reaches(p: int) -> bool:
+                t0, k0, m = parts[p]
+                y = key(t0 + (k0 + m - 1) * dt)
+                return y > x if right else y >= x
+
+            p = bisect_left(range(j), True, bisect_right(starts, lo) - 1, j, key=reaches)
+            if p < j:
+                t0, k0, m = parts[p]
+                s = starts[p]
+                k0 -= s
+                hi = s + m
+                y = key(last := t0 + (k0 + hi - 1) * dt)
+            lo = max(lo, s)
 
         def past(i: int) -> bool:  # false below the answer, true from it on
             y = key(t0 + (k0 + i) * dt)
@@ -66,7 +116,10 @@ class Ticks:
 
 class PacketRun:
     """Consecutive packets of one flow, one per source tick: packet k has
-    seq seq0 + k and is sent at times[k]."""
+    seq seq0 + k and is sent at times[k]. spurt is the talk-spurt index of
+    the first packet of the run its source took (VoIP only), which a part
+    keeps; a run holds packets of spurt 0 only or of later spurts only,
+    which is all a Sink reads of it."""
 
     __slots__ = ("flow_id", "seq0", "times", "bits", "spurt")
 
@@ -75,7 +128,7 @@ class PacketRun:
         self.seq0 = seq0
         self.times = times
         self.bits = bits
-        self.spurt = spurt  # talk-spurt index, VoIP only
+        self.spurt = spurt
 
     def part(self, lo: int, hi: int) -> "PacketRun":
         """Packets lo..hi-1 as a run of their own."""
@@ -188,8 +241,9 @@ class Ticker:
     """The one clock of a run's sources, each registered at its construction:
     one heap entry, at the earliest next action of any source, scheduled as
     that source's _tick. When it fires, each source takes its actions up to
-    the ahead limit, the due source's next one in any case, and the runs go
-    to the emits in the order of their last ticks (README "Determinism")."""
+    the ahead limit, the due source's next one in any case, as one run of
+    every spurt it ticks in (two if spurt 0 ends), and the runs go to the
+    emits in the order of their last ticks (README "Determinism")."""
 
     def __init__(self, sim: Simulator):
         self.sim = sim
@@ -265,29 +319,40 @@ class _Source:
         return math.inf
 
     def take(self, limit: float, index: int, runs: list) -> None:
-        """Add (last tick, index, run) to runs for each spurt of actions up to limit."""
-        t, k = self.next_at, self.k
+        """Add (last tick, index, run) to runs for the ticks up to limit: one
+        run with a part per spurt, but spurt 0 ends a run of its own, since a
+        Sink reads a run as spurt 0 or later."""
+        t, k, dt = self.next_at, self.k, self.interval
+        seq0, parts, spurt = self.seq, [], self.spurt  # spurt: of the run's first part
         while t <= limit:
             if k < 0:  # a spurt starts at t
                 if t >= self.stop:
                     t = math.inf
                     break
+                if self.spurt == 0 and parts:  # a second take makes the next run
+                    break
                 self.spurt += 1
                 self.t0, k = t, 0
                 self.latest = math.nextafter(min(t + self._length(True), self.stop), -math.inf)
-            t0, dt, latest = self.t0, self.interval, self.latest
+            t0, latest = self.t0, self.latest
             end = latest if latest < limit else limit  # a tick up to end is taken
             if t <= end:
                 past = first_tick(math.nextafter(end, math.inf), dt, t0)  # the first past end
-                runs.append((t0 + (past - 1) * dt, index, PacketRun(
-                    self.flow_id, self.seq, Ticks(t0, dt, k, past - k), self.packet_bits,
-                    self.spurt)))
+                if not parts:
+                    spurt = self.spurt
+                parts.append((t0, k, past - k))
                 self.seq += past - k
                 k = past
                 t = t0 + k * dt
             if latest < t <= limit:  # the spurt ends; the next starts after a silence
                 t, k = t + self._length(False), -1
         self.next_at, self.k = t, k
+        if parts:
+            t0, k0, n = parts[-1]
+            runs.append((t0 + (k0 + n - 1) * dt, index, PacketRun(
+                self.flow_id, seq0, Ticks(dt, parts), self.packet_bits, spurt)))
+            if t <= limit:  # the loop stopped where spurt 1 starts
+                self.take(limit, index, runs)
 
 
 class VideoSource(_Source):
@@ -342,15 +407,15 @@ def delay_pieces(times: Ticks, lo: int, hi: int, a: float, b: float,
     none of a, b, c be an odd multiple of u/2, which would make a rounding
     tie. While x + delay stays below 2**e, each partial sum is x plus a
     multiple of u that does not depend on x, and the final - x is exact:
-    every such tick has the delay of the first. Any other tick (0, one
-    whose sum reaches the next binade, a tie) is a piece of its own.
+    every such tick has the delay of the first, whatever part of times or
+    talk spurt it is in. Any other tick (0, one whose sum reaches the next
+    binade, a tie) is a piece of its own.
     """
-    t0, dt = times.t0, times.dt
-    k, end = times.k0 + lo, times.k0 + hi
     binade_rule = a >= 0.0 and b >= 0.0 and c >= 0.0
     pieces = []
-    while k < end:
-        x = t0 + k * dt
+    k = lo
+    while k < hi:
+        x = times[k]
         s = x + a + b + c
         d, n = s - x, 1
         if binade_rule and 0.0 < x < _HUGE:
@@ -360,8 +425,8 @@ def delay_pieces(times: Ticks, lo: int, hi: int, a: float, b: float,
                     and (c / u) % 1.0 != 0.5:
                 # the last tick first: a segment is almost always one piece;
                 # else the piece ends at the first tick x with x + d >= 2**e
-                last = t0 + (end - 1) * dt
-                n = (end if last + a + b + c < top else first_tick(top - d, dt, t0)) - k
+                last = times[hi - 1]
+                n = (hi if last + a + b + c < top else times.bisect(top - d, k + 1, hi, float)) - k
         pieces.append((d, n))
         k += n
     return pieces
@@ -454,5 +519,5 @@ class Sink:
         of one packet sent at 0.0, whose delay ((0.0 + now) + -sent_at) + 0.0
         - 0.0 is now - sent_at. Returns "received" or "late"."""
         late = self.stats.late
-        self.receive(seq, Ticks(0.0, 1.0, 0, 1), 0, 1, now, -sent_at, 0.0, spurt)
+        self.receive(seq, Ticks(1.0, [(0.0, 0, 1)]), 0, 1, now, -sent_at, 0.0, spurt)
         return "late" if self.stats.late > late else "received"

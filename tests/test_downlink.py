@@ -36,7 +36,7 @@ from vhosim.radio import MAC_OVERHEAD_BITS
 from vhosim.scenario import Scenario, downlink_stages
 from vhosim.traffic import PacketRun, Ticks
 
-TICKS = Ticks(50.0, 0.02, 0, 10)  # 50.0 + k * 0.02
+TICKS = Ticks(0.02, [(50.0, 0, 10)])  # 50.0 + k * 0.02
 BITS = 1280  # 64 kb/s for 20 ms
 
 

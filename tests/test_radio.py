@@ -463,7 +463,7 @@ def test_range_cuts_agree_with_the_exact_check_on_a_retraced_path():
     med = _medium(sim, horizon=300.0)
     ap = _ap(sim, med, _cfg("ap", 0.0, 20.0))
     iface = PathIface(sim, TractorPath(R - 0.5, 20.0, R + 0.5, 20.0, 1, 20.0))
-    times = Ticks(5.0, 0.005, 0, 59000)
+    times = Ticks(0.005, [(5.0, 0, 59000)])
     pieces = med.range_cuts(ap, iface, times, 0, len(times), float)
     assert [k for a, b, inside in pieces for k in range(a, b)
             if med.in_range(ap, iface.position(times[k])) != inside] == []
@@ -514,7 +514,7 @@ def test_uplink_run_splits_at_the_coverage_edge():
     ap = _ap(sim, med, _cfg("ap", 0.0, 0.0), ha, 0.001)
     iface = PathIface(sim, TractorPath(0.0, 0.0, 1000.0, 0.0, 1, 1.0))
     times = [175.0, 175.5, 176.0, 176.5, 177.0, 177.5]
-    run = PacketRun("f", 10, Ticks(175.0, 0.5, 0, len(times)), 10000)
+    run = PacketRun("f", 10, Ticks(0.5, [(175.0, 0, len(times))]), 10000)
     assert list(run.times) == times
     pkt = Packet(None, None, 10320)
     med.uplink_run(iface, ap, pkt, run)

@@ -399,11 +399,11 @@ def test_a_run_dropped_twice_raises():
     # fault, and leaves the flow's loss count and dropped set as they were
     scn = Scenario(ScenarioConfig(scheme="hard", application="video"))
     flow = scn.flows["video-ul"]
-    scn._on_drop(PacketRun("video-ul", 10, Ticks(1.0, 0.02, 0, 5), 10000))  # seqs 10..14
+    scn._on_drop(PacketRun("video-ul", 10, Ticks(0.02, [(1.0, 0, 5)]), 10000))  # seqs 10..14
     with pytest.raises(ValueError, match="seq 10 "):
-        scn._on_drop(PacketRun("video-ul", 10, Ticks(1.0, 0.02, 0, 5), 10000))
+        scn._on_drop(PacketRun("video-ul", 10, Ticks(0.02, [(1.0, 0, 5)]), 10000))
     with pytest.raises(ValueError, match="seq 10 "):  # seqs 7..10: only the last repeats
-        scn._on_drop(PacketRun("video-ul", 7, Ticks(0.94, 0.02, 0, 4), 10000))
+        scn._on_drop(PacketRun("video-ul", 7, Ticks(0.02, [(0.94, 0, 4)]), 10000))
     assert flow.lost == len(flow.dropped_seqs) == 5
     assert [seq for seq in range(30) if seq in flow.dropped_seqs] == list(range(10, 15))
 

@@ -23,7 +23,7 @@ from vhosim.traffic import (
     repeat_add,
 )
 
-from sink_tap import classify, reference_state
+from sink_tap import classify, reference_state, tap
 
 # VoipSource's interval, codec rate and spurt and silence means: ScenarioConfig's defaults
 VOIP = (0.020, 64000.0, 1.0, 1.35)
@@ -156,16 +156,46 @@ _keys = st.one_of(st.just(float), st.builds(lambda h: h.__add__, st.floats(0.0, 
                             st.floats(0.0, 1e3)))
 
 
+@st.composite
+def piecewise_ticks(draw) -> Ticks:
+    """Ticks of one to five parts: the first may start mid-spurt (k0 > 0),
+    each later one starts a spurt at or after the last tick before it; a
+    part may be one tick long."""
+    dt, t0 = draw(_dt), draw(_t0)
+    parts = [(t0, draw(st.integers(0, 50)), draw(st.one_of(st.just(1), st.integers(1, 120))))]
+    for _ in range(draw(st.integers(0, 4))):
+        last = t0 + (parts[-1][1] + parts[-1][2] - 1) * dt
+        t0 = last + draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-9), st.floats(0.0, 10.0)))
+        parts.append((t0, 0, draw(st.one_of(st.just(1), st.integers(1, 40)))))
+    return Ticks(dt, parts)
+
+
 @settings(max_examples=500, deadline=None)
-@given(_t0, _dt, st.integers(0, 50), st.integers(1, 120), st.data())
-@example(0.0, 0.1, 0, 10, None)
-def test_ticks_bisect_is_bisect_over_their_list(t0, dt, k0, n, data):
-    ticks = Ticks(t0, dt, k0, n)
-    values = [t0 + k * dt for k in range(k0, k0 + n)]
-    assert list(ticks) == values and len(ticks) == n
+@given(piecewise_ticks(), st.data())
+@example(Ticks(0.1, [(0.0, 0, 10)]), None)
+@example(Ticks(0.125, [(5.0, 3, 4), (5.75, 0, 1), (5.75, 0, 3)]), None)  # parts at the last tick
+def test_ticks_bisect_is_bisect_over_their_list(ticks, data):
+    values = [t0 + k * ticks.dt for t0, k0, n in ticks.parts for k in range(k0, k0 + n)]
+    n = len(values)
+    assert len(ticks) == n and list(ticks) == values
     assert [ticks[i] for i in range(-n, n)] == values + values
-    if data is None:  # a tie at every tick
-        probes = [(float, x, 0, n) for x in values]
+    for i in (-n - 1, n):
+        with pytest.raises(IndexError):
+            ticks[i]
+    starts = [0]
+    for _, _, m in ticks.parts:
+        starts.append(starts[-1] + m)
+    # slices inside one part, across parts, and empty ones
+    cuts = [(0, n), (n, n), (3, 2), (starts[-2], n)] + list(zip(starts, starts[1:]))
+    if data is not None:
+        cuts.append((data.draw(st.integers(-n - 2, n + 2)), data.draw(st.integers(-n - 2, n + 2))))
+    for lo, hi in cuts:
+        part = ticks[lo:hi]
+        assert list(part) == values[lo:hi] and len(part) == len(values[lo:hi])
+        assert all(n >= 1 for _, _, n in part.parts)
+        assert [part[i] for i in range(len(part))] == values[lo:hi]
+    if data is None:  # a tie at every tick, over the whole list
+        probes = [(key, x, 0, n) for key in (float, (0.25).__add__) for x in map(key, values)]
     else:
         key = data.draw(_keys)
         lo = data.draw(st.integers(0, n))
@@ -174,7 +204,6 @@ def test_ticks_bisect_is_bisect_over_their_list(t0, dt, k0, n, data):
             st.builds(lambda i, way: _nudge(key(values[i]), way), st.integers(0, n - 1), _near),
             st.floats(-10.0, 2e9)))
         probes = [(key, x, lo, hi)]
-        assert list(ticks[lo:hi]) == values[lo:hi]
     for key, x, lo, hi in probes:
         assert ticks.bisect(x, lo, hi, key) == bisect_left(values, x, lo, hi, key=key)
         assert ticks.bisect(x, lo, hi, key, right=True) == bisect_right(values, x, lo, hi,
@@ -182,12 +211,11 @@ def test_ticks_bisect_is_bisect_over_their_list(t0, dt, k0, n, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_t0, _dt, st.integers(0, 50), st.integers(1, 120), _keys,
-       st.one_of(st.just(0.0), st.floats(0.0, 1e3)), st.data())
-@example(5.0, 0.02, 0, 50, float, 0.0, None)
-def test_ticks_bisect_that_answers_hi_calls_its_key_once(t0, dt, k0, n, key, above, data):
+@given(piecewise_ticks(), _keys, st.one_of(st.just(0.0), st.floats(0.0, 1e3)), st.data())
+@example(Ticks(0.02, [(5.0, 0, 50)]), float, 0.0, None)
+def test_ticks_bisect_that_answers_hi_calls_its_key_once(ticks, key, above, data):
     # the common search: no tick of lo..hi-1 reaches x, so the answer is hi
-    ticks = Ticks(t0, dt, k0, n)
+    n = len(ticks)
     if data is None:
         lo, hi = 0, n
     else:
@@ -234,6 +262,25 @@ def test_video_source_stop_time():
     assert len(packets(out)) == 20  # 5 ms interval, [0, 0.1)
 
 
+def _voip_reference(until: float) -> list[tuple[int, float]]:
+    """(spurt, tick) of each packet a default VoIP source from time 0 sends
+    before until, spurt by spurt from the source's random stream: a spurt
+    starting at s ticks at s + k*interval up to its end, the next starts a
+    silence after its first tick past that end."""
+    interval, _, spurt_mean, silence_mean = VOIP
+    rng = Simulator().rng("voip")
+    out, start, spurt = [], 0.0, 0
+    while start < until:
+        latest = math.nextafter(start + rng.expovariate(1.0 / spurt_mean), -math.inf)
+        k = 0
+        while start + k * interval <= latest:
+            out.append((spurt, start + k * interval))
+            k += 1
+        start = start + k * interval + rng.expovariate(1.0 / silence_mean)
+        spurt += 1
+    return [(spurt, x) for spurt, x in out if x < until]
+
+
 def test_voip_packets_carry_spurt_index_and_fixed_size():
     sim = Simulator()
     out = []
@@ -241,12 +288,28 @@ def test_voip_packets_carry_spurt_index_and_fixed_size():
     sim.run_until(60.0)
     pkts = packets(out)
     assert all(p.bits == 1280 for p in pkts)  # 64 kbps * 20 ms
-    spurts = sorted({p.spurt for p in pkts})
+    # the ticks are those of an independent spurt-by-spurt reference; a run
+    # may hold many spurts, and a spurt may have no tick, so a run's parts
+    # do not name its packets' spurts: the reference does
+    ref = _voip_reference(60.0)
+    assert [p.times[0] for p in pkts] == [x for _, x in ref]
+    spurt_of = [spurt for spurt, _ in ref]
+    spurts = sorted(set(spurt_of))
     assert spurts == list(range(len(spurts))) and len(spurts) > 10
     # within a spurt, packets are spaced exactly one packetization interval
-    first = [p for p in pkts if p.spurt == spurts[1]]
-    gaps = {round(b.times[0] - a.times[0], 9) for a, b in zip(first, first[1:])}
-    assert gaps <= {0.02}
+    for spurt in spurts:
+        ticks = [x for s, x in ref if s == spurt]
+        assert {round(b - a, 9) for a, b in zip(ticks, ticks[1:])} <= {0.02}
+    # seqs run on from run to run; a run names the spurt of its first packet,
+    # and spurt 0 never shares a run with a later spurt
+    assert any(len(run.times.parts) > 1 for run in out)
+    seq = 0
+    for run in out:
+        assert run.seq0 == seq
+        ours = spurt_of[seq:seq + len(run.times)]
+        assert run.spurt == ours[0] and (0 not in ours or set(ours) == {0})
+        seq += len(run.times)
+    assert seq == len(ref)
 
 
 def test_voip_long_run_talk_fraction():
@@ -308,7 +371,7 @@ def test_sink_rejects_a_repeated_seq():
     stats = FlowStats("voip")
     sink = Sink(stats, PLAYOUT)
     assert sink.on_receive(0, 0.0, 0.01) == "received"
-    sink.receive(3, Ticks(1.0, 0.02, 0, 4), 0, 4, 0.01, 0.0, 0.0, spurt=0)  # seqs 3..6
+    sink.receive(3, Ticks(0.02, [(1.0, 0, 4)]), 0, 4, 0.01, 0.0, 0.0, spurt=0)  # seqs 3..6
 
     def state():
         return (stats.received, stats.late, stats.delay_sum.hex(), len(stats.received_seqs),
@@ -319,7 +382,7 @@ def test_sink_rejects_a_repeated_seq():
         sink.on_receive(0, 0.0, 0.02)
     # a later spurt's segment whose last seq repeats: its first packet would set the budget
     with pytest.raises(ValueError, match="seq 3 "):
-        sink.receive(1, Ticks(3.0, 0.02, 0, 3), 0, 3, 0.5, 0.0, 0.0, spurt=1)  # seqs 1..3
+        sink.receive(1, Ticks(0.02, [(3.0, 0, 3)]), 0, 3, 0.5, 0.0, 0.0, spurt=1)  # seqs 1..3
     assert state() == before
 
 
@@ -339,11 +402,12 @@ def sink_segments(draw) -> list[tuple]:
         lo = draw(st.integers(0, 2))
         if draw(st.integers(0, 3)):
             n, k0 = draw(st.integers(1, 8)), draw(st.integers(0, 3))
-            times = Ticks(draw(value), draw(step), k0, lo + n + draw(st.integers(0, 2)))
+            t0 = draw(value)
+            times = Ticks(draw(step), [(t0, k0, lo + n + draw(st.integers(0, 2)))])
         else:  # long, from just below a power of two
             n, dt = draw(st.integers(9, 400)), draw(st.floats(1e-3, 0.1))
             t0 = 2.0 ** draw(st.integers(-1, 11)) - dt * draw(st.integers(0, 40))
-            times = Ticks(t0, dt, 0, lo + n + draw(st.integers(0, 2)))
+            times = Ticks(dt, [(t0, 0, lo + n + draw(st.integers(0, 2)))])
         segments.append((first - lo, times, lo, lo + n, draw(offset), draw(offset),
                          draw(offset)))
         end = first + n
@@ -358,17 +422,17 @@ def sink_segments(draw) -> list[tuple]:
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([0.0, 0.005, 0.25]), sink_segments())
-@example(0.25, [(0, Ticks(1.0, 1.0, 0, 1), 0, 1, 0.25, 0.0, 0.0, 0),  # budget 0.5
-                        (1, Ticks(2.0, 1.0, 0, 2), 0, 2, 0.5, 0.0, 0.0, 1),  # delays at it
-                        (3, Ticks(4.0, 1.0, 0, 1), 0, 1, 0.5, 0.125, 0.0, 1)])  # past: late
-@example(0.005, [(2, Ticks(1.0, 1.0, 0, 2), 0, 2, 0.25, 0.0, 0.0, 1),  # no spurt 0
-                         (0, Ticks(0.0, 1.0, 0, 2), 0, 2, 0.5, 0.0, 0.0, 2)])  # 0, 1 after 2, 3
+@example(0.25, [(0, Ticks(1.0, [(1.0, 0, 1)]), 0, 1, 0.25, 0.0, 0.0, 0),  # budget 0.5
+                        (1, Ticks(1.0, [(2.0, 0, 2)]), 0, 2, 0.5, 0.0, 0.0, 1),  # delays at it
+                        (3, Ticks(1.0, [(4.0, 0, 1)]), 0, 1, 0.5, 0.125, 0.0, 1)])  # past: late
+@example(0.005, [(2, Ticks(1.0, [(1.0, 0, 2)]), 0, 2, 0.25, 0.0, 0.0, 1),  # no spurt 0
+                         (0, Ticks(1.0, [(0.0, 0, 2)]), 0, 2, 0.5, 0.0, 0.0, 2)])  # 0, 1 after 2, 3
 # x + 0.25 + 2**-53 ties in [1, 2): its rounding follows the parity of x
-@example(0.0, [(0, Ticks(1.0, 3 * 2.0 ** -52, 0, 64), 0, 64, 0.25 + 2.0 ** -53, 0.0,
+@example(0.0, [(0, Ticks(3 * 2.0 ** -52, [(1.0, 0, 64)]), 0, 64, 0.25 + 2.0 ** -53, 0.0,
                          0.0, 0)])
 # the ticks cross 1.0, the sum of the tick 0.98 first; then they cross 2.0
-@example(0.005, [(0, Ticks(0.0, 0.02, 40, 30), 0, 30, 0.03, 0.001, 0.0, 0),
-                         (30, Ticks(1.5, 0.02, 0, 40), 0, 40, 0.03, 0.001, 0.0, 1)])
+@example(0.005, [(0, Ticks(0.02, [(0.0, 40, 30)]), 0, 30, 0.03, 0.001, 0.0, 0),
+                         (30, Ticks(0.02, [(1.5, 0, 40)]), 0, 40, 0.03, 0.001, 0.0, 1)])
 def test_sink_batch_counts_as_one_packet_calls(playout, calls):
     batch, single = Sink(FlowStats("b"), playout), Sink(FlowStats("s"), playout)
     ref = reference_state()
@@ -390,6 +454,67 @@ def test_sink_batch_counts_as_one_packet_calls(playout, calls):
         assert stats.delay_sum.hex() == ref["delay_sum"].hex()
         assert all((seq in stats.received_seqs) == (seq in ref["seqs"])
                    for seq in range(max(ref["seqs"]) + 2))
+
+
+@st.composite
+def sink_windows(draw) -> list[tuple]:
+    """Calls (seq0, times, a, b, c, spurt) of one sink, as a source's
+    windows reach it: a run of spurt 0, of one part that may start
+    mid-spurt, then runs of later spurts of one to four parts each, seqs
+    running on. Ticks start near a power of two or anywhere; offsets are
+    any, dyadic, or an odd multiple of half the ulp of the run's first
+    tick, which ties."""
+    dt = draw(st.one_of(st.sampled_from([0.02, 0.125, 3 * 2.0 ** -52]), st.floats(1e-3, 0.1)))
+    t = draw(st.one_of(st.sampled_from([0.5, 1.0, 255.9, 511.5]), st.floats(0.0, 300.0)))
+    calls, seq, spurt = [], 0, 0
+    for run in range(draw(st.integers(1, 4))):
+        parts = []
+        for _ in range(1 if run == 0 else draw(st.integers(1, 4))):
+            k0, n = (draw(st.integers(0, 3)) if not parts else 0), draw(st.integers(1, 30))
+            parts.append((t, k0, n))
+            t = t + (k0 + n - 1) * dt + draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+        times = Ticks(dt, parts)
+        half_ulp = math.ulp(times[0]) / 2
+        offset = st.one_of(st.sampled_from([0.0, 0.125, 0.25]), st.floats(0.0, 0.1),
+                           st.integers(0, 10 ** 6).map(lambda i: (2 * i + 1) * half_ulp))
+        calls.append((seq, times, draw(offset), draw(offset), draw(offset), spurt))
+        seq += len(times)
+        spurt += draw(st.integers(1, 3))
+    return calls
+
+
+def _sink_state(sink: Sink) -> tuple:
+    stats = sink.stats
+    return (stats.received, stats.late, stats.delay_sum.hex(), sink._budget,
+            sink._first_spurt_min, len(stats.received_seqs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([0.0, 0.005, 0.25]), sink_windows())
+# a window whose ticks cross 256: the sums of its later ticks round to another ulp
+@example(0.005, [(0, Ticks(0.02, [(255.0, 0, 10)]), 0.03, 0.001, 0.0, 0),
+                 (10, Ticks(0.02, [(255.9, 0, 8), (256.25, 0, 6), (257.5, 0, 3)]),
+                  0.03, 0.001, 0.0, 1)])
+# x + 0.25 + 2**-53 ties in [1, 2): its rounding follows the parity of x
+@example(0.0, [(0, Ticks(3 * 2.0 ** -52, [(1.0, 2, 4)]), 0.25, 0.0, 0.0, 0),
+               (4, Ticks(3 * 2.0 ** -52, [(1.0 + 2.0 ** -40, 0, 20), (1.5, 0, 20)]),
+                0.25 + 2.0 ** -53, 0.0, 0.0, 1)])
+# a late window: 0.26 s of delay against a budget of 0.015 s
+@example(0.005, [(0, Ticks(0.02, [(1.0, 0, 5)]), 0.01, 0.0, 0.0, 0),
+                 (5, Ticks(0.02, [(3.0, 0, 5), (4.0, 0, 5)]), 0.01, 0.0, 0.25, 2)])
+def test_sink_receive_is_the_same_whatever_the_chunking(playout, calls):
+    whole, by_part, by_packet = (Sink(FlowStats(f), playout) for f in ("w", "s", "p"))
+    check = tap(whole, [])  # and a packet-by-packet shadow of the whole calls
+    for seq0, times, a, b, c, spurt in calls:
+        whole.receive(seq0, times, 0, len(times), a, b, c, spurt)
+        lo = 0
+        for _, _, n in times.parts:  # a spurt, or the part of one in the window
+            by_part.receive(seq0, times, lo, lo + n, a, b, c, spurt)
+            lo += n
+        for k in range(len(times)):
+            by_packet.receive(seq0, times, k, k + 1, a, b, c, spurt)
+    check()
+    assert _sink_state(whole) == _sink_state(by_part) == _sink_state(by_packet)
 
 
 def _added(total: float, d: float, n: int) -> float:
@@ -449,16 +574,16 @@ def tick_segments(draw) -> tuple:
     half_ulp = math.ulp(t0 + (k0 + lo) * dt) / 2
     offset = st.one_of(st.just(0.0), st.floats(0.0, 0.1),
                        st.integers(0, 10 ** 6).map(lambda i: (2 * i + 1) * half_ulp))
-    return Ticks(t0, dt, k0, n), lo, hi, draw(offset), draw(offset), draw(offset)
+    return Ticks(dt, [(t0, k0, n)]), lo, hi, draw(offset), draw(offset), draw(offset)
 
 
 @settings(max_examples=300, deadline=None)
 @given(tick_segments())
-@example((Ticks(0.0, 0.02, 0, 60), 0, 60, 0.03, 0.001, 0.0))  # from 0, across 0.5 and 1
-@example((Ticks(1.0, 3 * 2.0 ** -52, 0, 9), 0, 9, 2.0 ** -53, 0.0, 0.0))  # ties
-@example((Ticks(-1.0, 0.5, 0, 9), 0, 9, 0.25, 0.0, 0.0))  # ticks below 0
-@example((Ticks(0.0, 5e-324, 0, 9), 0, 9, 1.5e-323, 0.0, 0.0))  # subnormal ticks
-@example((Ticks(1.0, 0.125, 0, 6), 0, 6, -0.5, -0.1, 0.0))  # sums below the binade
+@example((Ticks(0.02, [(0.0, 0, 60)]), 0, 60, 0.03, 0.001, 0.0))  # from 0, across 0.5 and 1
+@example((Ticks(3 * 2.0 ** -52, [(1.0, 0, 9)]), 0, 9, 2.0 ** -53, 0.0, 0.0))  # ties
+@example((Ticks(0.5, [(-1.0, 0, 9)]), 0, 9, 0.25, 0.0, 0.0))  # ticks below 0
+@example((Ticks(5e-324, [(0.0, 0, 9)]), 0, 9, 1.5e-323, 0.0, 0.0))  # subnormal ticks
+@example((Ticks(0.125, [(1.0, 0, 6)]), 0, 6, -0.5, -0.1, 0.0))  # sums below the binade
 def test_delay_pieces_give_each_ticks_delay(case):
     times, lo, hi, a, b, c = case
     pieces = delay_pieces(times, lo, hi, a, b, c)
@@ -468,10 +593,10 @@ def test_delay_pieces_give_each_ticks_delay(case):
 
 
 def test_delay_pieces_cut_a_segment_only_near_a_power_of_two():
-    (d, n), = delay_pieces(Ticks(10.0, 0.02, 0, 200), 0, 200, 0.003, 0.001, 0.0)
+    (d, n), = delay_pieces(Ticks(0.02, [(10.0, 0, 200)]), 0, 200, 0.003, 0.001, 0.0)
     assert n == 200 and d == 10.0 + 0.003 + 0.001 - 10.0
     # across 16.0: the ticks below it, the one whose sum reaches it, those past it
-    assert [n for _, n in delay_pieces(Ticks(15.0, 0.02, 0, 100), 0, 100, 0.03, 0.0, 0.0)] == \
+    assert [n for _, n in delay_pieces(Ticks(0.02, [(15.0, 0, 100)]), 0, 100, 0.03, 0.0, 0.0)] == \
         [49, 1, 50]
 
 
