@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Optional, get_args, get_origin, get_type_hints
 
-from .radio import coverage_radius2
+from .ipv6 import IPV6_HEADER_BITS
+from .radio import MAC_OVERHEAD_BITS, coverage_radius2
 from .scenario import CORE_PREFIX, Scenario
 from .traffic import compute_mos, packet_loss_rate
 
@@ -139,10 +140,15 @@ class ScenarioConfig:
             if not end / period <= MAX_TICKS:
                 raise ConfigError(f"{period_key}: {end / period:.3g} ticks of its "
                                   f"period in a run, more than {MAX_TICKS:g}")
-        for delay_key in ("cn_link_delay", "foreign_link_delay"):
-            if not self.traffic_start + getattr(self, delay_key) < end:
-                raise ConfigError(f"{delay_key}: no packet sent from traffic_start = "
-                                  f"{self.traffic_start!r} s crosses the link before the "
+        # an app packet's frame, by air at bitrate, or a link's delay
+        bits = self.video_packet_bits if self.application == "video" else int(bits)
+        for key, delay in (("cn_link_delay", self.cn_link_delay),
+                           ("foreign_link_delay", self.foreign_link_delay),
+                           ("bitrate", (bits + IPV6_HEADER_BITS + MAC_OVERHEAD_BITS)
+                            / self.bitrate)):
+            if not self.traffic_start + delay < end:
+                raise ConfigError(f"{key}: no packet sent from traffic_start = "
+                                  f"{self.traffic_start!r} s crosses its hop before the "
                                   f"run ends at {end!r} s")
         for name in ("home_prefix", "foreign_prefix"):  # an address is prefix << 64 | iid
             if not 0 <= getattr(self, name) < 1 << 64:
@@ -160,11 +166,12 @@ class ScenarioConfig:
 
 # a zero rate, size or period divides by zero or never advances the clock; a
 # zero miss threshold sets a watchdog window of half a beacon interval, which
-# loses every link between two beacons; a negative delay schedules into the past
+# loses every link between two beacons; a negative delay schedules into the past;
+# a d_ref of 0 or below clamps no distance, and fspl_db rejects a distance of 0
 _POSITIVE = ("speed", "video_rate_bps", "video_packet_bits", "voip_packetization",
              "voip_playout", "voip_spurt_mean", "voip_silence_mean",
              "voip_codec_rate", "row_count", "beacon_interval", "frequency_hz",
-             "bitrate", "miss_threshold")
+             "bitrate", "d_ref", "miss_threshold")
 _NON_NEGATIVE = ("dad_duration", "cn_link_delay", "foreign_link_delay",
                  "traffic_start")
 

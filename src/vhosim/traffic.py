@@ -10,33 +10,52 @@ from typing import Callable, NamedTuple, Optional
 from .engine import SchedulingError, Simulator, first_tick
 
 
-_FIRST = (0,)  # Ticks._starts of one part
-
-
 class Ticks:
-    """The read-only ticks of parts (t0, k0, n), n >= 1, in part order:
-    t0 + k*dt for k = k0..k0+n-1, each computed by that float expression
+    """Ticks lo..lo+n-1 of a schedule: parts (t0, k0, m), m >= 1, in part
+    order, part j holding ticks starts[j]..starts[j]+m-1, of which tick
+    starts[j] + i is t0 + (k0 + i)*dt, computed by that float expression
     when read. dt > 0, and no part starts below the last tick of the part
-    before, so no tick is below the one before. A source's run holds a
-    part per talk spurt of its window (_Source.take). The first part is
-    also kept in t0, k0 and n0, so that a read inside it needs no search
-    over the parts: most runs, and every video run, are one part."""
+    before, so no tick is below the one before. Ticks(dt, parts) is every
+    tick of the parts. A source's runs are views of its one schedule, a
+    part per talk spurt (_Source), and so are their slices: a view shares
+    its schedule's lists, so making one costs the same whatever its length.
+    The view's first part, from tick lo on, is also kept in t0, k0 and n0,
+    so that a read inside it needs no search over the parts: most runs,
+    and every video run, are one part."""
 
-    __slots__ = ("dt", "parts", "t0", "k0", "n0", "_starts", "_n")
+    __slots__ = ("dt", "_parts", "_starts", "_lo", "_n", "_j", "t0", "k0", "n0")
 
-    def __init__(self, dt: float, parts: list[tuple[float, int, int]]):
-        self.dt = dt
-        self.parts = parts
-        self.t0, self.k0, n = parts[0] if parts else (0.0, 0, 0)
-        self.n0 = n
-        self._starts = _FIRST  # the index of each part's first tick
-        if len(parts) > 1:
-            self._starts = starts = []
-            n = 0
+    def __init__(self, dt: float, parts: list[tuple[float, int, int]],
+                 starts: Optional[list[int]] = None, lo: int = 0, n: int = 0, j: int = 0):
+        """The n ticks from tick lo on, tick lo being in part j; without
+        starts, every tick of the parts, whose starts are counted here."""
+        if starts is None:
+            starts = []
             for _, _, m in parts:
                 starts.append(n)
                 n += m
-        self._n = n
+        self.dt, self._parts, self._starts = dt, parts, starts
+        self._lo, self._n, self._j = lo, n, j
+        if n:
+            self.t0, k0, m = parts[j]
+            s = lo - starts[j]
+            self.k0 = k0 + s
+            self.n0 = n if n < m - s else m - s  # the ticks of part j from lo on
+        else:
+            self.t0, self.k0, self.n0 = 0.0, 0, 0
+
+    @property
+    def parts(self) -> list[tuple[float, int, int]]:
+        """The view's own parts: the first from tick lo on, the last up to
+        its last tick."""
+        out = [(self.t0, self.k0, self.n0)] if self._n else []
+        left, j = self._n - self.n0, self._j
+        while left > 0:
+            j += 1
+            t0, k0, m = self._parts[j]
+            out.append((t0, k0, min(m, left)))
+            left -= m
+        return out
 
     def __len__(self) -> int:
         return self._n
@@ -46,21 +65,24 @@ class Ticks:
             lo, hi, step = i.indices(self._n)
             if step != 1:
                 raise ValueError("ticks slice with a step")
-            if lo < hi <= self.n0:
-                return Ticks(self.dt, [(self.t0, self.k0 + lo, hi - lo)])
-            return Ticks(self.dt, [(t0, k0 + a - s, b - a)
-                                   for (t0, k0, m), s in zip(self.parts, self._starts)
-                                   if (a := max(lo, s)) < (b := min(hi, s + m))])
-        if 0 <= i < self.n0:
-            return self.t0 + (self.k0 + i) * self.dt
-        n = self._n
-        if not -n <= i < n:
-            raise IndexError(f"tick {i} of {n}")
-        i %= n
-        starts = self._starts
-        j = bisect_right(starts, i) - 1
-        t0, k0, _ = self.parts[j]
-        return t0 + (k0 + i - starts[j]) * self.dt
+            if hi <= lo:
+                return Ticks(self.dt, self._parts, self._starts, self._lo, 0, self._j)
+            j = self._j
+            if lo >= self.n0:
+                j = bisect_right(self._starts, self._lo + lo, j + 1) - 1
+            return Ticks(self.dt, self._parts, self._starts, self._lo + lo, hi - lo, j)
+        if not 0 <= i < self.n0:
+            n = self._n
+            if not -n <= i < n:
+                raise IndexError(f"tick {i} of {n}")
+            i %= n
+            if i >= self.n0:
+                starts = self._starts
+                i += self._lo
+                j = bisect_right(starts, i, self._j + 1) - 1
+                t0, k0, _ = self._parts[j]
+                return t0 + (k0 + i - starts[j]) * self.dt
+        return self.t0 + (self.k0 + i) * self.dt
 
     def __iter__(self):
         dt = self.dt
@@ -75,26 +97,30 @@ class Ticks:
         reaches x, and a closed form the answer inside it."""
         if lo >= hi:
             return lo
-        dt, starts = self.dt, self._starts
-        j = bisect_right(starts, hi - 1) - 1  # the part of the last tick
-        t0, k0, _ = self.parts[j]
-        s = starts[j]
-        k0 -= s  # tick i of the part, from index s on, is t0 + (k0 + i) * dt
+        dt = self.dt
+        if hi <= self.n0:  # the view's first part holds every tick of lo..hi-1
+            t0, k0, s = self.t0, self.k0, 0
+        else:
+            off, starts, parts = self._lo, self._starts, self._parts
+            j = bisect_right(starts, off + hi - 1, self._j + 1) - 1  # the part of the last tick
+            t0, k0, _ = parts[j]
+            s = starts[j] - off
+            k0 -= s  # tick i of the view, from index s on, is t0 + (k0 + i) * dt
         y = key(last := t0 + (k0 + hi - 1) * dt)
         if not (y > x if right else y >= x):  # no tick reaches x
             return hi
         if lo < s:  # the first part whose last tick reaches x holds the answer
-            parts = self.parts
 
             def reaches(p: int) -> bool:
                 t0, k0, m = parts[p]
                 y = key(t0 + (k0 + m - 1) * dt)
                 return y > x if right else y >= x
 
-            p = bisect_left(range(j), True, bisect_right(starts, lo) - 1, j, key=reaches)
+            p = bisect_left(range(j), True, bisect_right(starts, off + lo, self._j + 1, j) - 1,
+                            j, key=reaches)
             if p < j:
                 t0, k0, m = parts[p]
-                s = starts[p]
+                s = starts[p] - off
                 k0 -= s
                 hi = s + m
                 y = key(last := t0 + (k0 + hi - 1) * dt)
@@ -116,8 +142,10 @@ class Ticks:
 
 class PacketRun:
     """Consecutive packets of one flow, one per source tick: packet k has
-    seq seq0 + k and is sent at times[k]. spurt is the talk-spurt index of
-    the first packet of the run its source took (VoIP only), which a part
+    seq seq0 + k and is sent at times[k]. A source's run is the view of its
+    schedule from tick seq0 on (_Source.take), and a part of a run a view of
+    that, so neither copies a part. spurt is the talk-spurt index of the
+    first packet of the run its source took (VoIP only), which a part
     keeps; a run holds packets of spurt 0 only or of later spurts only,
     which is all a Sink reads of it."""
 
@@ -241,9 +269,9 @@ class Ticker:
     """The one clock of a run's sources, each registered at its construction:
     one heap entry, at the earliest next action of any source, scheduled as
     that source's _tick. When it fires, each source takes its actions up to
-    the ahead limit, the due source's next one in any case, as one run of
-    every spurt it ticks in (two if spurt 0 ends), and the runs go to the
-    emits in the order of their last ticks (README "Determinism")."""
+    the ahead limit, the due source's next one in any case, as one view of
+    its schedule (two if spurt 0 ends in it), and the runs go to the emits
+    in the order of their last ticks (README "Determinism")."""
 
     def __init__(self, sim: Simulator):
         self.sim = sim
@@ -295,9 +323,22 @@ class Ticker:
             sim.schedule_at(nxt.next_at, nxt._tick)
 
 
+# the ticks of a spurt with no end, or with too many to count: more than a run reads
+_ENDLESS = 1 << 62
+
+
 class _Source:
-    """A flow's ticks, in spurts: a spurt starting at t0 ticks at t0 + k*dt
-    while before its end, and ends at the first tick past that."""
+    """A flow's ticks, from its one schedule: its talk spurts in order, each
+    the ticks t0 + k*dt before the spurt's end, k = 0..n-1, and a part
+    (t0, 0, n) of the schedule if n >= 1. starts holds each part's first
+    tick, counted over the schedule, and spurts its spurt index. The next
+    spurt starts a silence after t0 + n*dt, the spurt's first tick past its
+    end, unless that is at or after stop. The schedule grows by whole
+    spurts up to each take's limit (_extend), so a source without stop
+    works too, and a run is a view of it: a packet's seq is its tick's index
+    in the schedule. Each take drops the parts wholly taken before it,
+    which the views that read them keep, so a source holds the parts of one
+    window at most. This source is one spurt, from start up to stop."""
 
     def __init__(self, ticker: Ticker, flow_id: str, emit: Callable[[PacketRun], None],
                  start: float, stop: float, interval: float, packet_bits: int):
@@ -307,52 +348,59 @@ class _Source:
         self.stop = stop
         self.interval = interval
         self.packet_bits = packet_bits
-        self.seq = 0
-        self.spurt = -1  # index of the current spurt
-        self.t0 = self.latest = start  # the spurt's first tick; the last float before its end
-        self.k = -1  # the next tick's index in the spurt; -1: a spurt starts next
-        self.next_at = start  # time of the next action
+        self.seq = 0  # the next tick to take
+        self.next_at = start  # time of the next action: a tick or a spurt start
+        self.parts: list[tuple[float, int, int]] = []
+        self.starts: list[int] = []
+        self.spurts: list[int] = []
+        self.total = 0  # ticks in the schedule
+        self.at = start  # start of the first spurt not in the schedule; inf: there is none
         ticker.sources.append(self)
 
-    def _length(self, talk: bool) -> float:
-        """Duration of the next talk spurt, or silence: one spurt by default."""
-        return math.inf
+    def _extend(self, limit: float) -> None:
+        """Add the spurts that start up to limit to the schedule: here the
+        one spurt, whose end is stop."""
+        t, stop, dt = self.at, self.stop, self.interval
+        self.at = math.inf
+        if t < stop:
+            n = first_tick(stop, dt, t) if (stop - t) / dt < _ENDLESS else _ENDLESS
+            self.parts.append((t, 0, n))
+            self.starts.append(0)
+            self.spurts.append(0)
+            self.total = n
 
     def take(self, limit: float, index: int, runs: list) -> None:
         """Add (last tick, index, run) to runs for the ticks up to limit: one
-        run with a part per spurt, but spurt 0 ends a run of its own, since a
-        Sink reads a run as spurt 0 or later."""
-        t, k, dt = self.next_at, self.k, self.interval
-        seq0, parts, spurt = self.seq, [], self.spurt  # spurt: of the run's first part
-        while t <= limit:
-            if k < 0:  # a spurt starts at t
-                if t >= self.stop:
-                    t = math.inf
-                    break
-                if self.spurt == 0 and parts:  # a second take makes the next run
-                    break
-                self.spurt += 1
-                self.t0, k = t, 0
-                self.latest = math.nextafter(min(t + self._length(True), self.stop), -math.inf)
-            t0, latest = self.t0, self.latest
-            end = latest if latest < limit else limit  # a tick up to end is taken
-            if t <= end:
-                past = first_tick(math.nextafter(end, math.inf), dt, t0)  # the first past end
-                if not parts:
-                    spurt = self.spurt
-                parts.append((t0, k, past - k))
-                self.seq += past - k
-                k = past
-                t = t0 + k * dt
-            if latest < t <= limit:  # the spurt ends; the next starts after a silence
-                t, k = t + self._length(False), -1
-        self.next_at, self.k = t, k
-        if parts:
-            t0, k0, n = parts[-1]
-            runs.append((t0 + (k0 + n - 1) * dt, index, PacketRun(
-                self.flow_id, seq0, Ticks(dt, parts), self.packet_bits, spurt)))
-            if t <= limit:  # the loop stopped where spurt 1 starts
-                self.take(limit, index, runs)
+        view of the schedule, but spurt 0 ends a run of its own, since a Sink
+        reads a run as spurt 0 or later. Every spurt of the schedule starts
+        by limit, so its ticks past limit are in the last part. The next
+        action is the next tick, else the next spurt's start."""
+        if self.next_at > limit:
+            return
+        seq = self.seq
+        j = len(self.parts) - (seq < self.total)  # the part of tick seq: the last, or the next
+        if j:  # the parts before it are taken
+            self.parts, self.starts, self.spurts = self.parts[j:], self.starts[j:], self.spurts[j:]
+        if self.at <= limit:
+            self._extend(limit)
+        parts, hi, dt = self.parts, self.total, self.interval
+        if parts and parts[-1][0] + (parts[-1][2] - 1) * dt > limit:  # ticks past limit
+            t0, _, m = parts[-1]
+            k = first_tick(math.nextafter(limit, math.inf), dt, t0)
+            hi += k - m
+            self.next_at = t0 + k * dt
+        else:
+            self.next_at = self.at
+        if hi > seq:
+            starts, spurts = self.starts, self.spurts
+            self.seq, j = hi, 0  # tick seq is in the first part
+            if not spurts[0] and hi > (n := parts[0][2]):  # spurt 0, ticks 0..n-1, ends inside
+                runs.append((parts[0][0] + (n - 1) * dt, index, PacketRun(
+                    self.flow_id, seq, Ticks(dt, parts, starts, seq, n - seq), self.packet_bits)))
+                seq, j = n, 1
+            runs.append((parts[-1][0] + (hi - 1 - starts[-1]) * dt, index, PacketRun(
+                self.flow_id, seq, Ticks(dt, parts, starts, seq, hi - seq, j),
+                self.packet_bits, spurts[j])))
 
 
 class VideoSource(_Source):
@@ -385,9 +433,44 @@ class VoipSource(_Source):
         self.spurt_mean = spurt_mean
         self.silence_mean = silence_mean
         self.rng = rng
+        self.spurt = 0  # the next spurt's index
 
-    def _length(self, talk: bool) -> float:
-        return self.rng.expovariate(1.0 / (self.spurt_mean if talk else self.silence_mean))
+    def _extend(self, limit: float) -> None:
+        """Add the spurts that start up to limit to the schedule, in one loop
+        over the source's stream: per spurt its length, then the silence
+        after it, each -log(1 - random()) / (1 / mean), as
+        rng.expovariate(1 / mean) draws it on Python 3.10 to 3.13, and its
+        ticks by engine.first_tick(end, dt, t), inline. The stream has no
+        other reader, so drawing ahead of the ticker changes no draw."""
+        t, stop, dt = self.at, self.stop, self.interval
+        parts, starts, spurts = self.parts, self.starts, self.spurts
+        total, spurt = self.total, self.spurt
+        draw, on, off = self.rng.random, 1.0 / self.spurt_mean, 1.0 / self.silence_mean
+        log, ceil, inf = math.log, math.ceil, math.inf
+        while t <= limit:
+            if t >= stop:
+                t = inf
+                break
+            end = t + -log(1.0 - draw()) / on
+            if end > stop:
+                end = stop
+            if (q := (end - t) / dt) < _ENDLESS:  # n = first_tick(end, dt, t)
+                n = ceil(q)
+                while n and t + (n - 1) * dt >= end:
+                    n -= 1
+                while t + n * dt < end:
+                    n += 1
+                past = t + n * dt  # the first tick past the end
+            else:
+                n, past = _ENDLESS, inf
+            if n:
+                parts.append((t, 0, n))
+                starts.append(total)
+                spurts.append(spurt)
+                total += n
+            spurt += 1
+            t = past + -log(1.0 - draw()) / off
+        self.at, self.total, self.spurt = t, total, spurt
 
     def _tick(self) -> None:
         self.ticker.run(self)

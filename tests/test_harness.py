@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 import vhosim
 from vhosim import mobility
 from vhosim.cli import main
+from vhosim.ipv6 import IPV6_HEADER_BITS
+from vhosim.radio import MAC_OVERHEAD_BITS
 from vhosim.harness import (
     _KEY_ALIASES,
     _NON_NEGATIVE,
@@ -159,6 +161,19 @@ def test_a_key_set_twice_is_rejected_naming_both_lines(tmp_path, capsys, first, 
         load_scenario(conf)
     assert main(["--config", str(conf)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("application", ["video", "voip"])
+def test_bitrate_must_carry_a_packet_sent_at_traffic_start_before_the_end(application):
+    # from traffic_start = 5 s to sim_time = 100 s, an app packet's frame may
+    # take 94 s of air time, but not 96 s
+    cfg = ScenarioConfig(application=application, sim_time=100.0, expected_handovers=None)
+    bits = (cfg.video_packet_bits if application == "video"
+            else int(cfg.voip_codec_rate * cfg.voip_packetization))
+    frame = bits + IPV6_HEADER_BITS + MAC_OVERHEAD_BITS
+    replace(cfg, bitrate=frame / 94.0).validate()
+    with pytest.raises(ConfigError, match="bitrate: no packet sent from traffic_start"):
+        replace(cfg, bitrate=frame / 96.0).validate()
 
 
 def test_too_many_rows_rejected_before_a_path_is_built():
@@ -353,6 +368,11 @@ def test_cli_rejects_an_unreadable_config_file_naming_it(tmp_path, capsys, name,
     # were received with mean_delay 1e300; 2097 were neither received nor lost
     ("wired.cn_link_delay = 1e300", "cn_link_delay"),
     ("wired.foreign_link_delay = 1e5", "foreign_link_delay"),
+    # each used to exit 0: a near field of no radius
+    ("radio.d_ref = -5", "d_ref"),
+    ("radio.d_ref = 0", "d_ref"),
+    # every air time passed the run's end: exited 0 with R=17.26 and nothing delivered
+    ("radio.bitrate = 1e-300", "bitrate"),
 ])
 def test_cli_rejects_bad_value_naming_the_key(tmp_path, line, key):
     conf = tmp_path / "bad.conf"

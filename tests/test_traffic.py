@@ -1,6 +1,8 @@
 import math
+import random
 import tracemalloc
 from bisect import bisect_left, bisect_right
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings
@@ -170,14 +172,12 @@ def piecewise_ticks(draw) -> Ticks:
     return Ticks(dt, parts)
 
 
-@settings(max_examples=500, deadline=None)
-@given(piecewise_ticks(), st.data())
-@example(Ticks(0.1, [(0.0, 0, 10)]), None)
-@example(Ticks(0.125, [(5.0, 3, 4), (5.75, 0, 1), (5.75, 0, 3)]), None)  # parts at the last tick
-def test_ticks_bisect_is_bisect_over_their_list(ticks, data):
-    values = [t0 + k * ticks.dt for t0, k0, n in ticks.parts for k in range(k0, k0 + n)]
+def _check_ticks(ticks: Ticks, values: list[float], data) -> None:
+    """ticks reads as the list values: length, iteration, parts, indexing,
+    slices and bisect. Without data, each tick is a tie of a probe."""
     n = len(values)
     assert len(ticks) == n and list(ticks) == values
+    assert all(m >= 1 for _, _, m in ticks.parts) and sum(m for _, _, m in ticks.parts) == n
     assert [ticks[i] for i in range(-n, n)] == values + values
     for i in (-n - 1, n):
         with pytest.raises(IndexError):
@@ -186,13 +186,14 @@ def test_ticks_bisect_is_bisect_over_their_list(ticks, data):
     for _, _, m in ticks.parts:
         starts.append(starts[-1] + m)
     # slices inside one part, across parts, and empty ones
-    cuts = [(0, n), (n, n), (3, 2), (starts[-2], n)] + list(zip(starts, starts[1:]))
+    cuts = [(0, n), (n, n), (3, 2), (starts[max(0, len(starts) - 2)], n)]
+    cuts += list(zip(starts, starts[1:]))
     if data is not None:
         cuts.append((data.draw(st.integers(-n - 2, n + 2)), data.draw(st.integers(-n - 2, n + 2))))
     for lo, hi in cuts:
         part = ticks[lo:hi]
         assert list(part) == values[lo:hi] and len(part) == len(values[lo:hi])
-        assert all(n >= 1 for _, _, n in part.parts)
+        assert all(m >= 1 for _, _, m in part.parts)
         assert [part[i] for i in range(len(part))] == values[lo:hi]
     if data is None:  # a tie at every tick, over the whole list
         probes = [(key, x, 0, n) for key in (float, (0.25).__add__) for x in map(key, values)]
@@ -202,12 +203,35 @@ def test_ticks_bisect_is_bisect_over_their_list(ticks, data):
         hi = data.draw(st.integers(lo, n))
         x = data.draw(st.one_of(
             st.builds(lambda i, way: _nudge(key(values[i]), way), st.integers(0, n - 1), _near),
-            st.floats(-10.0, 2e9)))
+            st.floats(-10.0, 2e9)) if n else st.floats(-10.0, 2e9))
         probes = [(key, x, lo, hi)]
     for key, x, lo, hi in probes:
         assert ticks.bisect(x, lo, hi, key) == bisect_left(values, x, lo, hi, key=key)
         assert ticks.bisect(x, lo, hi, key, right=True) == bisect_right(values, x, lo, hi,
                                                                          key=key)
+
+
+@settings(max_examples=500, deadline=None)
+@given(piecewise_ticks(), st.data())
+@example(Ticks(0.1, [(0.0, 0, 10)]), None)
+@example(Ticks(0.125, [(5.0, 3, 4), (5.75, 0, 1), (5.75, 0, 3)]), None)  # parts at the last tick
+def test_ticks_bisect_is_bisect_over_their_list(ticks, data):
+    values = [t0 + k * ticks.dt for t0, k0, n in ticks.parts for k in range(k0, k0 + n)]
+    n = len(values)
+    _check_ticks(ticks, values, data)
+    # views, as a source's runs are of its schedule: from any tick of any part
+    # on, slices of those, and empty ones
+    if data is None:
+        views = [(lo, hi, 1, -1) for lo in range(n) for hi in (n, lo + 2)]
+    else:
+        lo = data.draw(st.integers(0, n))
+        hi = data.draw(st.integers(lo, n))
+        views = [(lo, hi, data.draw(st.integers(0, hi - lo)), data.draw(st.integers(0, hi - lo)))]
+    views += [(n, n, 0, 0), (0, n, n, n)]
+    for lo, hi, lo2, hi2 in views:
+        view = ticks[lo:hi]
+        _check_ticks(view, values[lo:hi], data)
+        _check_ticks(view[lo2:hi2], values[lo:hi][lo2:hi2], data)
 
 
 @settings(max_examples=300, deadline=None)
@@ -262,23 +286,71 @@ def test_video_source_stop_time():
     assert len(packets(out)) == 20  # 5 ms interval, [0, 0.1)
 
 
-def _voip_reference(until: float) -> list[tuple[int, float]]:
-    """(spurt, tick) of each packet a default VoIP source from time 0 sends
-    before until, spurt by spurt from the source's random stream: a spurt
-    starting at s ticks at s + k*interval up to its end, the next starts a
-    silence after its first tick past that end."""
-    interval, _, spurt_mean, silence_mean = VOIP
-    rng = Simulator().rng("voip")
-    out, start, spurt = [], 0.0, 0
-    while start < until:
-        latest = math.nextafter(start + rng.expovariate(1.0 / spurt_mean), -math.inf)
+def _voip_reference(until: float, seed: int = 1, interval: float = VOIP[0],
+                    spurt_mean: float = VOIP[2], silence_mean: float = VOIP[3],
+                    start: float = 0.0, stop: float = math.inf) -> list[tuple[int, float]]:
+    """(spurt, tick) of each packet a VoIP source sends by until, spurt by
+    spurt from the "voip" stream of the seed: a spurt starting at s, if
+    before stop, ticks at s + k*interval up to its end or stop, and the next
+    starts a silence after its first tick past that."""
+    rng = Simulator(seed).rng("voip")
+    out, spurt = [], 0
+    while start <= until and start < stop:
+        latest = math.nextafter(min(start + rng.expovariate(1.0 / spurt_mean), stop),
+                                -math.inf)
         k = 0
-        while start + k * interval <= latest:
-            out.append((spurt, start + k * interval))
+        while (x := start + k * interval) <= latest and x <= until:
+            out.append((spurt, x))
             k += 1
         start = start + k * interval + rng.expovariate(1.0 / silence_mean)
         spurt += 1
-    return [(spurt, x) for spurt, x in out if x < until]
+    return out
+
+
+def _assert_runs_match(runs: list[PacketRun], ref: list[tuple[int, float]]) -> None:
+    """The runs are the packets of ref, seqs running on from 0: a run's
+    ticks are those of its seqs, its spurt is its first packet's, spurt 0
+    has runs of its own, and its parts are its spurts."""
+    seq = 0
+    for run in runs:
+        n = len(run.times)
+        ours = ref[seq:seq + n]
+        spurts = [spurt for spurt, _ in ours]
+        assert run.seq0 == seq and n >= 1 and list(run.times) == [x for _, x in ours]
+        assert run.spurt == spurts[0] and (0 not in spurts or set(spurts) == {0})
+        assert [m for _, _, m in run.times.parts] == [len(list(g)) for _, g in groupby(spurts)]
+        seq += n
+    assert seq == len(ref)
+
+
+class _Counted(random.Random):
+    """A random stream that counts its random() draws."""
+
+    draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return super().random()
+
+
+def _voip_runs(until: float, cuts=(), seed: int = 1, interval: float = VOIP[0],
+               spurt_mean: float = VOIP[2], silence_mean: float = VOIP[3],
+               start: float = 0.0, stop: float = math.inf) -> tuple[list[PacketRun], int]:
+    """The runs a VoIP source on a ticker of its own emits before until, with
+    a no-op event at each cut time before it to end a window there, and the
+    draws its stream made."""
+    sim = Simulator(seed)
+    for t in cuts:
+        if t <= until:
+            sim.schedule_at(t, lambda: None)
+    ticker = Ticker(sim)
+    rng = _Counted(f"{seed}/voip")  # sim.rng("voip"), counted
+    out = []
+    VoipSource(ticker, "voip", interval, VOIP[1], spurt_mean, silence_mean, rng, out.append,
+               start, stop)
+    ticker.start()
+    sim.run_until(until)
+    return out, rng.draws
 
 
 def test_voip_packets_carry_spurt_index_and_fixed_size():
@@ -303,13 +375,51 @@ def test_voip_packets_carry_spurt_index_and_fixed_size():
     # seqs run on from run to run; a run names the spurt of its first packet,
     # and spurt 0 never shares a run with a later spurt
     assert any(len(run.times.parts) > 1 for run in out)
-    seq = 0
-    for run in out:
-        assert run.seq0 == seq
-        ours = spurt_of[seq:seq + len(run.times)]
-        assert run.spurt == ours[0] and (0 not in ours or set(ours) == {0})
-        seq += len(run.times)
-    assert seq == len(ref)
+    _assert_runs_match(out, ref)
+
+
+def test_voip_runs_carry_their_spurt_where_events_cut_the_windows():
+    # alone, a source's windows end only at the run's end; no-op events end
+    # them anywhere: mid-spurt, mid-silence, and at many spurts from 1 on
+    rng = random.Random(29)
+    cuts = sorted(rng.uniform(0.0, 60.0) for _ in range(300))
+    out, _ = _voip_runs(60.0, cuts)
+    ref = _voip_reference(60.0)
+    _assert_runs_match(out, ref)
+    assert len(out) > 100 and len({run.spurt for run in out}) > 20
+
+
+_seed = st.integers(0, 2 ** 32)
+# a tiny spurt mean makes spurts of one tick, from 0, or none, past 0; silences
+# stay long enough to bound the spurts of a run
+_spurt_mean = st.one_of(st.sampled_from([1.0, 1e-9, 1e-300]), st.floats(1e-4, 3.0))
+_silence_mean = st.one_of(st.just(1.35), st.floats(1e-2, 3.0))
+_interval = st.one_of(st.sampled_from([0.02, 0.03]), st.floats(1e-3, 0.1))
+_stop = st.one_of(st.just(math.inf), st.floats(0.0, 30.0))
+_cuts = st.lists(st.floats(0.0, 40.0), max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_seed, _interval, _spurt_mean, _silence_mean, st.floats(0.0, 10.0), _stop, _cuts)
+@example(1, *VOIP[:1], *VOIP[2:], 0.0, 2.0, [0.5, 1.5, 1.9])  # stop inside spurt 1, at 1.88 s
+@example(1, *VOIP[:1], 1e-300, VOIP[3], 0.0, math.inf, [])  # spurts of no tick after spurt 0
+@example(1, *VOIP[:1], 1.7e308, VOIP[3], 0.0, math.inf, [0.5])  # a spurt too long to count
+def test_voip_schedule_is_the_spurt_by_spurt_reference(seed, interval, spurt_mean,
+                                                       silence_mean, start, stop, cuts):
+    params = (seed, interval, spurt_mean, silence_mean, start, start + stop)
+    out, _ = _voip_runs(40.0, sorted(cuts), *params)
+    _assert_runs_match(out, _voip_reference(40.0, *params))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_seed, _interval, _spurt_mean, _silence_mean, st.floats(0.0, 10.0), _stop, _cuts)
+def test_voip_draws_do_not_depend_on_the_windows(seed, interval, spurt_mean, silence_mean,
+                                                 start, stop, cuts):
+    params = (seed, interval, spurt_mean, silence_mean, start, start + stop)
+    one, one_draws = _voip_runs(40.0, (), *params)
+    many, many_draws = _voip_runs(40.0, sorted(cuts), *params)
+    assert one_draws == many_draws
+    assert [x for run in one for x in run.times] == [x for run in many for x in run.times]
 
 
 def test_voip_long_run_talk_fraction():
