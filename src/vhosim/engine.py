@@ -23,7 +23,8 @@ def first_tick(t: float, step: float, offset: float = 0.0) -> int:
 
 
 # A scheduled event is the bare heap entry [fire_at, seq, callback, args];
-# it doubles as the cancellation handle. callback=None marks it dead.
+# it doubles as the cancellation handle. callback=None marks it dead: it
+# stays in the heap until it reaches the top, where it is dropped.
 EventHandle = list
 
 
@@ -91,16 +92,20 @@ class Simulator:
         """The latest time t for which run_ahead(t) would hold now.
 
         That is the bound of the run_until call in progress, or the last float
-        before the first heap entry, cancelled ones included, if that comes
-        first: a new entry loses every tie. -inf outside run_until.
+        before the first live heap entry, if that comes first: a new entry
+        loses every tie. Cancelled entries on top of the heap are dropped
+        first, as run_until would skip them. -inf outside run_until.
         """
         heap = self._heap
+        while heap and heap[0][2] is None:
+            heapq.heappop(heap)
         if heap and heap[0][0] <= self._end:
             return math.nextafter(heap[0][0], -math.inf)
         return self._end
 
     def run_ahead(self, t: float) -> bool:
-        """Move the clock to t iff an event scheduled now for t would run next.
+        """Move the clock to t iff an event scheduled now for t would run next,
+        before every live entry; a cancelled one never runs and bars nothing.
 
         On True the caller does the work of that event inline; it is not
         counted in executed.

@@ -133,12 +133,33 @@ def test_run_ahead_refuses_a_tie_with_a_pending_entry():
     assert got == [False]
 
 
-def test_run_ahead_refuses_past_a_cancelled_entry_at_the_heap_top():
+def test_run_ahead_passes_a_cancelled_entry_at_the_heap_top():
     sim = Simulator()
+    fired = []
     got = _probe_at(sim, 0.5, 1.0, 1.5)
-    sim.cancel(sim.schedule_at(1.0, lambda: None))
+    sim.cancel(sim.schedule_at(1.0, fired.append, 1.0))
     sim.run_until(2.0)
-    assert got == [False, False]
+    assert got == [True, True]  # a dead entry never runs, so bars nothing
+    assert fired == []
+    assert sim.executed == 1  # the probe; neither the inline steps nor the dead entry
+
+
+def test_ahead_limit_drops_stacked_cancelled_entries_up_to_the_first_live_one():
+    sim = Simulator()
+    fired = []
+    got = []
+
+    def probe():
+        got.extend((sim.ahead_limit(), sim.run_ahead(1.5), sim.run_ahead(2.0)))
+
+    sim.schedule_at(0.5, probe)
+    for t in (0.75, 1.0, 1.0, 1.25, 2.0):  # the dead one at 2.0 comes first on the tie
+        sim.cancel(sim.schedule_at(t, fired.append, t))
+    sim.schedule_at(2.0, fired.append, 2.0)
+    sim.run_until(3.0)
+    assert got == [math.nextafter(2.0, 0.0), True, False]  # the live tie still refuses
+    assert fired == [2.0]
+    assert sim.executed == 2
 
 
 def test_run_ahead_refuses_a_time_past_the_run_until_end():
@@ -172,6 +193,20 @@ def test_ahead_limit_is_the_last_time_run_ahead_accepts():
     sim.run_until(2.0)
     assert got == [math.nextafter(1.0, 0.0), 2.0]
     assert sim.ahead_limit() == -math.inf  # outside run_until
+
+
+def test_a_cancelled_event_cuts_no_ticker_window():
+    # the due tick at 0 runs the video source to 5 s past the dead shot at
+    # 2 s; a dead entry that bounded the window would split it at 2 s
+    sim = Simulator()
+    runs = []
+    ticker = Ticker(sim)
+    VideoSource(ticker, "v", 1.0, 1, lambda run: runs.append(list(run.times)), 0.0, math.inf)
+    ticker.start()
+    sim.cancel(sim.schedule_at(2.0, lambda: None))
+    sim.run_until(5.0)
+    assert runs == [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]]
+    assert sim.executed == 1
 
 
 def _video_run_program(offset):
@@ -359,6 +394,9 @@ def _run_schedule(shots, tombstones, sources, ends, heap_ticks=None):
 @example(shots=[], tombstones=[],
          sources=[("video", 0.0, 4, 1, ("spawn", 1.5)), ("voip", 0.25, 4, 1, ("none",))],
          ends=[1.5, 6.0])  # ... and in a window of two sources to 1.25 s, at 1.5 s
+@example(shots=[(1.0, ("none",))], tombstones=[0],
+         sources=[("video", 0.0, 2, 1, ("none",)), ("video", 0.25, 2, 1, ("none",))],
+         ends=[6.0])  # a window of two sources runs past the tombstone at 1.0 s
 def test_run_ahead_keeps_the_order_of_the_heap(shots, tombstones, sources, ends):
     heap, _, heap_raised, heap_ticks = _run_schedule(shots, tombstones, sources, ends)
     assert not heap_raised

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vhosim.engine import Simulator
 from vhosim.harness import ScenarioConfig, RunResult, run_experiment
 from vhosim.ipv6 import Address, Packet, RouterAdvertisement, derive_iid
 from vhosim.llc import VhoController
 from vhosim.radio import BEACON_BITS, AccessPoint, Frame
 from vhosim.scenario import CorrespondentNode, DownlinkRun, Scenario, WirelessInterface
-from vhosim.traffic import PacketRun, Sink, Ticks
+from vhosim.traffic import PacketRun, Sink, Ticker, Ticks
 
 
 class SpiedRun(NamedTuple):
@@ -141,16 +142,61 @@ def test_an_untraced_run_formats_no_address(monkeypatch):
     assert calls  # the wrapper sees the addresses a traced run renders
 
 
-@pytest.mark.parametrize("scheme", ["hard", "soft"],
+@pytest.mark.parametrize("scheme, events", [("hard", 115), ("soft", 92)],
                          ids=["voip-hard-2-seed1", "voip-soft-2-seed1"])
-def test_voip_ticks_run_ahead_of_the_heap(scheme):
-    # both flows tick under one heap entry, so neither flow's next tick cuts
-    # the other's runs short; with one entry per source this read 0.58
-    # events per packet. The count is deterministic: this cannot flake
+def test_voip_ticks_run_ahead_of_the_heap(scheme, events):
+    # both flows tick under one heap entry, and only live events cut their
+    # windows and downlink segments: 115 and 92 events for the 44,475 packets,
+    # 0.0026 and 0.0021 per packet. The count is deterministic: this cannot flake
     result = run_experiment(ScenarioConfig(scheme=scheme, application="voip", speed=2.0,
                                            seed=1))
     sent = sum(flow.sent for flow in result.scenario.flows.values())
-    assert result.scenario.sim.executed / sent <= 0.2
+    assert sent == 44475
+    assert result.scenario.sim.executed <= events
+
+
+@pytest.mark.parametrize("scheme", ["hard", "soft"],
+                         ids=["voip-hard-2-seed1", "voip-soft-2-seed1"])
+def test_windows_and_segments_end_only_at_live_events(scheme):
+    # every bound the ticker and the downlink read is the last float before
+    # the first live heap entry, or the run_until end: a cancelled timer (a
+    # BU retransmit after its BA, a refresh after a handover) cuts nothing.
+    # The ticker meets bounds where a dead entry stood first; it drops them,
+    # so the downlink, which reads after it, rarely does. Deterministic
+    reader: list[str] = []
+    reads, dead_first = Counter(), Counter()
+
+    def reading(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            reader.append(f"{owner.__name__}.{name}")
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                reader.pop()
+        return wrapper
+
+    ahead_limit = Simulator.ahead_limit
+
+    def checked(sim):
+        live = min((e[0] for e in sim._heap if e[2] is not None), default=math.inf)
+        first = min((e[0] for e in sim._heap), default=math.inf)
+        end = sim._end
+        limit = ahead_limit(sim)
+        if reader:
+            assert limit == (math.nextafter(live, -math.inf) if live <= end else end)
+            reads[reader[-1]] += 1
+            dead_first[reader[-1]] += first < live and first <= end
+        return limit
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Ticker, "run", reading(Ticker, "run"))
+        mp.setattr(DownlinkRun, "advance", reading(DownlinkRun, "advance"))
+        mp.setattr(Simulator, "ahead_limit", checked)
+        run_experiment(ScenarioConfig(scheme=scheme, application="voip", speed=2.0, seed=1))
+    assert set(reads) == {"Ticker.run", "DownlinkRun.advance"}
+    assert dead_first["Ticker.run"] > 0, (reads, dead_first)
 
 
 @pytest.mark.parametrize("cfg", [
