@@ -500,9 +500,11 @@ class Scenario:
             raise ValueError(f"unknown application {cfg.application!r}")
 
     def _on_drop(self, run: PacketRun, at: Optional[Callable[[float], float]] = None) -> None:
-        """Count the app packets of run as lost and log each at its drop
-        time: its send time, or at(send time). A packet drops once: one
-        dropped already raises ValueError (SeqSet.add)."""
+        """Count the app packets of run as lost, add them to the flow's
+        dropped ranges as one range, and log each at its drop time: its send
+        time, or at(send time). A packet drops once: one dropped already
+        raises ValueError (SeqSet.add). The dropped ranges grow with the
+        outages, not with the packets lost in them."""
         stats = self.flows[run.flow_id]
         n = len(run.times)
         stats.dropped_seqs.add(run.seq0, run.seq0 + n)

@@ -165,51 +165,79 @@ class PacketRun:
 
 
 class SeqSet:
-    """Set of a flow's sequence numbers, one flag byte per seq.
+    """Set of a flow's sequence numbers, kept as sorted ranges.
 
-    A flow numbers its packets 0, 1, 2, ... so a bytearray indexed by seq
-    holds the set in at most one byte per packet sent, whatever the order in
-    which seqs are added.
+    Range i is [_los[i], _his[i]). The ranges are disjoint and no two touch,
+    so the set holds one range per maximal run of seqs. A flow's packets
+    move in runs and each part of a run meets one fate, so the set grows
+    with the outages that split a flow, not with its packets.
     """
 
-    __slots__ = ("_flags", "_len")
+    __slots__ = ("_los", "_his", "_len")
 
     def __init__(self):
-        self._flags = bytearray()
+        self._los: list[int] = []
+        self._his: list[int] = []
         self._len = 0
 
     def add(self, lo: int, hi: int) -> None:
         """Add lo..hi-1, 0 <= lo < hi, none of which may be in the set: a
         seq that is raises ValueError, and leaves the set as it was."""
-        flags = self._flags
-        end = len(flags)
-        if lo == end < hi:  # in-order arrival
-            flags += b"\x01" * (hi - lo)
+        los, his = self._los, self._his
+        if his and lo == his[-1] < hi:  # in-order arrival
+            his[-1] = hi
             self._len += hi - lo
             return
         if not 0 <= lo < hi:
             raise ValueError(f"seqs [{lo}, {hi}): must be a non-empty range from 0 up")
-        m = flags.find(1, lo, hi)
-        if m >= 0:
-            raise ValueError(f"seq {m} is in the set already")
-        if hi > end:
-            flags.extend(bytes(hi - end))
-        flags[lo:hi] = b"\x01" * (hi - lo)
+        i = bisect_right(los, lo)  # range i-1 is the last to start at or before lo
+        if i and his[i - 1] > lo:
+            raise ValueError(f"seq {lo} is in the set already")
+        joins_next = i < len(los) and los[i] <= hi
+        if joins_next and los[i] < hi:
+            raise ValueError(f"seq {los[i]} is in the set already")
+        if i and his[i - 1] == lo:
+            if joins_next:
+                his[i - 1] = his.pop(i)
+                del los[i]
+            else:
+                his[i - 1] = hi
+        elif joins_next:
+            los[i] = lo
+        else:
+            los.insert(i, lo)
+            his.insert(i, hi)
         self._len += hi - lo
 
     def __contains__(self, seq: int) -> bool:
-        return 0 <= seq < len(self._flags) and self._flags[seq] == 1
+        i = bisect_right(self._los, seq)
+        return i > 0 and seq < self._his[i - 1]
 
     def __len__(self) -> int:
         return self._len
 
     def __and__(self, other: "SeqSet") -> set[int]:
-        """The seqs in both sets."""
-        return {seq for seq, (a, b) in enumerate(zip(self._flags, other._flags))
-                if a and b}
+        """The seqs in both sets: one merge walk over both range lists."""
+        common: set[int] = set()
+        a_los, a_his, b_los, b_his = self._los, self._his, other._los, other._his
+        i = j = 0
+        while i < len(a_los) and j < len(b_los):
+            lo, hi = max(a_los[i], b_los[j]), min(a_his[i], b_his[j])
+            if lo < hi:
+                common.update(range(lo, hi))
+            if a_his[i] < b_his[j]:
+                i += 1
+            else:
+                j += 1
+        return common
 
 
 class FlowStats:
+    """One flow's packet counters, its delay sum and two SeqSets: the seqs
+    received or late, and the seqs dropped. Each set is a few ranges, one
+    per run of packets between outages, so a flow's accounting grows with
+    its outages, not with its packets."""
+
     def __init__(self, flow_id: str, sent: int = 0, received: int = 0, late: int = 0,
                  lost: int = 0, delay_sum: float = 0.0):
         self.flow_id = flow_id
@@ -556,7 +584,10 @@ class Sink:
     delay exceeds the playout budget: the minimum delay observed over the
     flow's first spurt (spurt 0) plus the fixed playout delay. A video flow
     is one spurt, so it has no deadline. A packet takes one path, so a sink
-    takes it once: a repeated seq raises ValueError (SeqSet.add).
+    takes it once: a repeated seq raises ValueError (SeqSet.add). Each
+    call adds its packets to the flow's received ranges as one range, which
+    extends the last one when it arrives in order, so a sink's memory grows
+    with the outages that split its flow, not with the packets it takes.
     """
 
     def __init__(self, stats: FlowStats, playout_delay: float):

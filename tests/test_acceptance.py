@@ -149,6 +149,21 @@ def test_criterion_7_conservation(grid):
     _announce(7, "sent == received + late + lost + in-flight, exactly, every flow")
 
 
+def test_seq_sets_hold_a_range_per_handover(grid):
+    """On the grid every outage comes with a handover, so each of a flow's
+    seq sets holds at most handover_count + 1 ranges, however many packets
+    it counts. Not so on --random configs, which have outages without one."""
+    slack = math.inf
+    for key, result in _runs(grid):
+        bound = result.metrics.handover_count + 1
+        for flow in result.scenario.flows.values():
+            for seqs in (flow.received_seqs, flow.dropped_seqs):
+                ranges = len(seqs._los)
+                assert ranges <= bound, f"{key}/{flow.flow_id}: {ranges} ranges"
+                slack = min(slack, bound - ranges)
+    assert slack == 0  # some set holds exactly handover_count + 1 ranges
+
+
 def test_criterion_8_binding_cache_trace():
     home, foreign = 0x20010DB800010000, 0x20010DB800020000
     hoa = Address(home, 0xAA)

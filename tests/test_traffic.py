@@ -722,51 +722,71 @@ def disjoint_ranges(draw) -> list[tuple[int, int]]:
     return draw(st.one_of(st.just(ranges), st.permutations(ranges)))
 
 
-def _fill(ranges):
+def _ranges(seqs: SeqSet) -> tuple[list[int], list[int]]:
+    """Copies of a SeqSet's lists of range starts and ends."""
+    return seqs._los[:], seqs._his[:]
+
+
+def _runs(ref: set[int]) -> tuple[list[int], list[int]]:
+    """The starts and ends of ref's maximal runs of seqs, in seq order: the
+    one sorted, disjoint, non-touching list of ranges that holds ref."""
+    seqs = sorted(ref)
+    return [s for s in seqs if s - 1 not in ref], [s + 1 for s in seqs if s + 1 not in ref]
+
+
+def _fill(base, ranges):
     ours, ref = SeqSet(), set()
     for lo, hi in ranges:
-        ours.add(lo, hi)
-        ref.update(range(lo, hi))
+        ours.add(base + lo, base + hi)
+        ref.update(range(base + lo, base + hi))
+        assert _ranges(ours) == _runs(ref) and len(ours) == len(ref)
     return ours, ref
 
 
+# seqs start anywhere up to 2**40, so memory that grew with a seq's size shows
+BASES = st.integers(0, 2**40)
+NEAR_BASE = range(-2, 1000)  # past every range and try drawn
+
+
 @settings(max_examples=300, deadline=None)
-@given(disjoint_ranges(), disjoint_ranges())
-def test_seq_set_agrees_with_builtin_set(ranges_a, ranges_b):
-    ours_a, ref_a = _fill(ranges_a)
-    ours_b, ref_b = _fill(ranges_b)
-    assert len(ours_a) == len(ref_a) and len(ours_b) == len(ref_b)
-    probe = range(-2, max(ref_a | ref_b, default=0) + 3)
+@given(BASES, st.integers(0, 40), disjoint_ranges(), disjoint_ranges())
+@example(2**40, 5, [(0, 10), (20, 30)], [(0, 3), (8, 20), (24, 26)])  # sets that overlap
+def test_seq_set_agrees_with_builtin_set(base, shift, ranges_a, ranges_b):
+    ours_a, ref_a = _fill(base, ranges_a)
+    ours_b, ref_b = _fill(base + shift, ranges_b)
+    probe = [*range(-2, 3), *(base + s for s in NEAR_BASE)]
     assert [s in ours_a for s in probe] == [s in ref_a for s in probe]
-    assert (ours_a & ours_b) == (ref_a & ref_b)
-    assert (ours_b & ours_a) == (ref_a & ref_b)
+    assert [s in ours_b for s in probe] == [s in ref_b for s in probe]
+    common = ours_a & ours_b
+    assert type(common) is set and common == ref_a & ref_b == ours_b & ours_a
 
 
 @settings(max_examples=300, deadline=None)
-@given(disjoint_ranges(), st.lists(st.tuples(st.integers(0, 80), st.integers(1, 30)),
-                                   max_size=30))
-def test_seq_set_range_add_agrees_with_per_seq_add(ranges, tries):
-    bulk, single = SeqSet(), SeqSet()
+@given(BASES, disjoint_ranges(),
+       st.lists(st.tuples(st.integers(0, 80), st.integers(1, 30)), max_size=30))
+def test_seq_set_range_add_agrees_with_per_seq_add(base, ranges, tries):
+    bulk, ref = _fill(base, ranges)
+    single = SeqSet()
     for lo, hi in ranges:
-        bulk.add(lo, hi)
-        for seq in range(lo, hi):
+        for seq in range(base + lo, base + hi):
             single.add(seq, seq + 1)
-        assert len(bulk) == len(single)
-    probe = range(-2, 800)  # past every range drawn
-    assert [s in bulk for s in probe] == [s in single for s in probe]
+    assert _ranges(single) == _ranges(bulk) and len(single) == len(bulk)
     # then ranges that may overlap the set: an overlap raises, naming the
-    # first seq in the set, and changes nothing
-    ref = {s for s in probe if s in bulk}
+    # first seq in the set, and leaves both range lists as they were
     for lo, n in tries:
+        lo += base
         overlap = ref.intersection(range(lo, lo + n))
         if overlap:
+            before = _ranges(bulk)
             with pytest.raises(ValueError, match=f"seq {min(overlap)} "):
                 bulk.add(lo, lo + n)
+            assert _ranges(bulk) == before
         else:
             bulk.add(lo, lo + n)
             ref.update(range(lo, lo + n))
-        assert len(bulk) == len(ref)
-        assert [s in bulk for s in probe] == [s in ref for s in probe]
+        assert _ranges(bulk) == _runs(ref) and len(bulk) == len(ref)
+    probe = [base + s for s in NEAR_BASE]
+    assert [s in bulk for s in probe] == [s in ref for s in probe]
 
 
 def test_seq_set_rejects_negative_seq():
@@ -778,9 +798,10 @@ def test_seq_set_rejects_negative_seq():
 
 
 @pytest.mark.parametrize("flow", ["video", "voip"])
-def test_sink_memory_does_not_grow_per_packet(flow):
-    """A delivered packet costs the sink one flag byte, not a set entry, an
-    int and a float. A video flow is one spurt; VoIP spurts are 50 packets."""
+def test_sink_memory_is_constant_for_in_order_packets(flow):
+    """Packets delivered in order extend one range of received seqs, so the
+    sink grows by a constant, not per packet. A video flow is one spurt;
+    VoIP spurts are 50 packets."""
     n = 100_000
     per_spurt = n if flow == "video" else 50
     stats = FlowStats("f")
@@ -795,4 +816,4 @@ def test_sink_memory_does_not_grow_per_packet(flow):
     finally:
         tracemalloc.stop()
     assert stats.received == n and len(stats.received_seqs) == n
-    assert grown <= 2 * n, f"{grown / n:.1f} bytes per packet"
+    assert grown < 1024, f"{grown} bytes for {n} packets"
